@@ -33,7 +33,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    try:
+        values = [float(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,8 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run the seed grid and write a summary CSV")
     _add_common(p)
-    p.add_argument("--theta0", default=None, help="comma-separated theta0 seeds (default grid: 0.25,0.5,1.0)")
-    p.add_argument("--phi0", default=None, help="comma-separated phi0 seeds (default grid: 0,pi/2,pi,3pi/2)")
+    p.add_argument(
+        "--theta0", type=_parse_list, default=None, help="comma-separated theta0 seeds (default grid: 0.25,0.5,1.0)"
+    )
+    p.add_argument(
+        "--phi0", type=_parse_list, default=None, help="comma-separated phi0 seeds (default grid: 0,pi/2,pi,3pi/2)"
+    )
     p.add_argument("--summary-name", default="sweep_summary.csv")
     return parser
 
@@ -105,9 +115,7 @@ def main(argv=None) -> int:
             print(f"wrote mesh: {path}")
             return 0
         # sweep
-        theta0 = _parse_list(args.theta0) if args.theta0 else None
-        phi0 = _parse_list(args.phi0) if args.phi0 else None
-        rows, summary = sweep_grid(cfg, theta0, phi0, args.out_dir, summary_name=args.summary_name)
+        rows, summary = sweep_grid(cfg, args.theta0, args.phi0, args.out_dir, summary_name=args.summary_name)
         n_pass = sum(1 for r in rows if r.verdict == "pass")
         for r in rows:
             loc = f" at s={r.failure_s:.6g}" if r.failure_s is not None else ""
@@ -118,9 +126,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:
-        where = getattr(exc, "s", None)
-        loc = f" (at s = {where:.6g})" if where is not None else ""
-        print(f"error: {type(exc).__name__}: {exc}{loc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -11,6 +11,14 @@ class GeometryError(Exception):
     """Base class for all geometric / numerical domain failures."""
 
 
+class LocatedError(GeometryError):
+    """A failure detected at a known sample; carries its arc length ``s``."""
+
+    def __init__(self, message: str, s: float | None = None):
+        super().__init__(message)
+        self.s = s
+
+
 class NullInputError(GeometryError):
     """An angle was requested for a null or zero vector."""
 
@@ -31,7 +39,7 @@ class NonPositiveCurvatureError(GeometryError):
     """Prescribed curvature k1 is not strictly positive on the grid."""
 
 
-class StepTooLargeError(GeometryError):
+class StepTooLargeError(LocatedError):
     """Frame orthonormality defect exceeded tolerance during integration."""
 
 
@@ -67,23 +75,12 @@ class DegenerateAngleError(GeometryError):
     """sin(mu) = 0 makes the requested relation degenerate."""
 
 
-class ThetaSingularityError(GeometryError):
-    """|theta| fell below the singularity guard (coth theta blows up).
-
-    Carries the arc length ``s`` at which the condition was detected.
-    """
-
-    def __init__(self, message: str, s: float | None = None):
-        super().__init__(message)
-        self.s = s
+class ThetaSingularityError(LocatedError):
+    """|theta| fell below the singularity guard (coth theta blows up)."""
 
 
-class IntegrationDivergedError(GeometryError):
+class IntegrationDivergedError(LocatedError):
     """State left the representable range (finite-s blowup of a determining system)."""
-
-    def __init__(self, message: str, s: float | None = None):
-        super().__init__(message)
-        self.s = s
 
 
 class ParamDomainError(GeometryError):

@@ -163,8 +163,8 @@ def sweep_grid(
     Errors are recorded per row and never abort the sweep.  Per-seed file
     outputs are suppressed (only the summary is written).
     """
-    theta0_list = list(theta0_list) if theta0_list else list(DEFAULT_THETA0_GRID)
-    phi0_list = list(phi0_list) if phi0_list else list(DEFAULT_PHI0_GRID)
+    theta0_list = list(DEFAULT_THETA0_GRID if theta0_list is None else theta0_list)
+    phi0_list = list(DEFAULT_PHI0_GRID if phi0_list is None else phi0_list)
     if not theta0_list or not phi0_list:
         raise ValueError("seed lists must be nonempty")
 

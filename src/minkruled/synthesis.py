@@ -46,7 +46,7 @@ from .errors import (
     ThetaSingularityError,
     TorsionVanishesError,
 )
-from .frenet import Constant, CurvatureFn, FrenetCurve, as_curvature_fn
+from .frenet import Constant, CurvatureFn, FrenetCurve, _rk4, as_curvature_fn
 from .surface import THETA_MIN, AngleTrack, RuledSurfaceGrid, finite_difference, ruling_from_angles
 
 #: Abort threshold for |theta|; the determining systems blow up in finite s
@@ -177,18 +177,19 @@ def system_rhs(
     Raises ThetaSingularityError when |theta| < theta_min (every ODE kind
     uses coth(theta) except the pinned asymptotic mode, which is guarded for
     consistency because sinh(theta) = 0 degenerates the ruling as well) and
-    IntegrationDivergedError when |theta| > theta_max; the guard sits here
-    so a diverging stage value cannot overflow sinh mid-step.
+    IntegrationDivergedError when |theta| > theta_max or either angle is not
+    finite.  These are the only state guards of the integration: they run on
+    every stage value, so a diverging state cannot overflow sinh mid-step.
     """
+    if not (math.isfinite(theta) and math.isfinite(phi)) or abs(theta) > theta_max:
+        raise IntegrationDivergedError(
+            f"theta = {theta:.6g}, phi = {phi:.6g} at s = {s:.6g}: the prescribed system blows up "
+            "in finite arc length on this interval",
+            s=s,
+        )
     if abs(theta) < theta_min:
         raise ThetaSingularityError(
             f"|theta| = {abs(theta):.3e} below guard {theta_min:.1e} at s = {s:.6g}", s=s
-        )
-    if not math.isfinite(theta) or abs(theta) > theta_max:
-        raise IntegrationDivergedError(
-            f"theta = {theta:.6g} at s = {s:.6g}: the prescribed system blows up "
-            "in finite arc length on this interval",
-            s=s,
         )
     sh = math.sinh(theta)
 
@@ -247,19 +248,6 @@ def system_rhs(
     raise ValueError(f"{kind.value} has no ODE right-hand side; it is built in closed form")
 
 
-def _check_state(theta: float, phi: float, s: float, theta_min: float, theta_max: float) -> None:
-    if not (math.isfinite(theta) and math.isfinite(phi)) or abs(theta) > theta_max:
-        raise IntegrationDivergedError(
-            f"state diverged at s = {s:.6g} (theta = {theta:.6g}); the prescribed system "
-            "blows up in finite arc length on this interval",
-            s=s,
-        )
-    if abs(theta) < theta_min:
-        raise ThetaSingularityError(
-            f"|theta| = {abs(theta):.3e} below guard {theta_min:.1e} at s = {s:.6g}", s=s
-        )
-
-
 def integrate_system(
     kind: SystemKind,
     params: SynthesisParams,
@@ -280,7 +268,6 @@ def integrate_system(
     h = directrix.step
     if params.step is not None and abs(params.step - h) > 1e-12 * max(1.0, h):
         raise GridMismatchError(f"params.step = {params.step} but directrix step = {h}")
-    k1_fn, k2_fn = directrix.curvature_fns()
 
     if kind is SystemKind.LINE_OF_CURVATURE:
         return _line_of_curvature_track(params, directrix, theta_min=theta_min)
@@ -301,44 +288,15 @@ def integrate_system(
                 )
 
     phi0 = HALF_PI if kind is SystemKind.ASYMPTOTIC_LINE else float(params.phi0)
-    state = (float(params.theta0), phi0)
-    _check_state(state[0], state[1], float(s[0]), theta_min, theta_max)
 
-    def rhs(si: float, st: tuple[float, float]) -> tuple[float, float]:
-        return system_rhs(
-            kind,
-            st[0],
-            st[1],
-            si,
-            params,
-            float(k1_fn(si)),
-            float(k2_fn(si)),
-            theta_min=theta_min,
-            theta_max=theta_max,
+    def rhs(si: float, c, y: np.ndarray) -> np.ndarray:
+        return np.array(
+            system_rhs(kind, y[0], y[1], si, params, c[0], c[1], theta_min=theta_min, theta_max=theta_max)
         )
 
-    n = s.shape[0]
-    theta = np.empty(n)
-    phi = np.empty(n)
-    theta_p = np.empty(n)
-    phi_p = np.empty(n)
-    theta[0], phi[0] = state
-    theta_p[0], phi_p[0] = rhs(float(s[0]), state)
-    for i in range(n - 1):
-        si = float(s[i])
-        th, ph = state
-        d1 = rhs(si, (th, ph))
-        d2 = rhs(si + 0.5 * h, (th + 0.5 * h * d1[0], ph + 0.5 * h * d1[1]))
-        d3 = rhs(si + 0.5 * h, (th + 0.5 * h * d2[0], ph + 0.5 * h * d2[1]))
-        d4 = rhs(si + h, (th + h * d3[0], ph + h * d3[1]))
-        state = (
-            th + (h / 6.0) * (d1[0] + 2.0 * d2[0] + 2.0 * d3[0] + d4[0]),
-            ph + (h / 6.0) * (d1[1] + 2.0 * d2[1] + 2.0 * d3[1] + d4[1]),
-        )
-        _check_state(state[0], state[1], float(s[i + 1]), theta_min, theta_max)
-        theta[i + 1], phi[i + 1] = state
-        theta_p[i + 1], phi_p[i + 1] = rhs(float(s[i + 1]), state)
-
+    y, dy = _rk4(rhs, s, np.array([float(params.theta0), phi0]), directrix.curvature_fns())
+    theta, phi = y.T.copy()
+    theta_p, phi_p = dy.T.copy()
     return AngleTrack(s=s.copy(), theta=theta, phi=phi, theta_prime=theta_p, phi_prime=phi_p, theta_min=theta_min)
 
 
@@ -400,23 +358,17 @@ def geodesic_theta(n: float, k1: float, k2: float) -> float:
 def line_of_curvature_phi(k2, C: float, s_grid: np.ndarray) -> np.ndarray:
     """phi(s) = -cumulative integral of k2 + C on the grid.
 
-    The quadrature is the 4th-order step scheme applied to phi' = -k2(s),
-    matched to the uniform grid so every sample is covered.
+    phi' = -k2(s) does not depend on phi, so the 4th-order step reduces to
+    a cumulative Simpson sum over the uniform grid.
     """
     k2_fn = as_curvature_fn(k2)
     s = np.asarray(s_grid, dtype=float)
     if s.shape[0] < 2:
         return np.full(s.shape, float(C))
     h = float(s[1] - s[0])
-    phi = np.empty(s.shape[0])
-    phi[0] = float(C)
-    for i in range(s.shape[0] - 1):
-        si = float(s[i])
-        d1 = -float(k2_fn(si))
-        d2 = -float(k2_fn(si + 0.5 * h))
-        d4 = -float(k2_fn(si + h))
-        phi[i + 1] = phi[i] + (h / 6.0) * (d1 + 4.0 * d2 + d4)
-    return phi
+    node = -np.asarray(k2_fn(s), dtype=float)
+    mid = -np.asarray(k2_fn(s[:-1] + 0.5 * h), dtype=float)
+    return np.cumsum(np.concatenate([[float(C)], (h / 6.0) * (node[:-1] + 4.0 * mid + node[1:])]))
 
 
 def locus_theta(n: float, k1: float, phi: float) -> float:

@@ -182,6 +182,18 @@ class TestSweep:
         assert rows[0].failure_s == pytest.approx(0.0)
         assert rows[1].verdict == "pass"
 
+    def test_numpy_seed_arrays_match_lists(self):
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        seeds = dict(theta0_list=[0.0, 0.5, 1.0], phi0_list=[0.2, 1.0], write_summary=False)
+        rows, _ = sweep_grid(cfg, **seeds)
+        arrays = {k: np.array(v) if k.endswith("_list") else v for k, v in seeds.items()}
+        assert sweep_grid(cfg, **arrays)[0] == rows
+
+    def test_empty_seed_list_rejected(self):
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        with pytest.raises(ValueError):
+            sweep_grid(cfg, theta0_list=[], write_summary=False)
+
 
 class TestCliEntry:
     def test_synthesize_and_verify_exit_zero(self, tmp_path):
@@ -204,6 +216,7 @@ class TestCliEntry:
         assert code == 1
         err = capsys.readouterr().err
         assert "ThetaSingularity" in err and "s = 0" in err
+        assert err.count("at s =") == 1
 
     def test_strict_tolerance_fails_verification(self, tmp_path):
         code = main(
@@ -256,6 +269,15 @@ class TestCliEntry:
         )
         assert code == 1  # the theta0 = 0 row fails
         assert (tmp_path / "sweep_summary.csv").exists()
+
+    @pytest.mark.parametrize("seeds", ["abc", ","])
+    def test_sweep_command_malformed_seeds_exit_two(self, tmp_path, capsys, seeds):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(CONFIG_DIR / "general_roundtrip.json"), "--out-dir", str(tmp_path), "--theta0", seeds])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--theta0" in err and "Traceback" not in err
+        assert not (tmp_path / "sweep_summary.csv").exists()
 
     def test_sweep_command_default_grid_exits_zero(self, tmp_path):
         code = main(

@@ -132,6 +132,19 @@ class TestGeneralMode:
             integrate_system(SystemKind.GENERAL_DV0, params, curve)
         assert 0.7 < err.value.s <= 1.0
 
+    def test_stored_derivatives_equal_rhs(self):
+        curve = integrate_frenet(
+            Polynomial((1.0, 0.5)), Sinusoid(amplitude=0.05, frequency=3.0, offset=0.1), s_range=(0.0, 0.5), step=1e-3
+        )
+        params = SynthesisParams(theta0=0.8, phi0=0.4, d=Polynomial((0.5, 0.2)), v0=0.3)
+        kind = SystemKind.GENERAL_DV0
+        track = integrate_system(kind, params, curve)
+        for i in range(track.n_samples):
+            rhs = system_rhs(
+                kind, float(track.theta[i]), float(track.phi[i]), float(track.s[i]), params, curve.k1[i], curve.k2[i]
+            )
+            assert rhs == (track.theta_prime[i], track.phi_prime[i])
+
     def test_seed_below_guard_rejected_at_start(self, unit_directrix):
         params = SynthesisParams(theta0=1e-9, phi0=0.2, d=0.5, v0=0.3)
         with pytest.raises(ThetaSingularityError) as err:
