@@ -9,8 +9,7 @@ import argparse
 from pathlib import Path
 
 from minkruled import RunConfig, export_mesh
-from minkruled.pipeline import build_directrix, run_config
-from minkruled.synthesis import build_surface, integrate_system
+from minkruled.pipeline import run_config
 
 DEFAULT_CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

@@ -14,14 +14,11 @@ configuration (the message names the field).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import RunConfig
 from .errors import ConfigError, GeometryError
-from .mesh import export_mesh
-from .pipeline import _params_comment, build_directrix, run_config, sweep_grid
-from .synthesis import build_surface, integrate_system
+from .pipeline import run_config, sweep_grid, synthesize_surface, write_mesh
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -101,18 +98,8 @@ def main(argv=None) -> int:
         if args.command == "export-mesh":
             if cfg.outputs.mesh is None:
                 raise ConfigError("outputs.mesh", "required by export-mesh")
-            curve = build_directrix(cfg)
-            track = integrate_system(cfg.system, cfg.params, curve)
-            surface = build_surface(track, curve)
-            os.makedirs(args.out_dir, exist_ok=True)
-            path = export_mesh(
-                surface,
-                cfg.outputs.mesh.v_range,
-                cfg.outputs.mesh.v_samples,
-                os.path.join(args.out_dir, cfg.outputs.mesh.path),
-                comment=f"system={cfg.system.value} params={_params_comment(cfg)}",
-            )
-            print(f"wrote mesh: {path}")
+            _, _, surface = synthesize_surface(cfg)
+            print(f"wrote mesh: {write_mesh(cfg, surface, args.out_dir)}")
             return 0
         # sweep
         rows, summary = sweep_grid(cfg, args.theta0, args.phi0, args.out_dir, summary_name=args.summary_name)

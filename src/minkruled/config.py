@@ -21,13 +21,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError
-from .frenet import Constant, CurvatureFn, Polynomial, Samples, Sinusoid
-from .synthesis import REQUIRED_PARAMS, SEEDED_KINDS, SynthesisParams, SystemKind
+from .frenet import Constant, CurvatureFn, Polynomial, Samples, Sinusoid, grid_size
+from .synthesis import KINDS, SynthesisParams, SystemKind
 from .verify import Tolerances
 
 SCHEMA_VERSION = 1
@@ -38,7 +38,7 @@ _FN_TYPES = ("constant", "polynomial", "sinusoid", "samples")
 def curvature_fn_from_spec(spec, where: str) -> CurvatureFn:
     """Build a CurvatureFn from its JSON spec (a number is a constant)."""
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return Constant(float(spec))
+        return Constant(_float(spec, where))
     if not isinstance(spec, dict):
         raise ConfigError(where, "expected a number or a function object")
     kind = spec.get("type")
@@ -48,20 +48,23 @@ def curvature_fn_from_spec(spec, where: str) -> CurvatureFn:
         coeffs = spec.get("coefficients")
         if not isinstance(coeffs, list) or not coeffs:
             raise ConfigError(f"{where}.coefficients", "expected a nonempty list of numbers")
-        return Polynomial(tuple(float(c) for c in coeffs))
+        return Polynomial(tuple(_floats(coeffs, f"{where}.coefficients")))
     if kind == "sinusoid":
         return Sinusoid(
             amplitude=_number(spec, "amplitude", where),
             frequency=_number(spec, "frequency", where),
-            phase=float(spec.get("phase", 0.0)),
-            offset=float(spec.get("offset", 0.0)),
+            phase=_number(spec, "phase", where, 0.0),
+            offset=_number(spec, "offset", where, 0.0),
         )
     if kind == "samples":
         s = spec.get("s")
         values = spec.get("values")
         if not isinstance(s, list) or not isinstance(values, list) or len(s) != len(values) or len(s) < 2:
             raise ConfigError(where, "samples need matching 's' and 'values' lists (length >= 2)")
-        return Samples(np.asarray(s, dtype=float), np.asarray(values, dtype=float))
+        s = np.asarray(_floats(s, f"{where}.s"))
+        if not np.all(np.diff(s) > 0):
+            raise ConfigError(f"{where}.s", "must be strictly increasing")
+        return Samples(s, np.asarray(_floats(values, f"{where}.values")))
     raise ConfigError(f"{where}.type", f"unknown function type {kind!r}; expected one of {_FN_TYPES}")
 
 
@@ -73,15 +76,32 @@ def _curvature_fn_to_spec(fn: CurvatureFn | float | None):
     return float(fn)
 
 
-def _number(obj: dict, key: str, where: str) -> float:
-    if key not in obj:
-        raise ConfigError(f"{where}.{key}", "missing required number")
-    val = obj[key]
+def _float(val, where: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}.{key}", f"expected a number, got {type(val).__name__}")
+        raise ConfigError(where, f"expected a number, got {type(val).__name__}")
     val = float(val)
     if not math.isfinite(val):
-        raise ConfigError(f"{where}.{key}", "must be finite")
+        raise ConfigError(where, "must be finite")
+    return val
+
+
+def _floats(values: list, where: str) -> list[float]:
+    return [_float(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
+def _number(obj: dict, key: str, where: str, default: float | None = None) -> float:
+    """obj[key] as a finite float; ``default`` when absent, if one is given."""
+    if key not in obj:
+        if default is None:
+            raise ConfigError(f"{where}.{key}", "missing required number")
+        return default
+    return _float(obj[key], f"{where}.{key}")
+
+
+def _path(obj: dict, key: str, where: str) -> str | None:
+    val = obj.get(key)
+    if val is not None and not (isinstance(val, str) and val):
+        raise ConfigError(f"{where}.{key}", "expected a nonempty string path")
     return val
 
 
@@ -92,6 +112,12 @@ class DirectrixSpec:
     s_range: tuple[float, float] = (0.0, 1.0)
     step: float = 1e-3
     initial_frame: np.ndarray | None = None
+
+    def __post_init__(self):
+        try:
+            grid_size(self.s_range, self.step)
+        except ValueError as exc:
+            raise ConfigError("directrix.step", str(exc)) from None
 
     def to_dict(self) -> dict:
         out = {
@@ -187,16 +213,11 @@ class RunConfig:
         k1 = curvature_fn_from_spec(d["k1"], "directrix.k1")
         k2 = curvature_fn_from_spec(d["k2"], "directrix.k2")
         s_range = d.get("s_range", [0.0, 1.0])
-        if (
-            not isinstance(s_range, list)
-            or len(s_range) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in s_range)
-            or not s_range[1] > s_range[0]
-        ):
+        if not isinstance(s_range, list) or len(s_range) != 2:
             raise ConfigError("directrix.s_range", "expected an increasing pair [s0, s1]")
-        step = float(d.get("step", 1e-3))
-        if not (math.isfinite(step) and step > 0):
-            raise ConfigError("directrix.step", "must be a positive number")
+        s_range = _floats(s_range, "directrix.s_range")
+        if not s_range[1] > s_range[0]:
+            raise ConfigError("directrix.s_range", "expected an increasing pair [s0, s1]")
         frame = None
         if "initial_frame" in d:
             fr = d["initial_frame"]
@@ -207,9 +228,10 @@ class RunConfig:
                 row = fr.get(key)
                 if not isinstance(row, list) or len(row) != 3:
                     raise ConfigError(f"directrix.initial_frame.{key}", "expected a 3-vector")
-                rows.append([float(x) for x in row])
+                rows.append(_floats(row, f"directrix.initial_frame.{key}"))
             frame = np.asarray(rows, dtype=float)
-        directrix = DirectrixSpec(k1=k1, k2=k2, s_range=(float(s_range[0]), float(s_range[1])), step=step, initial_frame=frame)
+        step = _number(d, "step", "directrix", 1e-3)
+        directrix = DirectrixSpec(k1=k1, k2=k2, s_range=tuple(s_range), step=step, initial_frame=frame)
 
         system_name = doc.get("system")
         try:
@@ -225,10 +247,11 @@ class RunConfig:
         for key in p:
             if key not in known_params:
                 raise ConfigError(f"params.{key}", "unknown key")
-        for name in REQUIRED_PARAMS[system]:
+        spec = KINDS[system]
+        for name in spec.params:
             if name not in p:
                 raise ConfigError(f"params.{name}", f"required by system '{system.value}'")
-        if system in SEEDED_KINDS and "theta0" not in p:
+        if spec.seeded and "theta0" not in p:
             raise ConfigError("params.theta0", f"required by system '{system.value}'")
 
         def fn_or_none(key):
@@ -240,8 +263,8 @@ class RunConfig:
             return curvature_fn_from_spec(val, f"params.{key}")
 
         params = SynthesisParams(
-            theta0=_number(p, "theta0", "params") if "theta0" in p else float("nan"),
-            phi0=_number(p, "phi0", "params") if "phi0" in p else 0.0,
+            theta0=_number(p, "theta0", "params", float("nan")),
+            phi0=_number(p, "phi0", "params", 0.0),
             d=fn_or_none("d"),
             v0=fn_or_none("v0"),
             n=fn_or_none("n"),
@@ -266,15 +289,17 @@ class RunConfig:
                 vr = mo.get("v_range")
                 if not isinstance(vr, list) or len(vr) != 2:
                     raise ConfigError("outputs.mesh.v_range", "expected a pair [v_min, v_max]")
+                vr = _floats(vr, "outputs.mesh.v_range")
                 ns = mo.get("v_samples")
                 if not isinstance(ns, int) or isinstance(ns, bool) or ns < 2:
                     raise ConfigError("outputs.mesh.v_samples", "expected an integer >= 2")
-                if not isinstance(mo.get("path"), str):
-                    raise ConfigError("outputs.mesh.path", "expected a string path")
-                mesh = MeshSpec(v_range=(float(vr[0]), float(vr[1])), v_samples=ns, path=mo["path"])
+                path = _path(mo, "path", "outputs.mesh")
+                if path is None:
+                    raise ConfigError("outputs.mesh.path", "expected a nonempty string path")
+                mesh = MeshSpec(v_range=tuple(vr), v_samples=ns, path=path)
             outputs = OutputSpec(
-                csv_path=o.get("csv_path"),
-                report_path=o.get("report_path"),
+                csv_path=_path(o, "csv_path", "outputs"),
+                report_path=_path(o, "report_path", "outputs"),
                 mesh=mesh,
             )
 
@@ -290,9 +315,9 @@ class RunConfig:
             if not isinstance(defects, dict):
                 raise ConfigError("tolerances.defects", "expected an object")
             tolerances = Tolerances(
-                rel=float(t.get("rel", Tolerances.rel)),
-                abs=float(t.get("abs", Tolerances.abs)),
-                defects={str(k): float(v) for k, v in defects.items()},
+                rel=_number(t, "rel", "tolerances", Tolerances.rel),
+                abs=_number(t, "abs", "tolerances", Tolerances.abs),
+                defects={str(k): _float(v, f"tolerances.defects.{k}") for k, v in defects.items()},
             )
 
         return cls(directrix=directrix, system=system, params=params, outputs=outputs, tolerances=tolerances)
@@ -327,27 +352,16 @@ class RunConfig:
         }
 
     def with_overrides(self, *, step: float | None = None, tol_rel: float | None = None, tol_abs: float | None = None) -> "RunConfig":
-        directrix = self.directrix
-        if step is not None:
-            directrix = DirectrixSpec(
-                k1=directrix.k1,
-                k2=directrix.k2,
-                s_range=directrix.s_range,
-                step=step,
-                initial_frame=directrix.initial_frame,
-            )
-        tol = self.tolerances
-        if tol_rel is not None or tol_abs is not None:
-            tol = Tolerances(
-                rel=tol_rel if tol_rel is not None else tol.rel,
-                abs=tol_abs if tol_abs is not None else tol.abs,
-                defects=dict(tol.defects),
-            )
-        return RunConfig(directrix=directrix, system=self.system, params=self.params, outputs=self.outputs, tolerances=tol)
+        """This config with the given step and tolerances; None keeps a value.
+
+        The new values are validated like the config fields they replace.
+        """
+        tol = {"rel": tol_rel, "abs": tol_abs}
+        return replace(
+            self,
+            directrix=self.directrix if step is None else replace(self.directrix, step=step),
+            tolerances=replace(self.tolerances, **{k: v for k, v in tol.items() if v is not None}),
+        )
 
     def with_seed(self, theta0: float, phi0: float) -> "RunConfig":
-        p = self.params
-        params = SynthesisParams(
-            theta0=theta0, phi0=phi0, d=p.d, v0=p.v0, n=p.n, mu=p.mu, C=p.C, step=p.step
-        )
-        return RunConfig(directrix=self.directrix, system=self.system, params=params, outputs=self.outputs, tolerances=self.tolerances)
+        return replace(self, params=replace(self.params, theta0=theta0, phi0=phi0))

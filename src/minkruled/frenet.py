@@ -12,6 +12,7 @@ with <T,T> = -1 and <N,N> = <B,B> = 1.  Integration is fixed-step classical
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,18 +236,22 @@ def _frame_rhs(_s: float, c, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def uniform_grid(s_range: tuple[float, float], step: float) -> np.ndarray:
-    """Uniform grid covering s_range; the span must be a multiple of step."""
-    s0, s1 = float(s_range[0]), float(s_range[1])
-    if step <= 0:
+def grid_size(s_range: tuple[float, float], step: float) -> int:
+    """Number of steps of the uniform grid; the span must be a multiple of step."""
+    span = float(s_range[1]) - float(s_range[0])
+    if not (math.isfinite(step) and step > 0):
         raise ValueError("step must be positive")
-    span = s1 - s0
-    if span <= 0:
+    if not (math.isfinite(span) and span > 0):
         raise ValueError("s_range must be increasing")
     n = int(round(span / step))
     if n < 1 or abs(n * step - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError(f"s_range span {span} is not an integer multiple of step {step}")
-    return s0 + step * np.arange(n + 1)
+    return n
+
+
+def uniform_grid(s_range: tuple[float, float], step: float) -> np.ndarray:
+    """Uniform grid covering s_range; the span must be a multiple of step."""
+    return float(s_range[0]) + step * np.arange(grid_size(s_range, step) + 1)
 
 
 def integrate_frenet(

@@ -13,20 +13,12 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import RunConfig
 from .errors import GeometryError
 from .frenet import FrenetCurve, integrate_frenet
 from .mesh import export_mesh
 from .surface import AngleTrack, RuledSurfaceGrid
-from .synthesis import (
-    DEFAULT_PHI0_GRID,
-    DEFAULT_THETA0_GRID,
-    SystemKind,
-    build_surface,
-    integrate_system,
-)
+from .synthesis import DEFAULT_PHI0_GRID, DEFAULT_THETA0_GRID, build_surface, integrate_system
 from .verify import InvariantReport, recompute_report
 
 
@@ -65,9 +57,7 @@ def run_config(cfg: RunConfig, out_dir=".", *, write_outputs: bool = True) -> Ru
     decides the exit code; pipeline errors (singular seeds, divergence)
     propagate as exceptions carrying the failure location.
     """
-    curve = build_directrix(cfg)
-    track = integrate_system(cfg.system, cfg.params, curve)
-    surface = build_surface(track, curve)
+    curve, track, surface = synthesize_surface(cfg)
     report = recompute_report(surface, cfg.params, cfg.system, cfg.tolerances)
 
     written: dict[str, str] = {}
@@ -80,18 +70,28 @@ def run_config(cfg: RunConfig, out_dir=".", *, write_outputs: bool = True) -> Ru
         if o.report_path is not None:
             written["report"] = write_report_json(os.path.join(out_dir, o.report_path), report)
         if o.mesh is not None:
-            comment = f"system={cfg.system.value} params={_params_comment(cfg)}"
-            written["mesh"] = export_mesh(
-                surface, o.mesh.v_range, o.mesh.v_samples, os.path.join(out_dir, o.mesh.path), comment=comment
-            )
+            written["mesh"] = write_mesh(cfg, surface, out_dir)
     return RunResult(config=cfg, curve=curve, track=track, surface=surface, report=report, written=written)
 
 
-def _params_comment(cfg: RunConfig) -> str:
-    parts = []
-    for key, val in sorted(cfg.to_dict()["params"].items()):
-        parts.append(f"{key}={json.dumps(val, sort_keys=True)}")
-    return " ".join(parts)
+def synthesize_surface(cfg: RunConfig) -> tuple[FrenetCurve, AngleTrack, RuledSurfaceGrid]:
+    """Directrix, angle track and ruling field of one config, unverified."""
+    curve = build_directrix(cfg)
+    track = integrate_system(cfg.system, cfg.params, curve)
+    return curve, track, build_surface(track, curve)
+
+
+def write_mesh(cfg: RunConfig, surface: RuledSurfaceGrid, out_dir=".") -> str:
+    """Write the config's OBJ mesh of ``surface``; its path resolves against ``out_dir``.
+
+    The header comment records the system and the normalized params.
+    """
+    mesh = cfg.outputs.mesh
+    params = " ".join(f"{k}={json.dumps(v, sort_keys=True)}" for k, v in sorted(cfg.to_dict()["params"].items()))
+    out_dir = os.fspath(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, mesh.path)
+    return export_mesh(surface, mesh.v_range, mesh.v_samples, path, comment=f"system={cfg.system.value} params={params}")
 
 
 def write_report_json(path, report: InvariantReport) -> str:

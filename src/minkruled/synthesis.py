@@ -1,24 +1,25 @@
 """Determining systems: synthesize angle tracks that realize prescribed invariants.
 
 Along a fixed timelike directrix, a ruled surface is pinned down by the angle
-pair (theta, phi).  Prescribing invariants turns into a coupled first-order
-system for that pair; one system per prescription:
+pair (theta, phi).  Prescribing the distribution parameter d and the
+strictional distance v0 turns into one general first-order system
 
-* GENERAL_DV0     theta' = v0 sinh(theta)/(d^2+v0^2) + k1 sin(phi)
-                  phi'   = -k2 + k1 coth(theta) cos(phi) - d/(d^2+v0^2)
-* STRICTION_LINE  v0 = 0:            theta' = k1 sin(phi)
-                  phi' = -1/d - k2 + k1 coth(theta) cos(phi)
-* CURVATURE_ANGLE prescribed (n, mu) with d = n sin^2(mu), v0 = n sin(mu)cos(mu):
-                  theta' = (1/n) sinh(theta) cot(mu) + k1 sin(phi)
-                  phi'   = -1/n - k2 + k1 coth(theta) cos(phi)
-* DEVELOPABLE     d = 0:             theta' = sinh(theta)/v0 + k1 sin(phi)
-                  phi' = -k2 + k1 coth(theta) cos(phi)
-* CYLINDER        q' = 0:            theta' = k1 sin(phi)
-                  phi' = -k2 + k1 coth(theta) cos(phi)
-* ASYMPTOTIC_LINE phi pinned at pi/2, n forced to -1/k2 (constant k2 != 0):
-                  theta' = (1/n) sinh(theta) cot(mu) + k1
+    theta' = a sinh(theta) + k1 sin(phi)
+    phi'   = b - k2 + k1 coth(theta) cos(phi)
+    with a = v0/(d^2+v0^2), b = -d/(d^2+v0^2),
+
+and every other prescription is that system with (d, v0) specialised
+(``KINDS`` holds one entry per kind):
+
+* GENERAL_DV0        d and v0 as given
+* STRICTION_LINE     v0 = 0
+* DEVELOPABLE        d = 0
+* CURVATURE_ANGLE    (d, v0) = n (sin^2(mu), sin(mu) cos(mu)) from prescribed (n, mu)
+* ASYMPTOTIC_LINE    the same with n forced to -1/k2 (constant k2 != 0) and
+                     phi pinned at pi/2, so only theta is integrated
+* CYLINDER           q' = 0: no (d, v0), a = b = 0
 * LINE_OF_CURVATURE  no ODE: phi(s) = -integral(k2) + C by quadrature and
-                  theta(s) = artanh(n k1 cos(phi)) pointwise.
+                     theta(s) = artanh(n k1 cos(phi)) pointwise.
 
 The seed (theta0, phi0) is the two-parameter freedom of the solution family.
 Integration is fixed-step classical 4th order on the directrix grid.  These
@@ -32,6 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -71,38 +73,13 @@ class SystemKind(enum.Enum):
     LINE_OF_CURVATURE = "line_of_curvature"
 
 
-#: Parameters each kind consumes (beyond the seed angles).
-REQUIRED_PARAMS: dict[SystemKind, tuple[str, ...]] = {
-    SystemKind.GENERAL_DV0: ("d", "v0"),
-    SystemKind.STRICTION_LINE: ("d",),
-    SystemKind.CURVATURE_ANGLE: ("n", "mu"),
-    SystemKind.DEVELOPABLE: ("v0",),
-    SystemKind.CYLINDER: (),
-    SystemKind.ASYMPTOTIC_LINE: ("mu",),
-    SystemKind.LINE_OF_CURVATURE: ("n", "C"),
-}
-
-#: Kinds whose track comes from integrating an ODE in (theta, phi).
-ODE_KINDS = (
-    SystemKind.GENERAL_DV0,
-    SystemKind.STRICTION_LINE,
-    SystemKind.CURVATURE_ANGLE,
-    SystemKind.DEVELOPABLE,
-    SystemKind.CYLINDER,
-)
-
-#: Kinds that start from a theta0 seed (the asymptotic mode integrates theta
-#: alone with phi pinned; only the line-of-curvature mode is seedless).
-SEEDED_KINDS = ODE_KINDS + (SystemKind.ASYMPTOTIC_LINE,)
-
-
 @dataclass(frozen=True)
 class SynthesisParams:
     """Prescription for one synthesis run.
 
     d, v0 and n may be constants or functions of arc length; mu, C and the
     seed angles are plain numbers.  Which fields a run needs depends on the
-    SystemKind (see REQUIRED_PARAMS); theta0 is ignored by LINE_OF_CURVATURE
+    SystemKind (see ``KINDS``); theta0 is ignored by LINE_OF_CURVATURE
     (theta is determined pointwise there) and phi0 by ASYMPTOTIC_LINE (phi
     is pinned at pi/2).
     """
@@ -116,48 +93,138 @@ class SynthesisParams:
     C: float | None = None
     step: float | None = None
 
-    def d_fn(self) -> CurvatureFn:
-        return as_curvature_fn(self.d)
 
-    def v0_fn(self) -> CurvatureFn:
-        return as_curvature_fn(self.v0)
+def param_values(p: CurvatureFn | float, s) -> np.ndarray:
+    """A number-or-function parameter evaluated at the arc lengths ``s``."""
+    if isinstance(p, CurvatureFn):
+        return np.asarray(p(s), dtype=float)
+    return np.full(np.shape(s), float(p))
 
-    def n_fn(self) -> CurvatureFn:
-        return as_curvature_fn(self.n)
+
+def _general(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
+    return {"d": param_values(p.d, s), "v0": param_values(p.v0, s)}
+
+
+def _striction(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
+    return {"d": param_values(p.d, s), "v0": np.zeros(np.shape(s))}
+
+
+def _developable(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
+    return {"d": np.zeros(np.shape(s)), "v0": param_values(p.v0, s)}
+
+
+def _cylinder(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
+    return {}
+
+
+def _from_n_mu(n: np.ndarray, mu: float) -> dict[str, np.ndarray]:
+    # K comes from n itself, not from the mapped (d, v0), so a wrong
+    # (n, mu) -> (d, v0) map still fails the K check; the raw products stay
+    # valid for either sign of n.
+    return {"d": n * math.sin(mu) ** 2, "v0": n * math.sin(mu) * math.cos(mu), "K": 1.0 / (n * n)}
+
+
+def _curvature_angle(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
+    return {**_from_n_mu(param_values(p.n, s), p.mu), "mu": np.full(np.shape(s), HALF_PI - p.mu)}
+
+
+def _asymptotic(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
+    k2 = np.asarray(k2, dtype=float)
+    if float(np.min(np.abs(k2))) < 1e-12:
+        raise ParamDomainError("asymptotic mode requires k2 != 0")
+    return _from_n_mu(-1.0 / k2, p.mu)
+
+
+def _line_of_curvature(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
+    n = param_values(p.n, s)
+    return {"n": n, "K": 1.0 / (n * n)}
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """What one SystemKind prescribes.
+
+    ``params`` are the parameters it consumes beyond the seed angles.
+    ``seeded`` says whether it starts from a theta0 seed; the only seedless
+    kind, line of curvature, is also the only one built in closed form
+    rather than integrated.  ``prescribe(params, s, k2)`` gives the
+    invariants the kind fixes, evaluated at the arc lengths ``s`` with
+    torsion ``k2`` there: synthesis reads (d, v0) from it, and verification
+    compares every entry with the recomputed invariants, except the
+    ``vanishing`` ones, which are prescribed zero and reported as named
+    defects instead.
+    """
+
+    params: tuple[str, ...]
+    seeded: bool
+    prescribe: Callable[[SynthesisParams, np.ndarray, np.ndarray], dict[str, np.ndarray]]
+    vanishing: tuple[str, ...] = ()
+
+
+KINDS: dict[SystemKind, KindSpec] = {
+    SystemKind.GENERAL_DV0: KindSpec(("d", "v0"), True, _general),
+    SystemKind.STRICTION_LINE: KindSpec(("d",), True, _striction, vanishing=("v0",)),
+    SystemKind.CURVATURE_ANGLE: KindSpec(("n", "mu"), True, _curvature_angle),
+    SystemKind.DEVELOPABLE: KindSpec(("v0",), True, _developable, vanishing=("d",)),
+    SystemKind.CYLINDER: KindSpec((), True, _cylinder),
+    SystemKind.ASYMPTOTIC_LINE: KindSpec(("mu",), True, _asymptotic),
+    SystemKind.LINE_OF_CURVATURE: KindSpec(("n", "C"), False, _line_of_curvature),
+}
 
 
 def validate_params(kind: SystemKind, params: SynthesisParams) -> None:
     """Check kind-specific domain constraints; raises ParamDomainError."""
-    for name in REQUIRED_PARAMS[kind]:
+    spec = KINDS[kind]
+    for name in spec.params:
         if getattr(params, name) is None:
             raise ParamDomainError(f"{kind.value} requires params.{name}")
-    if kind in SEEDED_KINDS and not math.isfinite(params.theta0):
+    if spec.seeded and not math.isfinite(params.theta0):
         raise ParamDomainError(f"{kind.value} requires params.theta0")
-    if kind is SystemKind.CURVATURE_ANGLE or kind is SystemKind.ASYMPTOTIC_LINE:
-        if abs(math.sin(params.mu)) < 1e-12:
-            raise ParamDomainError("sin(mu) = 0 is outside the curvature-angle domain")
-    if kind is SystemKind.CURVATURE_ANGLE and _constant_or_none(params.n) is not None:
-        if _constant_or_none(params.n) <= 0.0:
-            raise ParamDomainError("curvature_angle requires n > 0")
-    if kind is SystemKind.LINE_OF_CURVATURE and _constant_or_none(params.n) is None:
+    if "mu" in spec.params and abs(math.sin(params.mu)) < 1e-12:
+        raise ParamDomainError("sin(mu) = 0 is outside the curvature-angle domain")
+    n_constant = not isinstance(params.n, CurvatureFn) or isinstance(params.n, Constant)
+    if kind is SystemKind.CURVATURE_ANGLE and n_constant and float(param_values(params.n, 0.0)) <= 0.0:
+        raise ParamDomainError("curvature_angle requires n > 0")
+    if kind is SystemKind.LINE_OF_CURVATURE and not n_constant:
         raise ParamDomainError("line_of_curvature takes a constant n")
 
 
-def _value(p, s: float) -> float:
-    return float(p(s)) if isinstance(p, CurvatureFn) else float(p)
+def _coefficients(kind: SystemKind, params: SynthesisParams, s, k2) -> np.ndarray:
+    """Columns (a, b) of the general system at the arc lengths ``s``.
+
+    A kind that prescribes no (d, v0), the cylinder, has a = b = 0.  Both are
+    NaN where d^2 + v0^2 = 0; the right-hand side reports that at the stage
+    that reaches it.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fixed = KINDS[kind].prescribe(params, s, k2)
+        if "d" not in fixed:
+            return np.zeros((np.size(s), 2))
+        d, v0 = fixed["d"], fixed["v0"]
+        denom = d * d + v0 * v0
+        denom = np.where(denom > 0.0, denom, np.nan)
+        return np.column_stack([v0 / denom, -d / denom])
 
 
-def _constant_or_none(p) -> float | None:
-    """The value of a genuinely constant parameter, else None."""
-    if isinstance(p, Constant):
-        return float(p.value)
-    if isinstance(p, CurvatureFn) or p is None:
-        return None
-    return float(p)
-
-
-def _coth(theta: float) -> float:
-    return math.cosh(theta) / math.sinh(theta)
+def _rhs(theta: float, phi: float, s: float, c, pinned: bool, theta_min: float, theta_max: float) -> tuple[float, float]:
+    """The general system for c = (k1, k2, a, b), with every state guard."""
+    k1, k2, a, b = c
+    if not (math.isfinite(theta) and math.isfinite(phi)) or abs(theta) > theta_max:
+        raise IntegrationDivergedError(
+            f"theta = {theta:.6g}, phi = {phi:.6g} at s = {s:.6g}: the prescribed system blows up "
+            "in finite arc length on this interval",
+            s=s,
+        )
+    if abs(theta) < theta_min:
+        raise ThetaSingularityError(
+            f"|theta| = {abs(theta):.3e} below guard {theta_min:.1e} at s = {s:.6g}", s=s
+        )
+    if math.isnan(a):
+        raise ParamDomainError(f"d^2 + v0^2 = 0 at s = {s:.6g}")
+    sh = math.sinh(theta)
+    if pinned:
+        return a * sh + k1, 0.0
+    return a * sh + k1 * math.sin(phi), b - k2 + k1 * (math.cosh(theta) / sh) * math.cos(phi)
 
 
 def system_rhs(
@@ -174,78 +241,21 @@ def system_rhs(
 ) -> tuple[float, float]:
     """Right-hand side (theta', phi') of the determining system ``kind``.
 
-    Raises ThetaSingularityError when |theta| < theta_min (every ODE kind
-    uses coth(theta) except the pinned asymptotic mode, which is guarded for
-    consistency because sinh(theta) = 0 degenerates the ruling as well) and
-    IntegrationDivergedError when |theta| > theta_max or either angle is not
-    finite.  These are the only state guards of the integration: they run on
-    every stage value, so a diverging state cannot overflow sinh mid-step.
+    Every seeded kind evaluates the general system with its prescribed
+    (d, v0); the asymptotic mode keeps phi pinned (phi' = 0).  Raises
+    ThetaSingularityError when |theta| < theta_min (coth(theta) blows up;
+    the pinned asymptotic mode is guarded for consistency because
+    sinh(theta) = 0 degenerates the ruling as well), IntegrationDivergedError
+    when |theta| > theta_max or either angle is not finite, and
+    ParamDomainError where d^2 + v0^2 = 0.  These are the only state guards
+    of the integration: they run on every stage value, so a diverging state
+    cannot overflow sinh mid-step.
     """
-    if not (math.isfinite(theta) and math.isfinite(phi)) or abs(theta) > theta_max:
-        raise IntegrationDivergedError(
-            f"theta = {theta:.6g}, phi = {phi:.6g} at s = {s:.6g}: the prescribed system blows up "
-            "in finite arc length on this interval",
-            s=s,
-        )
-    if abs(theta) < theta_min:
-        raise ThetaSingularityError(
-            f"|theta| = {abs(theta):.3e} below guard {theta_min:.1e} at s = {s:.6g}", s=s
-        )
-    sh = math.sinh(theta)
-
-    if kind is SystemKind.GENERAL_DV0:
-        d = _value(params.d, s)
-        v0 = _value(params.v0, s)
-        denom = d * d + v0 * v0
-        if denom <= 0.0:
-            raise ParamDomainError(f"d^2 + v0^2 = 0 at s = {s:.6g}")
-        return (
-            v0 * sh / denom + k1 * math.sin(phi),
-            -k2 + k1 * _coth(theta) * math.cos(phi) - d / denom,
-        )
-
-    if kind is SystemKind.STRICTION_LINE:
-        d = _value(params.d, s)
-        if d == 0.0:
-            raise ParamDomainError(f"d = 0 at s = {s:.6g}: striction system divides by d")
-        return (
-            k1 * math.sin(phi),
-            -1.0 / d - k2 + k1 * _coth(theta) * math.cos(phi),
-        )
-
-    if kind is SystemKind.CURVATURE_ANGLE:
-        n = _value(params.n, s)
-        if n == 0.0:
-            raise ParamDomainError(f"n = 0 at s = {s:.6g}")
-        cot_mu = math.cos(params.mu) / math.sin(params.mu)
-        return (
-            sh * cot_mu / n + k1 * math.sin(phi),
-            -1.0 / n - k2 + k1 * _coth(theta) * math.cos(phi),
-        )
-
-    if kind is SystemKind.DEVELOPABLE:
-        v0 = _value(params.v0, s)
-        if v0 == 0.0:
-            raise ParamDomainError(f"v0 = 0 at s = {s:.6g}: developable system divides by v0")
-        return (
-            sh / v0 + k1 * math.sin(phi),
-            -k2 + k1 * _coth(theta) * math.cos(phi),
-        )
-
-    if kind is SystemKind.CYLINDER:
-        return (
-            k1 * math.sin(phi),
-            -k2 + k1 * _coth(theta) * math.cos(phi),
-        )
-
-    if kind is SystemKind.ASYMPTOTIC_LINE:
-        if abs(k2) < 1e-12:
-            raise ParamDomainError(f"asymptotic mode needs k2 != 0 (s = {s:.6g})")
-        n = -1.0 / k2
-        cot_mu = math.cos(params.mu) / math.sin(params.mu)
-        return (sh * cot_mu / n + k1, 0.0)
-
-    raise ValueError(f"{kind.value} has no ODE right-hand side; it is built in closed form")
+    if not KINDS[kind].seeded:
+        raise ValueError(f"{kind.value} has no ODE right-hand side; it is built in closed form")
+    a, b = _coefficients(kind, params, np.array([float(s)]), np.array([float(k2)]))[0]
+    pinned = kind is SystemKind.ASYMPTOTIC_LINE
+    return _rhs(theta, phi, s, (k1, k2, float(a), float(b)), pinned, theta_min, theta_max)
 
 
 def integrate_system(
@@ -258,10 +268,12 @@ def integrate_system(
 ) -> AngleTrack:
     """Solve the determining system along the directrix grid.
 
-    ODE kinds run fixed-step 4th-order integration of ``system_rhs``; the
-    asymptotic mode integrates theta alone with phi pinned at pi/2; the
-    line-of-curvature mode is assembled in closed form.  The returned track
-    stores (theta', phi') from the right-hand side at every sample.
+    Seeded kinds run fixed-step 4th-order integration of the general system,
+    with (a, b) evaluated once at the samples and step midpoints from the
+    prescribed (d, v0); the asymptotic mode integrates theta alone with phi
+    pinned at pi/2; the line-of-curvature mode is assembled in closed form.
+    The returned track stores (theta', phi') from the right-hand side at
+    every sample.
     """
     validate_params(kind, params)
     s = directrix.s
@@ -269,10 +281,13 @@ def integrate_system(
     if params.step is not None and abs(params.step - h) > 1e-12 * max(1.0, h):
         raise GridMismatchError(f"params.step = {params.step} but directrix step = {h}")
 
-    if kind is SystemKind.LINE_OF_CURVATURE:
+    if not KINDS[kind].seeded:
         return _line_of_curvature_track(params, directrix, theta_min=theta_min)
 
-    if kind is SystemKind.ASYMPTOTIC_LINE:
+    phi0 = float(params.phi0)
+    pinned = kind is SystemKind.ASYMPTOTIC_LINE
+    if pinned:
+        phi0 = HALF_PI
         k2_grid = directrix.k2
         span = float(np.max(k2_grid) - np.min(k2_grid))
         if span > 1e-9 * max(1.0, float(np.max(np.abs(k2_grid)))):
@@ -281,20 +296,18 @@ def integrate_system(
         if abs(k2_const) < 1e-12:
             raise ParamDomainError("asymptotic mode requires k2 != 0")
         if params.n is not None:
-            n_given = _value(params.n, float(s[0]))
+            n_given = float(param_values(params.n, float(s[0])))
             if abs(n_given + 1.0 / k2_const) > 1e-9 * max(1.0, abs(n_given)):
                 raise ParamDomainError(
                     f"params.n = {n_given} conflicts with -1/k2 = {-1.0 / k2_const}"
                 )
 
-    phi0 = HALF_PI if kind is SystemKind.ASYMPTOTIC_LINE else float(params.phi0)
-
     def rhs(si: float, c, y: np.ndarray) -> np.ndarray:
-        return np.array(
-            system_rhs(kind, y[0], y[1], si, params, c[0], c[1], theta_min=theta_min, theta_max=theta_max)
-        )
+        return np.array(_rhs(y[0], y[1], si, c, pinned, theta_min, theta_max))
 
-    y, dy = _rk4(rhs, s, np.array([float(params.theta0), phi0]), directrix.curvature_fns())
+    k1_fn, k2_fn = directrix.curvature_fns()
+    coeffs = (k1_fn, k2_fn, lambda x: _coefficients(kind, params, x, k2_fn(x)))
+    y, dy = _rk4(rhs, s, np.array([float(params.theta0), phi0]), coeffs)
     theta, phi = y.T.copy()
     theta_p, phi_p = dy.T.copy()
     return AngleTrack(s=s.copy(), theta=theta, phi=phi, theta_prime=theta_p, phi_prime=phi_p, theta_min=theta_min)
@@ -304,7 +317,7 @@ def _line_of_curvature_track(params: SynthesisParams, directrix: FrenetCurve, *,
     s = directrix.s
     _, k2_fn = directrix.curvature_fns()
     phi = line_of_curvature_phi(k2_fn, float(params.C), s)
-    n = _constant_or_none(params.n)
+    n = float(param_values(params.n, float(s[0])))
     cos_phi = np.cos(phi)
     if float(np.min(np.abs(cos_phi))) < 1e-12:
         i = int(np.argmin(np.abs(cos_phi)))

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ParamDomainError, SingularPointError
-from .frenet import CurvatureFn
+from .errors import ConfigError, SingularPointError
 from .lorentz import lorentz_cross, lorentz_inner, lorentz_norm, mixed_product
 from .surface import (
     RuledSurfaceGrid,
@@ -24,7 +23,7 @@ from .surface import (
     finite_difference,
     invariants_numeric,
 )
-from .synthesis import SynthesisParams, SystemKind, helix_relation_defect
+from .synthesis import KINDS, SynthesisParams, SystemKind, helix_relation_defect
 
 #: Default pass tolerances at grid step 1e-3.  Finite-difference recovery is
 #: O(h^2), so rescale these when running at other steps.
@@ -41,12 +40,21 @@ DEFAULT_DEFECT_TOLS = {
     "helix": 1e-10,
 }
 
+#: The defect name under which a prescribed-zero invariant is reported.
+VANISHING_DEFECTS = {"d": "distribution_parameter", "v0": "strictional_distance"}
+
 
 @dataclass(frozen=True)
 class Tolerances:
     rel: float = DEFAULT_REL_TOL
     abs: float = DEFAULT_ABS_TOL
     defects: dict = dc_field(default_factory=dict)
+
+    def __post_init__(self):
+        bounds = {"rel": self.rel, "abs": self.abs, **{f"defects.{k}": v for k, v in self.defects.items()}}
+        for name, value in bounds.items():
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"tolerances.{name}", "must be a finite number >= 0")
 
     def defect_tol(self, name: str) -> float:
         if name in self.defects:
@@ -112,12 +120,6 @@ class InvariantReport:
         }
 
 
-def _eval_prescribed(p, s: np.ndarray) -> np.ndarray:
-    if isinstance(p, CurvatureFn):
-        return np.asarray(p(s), dtype=float)
-    return np.full(s.shape, float(p))
-
-
 def _stats(actual: np.ndarray, expected: np.ndarray, mask: np.ndarray, tol: Tolerances) -> tuple[ErrorStats, bool]:
     """Errors over interior samples selected by mask; endpoints separately.
 
@@ -144,43 +146,6 @@ def _stats(actual: np.ndarray, expected: np.ndarray, mask: np.ndarray, tol: Tole
         endpoint_max_abs=float(np.max(err[ends])) if np.any(ends) else math.nan,
     )
     return stats, ok
-
-
-def _expected_quantities(kind: SystemKind, params: SynthesisParams, s: np.ndarray, k2_grid: np.ndarray) -> dict[str, np.ndarray]:
-    """Prescribed per-sample values to compare against, keyed by quantity."""
-    if kind is SystemKind.GENERAL_DV0:
-        return {"d": _eval_prescribed(params.d, s), "v0": _eval_prescribed(params.v0, s)}
-    if kind is SystemKind.STRICTION_LINE:
-        return {"d": _eval_prescribed(params.d, s)}
-    if kind is SystemKind.DEVELOPABLE:
-        return {"v0": _eval_prescribed(params.v0, s)}
-    if kind is SystemKind.CURVATURE_ANGLE:
-        n = _eval_prescribed(params.n, s)
-        d = n * math.sin(params.mu) ** 2
-        v0 = n * math.sin(params.mu) * math.cos(params.mu)
-        return {
-            "d": d,
-            "v0": v0,
-            "K": 1.0 / (n * n),
-            "mu": np.full(s.shape, 0.5 * math.pi - params.mu),
-        }
-    if kind is SystemKind.ASYMPTOTIC_LINE:
-        k2 = float(k2_grid[0])
-        if abs(k2) < 1e-12:
-            raise ParamDomainError("asymptotic mode requires k2 != 0")
-        n = -1.0 / k2
-        # The raw products stay valid for either sign of n.
-        d = n * math.sin(params.mu) ** 2
-        v0 = n * math.sin(params.mu) * math.cos(params.mu)
-        return {
-            "d": np.full(s.shape, d),
-            "v0": np.full(s.shape, v0),
-            "K": np.full(s.shape, 1.0 / (n * n)),
-        }
-    if kind is SystemKind.LINE_OF_CURVATURE:
-        n = float(np.asarray(_eval_prescribed(params.n, s[:1]))[0])
-        return {"n": np.full(s.shape, n), "K": np.full(s.shape, 1.0 / (n * n))}
-    return {}
 
 
 def recompute_report(
@@ -223,27 +188,23 @@ def recompute_report(
 
     inv = invariants_numeric(surface, h)
     usable = ~inv.cylindrical
-    expected = _expected_quantities(kind, params, surface.s, surface.directrix.k2)
+    spec = KINDS[kind]
+    prescribed = spec.prescribe(params, surface.s, surface.directrix.k2)
 
     errors: dict[str, ErrorStats] = {}
-    for name, exp in expected.items():
-        actual = getattr(inv, name)
-        exp_arr = np.asarray(np.broadcast_to(np.asarray(exp, dtype=float), actual.shape))
-        st, ok = _stats(actual, exp_arr, usable, tol)
-        errors[name] = st
-        if not ok:
-            failures.append(name)
+    for name, expected in prescribed.items():
+        if name not in spec.vanishing:
+            errors[name], ok = _stats(getattr(inv, name), expected, usable, tol)
+            if not ok:
+                failures.append(name)
 
     interior = usable.copy()
     interior[0] = interior[-1] = False
-    if kind is SystemKind.STRICTION_LINE:
-        defects["strictional_distance"] = float(np.max(np.abs(inv.v0[interior])))
-        if defects["strictional_distance"] > tol.defect_tol("strictional_distance"):
-            failures.append("strictional_distance")
-    if kind is SystemKind.DEVELOPABLE:
-        defects["distribution_parameter"] = float(np.max(np.abs(inv.d[interior])))
-        if defects["distribution_parameter"] > tol.defect_tol("distribution_parameter"):
-            failures.append("distribution_parameter")
+    for name in spec.vanishing:
+        defect = VANISHING_DEFECTS[name]
+        defects[defect] = float(np.max(np.abs(getattr(inv, name)[interior])))
+        if defects[defect] > tol.defect_tol(defect):
+            failures.append(defect)
 
     return InvariantReport(
         kind=kind,

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
@@ -38,6 +40,50 @@ def write_doc(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def leaf_paths(node, prefix=()):
+    """Key paths of every scalar entry of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [prefix]
+    return [path for key, child in items for path in leaf_paths(child, prefix + (key,))]
+
+
+SINUSOID = {"type": "sinusoid", "amplitude": 0.05, "frequency": 2.0}
+FRAME = {"position": [0, 0, 0], "T": [1, 0, 0], "N": [0, 1, 0], "B": [0, 0, 1]}
+
+#: (entry path, value put there, field the error must name) on general_roundtrip.json
+BAD_ENTRIES = [
+    pytest.param(("params", "theta0"), "one", "params.theta0", id="params.theta0"),
+    pytest.param(("tolerances", "rel"), "x", "tolerances.rel", id="tolerances.rel"),
+    pytest.param(("tolerances", "abs"), "x", "tolerances.abs", id="tolerances.abs"),
+    pytest.param(("tolerances", "defects", "helix"), "x", "tolerances.defects.helix", id="tolerances.defects"),
+    pytest.param(("tolerances", "rel"), -1e-4, "tolerances.rel", id="negative-rel"),
+    pytest.param(("tolerances", "abs"), math.inf, "tolerances.abs", id="infinite-abs"),
+    pytest.param(("tolerances", "defects", "helix"), -1.0, "tolerances.defects.helix", id="negative-defect"),
+    pytest.param(
+        ("directrix", "k1"), {"type": "polynomial", "coefficients": [1.0, "x"]}, "directrix.k1.coefficients[1]",
+        id="polynomial-coefficient",
+    ),
+    pytest.param(("directrix", "k2"), {**SINUSOID, "phase": "x"}, "directrix.k2.phase", id="sinusoid-phase"),
+    pytest.param(("directrix", "k2"), {**SINUSOID, "offset": None}, "directrix.k2.offset", id="sinusoid-offset"),
+    pytest.param(
+        ("directrix", "k2"), {"type": "samples", "s": [0.0, 0.5, 0.25], "values": [0.1, 0.1, 0.1]}, "directrix.k2.s",
+        id="unsorted-samples",
+    ),
+    pytest.param(
+        ("directrix", "initial_frame"), {**FRAME, "T": [1, 0, "x"]}, "directrix.initial_frame.T[2]", id="initial-frame"
+    ),
+    pytest.param(("directrix", "step"), "x", "directrix.step", id="directrix.step"),
+    pytest.param(("directrix", "step"), 3e-4, "directrix.step", id="step-not-dividing"),
+    pytest.param(("outputs", "mesh", "v_range"), [-0.5, "x"], "outputs.mesh.v_range[1]", id="mesh.v_range"),
+    pytest.param(("outputs", "csv_path"), 3, "outputs.csv_path", id="csv_path"),
+    pytest.param(("outputs", "report_path"), ["r.json"], "outputs.report_path", id="report_path"),
+]
 
 
 class TestConfigValidation:
@@ -86,12 +132,21 @@ class TestConfigValidation:
             RunConfig.from_file(write_doc(tmp_path, doc))
         assert err.value.field == "system"
 
-    def test_non_numeric_param_rejected(self, tmp_path):
+    @pytest.mark.parametrize("path, value, field", BAD_ENTRIES)
+    def test_non_numeric_param_rejected(self, tmp_path, capsys, path, value, field):
         doc = load_doc("general_roundtrip.json")
-        doc["params"]["theta0"] = "one"
+        node = doc
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+        config = write_doc(tmp_path, doc)
         with pytest.raises(ConfigError) as err:
-            RunConfig.from_file(write_doc(tmp_path, doc))
-        assert err.value.field == "params.theta0"
+            RunConfig.from_file(config)
+        assert err.value.field == field
+        assert main(["synthesize", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
+        stderr = capsys.readouterr().err
+        assert f"'{field}'" in stderr and "Traceback" not in stderr
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -202,12 +257,39 @@ class TestCliEntry:
         assert (tmp_path / "cylinder.report.json").exists()
         assert main(["verify", "--config", str(CONFIG_DIR / "cylinder.json")]) == 0
 
-    def test_corrupt_config_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "drop, flags, field",
+        [
+            pytest.param("v0", [], "params.v0", id="missing-v0"),
+            pytest.param(None, ["--step", "0.0003"], "directrix.step", id="step-not-dividing"),
+            pytest.param(None, ["--step", "-1"], "directrix.step", id="negative-step"),
+            pytest.param(None, ["--tol-rel", "-1"], "tolerances.rel", id="negative-tol-rel"),
+        ],
+    )
+    def test_corrupt_config_exits_two(self, tmp_path, capsys, drop, flags, field):
         doc = load_doc("developable.json")
-        del doc["params"]["v0"]
-        code = main(["verify", "--config", write_doc(tmp_path, doc)])
+        if drop is not None:
+            del doc["params"][drop]
+        code = main(["verify", "--config", write_doc(tmp_path, doc)] + flags)
         assert code == 2
-        assert "params.v0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    @settings(max_examples=200, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_shipped_config_exits_cleanly(self, tmp_path_factory, data):
+        name = data.draw(st.sampled_from(sorted(p.name for p in CONFIG_DIR.glob("*.json"))))
+        doc = load_doc(name)
+        path = data.draw(st.sampled_from(leaf_paths(doc)))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(st.sampled_from(["x", None, True, [], {}, -1]))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = main(["verify", "--config", write_doc(tmp_path_factory.mktemp("mutant"), doc)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out.getvalue()
 
     def test_singular_seed_exits_one(self, tmp_path, capsys):
         doc = load_doc("general_roundtrip.json")
@@ -247,6 +329,13 @@ class TestCliEntry:
         assert code == 0
         text = (tmp_path / "general_roundtrip.obj").read_text()
         assert text.startswith("# system=general_dv0")
+
+    def test_export_mesh_matches_synthesize(self, tmp_path):
+        config = str(CONFIG_DIR / "general_roundtrip.json")
+        assert main(["export-mesh", "--config", config, "--out-dir", str(tmp_path / "mesh")]) == 0
+        assert main(["synthesize", "--config", config, "--out-dir", str(tmp_path / "all")]) == 0
+        obj = "general_roundtrip.obj"
+        assert (tmp_path / "mesh" / obj).read_bytes() == (tmp_path / "all" / obj).read_bytes()
 
     def test_export_mesh_requires_mesh_spec(self, tmp_path, capsys):
         code = main(["export-mesh", "--config", str(CONFIG_DIR / "cylinder.json"), "--out-dir", str(tmp_path)])

@@ -1,0 +1,40 @@
+"""Smoke tests: the shipped scripts run end to end against the package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_NAMES = sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
+
+
+def run_script(name, *args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+def test_export_gallery_writes_every_config(tmp_path):
+    proc = run_script("export_gallery.py", "--out-dir", str(tmp_path / "gallery"), "--v-samples", "3", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.stem for p in (tmp_path / "gallery").glob("*.obj")) == CONFIG_NAMES
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(CONFIG_NAMES)
+    assert all("verdict=pass" in line for line in lines)
+
+
+def test_convergence_study_prints_three_tables(tmp_path):
+    proc = run_script("convergence_study.py", "--steps", "4e-3,2e-3", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout
+    for title in ("frame integration", "prescribed-invariant recovery", "line-of-curvature defect"):
+        assert title in out
+    rows = [line.split() for line in out.splitlines() if line.strip().startswith(("4.0e-03", "2.0e-03"))]
+    assert len(rows) == 6
+    # finite-difference recovery and the line-of-curvature defect are second order
+    _, recovery, loc = rows[1::2]
+    assert 3.5 < float(recovery[2]) < 4.5 and 3.5 < float(recovery[4]) < 4.5
+    assert 3.5 < float(loc[2]) < 4.5
