@@ -74,7 +74,7 @@ def _load(args) -> RunConfig:
 def _print_report(report) -> None:
     print(f"verdict: {report.verdict}")
     for name, st in sorted(report.errors.items()):
-        print(f"  {name}: max_rel={st.max_rel:.3e} max_abs={st.max_abs:.3e} endpoints={st.endpoint_max_abs:.3e}")
+        print(f"  {name}: margin={st.margin:.3e} max_abs={st.max_abs:.3e} endpoints={st.endpoint_max_abs:.3e}")
     for name, value in sorted(report.defects.items()):
         print(f"  defect {name}: {value:.3e}")
     if report.failures:

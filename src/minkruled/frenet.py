@@ -29,6 +29,8 @@ from .lorentz import lorentz_inner, mixed_product
 DEFAULT_STEP = 1e-3
 DEFAULT_S_RANGE = (0.0, 1.0)
 DEFAULT_FRAME_TOL = 1e-6
+#: Largest accepted grid, in steps; the frame alone takes 96 bytes per sample.
+MAX_STEPS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -197,52 +199,66 @@ def _frame_gram_defect(T, N, B) -> np.ndarray:
     return worst
 
 
-def _rk4(f, s: np.ndarray, y0: np.ndarray, coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step classical RK4 for y' = f(s, c, y) on the uniform grid ``s``.
+#: Steps whose RK4 step matrices are built in one batch; bounds the scratch
+#: memory of a long grid to a few blocks of 4 x 4 matrices.
+_BLOCK = 256
 
-    ``c`` holds the values of the functions ``coeffs`` at the stage abscissa;
-    they are evaluated once, vectorized, at the samples and step midpoints.
-    Returns the state and its derivative at every sample; the derivative at a
-    sample is the first stage of the step leaving it, so each step costs
-    three new calls of f.
+
+def _frame_matrices(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """Coefficient matrices C with y' = C y on the rows (position, T, N, B).
+
+    The moving-frame equations k' = T, T' = k1 N, N' = k1 T + k2 B and
+    B' = -k2 N, one 4 x 4 matrix per curvature pair.
     """
-    h = float(s[1] - s[0])
-    mid = s[:-1] + 0.5 * h
-    c_node = np.column_stack([fn(s) for fn in coeffs]).tolist()
-    c_mid = np.column_stack([fn(mid) for fn in coeffs]).tolist()
-    grid, mid = s.tolist(), mid.tolist()
-    y = np.empty((len(grid),) + np.shape(y0))
-    dy = np.empty_like(y)
-    y[0] = y0
-    dy[0] = f(grid[0], c_node[0], y[0])
-    for i in range(len(grid) - 1):
-        yi, d1 = y[i], dy[i]
-        d2 = f(mid[i], c_mid[i], yi + 0.5 * h * d1)
-        d3 = f(mid[i], c_mid[i], yi + 0.5 * h * d2)
-        d4 = f(grid[i + 1], c_node[i + 1], yi + h * d3)
-        y[i + 1] = yi + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        dy[i + 1] = f(grid[i + 1], c_node[i + 1], y[i + 1])
-    return y, dy
+    C = np.zeros(k1.shape + (4, 4))
+    C[:, 0, 1] = 1.0
+    C[:, 1, 2] = C[:, 2, 1] = k1
+    C[:, 2, 3] = k2
+    C[:, 3, 2] = -k2
+    return C
 
 
-def _frame_rhs(_s: float, c, y: np.ndarray) -> np.ndarray:
-    """Moving-frame equations on the rows (position, T, N, B) for c = (k1, k2)."""
-    k1, k2 = c
-    out = np.empty_like(y)
-    out[0] = y[1]
-    out[1] = k1 * y[2]
-    out[2] = k1 * y[1] + k2 * y[3]
-    out[3] = -k2 * y[2]
-    return out
+def _rk4_frames(frame: np.ndarray, h: float, k1, k2, k1_mid, k2_mid) -> np.ndarray:
+    """Classical RK4 on the linear frame equations, one step matrix per step.
+
+    ``k1``, ``k2`` hold the curvatures at the samples and ``k1_mid``,
+    ``k2_mid`` at the step midpoints.  RK4 on y' = C(s) y is exactly
+    y_{n+1} = M_n y_n with C1 = C(s_n), C2 = C(s_n + h/2), C4 = C(s_{n+1}),
+    K2 = C2 (I + h/2 C1), K3 = C2 (I + h/2 K2), K4 = C4 (I + h K3) and
+    M_n = I + h/6 (C1 + 2 K2 + 2 K3 + K4).  The M_n are built in batches of
+    ``_BLOCK`` steps and applied in order.
+    """
+    eye = np.eye(4)
+    n_steps = k1_mid.shape[0]
+    y = np.empty((n_steps + 1, 4, 3))
+    y[0] = frame
+    for lo in range(0, n_steps, _BLOCK):
+        hi = min(lo + _BLOCK, n_steps)
+        C1 = _frame_matrices(k1[lo:hi], k2[lo:hi])
+        C2 = _frame_matrices(k1_mid[lo:hi], k2_mid[lo:hi])
+        C4 = _frame_matrices(k1[lo + 1 : hi + 1], k2[lo + 1 : hi + 1])
+        K2 = C2 @ (eye + (0.5 * h) * C1)
+        K3 = C2 @ (eye + (0.5 * h) * K2)
+        K4 = C4 @ (eye + h * K3)
+        M = eye + (h / 6.0) * (C1 + 2.0 * K2 + 2.0 * K3 + K4)
+        for M_i, y_i, y_next in zip(M, y[lo:hi], y[lo + 1 : hi + 1]):
+            np.dot(M_i, y_i, out=y_next)
+    return y
 
 
 def grid_size(s_range: tuple[float, float], step: float) -> int:
-    """Number of steps of the uniform grid; the span must be a multiple of step."""
+    """Number of steps of the uniform grid; the span must be a multiple of step.
+
+    Grids of more than ``MAX_STEPS`` steps are rejected before anything is
+    allocated.
+    """
     span = float(s_range[1]) - float(s_range[0])
     if not (math.isfinite(step) and step > 0):
         raise ValueError("step must be positive")
     if not (math.isfinite(span) and span > 0):
         raise ValueError("s_range must be increasing")
+    if span / step > MAX_STEPS + 0.5:
+        raise ValueError(f"s_range span {span} at step {step} exceeds the limit of {MAX_STEPS} steps")
     n = int(round(span / step))
     if n < 1 or abs(n * step - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError(f"s_range span {span} is not an integer multiple of step {step}")
@@ -305,8 +321,11 @@ def integrate_frenet(
         i = int(np.argmin(k1_grid))
         raise NonPositiveCurvatureError(f"k1(s={s[i]:.6g}) = {k1_grid[i]:.6g} is not positive")
 
+    h = float(s[1] - s[0])
+    mid = s[:-1] + 0.5 * h
+    k1_mid, k2_mid = np.asarray(k1_fn(mid), dtype=float), np.asarray(k2_fn(mid), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        y, _ = _rk4(_frame_rhs, s, frame, (k1_fn, k2_fn))
+        y = _rk4_frames(frame, h, k1_grid, k2_grid, k1_mid, k2_mid)
         defect = _frame_gram_defect(y[1:, 1], y[1:, 2], y[1:, 3])
     over = np.flatnonzero(defect > frame_tol)
     if over.size:

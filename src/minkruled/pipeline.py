@@ -158,23 +158,36 @@ def sweep_grid(
     summary_name: str = "sweep_summary.csv",
     write_summary: bool = True,
 ) -> tuple[list[SweepRow], str | None]:
-    """Run the pipeline once per seed on the grid; one CSV row per seed.
+    """Synthesize and verify once per seed on the grid; one CSV row per seed.
 
-    Errors are recorded per row and never abort the sweep.  Per-seed file
-    outputs are suppressed (only the summary is written).
+    The directrix is built once and shared by every seed.  Errors are
+    recorded per row and never abort the sweep.  Per-seed file outputs are
+    suppressed (only the summary is written).
     """
     theta0_list = list(DEFAULT_THETA0_GRID if theta0_list is None else theta0_list)
     phi0_list = list(DEFAULT_PHI0_GRID if phi0_list is None else phi0_list)
     if not theta0_list or not phi0_list:
         raise ValueError("seed lists must be nonempty")
 
+    # the directrix does not depend on the seed: build it once; if it cannot
+    # be built, every row carries that error
+    try:
+        curve, directrix_error = build_directrix(base), None
+    except GeometryError as exc:
+        curve, directrix_error = None, exc
+
     rows: list[SweepRow] = []
     for theta0 in theta0_list:
         for phi0 in phi0_list:
             cfg = base.with_seed(float(theta0), float(phi0))
-            try:
-                result = run_config(cfg, write_outputs=False)
-            except GeometryError as exc:
+            error = directrix_error
+            if error is None:
+                try:
+                    track = integrate_system(cfg.system, cfg.params, curve)
+                    report = recompute_report(build_surface(track, curve), cfg.params, cfg.system, cfg.tolerances)
+                except GeometryError as exc:
+                    error = exc
+            if error is not None:
                 rows.append(
                     SweepRow(
                         theta0=float(theta0),
@@ -182,12 +195,11 @@ def sweep_grid(
                         verdict="error",
                         max_rel_error=None,
                         worst_defect=None,
-                        failure_s=getattr(exc, "s", None),
-                        detail=f"{type(exc).__name__}: {exc}",
+                        failure_s=getattr(error, "s", None),
+                        detail=f"{type(error).__name__}: {error}",
                     )
                 )
                 continue
-            report = result.report
             rels = [st.max_rel for st in report.errors.values() if math.isfinite(st.max_rel)]
             defects = [v for k, v in report.defects.items() if not k.endswith("_endpoints")]
             rows.append(

@@ -48,7 +48,7 @@ from .errors import (
     ThetaSingularityError,
     TorsionVanishesError,
 )
-from .frenet import Constant, CurvatureFn, FrenetCurve, _rk4, as_curvature_fn
+from .frenet import Constant, CurvatureFn, FrenetCurve, as_curvature_fn
 from .surface import THETA_MIN, AngleTrack, RuledSurfaceGrid, finite_difference, ruling_from_angles
 
 #: Abort threshold for |theta|; the determining systems blow up in finite s
@@ -302,14 +302,30 @@ def integrate_system(
                     f"params.n = {n_given} conflicts with -1/k2 = {-1.0 / k2_const}"
                 )
 
-    def rhs(si: float, c, y: np.ndarray) -> np.ndarray:
-        return np.array(_rhs(y[0], y[1], si, c, pinned, theta_min, theta_max))
-
+    # RK4 on the two angles as Python floats; (k1, k2, a, b) are evaluated
+    # once at the samples and step midpoints, and the derivative at a sample
+    # is the first stage of the step leaving it.
     k1_fn, k2_fn = directrix.curvature_fns()
-    coeffs = (k1_fn, k2_fn, lambda x: _coefficients(kind, params, x, k2_fn(x)))
-    y, dy = _rk4(rhs, s, np.array([float(params.theta0), phi0]), coeffs)
-    theta, phi = y.T.copy()
-    theta_p, phi_p = dy.T.copy()
+    mid = s[:-1] + 0.5 * h
+
+    def coeffs(x: np.ndarray) -> list:
+        k2 = k2_fn(x)
+        return np.column_stack([k1_fn(x), k2, _coefficients(kind, params, x, k2)]).tolist()
+
+    c_node, c_mid = coeffs(s), coeffs(mid)
+    grid, mid = s.tolist(), mid.tolist()
+    t, p = float(params.theta0), phi0
+    a1, b1 = _rhs(t, p, grid[0], c_node[0], pinned, theta_min, theta_max)
+    rows = [(t, p, a1, b1)]
+    for i in range(len(grid) - 1):
+        a2, b2 = _rhs(t + (0.5 * h) * a1, p + (0.5 * h) * b1, mid[i], c_mid[i], pinned, theta_min, theta_max)
+        a3, b3 = _rhs(t + (0.5 * h) * a2, p + (0.5 * h) * b2, mid[i], c_mid[i], pinned, theta_min, theta_max)
+        a4, b4 = _rhs(t + h * a3, p + h * b3, grid[i + 1], c_node[i + 1], pinned, theta_min, theta_max)
+        t = t + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        p = p + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        a1, b1 = _rhs(t, p, grid[i + 1], c_node[i + 1], pinned, theta_min, theta_max)
+        rows.append((t, p, a1, b1))
+    theta, phi, theta_p, phi_p = np.array(rows).T.copy()
     return AngleTrack(s=s.copy(), theta=theta, phi=phi, theta_prime=theta_p, phi_prime=phi_p, theta_min=theta_min)
 
 

@@ -67,10 +67,19 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class ErrorStats:
+    """Interior error statistics of one invariant, endpoints apart.
+
+    ``margin`` is the largest ratio of the error to its pass bound
+    abs + rel * |expected|: at most 1 when every interior sample
+    passes, and finite where ``max_rel`` is not (an invariant prescribed to
+    be zero).
+    """
+
     max_abs: float
     max_rel: float
     mean_abs: float
     endpoint_max_abs: float
+    margin: float
 
     def to_dict(self) -> dict:
         # non-finite values (e.g. relative error of a zero prescription) are
@@ -83,6 +92,7 @@ class ErrorStats:
             "max_rel": clean(self.max_rel),
             "mean_abs": clean(self.mean_abs),
             "endpoint_max_abs": clean(self.endpoint_max_abs),
+            "margin": clean(self.margin),
         }
 
 
@@ -131,19 +141,22 @@ def _stats(actual: np.ndarray, expected: np.ndarray, mask: np.ndarray, tol: Tole
     interior = mask.copy()
     interior[0] = interior[-1] = False
     ends = mask & ~interior
+    bound = tol.abs + tol.rel * np.abs(expected)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = err / np.abs(expected)
+        ratio = np.where(err == 0.0, 0.0, err / bound)
     if not np.any(interior):
         stats = ErrorStats(
-            math.nan, math.nan, math.nan, float(np.max(err[ends])) if np.any(ends) else math.nan
+            math.nan, math.nan, math.nan, float(np.max(err[ends])) if np.any(ends) else math.nan, math.nan
         )
         return stats, False
-    ok = bool(np.all(err[interior] <= tol.abs + tol.rel * np.abs(expected[interior])))
+    ok = bool(np.all(err[interior] <= bound[interior]))
     stats = ErrorStats(
         max_abs=float(np.max(err[interior])),
         max_rel=float(np.max(rel[interior])),
         mean_abs=float(np.mean(err[interior])),
         endpoint_max_abs=float(np.max(err[ends])) if np.any(ends) else math.nan,
+        margin=float(np.max(ratio[interior])),
     )
     return stats, ok
 

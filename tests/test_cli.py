@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import dataclasses
 import io
 import json
 import math
@@ -9,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minkruled import FrenetCurve, RuledSurfaceGrid, RunConfig, export_mesh, lvec
+import minkruled.pipeline
+from minkruled import Constant, FrenetCurve, RuledSurfaceGrid, RunConfig, export_mesh, lvec
 from minkruled.cli import main
-from minkruled.errors import ConfigError
+from minkruled.errors import ConfigError, GeometryError
 from minkruled.pipeline import run_config, sweep_grid
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -80,6 +83,7 @@ BAD_ENTRIES = [
     ),
     pytest.param(("directrix", "step"), "x", "directrix.step", id="directrix.step"),
     pytest.param(("directrix", "step"), 3e-4, "directrix.step", id="step-not-dividing"),
+    pytest.param(("directrix", "step"), 1e-9, "directrix.step", id="step-over-grid-limit"),
     pytest.param(("outputs", "mesh", "v_range"), [-0.5, "x"], "outputs.mesh.v_range[1]", id="mesh.v_range"),
     pytest.param(("outputs", "csv_path"), 3, "outputs.csv_path", id="csv_path"),
     pytest.param(("outputs", "report_path"), ["r.json"], "outputs.report_path", id="report_path"),
@@ -249,6 +253,48 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_grid(cfg, theta0_list=[], write_summary=False)
 
+    def test_directrix_built_once_per_sweep(self, monkeypatch):
+        calls = []
+        integrate = minkruled.pipeline.integrate_frenet
+        monkeypatch.setattr(minkruled.pipeline, "integrate_frenet", lambda *a, **kw: calls.append(1) or integrate(*a, **kw))
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        rows, _ = sweep_grid(cfg, write_summary=False)
+        assert len(rows) == 12 and len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["general_roundtrip.json", "cylinder.json", "step-too-large"])
+    def test_rows_match_per_seed_runs(self, tmp_path, name):
+        if name == "step-too-large":  # the directrix itself fails: every row carries its error
+            cfg = RunConfig.from_file(CONFIG_DIR / "cylinder.json")
+            cfg = dataclasses.replace(cfg, directrix=dataclasses.replace(cfg.directrix, k1=Constant(5.0), step=0.25))
+        else:
+            cfg = RunConfig.from_file(CONFIG_DIR / name)
+        rows, summary = sweep_grid(cfg, out_dir=tmp_path)
+        expected = []
+        for row in rows:
+            try:
+                report = run_config(cfg.with_seed(row.theta0, row.phi0), write_outputs=False).report
+            except GeometryError as exc:
+                expected.append(("error", None, None, getattr(exc, "s", None), f"{type(exc).__name__}: {exc}"))
+                continue
+            rels = [st.max_rel for st in report.errors.values() if math.isfinite(st.max_rel)]
+            defects = [v for k, v in report.defects.items() if not k.endswith("_endpoints")]
+            detail = "" if report.passed else "failed: " + ",".join(report.failures)
+            expected.append((report.verdict, max(rels, default=None), max(defects, default=None), None, detail))
+        got = [(r.verdict, r.max_rel_error, r.worst_defect, r.failure_s, r.detail) for r in rows]
+        assert got == expected
+        if name != "general_roundtrip.json":
+            assert any(r.verdict == "error" for r in rows)
+
+        def cell(x):
+            return "" if x is None else f"{x:.17g}"
+
+        with open(summary, newline="") as fh:
+            lines = list(csv.reader(fh))[1:]
+        assert lines == [
+            [cell(r.theta0), cell(r.phi0), verdict, cell(rel), cell(defect), cell(s), detail]
+            for r, (verdict, rel, defect, s, detail) in zip(rows, expected)
+        ]
+
 
 class TestCliEntry:
     def test_synthesize_and_verify_exit_zero(self, tmp_path):
@@ -263,6 +309,8 @@ class TestCliEntry:
             pytest.param("v0", [], "params.v0", id="missing-v0"),
             pytest.param(None, ["--step", "0.0003"], "directrix.step", id="step-not-dividing"),
             pytest.param(None, ["--step", "-1"], "directrix.step", id="negative-step"),
+            pytest.param(None, ["--step", "1e-9"], "directrix.step", id="step-over-grid-limit"),
+            pytest.param(None, ["--step", "5e-324"], "directrix.step", id="subnormal-step"),
             pytest.param(None, ["--tol-rel", "-1"], "tolerances.rel", id="negative-tol-rel"),
         ],
     )
@@ -299,6 +347,16 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert "ThetaSingularity" in err and "s = 0" in err
         assert err.count("at s =") == 1
+
+    def test_verify_prints_finite_margins(self, capsys):
+        # geodesic.json prescribes v0 and mu to be zero, where a relative
+        # error is meaningless; the margin to the pass bound is not
+        assert main(["verify", "--config", str(CONFIG_DIR / "geodesic.json")]) == 0
+        out = capsys.readouterr().out
+        assert "inf" not in out
+        margins = [float(tok.split("=", 1)[1]) for tok in out.split() if tok.startswith("margin=")]
+        assert len(margins) == 4
+        assert all(0.0 <= m <= 1.0 for m in margins)
 
     def test_strict_tolerance_fails_verification(self, tmp_path):
         code = main(

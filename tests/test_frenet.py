@@ -21,7 +21,9 @@ from minkruled.errors import (
     StepTooLargeError,
     TorsionVanishesError,
 )
-from minkruled.frenet import default_initial_frame, uniform_grid
+from minkruled.frenet import MAX_STEPS, default_initial_frame, grid_size, uniform_grid
+
+from conftest import random_boosted_frame
 
 
 def closed_form_errors(step):
@@ -29,6 +31,42 @@ def closed_form_errors(step):
     c = integrate_frenet(1.0, 0.0, s_range=(0.0, 1.0), step=step)
     exact = np.stack([np.sinh(c.s), np.cosh(c.s) - 1.0, np.zeros_like(c.s)], axis=1)
     return float(np.max(np.abs(c.k - exact))), frame_defect(c)
+
+
+def stagewise_rk4(k1, k2, s, frame):
+    """Classical RK4 on the moving-frame equations, one stage at a time."""
+
+    def rhs(si, y):
+        a, b = float(k1(si)), float(k2(si))
+        return np.array([y[1], a * y[2], a * y[1] + b * y[3], -b * y[2]])
+
+    h = s[1] - s[0]
+    y = [np.asarray(frame, dtype=float)]
+    for i in range(len(s) - 1):
+        yi, mid = y[-1], s[i] + 0.5 * h
+        d1 = rhs(s[i], yi)
+        d2 = rhs(mid, yi + 0.5 * h * d1)
+        d3 = rhs(mid, yi + 0.5 * h * d2)
+        d4 = rhs(s[i + 1], yi + h * d3)
+        y.append(yi + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
+    return np.array(y)
+
+
+def boosted_frame(seed):
+    T, N, B = random_boosted_frame(np.random.default_rng(seed))
+    return np.array([[0.3, -0.2, 0.1], T, N, B])
+
+
+S_KNOTS = np.linspace(0.0, 0.7, 8)
+
+#: (k1, k2, s_range, initial frame); 700 and 301 steps are not multiples of
+#: the step-matrix block size
+REFERENCE_CASES = [
+    pytest.param(Polynomial((1.0, 0.5, -0.2)), Sinusoid(0.05, 3.0, 0.0, 0.1), (0.0, 0.7), None, id="polynomial"),
+    pytest.param(Sinusoid(0.3, 2.0, 0.4, 1.2), Polynomial((0.2, -0.4)), (0.0, 0.7), None, id="sinusoid"),
+    pytest.param(Samples(S_KNOTS, 1.0 + 0.3 * S_KNOTS**2), Samples(S_KNOTS, 0.1 * np.cos(S_KNOTS)), (0.0, 0.7), None, id="samples"),
+    pytest.param(Sinusoid(0.3, 2.0, 0.4, 1.2), 0.5, (0.2, 0.501), boosted_frame(7), id="boosted-frame"),
+]
 
 
 class TestCurvatureFns:
@@ -119,6 +157,20 @@ class TestIntegrateFrenet:
     def test_grid_must_divide_evenly(self):
         with pytest.raises(ValueError):
             uniform_grid((0.0, 1.0), 3e-4)
+
+    def test_grid_size_is_bounded(self):
+        # arithmetic only: neither grid is allocated
+        assert grid_size((0.0, 1.0), 1.0 / MAX_STEPS) == MAX_STEPS
+        for step in (1.0 / (MAX_STEPS + 1), 1e-9, 5e-324):
+            with pytest.raises(ValueError, match="limit"):
+                grid_size((0.0, 1.0), step)
+
+    @pytest.mark.parametrize("k1, k2, s_range, frame", REFERENCE_CASES)
+    def test_matches_stagewise_rk4(self, k1, k2, s_range, frame):
+        c = integrate_frenet(k1, k2, s_range=s_range, step=1e-3, initial_frame=frame)
+        ref = stagewise_rk4(k1, k2 if callable(k2) else Constant(k2), c.s, default_initial_frame() if frame is None else frame)
+        for j, name in enumerate(("k", "T", "N", "B")):
+            assert np.max(np.abs(getattr(c, name) - ref[:, j])) <= 1e-12, name
 
 
 class TestFrameDefect:

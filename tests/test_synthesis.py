@@ -132,6 +132,15 @@ class TestGeneralMode:
             integrate_system(SystemKind.GENERAL_DV0, params, curve)
         assert 0.7 < err.value.s <= 1.0
 
+    def test_blowup_sample_is_pinned(self):
+        # the divergence guard trips at one exact sample and state
+        curve = integrate_frenet(1.0, 0.1, s_range=(0.0, 1.0), step=1e-3)
+        params = SynthesisParams(theta0=1.0, phi0=0.2, d=0.5, v0=0.3)
+        with pytest.raises(IntegrationDivergedError) as err:
+            integrate_system(SystemKind.GENERAL_DV0, params, curve)
+        assert err.value.s == curve.s[842]
+        assert "theta = 1.54819e+07" in str(err.value)
+
     def test_stored_derivatives_equal_rhs(self):
         curve = integrate_frenet(
             Polynomial((1.0, 0.5)), Sinusoid(amplitude=0.05, frequency=3.0, offset=0.1), s_range=(0.0, 0.5), step=1e-3

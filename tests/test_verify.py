@@ -36,6 +36,15 @@ class TestRecomputeReport:
         assert report.errors["v0"].max_rel <= 1e-4
         assert report.n_cylindrical == 0
 
+    def test_margin_tracks_the_pass_rule(self, unit_directrix):
+        surf, params = general_surface(unit_directrix)
+        report = recompute_report(surf, params, SystemKind.GENERAL_DV0)
+        strict = recompute_report(surf, params, SystemKind.GENERAL_DV0, Tolerances(rel=1e-9, abs=0.0))
+        for name, st in report.errors.items():
+            assert 0.0 < st.margin <= 1.0
+            assert report.to_dict()["errors"][name]["margin"] == st.margin
+            assert (strict.errors[name].margin > 1.0) == (name in strict.failures)
+
     def test_oracle_ignores_track_provenance(self, unit_directrix):
         surf, params = general_surface(unit_directrix)
         bare = RuledSurfaceGrid(directrix=surf.directrix, q=surf.q.copy())  # no track
