@@ -8,7 +8,9 @@ Subcommands:
 
 Exit codes: 0 every verdict passed, 1 verification failed or the pipeline
 aborted (the message carries the arc length of the failure), 2 invalid
-configuration (the message names the field).
+configuration (the message names the field; a config file that cannot be
+read or parsed is named '<document>') or an output that cannot be written
+(the message names the path).
 """
 
 from __future__ import annotations
@@ -66,11 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> RunConfig:
-    cfg = RunConfig.from_file(args.config)
-    return cfg.with_overrides(step=args.step, tol_rel=args.tol_rel, tol_abs=args.tol_abs)
-
-
 def _print_report(report) -> None:
     print(f"verdict: {report.verdict}")
     for name, st in sorted(report.errors.items()):
@@ -84,7 +81,7 @@ def _print_report(report) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load(args)
+        cfg = RunConfig.from_file(args.config).with_overrides(step=args.step, tol_rel=args.tol_rel, tol_abs=args.tol_abs)
         if args.command == "synthesize":
             result = run_config(cfg, args.out_dir, write_outputs=True)
             _print_report(result.report)
@@ -111,6 +108,9 @@ def main(argv=None) -> int:
         return 0 if n_pass == len(rows) else 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a config that cannot be read is a ConfigError, so this is an output
+        print(f"error: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

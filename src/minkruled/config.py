@@ -13,11 +13,14 @@ Schema v1 (see README for the full reference):
     }
 
 where <fn> is {"type": "constant"|"polynomial"|"sinusoid"|"samples", ...}.
-Validation errors always name the offending field.
+Unknown keys are rejected at every level; validation errors always name the
+offending field.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
 import math
 import os
@@ -28,81 +31,141 @@ import numpy as np
 from .errors import ConfigError
 from .frenet import Constant, CurvatureFn, Polynomial, Samples, Sinusoid, grid_size
 from .synthesis import KINDS, SynthesisParams, SystemKind
-from .verify import Tolerances
+from .verify import DEFAULT_DEFECT_TOLS, Tolerances
 
 SCHEMA_VERSION = 1
 
-_FN_TYPES = ("constant", "polynomial", "sinusoid", "samples")
+#: Largest mesh lattice, (grid samples) x v_samples points, accepted at parse
+#: time; the OBJ writer builds one line of text per point.
+MAX_MESH_POINTS = 2_000_000
+
+_FRAME_ROWS = ("position", "T", "N", "B")
 
 
-def curvature_fn_from_spec(spec, where: str) -> CurvatureFn:
-    """Build a CurvatureFn from its JSON spec (a number is a constant)."""
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return Constant(_float(spec, where))
-    if not isinstance(spec, dict):
-        raise ConfigError(where, "expected a number or a function object")
-    kind = spec.get("type")
-    if kind == "constant":
-        return Constant(_number(spec, "value", where))
-    if kind == "polynomial":
-        coeffs = spec.get("coefficients")
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ConfigError(f"{where}.coefficients", "expected a nonempty list of numbers")
-        return Polynomial(tuple(_floats(coeffs, f"{where}.coefficients")))
-    if kind == "sinusoid":
-        return Sinusoid(
-            amplitude=_number(spec, "amplitude", where),
-            frequency=_number(spec, "frequency", where),
-            phase=_number(spec, "phase", where, 0.0),
-            offset=_number(spec, "offset", where, 0.0),
-        )
-    if kind == "samples":
-        s = spec.get("s")
-        values = spec.get("values")
-        if not isinstance(s, list) or not isinstance(values, list) or len(s) != len(values) or len(s) < 2:
-            raise ConfigError(where, "samples need matching 's' and 'values' lists (length >= 2)")
-        s = np.asarray(_floats(s, f"{where}.s"))
-        if not np.all(np.diff(s) > 0):
-            raise ConfigError(f"{where}.s", "must be strictly increasing")
-        return Samples(s, np.asarray(_floats(values, f"{where}.values")))
-    raise ConfigError(f"{where}.type", f"unknown function type {kind!r}; expected one of {_FN_TYPES}")
+def _section(obj, where: str, schema: dict, required=()) -> dict:
+    """The entries of the JSON object ``obj``, each read by its coercer in ``schema``.
+
+    ``where`` is the dotted path of ``obj`` ("" for the document).  Keys not
+    in ``schema`` and missing ``required`` keys are errors.  Absent optional
+    keys are left out, so the dataclass defaults apply.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(where or "<document>", "expected an object")
+    prefix = f"{where}." if where else ""
+    for key in obj:
+        if key not in schema:
+            raise ConfigError(prefix + key, "unknown key")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(prefix + key, "missing required key")
+    return {key: coerce(obj[key], prefix + key) for key, coerce in schema.items() if key in obj}
 
 
-def _curvature_fn_to_spec(fn: CurvatureFn | float | None):
-    if fn is None:
-        return None
-    if isinstance(fn, CurvatureFn):
-        return fn.to_spec()
-    return float(fn)
+def _object(build, schema: dict, required=()):
+    """Coercer reading a JSON object through ``schema`` into ``build(**entries)``."""
+    return lambda obj, where: build(**_section(obj, where, schema, required))
 
 
 def _float(val, where: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(where, f"expected a number, got {type(val).__name__}")
-    val = float(val)
+    try:
+        val = float(val)
+    except OverflowError:  # an integer beyond the float range
+        val = math.inf
     if not math.isfinite(val):
         raise ConfigError(where, "must be finite")
     return val
 
 
-def _floats(values: list, where: str) -> list[float]:
-    return [_float(v, f"{where}[{i}]") for i, v in enumerate(values)]
+def _floats(n: int | None = None, increasing: bool = False):
+    """Coercer for a list of exactly ``n`` numbers (at least one if ``n`` is None), as a tuple."""
+    shape = f"a list of {n} numbers" if n else "a nonempty list of numbers"
+
+    def coerce(val, where: str) -> tuple[float, ...]:
+        if not isinstance(val, list) or (len(val) != n if n else not val):
+            raise ConfigError(where, f"expected {shape}")
+        out = tuple(_float(v, f"{where}[{i}]") for i, v in enumerate(val))
+        if increasing and any(b <= a for a, b in zip(out, out[1:])):
+            raise ConfigError(where, "must be strictly increasing")
+        return out
+
+    return coerce
 
 
-def _number(obj: dict, key: str, where: str, default: float | None = None) -> float:
-    """obj[key] as a finite float; ``default`` when absent, if one is given."""
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"{where}.{key}", "missing required number")
-        return default
-    return _float(obj[key], f"{where}.{key}")
-
-
-def _path(obj: dict, key: str, where: str) -> str | None:
-    val = obj.get(key)
-    if val is not None and not (isinstance(val, str) and val):
-        raise ConfigError(f"{where}.{key}", "expected a nonempty string path")
+def _path(val, where: str) -> str:
+    if not (isinstance(val, str) and val):
+        raise ConfigError(where, "expected a nonempty string path")
     return val
+
+
+def _optional_path(val, where: str) -> str | None:
+    """A path, where ``null`` means absent."""
+    return None if val is None else _path(val, where)
+
+
+def _count(val, where: str) -> int:
+    if isinstance(val, bool) or not isinstance(val, int) or val < 2:
+        raise ConfigError(where, "expected an integer >= 2")
+    return val
+
+
+def _version(val, where: str) -> int:
+    if val != SCHEMA_VERSION:
+        raise ConfigError(where, f"expected {SCHEMA_VERSION}, got {val!r}")
+    return SCHEMA_VERSION
+
+
+def _system(val, where: str) -> SystemKind:
+    try:
+        return SystemKind(val)
+    except ValueError:
+        names = sorted(k.value for k in SystemKind)
+        raise ConfigError(where, f"unknown system {val!r}; expected one of {names}") from None
+
+
+def _frame(val, where: str) -> np.ndarray:
+    rows = _section(val, where, dict.fromkeys(_FRAME_ROWS, _floats(3)), _FRAME_ROWS)
+    return np.asarray([rows[key] for key in _FRAME_ROWS], dtype=float)
+
+
+#: function type -> (constructor, key table, required keys)
+_FUNCTIONS = {
+    "constant": (Constant, {"value": _float}, ("value",)),
+    "polynomial": (Polynomial, {"coefficients": _floats()}, ("coefficients",)),
+    "sinusoid": (
+        Sinusoid,
+        {"amplitude": _float, "frequency": _float, "phase": _float, "offset": _float},
+        ("amplitude", "frequency"),
+    ),
+    "samples": (
+        lambda s, values: Samples(s, values),
+        {"s": _floats(increasing=True), "values": _floats()},
+        ("s", "values"),
+    ),
+}
+
+
+def curvature_fn_from_spec(spec, where: str) -> CurvatureFn:
+    """Build a CurvatureFn from its JSON spec (a number is a constant)."""
+    fn = _number_or_fn(spec, where)
+    return Constant(fn) if isinstance(fn, float) else fn
+
+
+def _number_or_fn(spec, where: str) -> float | CurvatureFn:
+    """A number as a float; anything else read as a function object."""
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+        return _float(spec, where)
+    if not isinstance(spec, dict):
+        raise ConfigError(where, "expected a number or a function object")
+    kind = spec.get("type")
+    if not isinstance(kind, str) or kind not in _FUNCTIONS:
+        raise ConfigError(f"{where}.type", f"unknown function type {kind!r}; expected one of {tuple(_FUNCTIONS)}")
+    build, schema, required = _FUNCTIONS[kind]
+    entries = _section({k: v for k, v in spec.items() if k != "type"}, where, schema, required)
+    if kind == "samples" and not len(entries["s"]) == len(entries["values"]) >= 2:
+        raise ConfigError(where, "samples need matching 's' and 'values' lists (length >= 2)")
+    return build(**entries)
 
 
 @dataclass(frozen=True)
@@ -113,42 +176,12 @@ class DirectrixSpec:
     step: float = 1e-3
     initial_frame: np.ndarray | None = None
 
-    def __post_init__(self):
-        try:
-            grid_size(self.s_range, self.step)
-        except ValueError as exc:
-            raise ConfigError("directrix.step", str(exc)) from None
-
-    def to_dict(self) -> dict:
-        out = {
-            "k1": self.k1.to_spec(),
-            "k2": self.k2.to_spec(),
-            "s_range": [self.s_range[0], self.s_range[1]],
-            "step": self.step,
-        }
-        if self.initial_frame is not None:
-            rows = self.initial_frame
-            out["initial_frame"] = {
-                "position": [float(x) for x in rows[0]],
-                "T": [float(x) for x in rows[1]],
-                "N": [float(x) for x in rows[2]],
-                "B": [float(x) for x in rows[3]],
-            }
-        return out
-
 
 @dataclass(frozen=True)
 class MeshSpec:
     v_range: tuple[float, float]
     v_samples: int
     path: str
-
-    def to_dict(self) -> dict:
-        return {
-            "v_range": [self.v_range[0], self.v_range[1]],
-            "v_samples": self.v_samples,
-            "path": self.path,
-        }
 
 
 @dataclass(frozen=True)
@@ -157,15 +190,66 @@ class OutputSpec:
     report_path: str | None = None
     mesh: MeshSpec | None = None
 
-    def to_dict(self) -> dict:
-        out: dict = {}
-        if self.csv_path is not None:
-            out["csv_path"] = self.csv_path
-        if self.report_path is not None:
-            out["report_path"] = self.report_path
-        if self.mesh is not None:
-            out["mesh"] = self.mesh.to_dict()
-        return out
+
+_MESH = {"v_range": _floats(2), "v_samples": _count, "path": _path}
+
+_DOCUMENT = {
+    "version": _version,
+    "directrix": _object(
+        DirectrixSpec,
+        {
+            "k1": curvature_fn_from_spec,
+            "k2": curvature_fn_from_spec,
+            "s_range": _floats(2, increasing=True),
+            "step": _float,
+            "initial_frame": _frame,
+        },
+        ("k1", "k2"),
+    ),
+    "system": _system,
+    "params": _object(
+        SynthesisParams,
+        {
+            "theta0": _float,
+            "phi0": _float,
+            "d": _number_or_fn,
+            "v0": _number_or_fn,
+            "n": _number_or_fn,
+            "mu": _float,
+            "C": _float,
+            "step": _float,
+        },
+    ),
+    "outputs": _object(
+        OutputSpec,
+        {"csv_path": _optional_path, "report_path": _optional_path, "mesh": _object(MeshSpec, _MESH, tuple(_MESH))},
+    ),
+    "tolerances": _object(
+        Tolerances,
+        {"rel": _float, "abs": _float, "defects": _object(dict, dict.fromkeys(DEFAULT_DEFECT_TOLS, _float))},
+    ),
+}
+
+
+def _unset(value) -> bool:
+    return value is None or (isinstance(value, float) and math.isnan(value))
+
+
+def _to_json(value):
+    """The normalized JSON form of a config value; unset (None/NaN) entries are dropped."""
+    if isinstance(value, CurvatureFn):
+        return value.to_spec()
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, np.ndarray):  # the initial frame
+        return {key: [float(x) for x in row] for key, row in zip(_FRAME_ROWS, value)}
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {key: _to_json(v) for key, v in value.items() if not _unset(v)}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -176,180 +260,43 @@ class RunConfig:
     outputs: OutputSpec = field(default_factory=OutputSpec)
     tolerances: Tolerances = field(default_factory=Tolerances)
 
-    # ------------------------------------------------------------------
-    # parsing
-    # ------------------------------------------------------------------
+    def __post_init__(self):
+        # the grid checks run here rather than in the reader, so that a --step
+        # override is checked too
+        try:
+            samples = grid_size(self.directrix.s_range, self.directrix.step) + 1
+        except ValueError as exc:
+            raise ConfigError("directrix.step", str(exc)) from None
+        mesh = self.outputs.mesh
+        if mesh is not None and samples * mesh.v_samples > MAX_MESH_POINTS:
+            raise ConfigError("outputs.mesh.v_samples", f"the mesh would have more than {MAX_MESH_POINTS} points")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(os.fspath(path)) as fh:
-            try:
+        path = os.fspath(path)
+        try:
+            with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("<document>", f"not valid JSON: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError("<document>", f"cannot read {path!r}: {exc.strerror or exc}") from None
+        except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, too many digits, too deep
+            raise ConfigError("<document>", f"not valid JSON: {exc}") from None
         return cls.from_dict(doc)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("<document>", "top level must be an object")
-        known = {"version", "directrix", "system", "params", "outputs", "tolerances"}
-        for key in doc:
-            if key not in known:
-                raise ConfigError(key, "unknown top-level key")
-        if doc.get("version") != SCHEMA_VERSION:
-            raise ConfigError("version", f"expected {SCHEMA_VERSION}, got {doc.get('version')!r}")
-
-        d = doc.get("directrix")
-        if not isinstance(d, dict):
-            raise ConfigError("directrix", "missing required object")
-        for key in d:
-            if key not in {"k1", "k2", "s_range", "step", "initial_frame"}:
-                raise ConfigError(f"directrix.{key}", "unknown key")
-        if "k1" not in d:
-            raise ConfigError("directrix.k1", "missing required function")
-        if "k2" not in d:
-            raise ConfigError("directrix.k2", "missing required function")
-        k1 = curvature_fn_from_spec(d["k1"], "directrix.k1")
-        k2 = curvature_fn_from_spec(d["k2"], "directrix.k2")
-        s_range = d.get("s_range", [0.0, 1.0])
-        if not isinstance(s_range, list) or len(s_range) != 2:
-            raise ConfigError("directrix.s_range", "expected an increasing pair [s0, s1]")
-        s_range = _floats(s_range, "directrix.s_range")
-        if not s_range[1] > s_range[0]:
-            raise ConfigError("directrix.s_range", "expected an increasing pair [s0, s1]")
-        frame = None
-        if "initial_frame" in d:
-            fr = d["initial_frame"]
-            if not isinstance(fr, dict):
-                raise ConfigError("directrix.initial_frame", "expected an object")
-            rows = []
-            for key in ("position", "T", "N", "B"):
-                row = fr.get(key)
-                if not isinstance(row, list) or len(row) != 3:
-                    raise ConfigError(f"directrix.initial_frame.{key}", "expected a 3-vector")
-                rows.append(_floats(row, f"directrix.initial_frame.{key}"))
-            frame = np.asarray(rows, dtype=float)
-        step = _number(d, "step", "directrix", 1e-3)
-        directrix = DirectrixSpec(k1=k1, k2=k2, s_range=tuple(s_range), step=step, initial_frame=frame)
-
-        system_name = doc.get("system")
-        try:
-            system = SystemKind(system_name)
-        except ValueError:
-            names = sorted(k.value for k in SystemKind)
-            raise ConfigError("system", f"unknown system {system_name!r}; expected one of {names}") from None
-
-        p = doc.get("params")
-        if not isinstance(p, dict):
-            raise ConfigError("params", "missing required object")
-        known_params = {"theta0", "phi0", "d", "v0", "n", "mu", "C", "step"}
-        for key in p:
-            if key not in known_params:
-                raise ConfigError(f"params.{key}", "unknown key")
-        spec = KINDS[system]
-        for name in spec.params:
-            if name not in p:
-                raise ConfigError(f"params.{name}", f"required by system '{system.value}'")
-        if spec.seeded and "theta0" not in p:
-            raise ConfigError("params.theta0", f"required by system '{system.value}'")
-
-        def fn_or_none(key):
-            if key not in p:
-                return None
-            val = p[key]
-            if isinstance(val, (int, float)) and not isinstance(val, bool):
-                return _number(p, key, "params")
-            return curvature_fn_from_spec(val, f"params.{key}")
-
-        params = SynthesisParams(
-            theta0=_number(p, "theta0", "params", float("nan")),
-            phi0=_number(p, "phi0", "params", 0.0),
-            d=fn_or_none("d"),
-            v0=fn_or_none("v0"),
-            n=fn_or_none("n"),
-            mu=_number(p, "mu", "params") if "mu" in p else None,
-            C=_number(p, "C", "params") if "C" in p else None,
-            step=_number(p, "step", "params") if "step" in p else None,
-        )
-
-        outputs = OutputSpec()
-        if "outputs" in doc:
-            o = doc["outputs"]
-            if not isinstance(o, dict):
-                raise ConfigError("outputs", "expected an object")
-            for key in o:
-                if key not in {"csv_path", "report_path", "mesh"}:
-                    raise ConfigError(f"outputs.{key}", "unknown key")
-            mesh = None
-            if "mesh" in o:
-                mo = o["mesh"]
-                if not isinstance(mo, dict):
-                    raise ConfigError("outputs.mesh", "expected an object")
-                vr = mo.get("v_range")
-                if not isinstance(vr, list) or len(vr) != 2:
-                    raise ConfigError("outputs.mesh.v_range", "expected a pair [v_min, v_max]")
-                vr = _floats(vr, "outputs.mesh.v_range")
-                ns = mo.get("v_samples")
-                if not isinstance(ns, int) or isinstance(ns, bool) or ns < 2:
-                    raise ConfigError("outputs.mesh.v_samples", "expected an integer >= 2")
-                path = _path(mo, "path", "outputs.mesh")
-                if path is None:
-                    raise ConfigError("outputs.mesh.path", "expected a nonempty string path")
-                mesh = MeshSpec(v_range=tuple(vr), v_samples=ns, path=path)
-            outputs = OutputSpec(
-                csv_path=_path(o, "csv_path", "outputs"),
-                report_path=_path(o, "report_path", "outputs"),
-                mesh=mesh,
-            )
-
-        tolerances = Tolerances()
-        if "tolerances" in doc:
-            t = doc["tolerances"]
-            if not isinstance(t, dict):
-                raise ConfigError("tolerances", "expected an object")
-            for key in t:
-                if key not in {"rel", "abs", "defects"}:
-                    raise ConfigError(f"tolerances.{key}", "unknown key")
-            defects = t.get("defects", {})
-            if not isinstance(defects, dict):
-                raise ConfigError("tolerances.defects", "expected an object")
-            tolerances = Tolerances(
-                rel=_number(t, "rel", "tolerances", Tolerances.rel),
-                abs=_number(t, "abs", "tolerances", Tolerances.abs),
-                defects={str(k): _float(v, f"tolerances.defects.{k}") for k, v in defects.items()},
-            )
-
-        return cls(directrix=directrix, system=system, params=params, outputs=outputs, tolerances=tolerances)
-
-    # ------------------------------------------------------------------
-    # serialization (normalized form)
-    # ------------------------------------------------------------------
+        entries = _section(doc, "", _DOCUMENT, ("version", "directrix", "system", "params"))
+        del entries["version"]
+        cfg = cls(**entries)
+        kind = KINDS[cfg.system]
+        for name in kind.params + (("theta0",) if kind.seeded else ()):
+            if _unset(getattr(cfg.params, name)):
+                raise ConfigError(f"params.{name}", f"required by system '{cfg.system.value}'")
+        return cfg
 
     def to_dict(self) -> dict:
-        p = self.params
-        params: dict = {}
-        if math.isfinite(p.theta0):
-            params["theta0"] = p.theta0
-        params["phi0"] = p.phi0
-        for key in ("d", "v0", "n"):
-            spec = _curvature_fn_to_spec(getattr(p, key))
-            if spec is not None:
-                params[key] = spec
-        if p.mu is not None:
-            params["mu"] = p.mu
-        if p.C is not None:
-            params["C"] = p.C
-        if p.step is not None:
-            params["step"] = p.step
-        return {
-            "version": SCHEMA_VERSION,
-            "directrix": self.directrix.to_dict(),
-            "system": self.system.value,
-            "params": params,
-            "outputs": self.outputs.to_dict(),
-            "tolerances": self.tolerances.to_dict(),
-        }
+        """The normalized form: ``from_dict(cfg.to_dict())`` gives the same config."""
+        return {"version": SCHEMA_VERSION, **_to_json(self)}
 
     def with_overrides(self, *, step: float | None = None, tol_rel: float | None = None, tol_abs: float | None = None) -> "RunConfig":
         """This config with the given step and tolerances; None keeps a value.

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import minkruled.pipeline
 from minkruled import Constant, FrenetCurve, RuledSurfaceGrid, RunConfig, export_mesh, lvec
 from minkruled.cli import main
+from minkruled.config import MAX_MESH_POINTS
 from minkruled.errors import ConfigError, GeometryError
 from minkruled.pipeline import run_config, sweep_grid
 
@@ -56,6 +57,15 @@ def leaf_paths(node, prefix=()):
     return [path for key, child in items for path in leaf_paths(child, prefix + (key,))]
 
 
+def objects(node):
+    """Every JSON object of a document, the document itself first."""
+    if isinstance(node, list):
+        return [obj for child in node for obj in objects(child)]
+    if not isinstance(node, dict):
+        return []
+    return [node] + [obj for child in node.values() for obj in objects(child)]
+
+
 SINUSOID = {"type": "sinusoid", "amplitude": 0.05, "frequency": 2.0}
 FRAME = {"position": [0, 0, 0], "T": [1, 0, 0], "N": [0, 1, 0], "B": [0, 0, 1]}
 
@@ -84,9 +94,22 @@ BAD_ENTRIES = [
     pytest.param(("directrix", "step"), "x", "directrix.step", id="directrix.step"),
     pytest.param(("directrix", "step"), 3e-4, "directrix.step", id="step-not-dividing"),
     pytest.param(("directrix", "step"), 1e-9, "directrix.step", id="step-over-grid-limit"),
+    pytest.param(("directrix", "step"), 10**400, "directrix.step", id="huge-integer-step"),
+    pytest.param(("tolerances", "defects", "helix"), 10**400, "tolerances.defects.helix", id="huge-integer-defect"),
     pytest.param(("outputs", "mesh", "v_range"), [-0.5, "x"], "outputs.mesh.v_range[1]", id="mesh.v_range"),
+    pytest.param(("outputs", "mesh", "v_samples"), 10**9, "outputs.mesh.v_samples", id="mesh-over-point-limit"),
     pytest.param(("outputs", "csv_path"), 3, "outputs.csv_path", id="csv_path"),
     pytest.param(("outputs", "report_path"), ["r.json"], "outputs.report_path", id="report_path"),
+]
+
+#: (object of general_roundtrip.json, stray key put in it, field the error must name)
+UNKNOWN_KEYS = [
+    pytest.param((), "paramz", "paramz", id="top-level"),
+    pytest.param(("directrix", "k1"), "vlaue", "directrix.k1.vlaue", id="constant"),
+    pytest.param(("directrix", "k2"), "phse", "directrix.k2.phse", id="sinusoid"),
+    pytest.param(("directrix", "initial_frame"), "origin", "directrix.initial_frame.origin", id="initial-frame"),
+    pytest.param(("outputs", "mesh"), "v_sample", "outputs.mesh.v_sample", id="mesh"),
+    pytest.param(("tolerances", "defects"), "helx", "tolerances.defects.helx", id="defect-name"),
 ]
 
 
@@ -122,12 +145,38 @@ class TestConfigValidation:
             RunConfig.from_file(write_doc(tmp_path, doc))
         assert err.value.field == "version"
 
-    def test_unknown_key_rejected(self, tmp_path):
-        doc = load_doc("cylinder.json")
-        doc["paramz"] = {}
+    @pytest.mark.parametrize("path, key, field", UNKNOWN_KEYS)
+    def test_unknown_key_rejected(self, tmp_path, path, key, field):
+        doc = load_doc("general_roundtrip.json")
+        doc["directrix"].update(k2=dict(SINUSOID), initial_frame=dict(FRAME))
+        doc["tolerances"] = {"defects": {"helix": 1e-10}}
+        RunConfig.from_dict(doc)
+        node = doc
+        for name in path:
+            node = node[name]
+        node[key] = 1.0
         with pytest.raises(ConfigError) as err:
             RunConfig.from_file(write_doc(tmp_path, doc))
-        assert err.value.field == "paramz"
+        assert err.value.field == field
+
+    def test_null_output_paths_mean_absent(self):
+        doc = load_doc("general_roundtrip.json")
+        doc["outputs"].update(csv_path=None, report_path=None)
+        outputs = RunConfig.from_dict(doc).outputs
+        assert outputs.csv_path is None and outputs.report_path is None
+
+    def test_mesh_lattice_is_bounded(self):
+        doc = load_doc("general_roundtrip.json")  # 501 samples
+        limit = MAX_MESH_POINTS // 501
+        doc["outputs"]["mesh"]["v_samples"] = limit
+        cfg = RunConfig.from_dict(doc)
+        doc["outputs"]["mesh"]["v_samples"] = limit + 1
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(doc)
+        assert err.value.field == "outputs.mesh.v_samples"
+        with pytest.raises(ConfigError) as err:
+            cfg.with_overrides(step=5e-4)
+        assert err.value.field == "outputs.mesh.v_samples"
 
     def test_unknown_system_rejected(self, tmp_path):
         doc = load_doc("cylinder.json")
@@ -328,16 +377,50 @@ class TestCliEntry:
     def test_mutated_shipped_config_exits_cleanly(self, tmp_path_factory, data):
         name = data.draw(st.sampled_from(sorted(p.name for p in CONFIG_DIR.glob("*.json"))))
         doc = load_doc(name)
-        path = data.draw(st.sampled_from(leaf_paths(doc)))
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = data.draw(st.sampled_from(["x", None, True, [], {}, -1]))
+        if data.draw(st.booleans()):
+            data.draw(st.sampled_from(objects(doc)))["stray"] = 1
+            codes = (2,)
+        else:
+            path = data.draw(st.sampled_from(leaf_paths(doc)))
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = data.draw(st.sampled_from(["x", None, True, [], {}, -1, 10**400]))
+            codes = (0, 1, 2)
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
             code = main(["verify", "--config", write_doc(tmp_path_factory.mktemp("mutant"), doc)])
-        assert code in (0, 1, 2)
+        assert code in codes
         assert "Traceback" not in out.getvalue()
+
+    @pytest.mark.parametrize(
+        "command, config, out_dir, named",
+        [
+            pytest.param("verify", "missing.json", "out", None, id="missing-config"),
+            pytest.param("verify", "dir", "out", None, id="config-is-directory"),
+            pytest.param("verify", "latin1.json", "out", None, id="config-not-utf8"),
+            pytest.param("verify", "deep.json", "out", None, id="config-nested-too-deep"),
+            pytest.param("verify", "digits.json", "out", None, id="config-integer-too-long"),
+            pytest.param("synthesize", "config.json", "file", "file", id="synthesize-out-dir-is-file"),
+            pytest.param("sweep", "config.json", "file", "file", id="sweep-out-dir-is-file"),
+            pytest.param("synthesize", "nested.json", "out", "out/sub/dir/c.csv", id="csv-path-in-missing-dir"),
+        ],
+    )
+    def test_unreadable_or_unwritable_path_exits_two(self, tmp_path, capsys, command, config, out_dir, named):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        (tmp_path / "latin1.json").write_bytes('{"system": "\u00e9"}'.encode("latin-1"))
+        (tmp_path / "deep.json").write_text("[" * 100_000)
+        (tmp_path / "digits.json").write_text('{"version": 1' + "0" * 5000 + "}")
+        doc = load_doc("general_roundtrip.json")
+        write_doc(tmp_path, doc)
+        doc["outputs"]["csv_path"] = "sub/dir/c.csv"
+        write_doc(tmp_path, doc, "nested.json")
+        code = main([command, "--config", str(tmp_path / config), "--out-dir", str(tmp_path / out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("'<document>'" if named is None else str(tmp_path / named)) in err
+        assert "Traceback" not in err
 
     def test_singular_seed_exits_one(self, tmp_path, capsys):
         doc = load_doc("general_roundtrip.json")
