@@ -111,7 +111,7 @@ def _count(val, where: str) -> int:
 
 
 def _version(val, where: str) -> int:
-    if val != SCHEMA_VERSION:
+    if isinstance(val, bool) or not isinstance(val, int) or val != SCHEMA_VERSION:
         raise ConfigError(where, f"expected {SCHEMA_VERSION}, got {val!r}")
     return SCHEMA_VERSION
 

@@ -13,6 +13,10 @@ import numpy as np
 
 from .surface import RuledSurfaceGrid
 
+#: Vertices (and faces) formatted per write; bounds the Python objects alive
+#: at once to a few blocks whatever the lattice size.
+_BLOCK = 4096
+
 
 def export_mesh(
     surface: RuledSurfaceGrid,
@@ -24,7 +28,9 @@ def export_mesh(
     """Write the (s, v) lattice as an OBJ quad mesh and return the path.
 
     ``comment`` goes on the leading # line; the second comment line warns
-    that a viewer measures Euclidean, not Lorentzian, distances.
+    that a viewer measures Euclidean, not Lorentzian, distances.  Vertex
+    ``i * v_samples + j`` (0-based) is ``k(s_i) + v_j q(s_i)``; the lattice is
+    formatted ``_BLOCK`` flat indices at a time, one ``%`` per block.
     """
     if v_samples < 2:
         raise ValueError("v_samples must be at least 2")
@@ -32,21 +38,19 @@ def export_mesh(
     vs = v_min + (v_max - v_min) * np.arange(v_samples) / (v_samples - 1)
 
     n_s = surface.n_samples
-    lines = [f"# {comment}", "# coordinates: (x1, x2, x3), x1 timelike; viewer distances are Euclidean"]
+    n_points, n_faces = n_s * v_samples, (n_s - 1) * (v_samples - 1)
     k = surface.directrix.k
     q = surface.q
-    for i in range(n_s):
-        for v in vs:
-            p = k[i] + v * q[i]
-            lines.append(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
-    for i in range(n_s - 1):
-        base = i * v_samples
-        for j in range(v_samples - 1):
-            a = base + j + 1
-            b = base + v_samples + j + 1
-            lines.append(f"f {a} {b} {b + 1} {a + 1}")
-
     path = os.fspath(path)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# {comment}\n# coordinates: (x1, x2, x3), x1 timelike; viewer distances are Euclidean\n")
+        for lo in range(0, n_points, _BLOCK):
+            i, j = np.divmod(np.arange(lo, min(lo + _BLOCK, n_points)), v_samples)
+            p = k[i] + vs[j, None] * q[i]
+            fh.write(("v %.17g %.17g %.17g\n" * len(p)) % tuple(p.ravel().tolist()))
+        for lo in range(0, n_faces, _BLOCK):
+            i, j = np.divmod(np.arange(lo, min(lo + _BLOCK, n_faces)), v_samples - 1)
+            a = i * v_samples + j + 1
+            b = a + v_samples
+            fh.write(("f %d %d %d %d\n" * len(a)) % tuple(np.stack([a, b, b + 1, a + 1], axis=1).ravel().tolist()))
     return path

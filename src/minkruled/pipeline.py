@@ -55,15 +55,17 @@ def run_config(cfg: RunConfig, out_dir=".", *, write_outputs: bool = True) -> Ru
 
     Output paths from the config resolve against ``out_dir``.  The verdict
     decides the exit code; pipeline errors (singular seeds, divergence)
-    propagate as exceptions carrying the failure location.
+    propagate as exceptions carrying the failure location.  ``out_dir`` is
+    created before synthesis, so an unusable one fails before any work.
     """
+    if write_outputs:
+        out_dir = os.fspath(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
     curve, track, surface = synthesize_surface(cfg)
     report = recompute_report(surface, cfg.params, cfg.system, cfg.tolerances)
 
     written: dict[str, str] = {}
     if write_outputs:
-        out_dir = os.fspath(out_dir)
-        os.makedirs(out_dir, exist_ok=True)
         o = cfg.outputs
         if o.csv_path is not None:
             written["csv"] = write_samples_csv(os.path.join(out_dir, o.csv_path), track, report)
@@ -104,32 +106,32 @@ def write_report_json(path, report: InvariantReport) -> str:
 
 _CSV_COLUMNS = ("s", "theta", "phi", "d", "v0", "K", "mu", "n", "qprime_norm", "cylindrical")
 
+#: Rows formatted per write of the sample CSV.
+_CSV_BLOCK = 4096
+
 
 def write_samples_csv(path, track: AngleTrack, report: InvariantReport) -> str:
-    """Per-sample table: s, angles, recomputed invariants, cylindrical flag."""
+    """Per-sample table: s, angles, recomputed invariants, cylindrical flag.
+
+    Without recomputed invariants the six invariant cells are empty and the
+    flag is 1.  Rows are formatted ``_CSV_BLOCK`` at a time, one ``%`` per block.
+    """
     path = os.fspath(path)
     inv = report.recomputed
+    if inv is None:
+        row, cols = "%.17g,%.17g,%.17g,,,,,,,1\n", (track.s, track.theta, track.phi)
+    else:
+        row = "%.17g," * 9 + "%d\n"
+        cols = (track.s, track.theta, track.phi, inv.d, inv.v0, inv.K, inv.mu, inv.n, inv.qprime_norm, inv.cylindrical)
     n = track.n_samples
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for i in range(n):
-            head = [_fmt(track.s[i]), _fmt(track.theta[i]), _fmt(track.phi[i])]
-            if inv is None:
-                writer.writerow(head + ["", "", "", "", "", "", 1])
-            else:
-                writer.writerow(
-                    head
-                    + [
-                        _fmt(inv.d[i]),
-                        _fmt(inv.v0[i]),
-                        _fmt(inv.K[i]),
-                        _fmt(inv.mu[i]),
-                        _fmt(inv.n[i]),
-                        _fmt(inv.qprime_norm[i]),
-                        int(inv.cylindrical[i]),
-                    ]
-                )
+        fh.write(",".join(_CSV_COLUMNS) + "\n")
+        for lo in range(0, n, _CSV_BLOCK):
+            hi = min(lo + _CSV_BLOCK, n)
+            cells = [None] * ((hi - lo) * len(cols))
+            for c, col in enumerate(cols):
+                cells[c :: len(cols)] = col[lo:hi].tolist()
+            fh.write((row * (hi - lo)) % tuple(cells))
     return path
 
 
@@ -162,12 +164,16 @@ def sweep_grid(
 
     The directrix is built once and shared by every seed.  Errors are
     recorded per row and never abort the sweep.  Per-seed file outputs are
-    suppressed (only the summary is written).
+    suppressed (only the summary is written); ``out_dir`` is created before
+    the first seed runs.
     """
     theta0_list = list(DEFAULT_THETA0_GRID if theta0_list is None else theta0_list)
     phi0_list = list(DEFAULT_PHI0_GRID if phi0_list is None else phi0_list)
     if not theta0_list or not phi0_list:
         raise ValueError("seed lists must be nonempty")
+    if write_summary:
+        out_dir = os.fspath(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
 
     # the directrix does not depend on the seed: build it once; if it cannot
     # be built, every row carries that error
@@ -216,8 +222,6 @@ def sweep_grid(
 
     summary_path = None
     if write_summary:
-        out_dir = os.fspath(out_dir)
-        os.makedirs(out_dir, exist_ok=True)
         summary_path = os.path.join(out_dir, summary_name)
         with open(summary_path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -228,9 +232,9 @@ def sweep_grid(
                         _fmt(row.theta0),
                         _fmt(row.phi0),
                         row.verdict,
-                        _fmt(row.max_rel_error) if row.max_rel_error is not None else "",
-                        _fmt(row.worst_defect) if row.worst_defect is not None else "",
-                        _fmt(row.failure_s) if row.failure_s is not None else "",
+                        _fmt(row.max_rel_error),
+                        _fmt(row.worst_defect),
+                        _fmt(row.failure_s),
                         row.detail,
                     ]
                 )

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minkruled.mesh
 import minkruled.pipeline
 from minkruled import Constant, FrenetCurve, RuledSurfaceGrid, RunConfig, export_mesh, lvec
 from minkruled.cli import main
 from minkruled.config import MAX_MESH_POINTS
 from minkruled.errors import ConfigError, GeometryError
-from minkruled.pipeline import run_config, sweep_grid
+from minkruled.pipeline import run_config, sweep_grid, synthesize_surface, write_samples_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -34,6 +35,41 @@ def hyperbolic_curve(n_samples):
         k1=zero + 1.0,
         k2=zero,
     )
+
+
+def reference_obj(surface, v_range, v_samples, comment):
+    """OBJ text of a line-by-line writer: one f-string per vertex and per face."""
+    v_min, v_max = float(v_range[0]), float(v_range[1])
+    vs = v_min + (v_max - v_min) * np.arange(v_samples) / (v_samples - 1)
+    lines = [f"# {comment}", "# coordinates: (x1, x2, x3), x1 timelike; viewer distances are Euclidean"]
+    k, q = surface.directrix.k, surface.q
+    for i in range(surface.n_samples):
+        for v in vs:
+            p = k[i] + v * q[i]
+            lines.append(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
+    for i in range(surface.n_samples - 1):
+        base = i * v_samples
+        for j in range(v_samples - 1):
+            a = base + j + 1
+            b = base + v_samples + j + 1
+            lines.append(f"f {a} {b} {b + 1} {a + 1}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_csv(track, report):
+    """Sample CSV text of a row-by-row ``csv.writer`` over 17-digit cells."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["s", "theta", "phi", "d", "v0", "K", "mu", "n", "qprime_norm", "cylindrical"])
+    inv = report.recomputed
+    for i in range(track.n_samples):
+        head = [f"{float(x):.17g}" for x in (track.s[i], track.theta[i], track.phi[i])]
+        if inv is None:
+            writer.writerow(head + ["", "", "", "", "", "", 1])
+        else:
+            cols = (inv.d, inv.v0, inv.K, inv.mu, inv.n, inv.qprime_norm)
+            writer.writerow(head + [f"{float(c[i]):.17g}" for c in cols] + [int(inv.cylindrical[i])])
+    return out.getvalue()
 
 
 def load_doc(name):
@@ -100,6 +136,8 @@ BAD_ENTRIES = [
     pytest.param(("outputs", "mesh", "v_samples"), 10**9, "outputs.mesh.v_samples", id="mesh-over-point-limit"),
     pytest.param(("outputs", "csv_path"), 3, "outputs.csv_path", id="csv_path"),
     pytest.param(("outputs", "report_path"), ["r.json"], "outputs.report_path", id="report_path"),
+    pytest.param(("version",), True, "version", id="version-true"),
+    pytest.param(("version",), 1.0, "version", id="version-float"),
 ]
 
 #: (object of general_roundtrip.json, stray key put in it, field the error must name)
@@ -243,6 +281,30 @@ class TestExportMesh:
         with pytest.raises(ValueError):
             export_mesh(self.smallest_surface(), (0.0, 1.0), 1, tmp_path / "m.obj")
 
+    def assert_matches_reference(self, tmp_path, surf, v_range, v_samples):
+        path = export_mesh(surf, v_range, v_samples, tmp_path / "m.obj", comment="c")
+        assert Path(path).read_bytes() == reference_obj(surf, v_range, v_samples, "c").encode()
+
+    def test_blocks_match_reference_on_a_ragged_lattice(self, tmp_path):
+        _, _, surf = synthesize_surface(RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json"))
+        block = minkruled.mesh._BLOCK
+        v_samples = 2 * block // surf.n_samples + 1
+        if surf.n_samples * v_samples % block == 0:
+            v_samples += 1
+        n_points = surf.n_samples * v_samples
+        assert n_points > 2 * block and n_points % block
+        self.assert_matches_reference(tmp_path, surf, (-0.5, 0.5), v_samples)
+
+    def test_blocks_match_reference_on_a_wide_two_row_lattice(self, tmp_path):
+        curve = hyperbolic_curve(2)
+        a = np.array([0.3, -1.1])
+        surf = RuledSurfaceGrid(directrix=curve, q=np.stack([np.cosh(a), 0.0 * a, np.sinh(a)], axis=1))
+        self.assert_matches_reference(tmp_path, surf, (-1.0, 2.0), minkruled.mesh._BLOCK + 5)
+
+    def test_two_v_samples_and_negative_range_match_reference(self, tmp_path):
+        _, _, surf = synthesize_surface(RunConfig.from_file(CONFIG_DIR / "asymptotic_line.json"))
+        self.assert_matches_reference(tmp_path, surf, (-1.5, -0.25), 2)
+
 
 class TestPipeline:
     def test_outputs_written_and_deterministic(self, tmp_path):
@@ -271,6 +333,26 @@ class TestPipeline:
         assert len(lines) == 502  # header + 501 samples
         theta0 = float(lines[1].split(",")[1])
         assert theta0 == 1.0
+
+    def test_csv_without_recomputed_invariants_matches_reference(self, tmp_path):
+        result = run_config(RunConfig.from_file(CONFIG_DIR / "cylinder.json"), write_outputs=False)
+        assert result.report.recomputed is None
+        path = write_samples_csv(tmp_path / "c.csv", result.track, result.report)
+        assert Path(path).read_bytes() == reference_csv(result.track, result.report).encode()
+
+    def test_csv_with_cylindrical_samples_matches_reference(self, tmp_path):
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json").with_overrides(step=1e-4)
+        result = run_config(cfg, write_outputs=False)
+        inv = result.report.recomputed
+        cylindrical = np.zeros(result.track.n_samples, dtype=bool)
+        cylindrical[[0, 7, -1]] = True
+        d = np.where(cylindrical, np.nan, inv.d)
+        report = dataclasses.replace(result.report, recomputed=dataclasses.replace(inv, cylindrical=cylindrical, d=d))
+        path = write_samples_csv(tmp_path / "c.csv", result.track, report)
+        text = reference_csv(result.track, report)
+        assert {line[-1] for line in text.splitlines()[1:]} == {"0", "1"}
+        assert result.track.n_samples > minkruled.pipeline._CSV_BLOCK
+        assert Path(path).read_bytes() == text.encode()
 
 
 class TestSweep:
@@ -421,6 +503,18 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert ("'<document>'" if named is None else str(tmp_path / named)) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["synthesize", "sweep"])
+    def test_unusable_out_dir_fails_before_synthesis(self, tmp_path, capsys, monkeypatch, command):
+        calls = []
+        integrate = minkruled.pipeline.integrate_system
+        monkeypatch.setattr(minkruled.pipeline, "integrate_system", lambda *a, **kw: calls.append(1) or integrate(*a, **kw))
+        (tmp_path / "file").write_text("")
+        config = str(CONFIG_DIR / "general_roundtrip.json")
+        assert main([command, "--config", config, "--out-dir", str(tmp_path / "file")]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "file") in err and "Traceback" not in err
+        assert calls == []
 
     def test_singular_seed_exits_one(self, tmp_path, capsys):
         doc = load_doc("general_roundtrip.json")
