@@ -16,6 +16,7 @@ read or parsed is named '<document>') or an output that cannot be written
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import RunConfig
@@ -95,6 +96,7 @@ def main(argv=None) -> int:
         if args.command == "export-mesh":
             if cfg.outputs.mesh is None:
                 raise ConfigError("outputs.mesh", "required by export-mesh")
+            os.makedirs(args.out_dir, exist_ok=True)
             _, _, surface = synthesize_surface(cfg)
             print(f"wrote mesh: {write_mesh(cfg, surface, args.out_dir)}")
             return 0

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     NonOrthonormalSeedError,
@@ -101,19 +100,45 @@ class Sinusoid(CurvatureFn):
 
 
 class Samples(CurvatureFn):
-    """Tabulated values, interpolated by a natural cubic spline."""
+    """Tabulated values, interpolated by a natural cubic spline.
+
+    Outside ``[s_grid[0], s_grid[-1]]`` the end cubics extrapolate.
+    """
 
     def __init__(self, s_grid, values):
         s_grid = np.asarray(s_grid, dtype=float)
         values = np.asarray(values, dtype=float)
-        if s_grid.ndim != 1 or s_grid.shape != values.shape:
-            raise ValueError("s_grid and values must be matching 1-d arrays")
+        if s_grid.ndim != 1 or s_grid.shape != values.shape or len(s_grid) < 2:
+            raise ValueError("s_grid and values must be matching 1-d arrays of at least 2 knots")
+        if not (np.isfinite(s_grid).all() and np.isfinite(values).all()):
+            raise ValueError("s_grid and values must be finite")
+        h = np.diff(s_grid)
+        if not (h > 0).all():
+            raise ValueError("s_grid must be strictly increasing")
         self.s_grid = s_grid
         self.values = values
-        self._spline = CubicSpline(s_grid, values, bc_type="natural")
+        # knot second derivatives m, m[0] = m[-1] = 0, by a Thomas sweep over
+        # h[i-1] m[i-1] + 2 (h[i-1] + h[i]) m[i] + h[i] m[i+1] = 6 (slope[i] - slope[i-1])
+        slope = np.diff(values) / h
+        rhs = (6.0 * np.diff(slope)).tolist()
+        diag = (2.0 * (h[:-1] + h[1:])).tolist()
+        hl = h.tolist()
+        m = [0.0] * len(s_grid)
+        for i in range(1, len(rhs)):
+            w = hl[i] / diag[i - 1]
+            diag[i] -= w * hl[i]
+            rhs[i] -= w * rhs[i - 1]
+        for i in range(len(rhs) - 1, -1, -1):
+            m[i + 1] = (rhs[i] - hl[i + 1] * m[i + 2]) / diag[i]
+        m = np.asarray(m)
+        self._coef = (values[:-1], slope - h * (2.0 * m[:-1] + m[1:]) / 6.0, m[:-1] / 2.0, np.diff(m) / (6.0 * h))
 
     def __call__(self, s):
-        out = self._spline(np.asarray(s, dtype=float))
+        s = np.asarray(s, dtype=float)
+        i = np.clip(np.searchsorted(self.s_grid, s, side="right") - 1, 0, len(self.s_grid) - 2)
+        t = s - self.s_grid[i]
+        c0, c1, c2, c3 = self._coef
+        out = c0[i] + t * (c1[i] + t * (c2[i] + t * c3[i]))
         return float(out) if out.ndim == 0 else out
 
     def to_spec(self) -> dict:

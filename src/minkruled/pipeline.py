@@ -86,12 +86,11 @@ def synthesize_surface(cfg: RunConfig) -> tuple[FrenetCurve, AngleTrack, RuledSu
 def write_mesh(cfg: RunConfig, surface: RuledSurfaceGrid, out_dir=".") -> str:
     """Write the config's OBJ mesh of ``surface``; its path resolves against ``out_dir``.
 
-    The header comment records the system and the normalized params.
+    ``out_dir`` must exist.  The header comment records the system and the
+    normalized params.
     """
     mesh = cfg.outputs.mesh
     params = " ".join(f"{k}={json.dumps(v, sort_keys=True)}" for k, v in sorted(cfg.to_dict()["params"].items()))
-    out_dir = os.fspath(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, mesh.path)
     return export_mesh(surface, mesh.v_range, mesh.v_samples, path, comment=f"system={cfg.system.value} params={params}")
 

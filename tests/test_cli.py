@@ -4,6 +4,8 @@ import dataclasses
 import io
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -427,6 +429,22 @@ class TestSweep:
         ]
 
 
+def test_import_graph_loads_no_scipy():
+    # a fresh interpreter: numpy is the only runtime dependency
+    doc = load_doc("general_roundtrip.json")
+    doc["directrix"]["k1"] = {"type": "samples", "s": [0.0, 0.25, 0.5], "values": [1.0, 1.1, 0.9]}
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(Path(minkruled.__file__).parent.parent)!r})\n"
+        "import minkruled, minkruled.cli\n"
+        f"minkruled.RunConfig.from_dict(json.loads({json.dumps(doc)!r}))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestCliEntry:
     def test_synthesize_and_verify_exit_zero(self, tmp_path):
         code = main(["synthesize", "--config", str(CONFIG_DIR / "cylinder.json"), "--out-dir", str(tmp_path)])
@@ -504,7 +522,7 @@ class TestCliEntry:
         assert ("'<document>'" if named is None else str(tmp_path / named)) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["synthesize", "sweep"])
+    @pytest.mark.parametrize("command", ["synthesize", "sweep", "export-mesh"])
     def test_unusable_out_dir_fails_before_synthesis(self, tmp_path, capsys, monkeypatch, command):
         calls = []
         integrate = minkruled.pipeline.integrate_system

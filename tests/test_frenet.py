@@ -91,6 +91,55 @@ class TestCurvatureFns:
         assert f(0.55) == pytest.approx(1.0 + 0.2 * 0.55**2, abs=1e-4)
 
 
+class TestSamplesSpline:
+    @pytest.mark.parametrize(
+        "s",
+        [
+            pytest.param(np.array([0.0, 1.0]), id="2-knots"),
+            pytest.param(np.array([0.0, 0.4, 1.0]), id="3-knots"),
+            pytest.param(np.linspace(0.0, 1.0, 11), id="11-uniform"),
+            pytest.param(np.array([-0.3, 0.0, 0.05, 0.2, 0.55, 0.6, 1.1, 1.4]), id="non-uniform"),
+        ],
+    )
+    def test_matches_scipy_natural_spline(self, s):
+        CubicSpline = pytest.importorskip("scipy.interpolate").CubicSpline
+        values = 1.0 + 0.4 * np.sin(3.0 * s) + 0.2 * s**2
+        span = s[-1] - s[0]
+        mid = (s[:-1] + s[1:]) / 2
+        x = np.concatenate([s, mid, np.linspace(s[0] - 0.3 * span, s[-1] + 0.3 * span, 101)])
+        expected = CubicSpline(s, values, bc_type="natural")(x)
+        assert np.abs(Samples(s, values)(x) - expected).max() <= 1e-14 * np.abs(values).max()
+
+    def test_two_knots_give_a_straight_line(self):
+        f = Samples([0.0, 2.0], [1.0, 2.0])
+        x = np.linspace(-1.0, 3.0, 9)
+        assert np.allclose(f(x), 1.0 + 0.5 * x, rtol=0.0, atol=1e-15)
+
+    def test_scalar_input_returns_float(self):
+        f = Samples([0.0, 0.5, 1.0], [1.0, 1.2, 0.9])
+        assert type(f(0.25)) is float
+        assert type(f(np.float64(2.0))) is float
+        assert f(0.5) == 1.2
+
+    @pytest.mark.parametrize(
+        "s, values",
+        [
+            pytest.param([0.0], [1.0], id="one-knot"),
+            pytest.param([0.0, 1.0, 2.0], [1.0, 2.0], id="shape-mismatch"),
+            pytest.param([[0.0, 1.0]], [[1.0, 2.0]], id="not-1d"),
+            pytest.param([0.0, math.nan, 2.0], [1.0, 2.0, 3.0], id="nan-s"),
+            pytest.param([0.0, 1.0, math.inf], [1.0, 2.0, 3.0], id="inf-s"),
+            pytest.param([0.0, 1.0, 2.0], [1.0, math.nan, 3.0], id="nan-values"),
+            pytest.param([0.0, 1.0, 2.0], [1.0, -math.inf, 3.0], id="inf-values"),
+            pytest.param([0.0, 1.0, 1.0], [1.0, 2.0, 3.0], id="repeated-s"),
+            pytest.param([0.0, 2.0, 1.0], [1.0, 2.0, 3.0], id="decreasing-s"),
+        ],
+    )
+    def test_rejects_unusable_tables(self, s, values):
+        with pytest.raises(ValueError):
+            Samples(s, values)
+
+
 class TestIntegrateFrenet:
     def test_initial_condition(self):
         c = integrate_frenet(1.0, 0.0, s_range=(0.0, 0.1), step=1e-3)
