@@ -18,11 +18,8 @@ from .frenet import (
     integrate_frenet,
 )
 from .lorentz import (
-    AngleKind,
-    AngleResult,
     CausalClass,
     causal_character,
-    lorentz_angle,
     lorentz_cross,
     lorentz_inner,
     lorentz_norm,
@@ -36,18 +33,14 @@ from .surface import (
     RuledSurfaceGrid,
     SurfaceInvariants,
     angles_from_ruling,
-    asymptotic_direction,
     curvature_relations,
     dv0_from_n_mu,
     dv0_to_n_mu,
-    evaluate_surface,
-    frame_derivatives,
     invariants_analytic,
     invariants_numeric,
     q_prime_analytic,
     ruling_from_angles,
     striction_curve,
-    surface_normal,
 )
 from .synthesis import (
     SynthesisParams,
@@ -70,8 +63,6 @@ from .verify import (
 )
 
 __all__ = [
-    "AngleKind",
-    "AngleResult",
     "AngleTrack",
     "CausalClass",
     "ConfigError",
@@ -92,16 +83,13 @@ __all__ = [
     "SystemKind",
     "Tolerances",
     "angles_from_ruling",
-    "asymptotic_direction",
     "build_surface",
     "causal_character",
     "curvature_relations",
     "dv0_from_n_mu",
     "dv0_to_n_mu",
-    "evaluate_surface",
     "export_mesh",
     "frame_defect",
-    "frame_derivatives",
     "geodesic_theta",
     "helix_ratio",
     "helix_relation_defect",
@@ -111,7 +99,6 @@ __all__ = [
     "invariants_numeric",
     "line_of_curvature_phi",
     "locus_theta",
-    "lorentz_angle",
     "lorentz_cross",
     "lorentz_inner",
     "lorentz_norm",
@@ -124,7 +111,6 @@ __all__ = [
     "run_config",
     "special_case_defects",
     "striction_curve",
-    "surface_normal",
     "sweep_grid",
     "system_rhs",
 ]

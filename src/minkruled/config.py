@@ -217,7 +217,6 @@ _DOCUMENT = {
             "n": _number_or_fn,
             "mu": _float,
             "C": _float,
-            "step": _float,
         },
     ),
     "outputs": _object(

@@ -19,18 +19,6 @@ class LocatedError(GeometryError):
         self.s = s
 
 
-class NullInputError(GeometryError):
-    """An angle was requested for a null or zero vector."""
-
-
-class OppositeOrientationError(GeometryError):
-    """Hyperbolic angle requested for timelike vectors with opposite time orientation."""
-
-
-class DegenerateSpanError(GeometryError):
-    """Two spacelike vectors span a degenerate (null) plane; angle type undefined."""
-
-
 class NonOrthonormalSeedError(GeometryError):
     """Initial frame is not Lorentz-orthonormal (or has the wrong orientation)."""
 

@@ -302,7 +302,6 @@ def integrate_frenet(
     s_range: tuple[float, float] = DEFAULT_S_RANGE,
     step: float = DEFAULT_STEP,
     initial_frame: np.ndarray | None = None,
-    frame_tol: float = DEFAULT_FRAME_TOL,
 ) -> FrenetCurve:
     """Rebuild a timelike curve and its frame from k1(s) and k2(s).
 
@@ -319,9 +318,9 @@ def integrate_frenet(
         positively oriented (<T x N, B> = -1, matching the standard basis);
         a flipped orientation would silently negate every mixed product
         downstream.
-    frame_tol:
-        Integration fails with StepTooLargeError, naming the first sample
-        whose frame orthonormality defect exceeds this bound.
+
+    Integration fails with StepTooLargeError, naming the first sample whose
+    frame orthonormality defect exceeds DEFAULT_FRAME_TOL.
     """
     k1_fn = as_curvature_fn(k1)
     k2_fn = as_curvature_fn(k2)
@@ -352,11 +351,11 @@ def integrate_frenet(
     with np.errstate(over="ignore", invalid="ignore"):
         y = _rk4_frames(frame, h, k1_grid, k2_grid, k1_mid, k2_mid)
         defect = _frame_gram_defect(y[1:, 1], y[1:, 2], y[1:, 3])
-    over = np.flatnonzero(defect > frame_tol)
+    over = np.flatnonzero(defect > DEFAULT_FRAME_TOL)
     if over.size:
         i = int(over[0])
         raise StepTooLargeError(
-            f"frame defect {defect[i]:.3e} exceeds {frame_tol:.3e} at s = {s[i + 1]:.6g}; reduce the step",
+            f"frame defect {defect[i]:.3e} exceeds {DEFAULT_FRAME_TOL:.3e} at s = {s[i + 1]:.6g}; reduce the step",
             s=float(s[i + 1]),
         )
 

@@ -8,12 +8,8 @@ can be processed in one call.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DegenerateSpanError, NullInputError, OppositeOrientationError
 
 #: Default classification tolerance.  The algebra is exact only in exact
 #: arithmetic; every sign test here is taken within an explicit eps.
@@ -95,61 +91,3 @@ def causal_character(v: LVec3, eps: float = DEFAULT_EPS) -> CausalClass:
     if q > 0.0:
         return CausalClass.SPACELIKE
     return CausalClass.TIMELIKE_FUTURE if v[0] > 0.0 else CausalClass.TIMELIKE_PAST
-
-
-class AngleKind(enum.Enum):
-    HYPERBOLIC = "hyperbolic"
-    CENTRAL = "central"
-    SPACELIKE = "spacelike"
-    LORENTZIAN_TIMELIKE = "lorentzian_timelike"
-
-
-@dataclass(frozen=True)
-class AngleResult:
-    kind: AngleKind
-    value: float  # radians for SPACELIKE, rapidity otherwise; always >= 0
-
-
-_TIMELIKE = (CausalClass.TIMELIKE_FUTURE, CausalClass.TIMELIKE_PAST)
-
-
-def lorentz_angle(x: LVec3, y: LVec3, eps: float = DEFAULT_EPS) -> AngleResult:
-    """Dispatch on causal characters and return the appropriate angle type.
-
-    Two co-oriented timelike vectors give the hyperbolic angle from
-    <x,y> = -|x||y| cosh(theta).  Two spacelike vectors give the central
-    angle (cosh) when they span a timelike plane and the spacelike angle
-    (cos) when the plane is spacelike; the plane type is decided by the
-    sign of the Gram determinant <x,x><y,y> - <x,y>^2.  A mixed pair gives
-    the Lorentzian timelike angle from sinh(theta).  Inverse branches are
-    always nonnegative; in the central and mixed cases |<x,y>| is used so
-    the angle is that of the spanned lines.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    cx = causal_character(x, eps)
-    cy = causal_character(y, eps)
-    if cx in (CausalClass.NULL, CausalClass.ZERO) or cy in (CausalClass.NULL, CausalClass.ZERO):
-        raise NullInputError(f"lorentz_angle undefined for {cx.value} / {cy.value} inputs")
-
-    nx = float(lorentz_norm(x))
-    ny = float(lorentz_norm(y))
-    ip = float(lorentz_inner(x, y))
-
-    if cx in _TIMELIKE and cy in _TIMELIKE:
-        if cx is not cy:
-            raise OppositeOrientationError("timelike pair has opposite time orientation")
-        c = -ip / (nx * ny)
-        return AngleResult(AngleKind.HYPERBOLIC, math.acosh(max(c, 1.0)))
-
-    if cx is CausalClass.SPACELIKE and cy is CausalClass.SPACELIKE:
-        gram = float(lorentz_inner(x, x)) * float(lorentz_inner(y, y)) - ip * ip
-        g = gram / (nx * ny) ** 2  # scale-free
-        if abs(g) <= eps:
-            raise DegenerateSpanError("spacelike pair spans a degenerate plane")
-        if g < 0.0:
-            return AngleResult(AngleKind.CENTRAL, math.acosh(max(abs(ip) / (nx * ny), 1.0)))
-        c = min(max(ip / (nx * ny), -1.0), 1.0)
-        return AngleResult(AngleKind.SPACELIKE, math.acos(c))
-
-    return AngleResult(AngleKind.LORENTZIAN_TIMELIKE, math.asinh(abs(ip) / (nx * ny)))

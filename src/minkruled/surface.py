@@ -30,16 +30,18 @@ from .errors import (
     DevelopableRulingError,
     GridMismatchError,
     NotUnitTimelikeError,
-    SingularPointError,
     TangentRulingError,
     ThetaSingularityError,
 )
 from .frenet import FrenetCurve
-from .lorentz import lorentz_cross, lorentz_inner, lorentz_norm, mixed_product
+from .lorentz import lorentz_inner, mixed_product
 
 #: Guard against the coth(theta) singularity; tracks with |theta| below this
 #: are rejected outright rather than clamped.
 THETA_MIN = 1e-6
+
+#: Cylindrical threshold on <q',q'>; the numeric route scales it by max|q|^2.
+CYL_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -63,17 +65,6 @@ def finite_difference(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _fd_at(values: np.ndarray, i: int, h: float) -> np.ndarray:
-    n = values.shape[0]
-    if n < 3:
-        raise ValueError("need at least 3 samples for finite differences")
-    if i == 0:
-        return (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-    if i == n - 1:
-        return (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
-    return (values[i + 1] - values[i - 1]) / (2.0 * h)
-
-
 # ---------------------------------------------------------------------------
 # data types
 # ---------------------------------------------------------------------------
@@ -88,7 +79,6 @@ class AngleTrack:
     phi: np.ndarray
     theta_prime: np.ndarray
     phi_prime: np.ndarray
-    theta_min: float = THETA_MIN
 
     def __post_init__(self):
         for name in ("s", "theta", "phi", "theta_prime", "phi_prime"):
@@ -99,16 +89,22 @@ class AngleTrack:
         ):
             raise ValueError("angle track contains non-finite samples")
         worst = float(np.min(np.abs(self.theta)))
-        if worst < self.theta_min:
+        if worst < THETA_MIN:
             i = int(np.argmin(np.abs(self.theta)))
             raise ThetaSingularityError(
-                f"|theta| = {worst:.3e} below guard {self.theta_min:.1e} at s = {self.s[i]:.6g}",
+                f"|theta| = {worst:.3e} below guard {THETA_MIN:.1e} at s = {self.s[i]:.6g}",
                 s=float(self.s[i]),
             )
 
     @property
     def n_samples(self) -> int:
         return self.s.shape[0]
+
+
+def require_same_grid(track: AngleTrack, directrix: FrenetCurve) -> None:
+    """Raise GridMismatchError unless the track samples the directrix grid."""
+    if track.n_samples != directrix.n_samples or not np.allclose(track.s, directrix.s, atol=1e-12):
+        raise GridMismatchError("angle track and directrix grids differ")
 
 
 @dataclass(frozen=True)
@@ -127,10 +123,8 @@ class RuledSurfaceGrid:
         worst = float(np.max(np.abs(lorentz_inner(self.q, self.q) + 1.0)))
         if worst > 1e-9:
             raise NotUnitTimelikeError(f"|<q,q> + 1| up to {worst:.3e} exceeds 1e-9")
-        if self.track is not None and (
-            self.track.n_samples != n or not np.allclose(self.track.s, self.directrix.s, atol=1e-12)
-        ):
-            raise GridMismatchError("angle track and directrix grids differ")
+        if self.track is not None:
+            require_same_grid(self.track, self.directrix)
 
     @property
     def s(self) -> np.ndarray:
@@ -222,68 +216,9 @@ def angles_from_ruling(T, N, B, q, *, tol: float = 1e-9) -> tuple[float, float]:
     return theta, phi
 
 
-def evaluate_surface(surface: RuledSurfaceGrid, i: int, v: float) -> np.ndarray:
-    """Point r(s_i, v) = k_i + v q_i."""
-    if not 0 <= i < surface.n_samples:
-        raise IndexError(f"sample index {i} out of range [0, {surface.n_samples})")
-    return surface.directrix.k[i] + v * surface.q[i]
-
-
-def surface_normal(surface: RuledSurfaceGrid, i: int, v: float, h: float | None = None, *, tol: float = 1e-9) -> np.ndarray:
-    """Unit normal (r_s cross r_v) / |r_s cross r_v| at (s_i, v).
-
-    r_s is taken by finite differences at the grid spacing; r_v = q_i.
-    """
-    if not 0 <= i < surface.n_samples:
-        raise IndexError(f"sample index {i} out of range [0, {surface.n_samples})")
-    if h is None:
-        h = surface.step
-    r = surface.directrix.k + v * surface.q
-    r_s = _fd_at(r, i, h)
-    c = lorentz_cross(r_s, surface.q[i])
-    nrm = float(lorentz_norm(c))
-    if nrm < tol:
-        raise SingularPointError(f"|r_s cross r_v| = {nrm:.3e} at sample {i}, v = {v}")
-    return c / nrm
-
-
-def asymptotic_direction(surface: RuledSurfaceGrid, i: int, h: float | None = None, *, tol: float = 1e-6) -> np.ndarray:
-    """Limit normal along the ruling, (q' cross q) / |q'|, q' by differences."""
-    if not 0 <= i < surface.n_samples:
-        raise IndexError(f"sample index {i} out of range [0, {surface.n_samples})")
-    if h is None:
-        h = surface.step
-    qp = _fd_at(surface.q, i, h)
-    nq = float(lorentz_norm(qp))
-    if nq < tol:
-        raise CylindricalRulingError(f"|q'| = {nq:.3e} below tolerance at sample {i}")
-    return lorentz_cross(qp, surface.q[i]) / nq
-
-
 # ---------------------------------------------------------------------------
 # analytic derivative of the ruling
 # ---------------------------------------------------------------------------
-
-
-def frame_derivatives(T, N, B, phi, phi_prime, k1, k2):
-    """Derivatives of the normal m and the in-plane direction A.
-
-    m' = k1 cos(phi) T + (phi' + k2) A
-    A' = -k1 sin(phi) T - (phi' + k2) m
-    """
-    T = np.asarray(T, dtype=float)
-    N = np.asarray(N, dtype=float)
-    B = np.asarray(B, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    p = (np.asarray(phi_prime, dtype=float) + np.asarray(k2, dtype=float))[..., None]
-    sp = np.sin(phi)[..., None]
-    cp = np.cos(phi)[..., None]
-    k1c = np.asarray(k1, dtype=float)[..., None]
-    A = -sp * N + cp * B
-    m = cp * N + sp * B
-    m_prime = k1c * cp * T + p * A
-    A_prime = -k1c * sp * T - p * m
-    return m_prime, A_prime
 
 
 def qprime_norm_sq(theta, phi, theta_prime, phi_prime, k1, k2):
@@ -340,17 +275,16 @@ def q_prime_analytic(T, N, B, theta, phi, theta_prime, phi_prime, k1, k2):
 # ---------------------------------------------------------------------------
 
 
-def invariants_analytic(track: AngleTrack, directrix: FrenetCurve, *, cyl_tol: float = 1e-12) -> SurfaceInvariants:
+def invariants_analytic(track: AngleTrack, directrix: FrenetCurve) -> SurfaceInvariants:
     """Invariants from the angle track via the closed forms
 
         v0 = sinh(theta) (theta' - k1 sin(phi)) / <q',q'>
         d  = sinh(theta) (k1 cosh(theta) cos(phi) - (phi'+k2) sinh(theta)) / <q',q'>
     """
-    if track.n_samples != directrix.n_samples or not np.allclose(track.s, directrix.s, atol=1e-12):
-        raise GridMismatchError("angle track and directrix grids differ")
+    require_same_grid(track, directrix)
     k1, k2 = directrix.k1, directrix.k2
     norm_sq = qprime_norm_sq(track.theta, track.phi, track.theta_prime, track.phi_prime, k1, k2)
-    if float(np.min(norm_sq)) <= cyl_tol:
+    if float(np.min(norm_sq)) <= CYL_TOL:
         i = int(np.argmin(norm_sq))
         raise CylindricalRulingError(
             f"<q',q'> = {norm_sq[i]:.3e} at s = {track.s[i]:.6g}: ruling is cylindrical"
@@ -373,24 +307,21 @@ def invariants_analytic(track: AngleTrack, directrix: FrenetCurve, *, cyl_tol: f
     )
 
 
-def invariants_numeric(surface: RuledSurfaceGrid, h: float | None = None, *, cyl_tol: float | None = None) -> SurfaceInvariants:
+def invariants_numeric(surface: RuledSurfaceGrid) -> SurfaceInvariants:
     """Invariants recomputed from raw (k_i, q_i) samples only.
 
-    k' and q' come from finite differences (one-sided at the endpoints);
-    then d = <k' cross q, q'> / <q',q'> and v0 = -<k',q'> / <q',q'>.
-    Samples with <q',q'> below the cylindrical tolerance are flagged and
-    carry NaN instead of poisoning the statistics.
+    k' and q' come from finite differences at the grid step (one-sided at
+    the endpoints); then d = <k' cross q, q'> / <q',q'> and
+    v0 = -<k',q'> / <q',q'>.  Samples with <q',q'> below the cylindrical
+    tolerance are flagged and carry NaN instead of poisoning the statistics.
     """
-    if h is None:
-        h = surface.step
+    h = surface.step
     q = surface.q
     kp = finite_difference(surface.directrix.k, h)
     qp = finite_difference(q, h)
     qq = lorentz_inner(qp, qp)
-    if cyl_tol is None:
-        scale = max(1.0, float(np.max(np.abs(q))))
-        cyl_tol = 1e-12 * scale * scale
-    cylindrical = qq < cyl_tol
+    scale = max(1.0, float(np.max(np.abs(q))))
+    cylindrical = qq < CYL_TOL * scale * scale
     if bool(np.all(cylindrical)):
         raise AllCylindricalError("every sample is cylindrical; invariants undefined")
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -40,7 +40,6 @@ import numpy as np
 from .errors import (
     DegenerateAngleError,
     DegenerateDenominatorError,
-    GridMismatchError,
     IntegrationDivergedError,
     NoSolutionError,
     ParamDomainError,
@@ -49,7 +48,7 @@ from .errors import (
     TorsionVanishesError,
 )
 from .frenet import Constant, CurvatureFn, FrenetCurve, as_curvature_fn
-from .surface import THETA_MIN, AngleTrack, RuledSurfaceGrid, finite_difference, ruling_from_angles
+from .surface import THETA_MIN, AngleTrack, RuledSurfaceGrid, finite_difference, require_same_grid, ruling_from_angles
 
 #: Abort threshold for |theta|; the determining systems blow up in finite s
 #: once sinh(theta) dominates, and past this value the surface is numerically
@@ -91,7 +90,6 @@ class SynthesisParams:
     n: CurvatureFn | float | None = None
     mu: float | None = None
     C: float | None = None
-    step: float | None = None
 
 
 def param_values(p: CurvatureFn | float, s) -> np.ndarray:
@@ -206,18 +204,18 @@ def _coefficients(kind: SystemKind, params: SynthesisParams, s, k2) -> np.ndarra
         return np.column_stack([v0 / denom, -d / denom])
 
 
-def _rhs(theta: float, phi: float, s: float, c, pinned: bool, theta_min: float, theta_max: float) -> tuple[float, float]:
+def _rhs(theta: float, phi: float, s: float, c, pinned: bool) -> tuple[float, float]:
     """The general system for c = (k1, k2, a, b), with every state guard."""
     k1, k2, a, b = c
-    if not (math.isfinite(theta) and math.isfinite(phi)) or abs(theta) > theta_max:
+    if not (math.isfinite(theta) and math.isfinite(phi)) or abs(theta) > THETA_MAX:
         raise IntegrationDivergedError(
             f"theta = {theta:.6g}, phi = {phi:.6g} at s = {s:.6g}: the prescribed system blows up "
             "in finite arc length on this interval",
             s=s,
         )
-    if abs(theta) < theta_min:
+    if abs(theta) < THETA_MIN:
         raise ThetaSingularityError(
-            f"|theta| = {abs(theta):.3e} below guard {theta_min:.1e} at s = {s:.6g}", s=s
+            f"|theta| = {abs(theta):.3e} below guard {THETA_MIN:.1e} at s = {s:.6g}", s=s
         )
     if math.isnan(a):
         raise ParamDomainError(f"d^2 + v0^2 = 0 at s = {s:.6g}")
@@ -235,18 +233,15 @@ def system_rhs(
     params: SynthesisParams,
     k1: float,
     k2: float,
-    *,
-    theta_min: float = THETA_MIN,
-    theta_max: float = THETA_MAX,
 ) -> tuple[float, float]:
     """Right-hand side (theta', phi') of the determining system ``kind``.
 
     Every seeded kind evaluates the general system with its prescribed
     (d, v0); the asymptotic mode keeps phi pinned (phi' = 0).  Raises
-    ThetaSingularityError when |theta| < theta_min (coth(theta) blows up;
+    ThetaSingularityError when |theta| < THETA_MIN (coth(theta) blows up;
     the pinned asymptotic mode is guarded for consistency because
     sinh(theta) = 0 degenerates the ruling as well), IntegrationDivergedError
-    when |theta| > theta_max or either angle is not finite, and
+    when |theta| > THETA_MAX or either angle is not finite, and
     ParamDomainError where d^2 + v0^2 = 0.  These are the only state guards
     of the integration: they run on every stage value, so a diverging state
     cannot overflow sinh mid-step.
@@ -255,17 +250,10 @@ def system_rhs(
         raise ValueError(f"{kind.value} has no ODE right-hand side; it is built in closed form")
     a, b = _coefficients(kind, params, np.array([float(s)]), np.array([float(k2)]))[0]
     pinned = kind is SystemKind.ASYMPTOTIC_LINE
-    return _rhs(theta, phi, s, (k1, k2, float(a), float(b)), pinned, theta_min, theta_max)
+    return _rhs(theta, phi, s, (k1, k2, float(a), float(b)), pinned)
 
 
-def integrate_system(
-    kind: SystemKind,
-    params: SynthesisParams,
-    directrix: FrenetCurve,
-    *,
-    theta_min: float = THETA_MIN,
-    theta_max: float = THETA_MAX,
-) -> AngleTrack:
+def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: FrenetCurve) -> AngleTrack:
     """Solve the determining system along the directrix grid.
 
     Seeded kinds run fixed-step 4th-order integration of the general system,
@@ -273,16 +261,15 @@ def integrate_system(
     prescribed (d, v0); the asymptotic mode integrates theta alone with phi
     pinned at pi/2; the line-of-curvature mode is assembled in closed form.
     The returned track stores (theta', phi') from the right-hand side at
-    every sample.
+    every sample.  A track aborts where |theta| leaves
+    [THETA_MIN, THETA_MAX] (see ``system_rhs``).
     """
     validate_params(kind, params)
     s = directrix.s
     h = directrix.step
-    if params.step is not None and abs(params.step - h) > 1e-12 * max(1.0, h):
-        raise GridMismatchError(f"params.step = {params.step} but directrix step = {h}")
 
     if not KINDS[kind].seeded:
-        return _line_of_curvature_track(params, directrix, theta_min=theta_min)
+        return _line_of_curvature_track(params, directrix)
 
     phi0 = float(params.phi0)
     pinned = kind is SystemKind.ASYMPTOTIC_LINE
@@ -315,21 +302,21 @@ def integrate_system(
     c_node, c_mid = coeffs(s), coeffs(mid)
     grid, mid = s.tolist(), mid.tolist()
     t, p = float(params.theta0), phi0
-    a1, b1 = _rhs(t, p, grid[0], c_node[0], pinned, theta_min, theta_max)
+    a1, b1 = _rhs(t, p, grid[0], c_node[0], pinned)
     rows = [(t, p, a1, b1)]
     for i in range(len(grid) - 1):
-        a2, b2 = _rhs(t + (0.5 * h) * a1, p + (0.5 * h) * b1, mid[i], c_mid[i], pinned, theta_min, theta_max)
-        a3, b3 = _rhs(t + (0.5 * h) * a2, p + (0.5 * h) * b2, mid[i], c_mid[i], pinned, theta_min, theta_max)
-        a4, b4 = _rhs(t + h * a3, p + h * b3, grid[i + 1], c_node[i + 1], pinned, theta_min, theta_max)
+        a2, b2 = _rhs(t + (0.5 * h) * a1, p + (0.5 * h) * b1, mid[i], c_mid[i], pinned)
+        a3, b3 = _rhs(t + (0.5 * h) * a2, p + (0.5 * h) * b2, mid[i], c_mid[i], pinned)
+        a4, b4 = _rhs(t + h * a3, p + h * b3, grid[i + 1], c_node[i + 1], pinned)
         t = t + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         p = p + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        a1, b1 = _rhs(t, p, grid[i + 1], c_node[i + 1], pinned, theta_min, theta_max)
+        a1, b1 = _rhs(t, p, grid[i + 1], c_node[i + 1], pinned)
         rows.append((t, p, a1, b1))
     theta, phi, theta_p, phi_p = np.array(rows).T.copy()
-    return AngleTrack(s=s.copy(), theta=theta, phi=phi, theta_prime=theta_p, phi_prime=phi_p, theta_min=theta_min)
+    return AngleTrack(s=s.copy(), theta=theta, phi=phi, theta_prime=theta_p, phi_prime=phi_p)
 
 
-def _line_of_curvature_track(params: SynthesisParams, directrix: FrenetCurve, *, theta_min: float) -> AngleTrack:
+def _line_of_curvature_track(params: SynthesisParams, directrix: FrenetCurve) -> AngleTrack:
     s = directrix.s
     _, k2_fn = directrix.curvature_fns()
     phi = line_of_curvature_phi(k2_fn, float(params.C), s)
@@ -343,22 +330,16 @@ def _line_of_curvature_track(params: SynthesisParams, directrix: FrenetCurve, *,
         i = int(np.argmax(np.abs(arg)))
         raise NoSolutionError(f"|n k1 cos(phi)| = {abs(arg[i]):.6g} >= 1 at s = {s[i]:.6g}")
     theta = np.arctanh(arg)
-    if float(np.min(np.abs(theta))) < theta_min:
-        i = int(np.argmin(np.abs(theta)))
-        raise ThetaSingularityError(
-            f"|theta| below guard at s = {s[i]:.6g}", s=float(s[i])
-        )
     # theta' has no closed form without k1'; second-order differences are
     # enough for the analytic invariants, which tolerate O(h^2) here.
     theta_p = finite_difference(theta, directrix.step)
     phi_p = -np.asarray(directrix.k2, dtype=float)
-    return AngleTrack(s=s.copy(), theta=theta, phi=phi, theta_prime=theta_p, phi_prime=phi_p, theta_min=theta_min)
+    return AngleTrack(s=s.copy(), theta=theta, phi=phi, theta_prime=theta_p, phi_prime=phi_p)
 
 
 def build_surface(track: AngleTrack, directrix: FrenetCurve) -> RuledSurfaceGrid:
     """Realize the track as a ruling field q_i on the directrix grid."""
-    if track.n_samples != directrix.n_samples or not np.allclose(track.s, directrix.s, atol=1e-12):
-        raise GridMismatchError("angle track and directrix grids differ")
+    require_same_grid(track, directrix)
     q, _, _ = ruling_from_angles(directrix.T, directrix.N, directrix.B, track.theta, track.phi)
     return RuledSurfaceGrid(directrix=directrix, q=q, track=track)
 

@@ -199,7 +199,7 @@ def recompute_report(
             failures=tuple(failures),
         )
 
-    inv = invariants_numeric(surface, h)
+    inv = invariants_numeric(surface)
     usable = ~inv.cylindrical
     spec = KINDS[kind]
     prescribed = spec.prescribe(params, surface.s, surface.directrix.k2)

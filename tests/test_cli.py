@@ -150,6 +150,7 @@ UNKNOWN_KEYS = [
     pytest.param(("directrix", "initial_frame"), "origin", "directrix.initial_frame.origin", id="initial-frame"),
     pytest.param(("outputs", "mesh"), "v_sample", "outputs.mesh.v_sample", id="mesh"),
     pytest.param(("tolerances", "defects"), "helx", "tolerances.defects.helx", id="defect-name"),
+    pytest.param(("params",), "step", "params.step", id="params-step"),
 ]
 
 

@@ -200,7 +200,7 @@ class TestIntegrateFrenet:
 
     def test_step_too_large(self):
         with pytest.raises(StepTooLargeError) as err:
-            integrate_frenet(5.0, 0.0, s_range=(0.0, 1.0), step=0.25, frame_tol=1e-9)
+            integrate_frenet(5.0, 0.0, s_range=(0.0, 1.0), step=0.25)
         assert err.value.s == 0.25
 
     def test_grid_must_divide_evenly(self):

@@ -6,17 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minkruled import (
-    AngleKind,
     CausalClass,
     causal_character,
-    lorentz_angle,
     lorentz_cross,
     lorentz_inner,
     lorentz_norm,
     lvec,
     mixed_product,
 )
-from minkruled.errors import DegenerateSpanError, NullInputError, OppositeOrientationError
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 vectors = st.tuples(coords, coords, coords).map(lambda t: lvec(*t))
@@ -119,62 +116,3 @@ class TestCross:
             x, y, z = rng.uniform(-2, 2, size=(3, 3))
             det = np.linalg.det(np.stack([x, y, z]))
             assert mixed_product(x, y, z) == pytest.approx(-det, abs=1e-12)
-
-
-class TestAngle:
-    def test_hyperbolic_boost(self):
-        r = lorentz_angle(lvec(1, 0, 0), lvec(math.cosh(1), math.sinh(1), 0))
-        assert r.kind is AngleKind.HYPERBOLIC
-        assert r.value == pytest.approx(1.0)
-
-    def test_spacelike_right_angle(self):
-        r = lorentz_angle(lvec(0, 1, 0), lvec(0, 0, 1))
-        assert r.kind is AngleKind.SPACELIKE
-        assert r.value == pytest.approx(math.pi / 2)
-
-    def test_lorentzian_timelike(self):
-        r = lorentz_angle(lvec(0, 1, 0), lvec(math.cosh(1), math.sinh(1), 0))
-        assert r.kind is AngleKind.LORENTZIAN_TIMELIKE
-        assert r.value == pytest.approx(1.0)
-
-    def test_central_angle(self):
-        # spacelike unit pair spanning a timelike plane, separation a
-        a = 0.7
-        x = lvec(math.sinh(a), math.cosh(a), 0)
-        y = lvec(0, 1, 0)
-        r = lorentz_angle(x, y)
-        assert r.kind is AngleKind.CENTRAL
-        assert r.value == pytest.approx(a)
-
-    def test_null_input_rejected(self):
-        with pytest.raises(NullInputError):
-            lorentz_angle(lvec(1, 1, 0), lvec(0, 1, 0))
-        with pytest.raises(NullInputError):
-            lorentz_angle(lvec(0, 1, 0), lvec(0, 0, 0))
-
-    def test_opposite_orientation_rejected(self):
-        with pytest.raises(OppositeOrientationError):
-            lorentz_angle(lvec(1, 0, 0), lvec(-1, 0, 0))
-
-    def test_degenerate_span_rejected(self):
-        # x and y span a plane containing the null direction (1,1,0)
-        x = lvec(0, 0, 1)
-        y = lvec(1, 1, 1)  # = null + x, spacelike: <y,y> = -1+1+1 = 1
-        with pytest.raises(DegenerateSpanError):
-            lorentz_angle(x, y)
-
-    def test_symmetric_in_arguments(self):
-        rng = np.random.default_rng(5)
-        done = 0
-        while done < 120:
-            x = rng.uniform(-2, 2, size=3)
-            y = rng.uniform(-2, 2, size=3)
-            try:
-                r1 = lorentz_angle(x, y)
-            except (NullInputError, OppositeOrientationError, DegenerateSpanError):
-                continue
-            r2 = lorentz_angle(y, x)
-            assert r1.kind is r2.kind
-            assert r1.value == pytest.approx(r2.value, abs=1e-12)
-            assert r1.value >= 0.0
-            done += 1

@@ -7,12 +7,9 @@ from minkruled import (
     AngleTrack,
     RuledSurfaceGrid,
     angles_from_ruling,
-    asymptotic_direction,
     curvature_relations,
     dv0_from_n_mu,
     dv0_to_n_mu,
-    evaluate_surface,
-    frame_derivatives,
     integrate_frenet,
     invariants_analytic,
     invariants_numeric,
@@ -21,7 +18,6 @@ from minkruled import (
     q_prime_analytic,
     ruling_from_angles,
     striction_curve,
-    surface_normal,
 )
 from minkruled.errors import (
     AllCylindricalError,
@@ -30,7 +26,6 @@ from minkruled.errors import (
     DevelopableRulingError,
     GridMismatchError,
     NotUnitTimelikeError,
-    SingularPointError,
     TangentRulingError,
     ThetaSingularityError,
 )
@@ -112,99 +107,6 @@ class TestAnglesFromRuling:
             theta_back, phi_back = angles_from_ruling(T, N, B, q)
             assert theta_back == pytest.approx(theta, abs=1e-10)
             assert phi_back % (2 * math.pi) == pytest.approx(phi % (2 * math.pi), abs=1e-9)
-
-
-class TestEvaluateSurface:
-    def test_base_curve(self):
-        surf = planar_surface(step=1e-2)
-        assert np.array_equal(evaluate_surface(surf, 3, 0.0), surf.directrix.k[3])
-
-    def test_unit_ruling_offset(self):
-        surf = planar_surface(step=1e-2)
-        assert np.allclose(evaluate_surface(surf, 0, 1.0), [1, 0, 0])
-
-    def test_negative_parameter(self):
-        surf = planar_surface(step=1e-2)
-        expected = surf.directrix.k[5] - 2.0 * surf.q[5]
-        assert np.allclose(evaluate_surface(surf, 5, -2.0), expected)
-
-    def test_index_out_of_range(self):
-        surf = planar_surface(step=1e-2)
-        with pytest.raises(IndexError):
-            evaluate_surface(surf, surf.n_samples, 0.0)
-
-
-class TestSurfaceNormal:
-    def test_planar_surface_normal(self):
-        surf = planar_surface()
-        m = surface_normal(surf, surf.n_samples - 1, 0.0)  # s = 1
-        assert np.allclose(np.abs(m), [0, 0, 1], atol=1e-6)
-
-    def test_singular_at_tangent_ruling(self):
-        surf = planar_surface()
-        with pytest.raises(SingularPointError):
-            surface_normal(surf, 0, 0.0)  # T(0) = q there
-
-    def test_orthogonal_to_partials(self):
-        surf = planar_surface()
-        h = surf.step
-        for i in (100, 500, 900):
-            for v in (0.0, 0.7):
-                m = surface_normal(surf, i, v)
-                r = surf.directrix.k + v * surf.q
-                r_s = (r[i + 1] - r[i - 1]) / (2 * h)
-                assert abs(lorentz_inner(m, r_s)) < 1e-6
-                assert abs(lorentz_inner(m, surf.q[i])) < 1e-6
-
-
-class TestAsymptoticDirection:
-    def boost_field_surface(self):
-        curve = integrate_frenet(1.0, 0.0, s_range=(0.0, 0.5), step=1e-3)
-        q = np.stack([np.cosh(curve.s), np.sinh(curve.s), np.zeros_like(curve.s)], axis=1)
-        return RuledSurfaceGrid(directrix=curve, q=q)
-
-    def test_cylindrical_rejected(self):
-        surf = planar_surface()
-        with pytest.raises(CylindricalRulingError):
-            asymptotic_direction(surf, 10)
-
-    def test_boost_field_at_zero(self):
-        surf = self.boost_field_surface()
-        a = asymptotic_direction(surf, 0)
-        assert np.allclose(a, [0, 0, 1], atol=1e-5)
-
-    def test_orthogonal_to_ruling_and_derivative(self):
-        surf = self.boost_field_surface()
-        h = surf.step
-        for i in (50, 200, 400):
-            a = asymptotic_direction(surf, i)
-            qp = (surf.q[i + 1] - surf.q[i - 1]) / (2 * h)
-            assert abs(lorentz_inner(a, surf.q[i])) < 1e-8
-            assert abs(lorentz_inner(a, qp)) < 1e-8
-
-
-class TestFrameDerivatives:
-    def test_line_of_curvature_slope(self):
-        k1, k2 = 0.7, 0.3
-        m_prime, _ = frame_derivatives(E1, E2, E3, 0.0, -k2, k1, k2)
-        assert np.allclose(m_prime, k1 * E1)
-
-    def test_vanishing_limit(self):
-        m_prime, A_prime = frame_derivatives(E1, E2, E3, 0.4, -0.3, 0.0, 0.3)
-        assert np.allclose(m_prime, 0.0)
-        assert np.allclose(A_prime, 0.0)
-
-    def test_unit_vector_derivative_orthogonality(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            T, N, B = random_boosted_frame(rng)
-            phi = rng.uniform(0, 2 * math.pi)
-            pp, k1, k2 = rng.uniform(-2, 2, 3)
-            m_prime, A_prime = frame_derivatives(T, N, B, phi, pp, k1, k2)
-            m = math.cos(phi) * N + math.sin(phi) * B
-            A = -math.sin(phi) * N + math.cos(phi) * B
-            assert abs(lorentz_inner(m_prime, m)) < 1e-12
-            assert abs(lorentz_inner(A_prime, A)) < 1e-12
 
 
 class TestQPrimeAnalytic:
@@ -378,6 +280,19 @@ class TestTrackAndGridValidation:
         q = np.tile(lvec(1, 0, 0), (curve.n_samples - 1, 1))
         with pytest.raises(GridMismatchError):
             RuledSurfaceGrid(directrix=curve, q=q)
+
+    def test_track_on_other_grid_rejected_by_surface(self):
+        curve = integrate_frenet(1.0, 0.0, s_range=(0.0, 0.1), step=1e-2)
+        q = np.tile(lvec(1, 0, 0), (curve.n_samples, 1))
+        track = linear_theta_track(curve.s[:-1], 1.0, 0.0, 0.0)
+        with pytest.raises(GridMismatchError):
+            RuledSurfaceGrid(directrix=curve, q=q, track=track)
+
+    def test_track_on_other_grid_rejected_by_analytic_invariants(self):
+        curve = integrate_frenet(1.0, 1.0, s_range=(0.0, 0.4), step=1e-3)
+        track = linear_theta_track(curve.s + 0.1, 1.0, 2.0, math.pi / 2)
+        with pytest.raises(GridMismatchError):
+            invariants_analytic(track, curve)
 
 
 class TestCurvatureRelations:

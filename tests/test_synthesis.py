@@ -170,11 +170,6 @@ class TestGeneralMode:
         with pytest.raises(ParamDomainError):
             integrate_system(SystemKind.GENERAL_DV0, SynthesisParams(theta0=1.0, d=0.5), unit_directrix)
 
-    def test_step_mismatch_rejected(self, unit_directrix):
-        params = SynthesisParams(theta0=1.0, phi0=0.2, d=0.5, v0=0.3, step=2e-3)
-        with pytest.raises(GridMismatchError):
-            integrate_system(SystemKind.GENERAL_DV0, params, unit_directrix)
-
 
 class TestStrictionAndDevelopable:
     def test_striction_mode(self, unit_directrix):
@@ -324,6 +319,15 @@ class TestLineOfCurvature:
         lhs = np.tanh(track.theta) / np.cos(track.phi)
         assert np.max(np.abs(lhs - 1.0 * curve.k1)) < 1e-12
         assert np.array_equal(track.phi_prime, -curve.k2)
+
+    def test_theta_guard_names_nearest_sample(self):
+        # phi = C - 0.1 s passes pi/2 + 3e-7 at s = 0.5, where
+        # |theta| = |artanh(n k1 cos(phi))| is about 2.4e-7, below THETA_MIN
+        curve = integrate_frenet(0.8, 0.1, s_range=(0.0, 1.0), step=1e-3)
+        params = SynthesisParams(n=1.0, C=math.pi / 2 + 0.05 + 3e-7)
+        with pytest.raises(ThetaSingularityError) as err:
+            integrate_system(SystemKind.LINE_OF_CURVATURE, params, curve)
+        assert err.value.s == 0.5
 
 
 class TestPhiFromThetaMu:
