@@ -138,11 +138,7 @@ _FUNCTIONS = {
         {"amplitude": _float, "frequency": _float, "phase": _float, "offset": _float},
         ("amplitude", "frequency"),
     ),
-    "samples": (
-        lambda s, values: Samples(s, values),
-        {"s": _floats(increasing=True), "values": _floats()},
-        ("s", "values"),
-    ),
+    "samples": (Samples, {"s": _floats(increasing=True), "values": _floats()}, ("s", "values")),
 }
 
 

@@ -12,6 +12,7 @@ with <T,T> = -1 and <N,N> = <B,B> = 1.  Integration is fixed-step classical
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -38,26 +39,31 @@ MAX_STEPS = 1_000_000
 
 
 class CurvatureFn:
-    """A scalar function of arc length, evaluable anywhere on the interval."""
+    """A scalar function of arc length, evaluable anywhere on the interval.
+
+    Subclasses are dataclasses that define ``_at(s)`` on a float array; a
+    0-d input gives a float.  Their JSON spec is the lowercased class name
+    as ``type`` plus one entry per field.
+    """
 
     def __call__(self, s):
-        raise NotImplementedError
+        out = self._at(np.asarray(s, dtype=float))
+        return float(out) if out.ndim == 0 else out
 
     def to_spec(self) -> dict:
-        raise NotImplementedError
+        spec = {"type": type(self).__name__.lower()}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            spec[f.name] = float(value) if np.ndim(value) == 0 else [float(v) for v in value]
+        return spec
 
 
 @dataclass(frozen=True)
 class Constant(CurvatureFn):
     value: float
 
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.full_like(s, self.value)
-        return float(out) if out.ndim == 0 else out
-
-    def to_spec(self) -> dict:
-        return {"type": "constant", "value": float(self.value)}
+    def _at(self, s):
+        return np.full_like(s, self.value)
 
 
 @dataclass(frozen=True)
@@ -66,13 +72,8 @@ class Polynomial(CurvatureFn):
 
     coefficients: tuple[float, ...]
 
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.polynomial.polynomial.polyval(s, np.asarray(self.coefficients, dtype=float))
-        return float(out) if out.ndim == 0 else out
-
-    def to_spec(self) -> dict:
-        return {"type": "polynomial", "coefficients": [float(c) for c in self.coefficients]}
+    def _at(self, s):
+        return np.polynomial.polynomial.polyval(s, np.asarray(self.coefficients, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -84,46 +85,37 @@ class Sinusoid(CurvatureFn):
     phase: float = 0.0
     offset: float = 0.0
 
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        out = self.amplitude * np.sin(self.frequency * s + self.phase) + self.offset
-        return float(out) if out.ndim == 0 else out
-
-    def to_spec(self) -> dict:
-        return {
-            "type": "sinusoid",
-            "amplitude": float(self.amplitude),
-            "frequency": float(self.frequency),
-            "phase": float(self.phase),
-            "offset": float(self.offset),
-        }
+    def _at(self, s):
+        return self.amplitude * np.sin(self.frequency * s + self.phase) + self.offset
 
 
+@dataclass(eq=False)  # numpy fields: compared by identity
 class Samples(CurvatureFn):
-    """Tabulated values, interpolated by a natural cubic spline.
+    """Tabulated values at the knots ``s``, interpolated by a natural cubic spline.
 
-    Outside ``[s_grid[0], s_grid[-1]]`` the end cubics extrapolate.
+    Outside ``[s[0], s[-1]]`` the end cubics extrapolate.
     """
 
-    def __init__(self, s_grid, values):
-        s_grid = np.asarray(s_grid, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if s_grid.ndim != 1 or s_grid.shape != values.shape or len(s_grid) < 2:
-            raise ValueError("s_grid and values must be matching 1-d arrays of at least 2 knots")
-        if not (np.isfinite(s_grid).all() and np.isfinite(values).all()):
-            raise ValueError("s_grid and values must be finite")
-        h = np.diff(s_grid)
+    s: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.s = s = np.asarray(self.s, dtype=float)
+        self.values = values = np.asarray(self.values, dtype=float)
+        if s.ndim != 1 or s.shape != values.shape or len(s) < 2:
+            raise ValueError("s and values must be matching 1-d arrays of at least 2 knots")
+        if not (np.isfinite(s).all() and np.isfinite(values).all()):
+            raise ValueError("s and values must be finite")
+        h = np.diff(s)
         if not (h > 0).all():
-            raise ValueError("s_grid must be strictly increasing")
-        self.s_grid = s_grid
-        self.values = values
+            raise ValueError("s must be strictly increasing")
         # knot second derivatives m, m[0] = m[-1] = 0, by a Thomas sweep over
         # h[i-1] m[i-1] + 2 (h[i-1] + h[i]) m[i] + h[i] m[i+1] = 6 (slope[i] - slope[i-1])
         slope = np.diff(values) / h
         rhs = (6.0 * np.diff(slope)).tolist()
         diag = (2.0 * (h[:-1] + h[1:])).tolist()
         hl = h.tolist()
-        m = [0.0] * len(s_grid)
+        m = [0.0] * len(s)
         for i in range(1, len(rhs)):
             w = hl[i] / diag[i - 1]
             diag[i] -= w * hl[i]
@@ -133,20 +125,11 @@ class Samples(CurvatureFn):
         m = np.asarray(m)
         self._coef = (values[:-1], slope - h * (2.0 * m[:-1] + m[1:]) / 6.0, m[:-1] / 2.0, np.diff(m) / (6.0 * h))
 
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        i = np.clip(np.searchsorted(self.s_grid, s, side="right") - 1, 0, len(self.s_grid) - 2)
-        t = s - self.s_grid[i]
+    def _at(self, s):
+        i = np.clip(np.searchsorted(self.s, s, side="right") - 1, 0, len(self.s) - 2)
+        t = s - self.s[i]
         c0, c1, c2, c3 = self._coef
-        out = c0[i] + t * (c1[i] + t * (c2[i] + t * c3[i]))
-        return float(out) if out.ndim == 0 else out
-
-    def to_spec(self) -> dict:
-        return {
-            "type": "samples",
-            "s": [float(v) for v in self.s_grid],
-            "values": [float(v) for v in self.values],
-        }
+        return c0[i] + t * (c1[i] + t * (c2[i] + t * c3[i]))
 
 
 def as_curvature_fn(value) -> CurvatureFn:

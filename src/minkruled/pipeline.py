@@ -157,8 +157,7 @@ def sweep_grid(
     out_dir=".",
     *,
     summary_name: str = "sweep_summary.csv",
-    write_summary: bool = True,
-) -> tuple[list[SweepRow], str | None]:
+) -> tuple[list[SweepRow], str]:
     """Synthesize and verify once per seed on the grid; one CSV row per seed.
 
     The directrix is built once and shared by every seed.  Errors are
@@ -170,9 +169,8 @@ def sweep_grid(
     phi0_list = list(DEFAULT_PHI0_GRID if phi0_list is None else phi0_list)
     if not theta0_list or not phi0_list:
         raise ValueError("seed lists must be nonempty")
-    if write_summary:
-        out_dir = os.fspath(out_dir)
-        os.makedirs(out_dir, exist_ok=True)
+    out_dir = os.fspath(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
 
     # the directrix does not depend on the seed: build it once; if it cannot
     # be built, every row carries that error
@@ -219,22 +217,20 @@ def sweep_grid(
                 )
             )
 
-    summary_path = None
-    if write_summary:
-        summary_path = os.path.join(out_dir, summary_name)
-        with open(summary_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["theta0", "phi0", "verdict", "max_rel_error", "worst_defect", "failure_s", "detail"])
-            for row in rows:
-                writer.writerow(
-                    [
-                        _fmt(row.theta0),
-                        _fmt(row.phi0),
-                        row.verdict,
-                        _fmt(row.max_rel_error),
-                        _fmt(row.worst_defect),
-                        _fmt(row.failure_s),
-                        row.detail,
-                    ]
-                )
+    summary_path = os.path.join(out_dir, summary_name)
+    with open(summary_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["theta0", "phi0", "verdict", "max_rel_error", "worst_defect", "failure_s", "detail"])
+        for row in rows:
+            writer.writerow(
+                [
+                    _fmt(row.theta0),
+                    _fmt(row.phi0),
+                    row.verdict,
+                    _fmt(row.max_rel_error),
+                    _fmt(row.worst_defect),
+                    _fmt(row.failure_s),
+                    row.detail,
+                ]
+            )
     return rows, summary_path

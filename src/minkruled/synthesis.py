@@ -92,23 +92,16 @@ class SynthesisParams:
     C: float | None = None
 
 
-def param_values(p: CurvatureFn | float, s) -> np.ndarray:
-    """A number-or-function parameter evaluated at the arc lengths ``s``."""
-    if isinstance(p, CurvatureFn):
-        return np.asarray(p(s), dtype=float)
-    return np.full(np.shape(s), float(p))
-
-
 def _general(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
-    return {"d": param_values(p.d, s), "v0": param_values(p.v0, s)}
+    return {"d": as_curvature_fn(p.d)(s), "v0": as_curvature_fn(p.v0)(s)}
 
 
 def _striction(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
-    return {"d": param_values(p.d, s), "v0": np.zeros(np.shape(s))}
+    return {"d": as_curvature_fn(p.d)(s), "v0": np.zeros(np.shape(s))}
 
 
 def _developable(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
-    return {"d": np.zeros(np.shape(s)), "v0": param_values(p.v0, s)}
+    return {"d": np.zeros(np.shape(s)), "v0": as_curvature_fn(p.v0)(s)}
 
 
 def _cylinder(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
@@ -123,18 +116,27 @@ def _from_n_mu(n: np.ndarray, mu: float) -> dict[str, np.ndarray]:
 
 
 def _curvature_angle(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
-    return {**_from_n_mu(param_values(p.n, s), p.mu), "mu": np.full(np.shape(s), HALF_PI - p.mu)}
+    n = as_curvature_fn(p.n)
+    if isinstance(n, Constant) and n.value <= 0.0:
+        raise ParamDomainError("curvature_angle requires n > 0")
+    return {**_from_n_mu(n(s), p.mu), "mu": np.full(np.shape(s), HALF_PI - p.mu)}
 
 
 def _asymptotic(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
     k2 = np.asarray(k2, dtype=float)
+    if float(np.max(k2) - np.min(k2)) > 1e-9 * max(1.0, float(np.max(np.abs(k2)))):
+        raise ParamDomainError("asymptotic mode requires constant k2 along the directrix")
     if float(np.min(np.abs(k2))) < 1e-12:
         raise ParamDomainError("asymptotic mode requires k2 != 0")
+    if p.n is not None:
+        n_given, n_k2 = float(as_curvature_fn(p.n)(s[0])), -1.0 / float(k2[0])
+        if abs(n_given - n_k2) > 1e-9 * max(1.0, abs(n_given)):
+            raise ParamDomainError(f"params.n = {n_given} conflicts with -1/k2 = {n_k2}")
     return _from_n_mu(-1.0 / k2, p.mu)
 
 
 def _line_of_curvature(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
-    n = param_values(p.n, s)
+    n = as_curvature_fn(p.n)(s)
     return {"n": n, "K": 1.0 / (n * n)}
 
 
@@ -150,13 +152,17 @@ class KindSpec:
     torsion ``k2`` there: synthesis reads (d, v0) from it, and verification
     compares every entry with the recomputed invariants, except the
     ``vanishing`` ones, which are prescribed zero and reported as named
-    defects instead.
+    defects instead.  It also checks the kind's domain rules and raises
+    ParamDomainError for a prescription outside them.  ``pin`` is the
+    constant phi of a kind that holds phi fixed (phi' = 0, the seed phi0
+    ignored), so only theta is integrated; None integrates both angles.
     """
 
     params: tuple[str, ...]
     seeded: bool
     prescribe: Callable[[SynthesisParams, np.ndarray, np.ndarray], dict[str, np.ndarray]]
     vanishing: tuple[str, ...] = ()
+    pin: float | None = None
 
 
 KINDS: dict[SystemKind, KindSpec] = {
@@ -165,13 +171,17 @@ KINDS: dict[SystemKind, KindSpec] = {
     SystemKind.CURVATURE_ANGLE: KindSpec(("n", "mu"), True, _curvature_angle),
     SystemKind.DEVELOPABLE: KindSpec(("v0",), True, _developable, vanishing=("d",)),
     SystemKind.CYLINDER: KindSpec((), True, _cylinder),
-    SystemKind.ASYMPTOTIC_LINE: KindSpec(("mu",), True, _asymptotic),
+    SystemKind.ASYMPTOTIC_LINE: KindSpec(("mu",), True, _asymptotic, pin=HALF_PI),
     SystemKind.LINE_OF_CURVATURE: KindSpec(("n", "C"), False, _line_of_curvature),
 }
 
 
 def validate_params(kind: SystemKind, params: SynthesisParams) -> None:
-    """Check kind-specific domain constraints; raises ParamDomainError."""
+    """Check that the params ``kind`` needs are present and sin(mu) != 0.
+
+    Raises ParamDomainError.  The other domain rules of a kind are checked
+    where its prescription is evaluated.
+    """
     spec = KINDS[kind]
     for name in spec.params:
         if getattr(params, name) is None:
@@ -180,11 +190,6 @@ def validate_params(kind: SystemKind, params: SynthesisParams) -> None:
         raise ParamDomainError(f"{kind.value} requires params.theta0")
     if "mu" in spec.params and abs(math.sin(params.mu)) < 1e-12:
         raise ParamDomainError("sin(mu) = 0 is outside the curvature-angle domain")
-    n_constant = not isinstance(params.n, CurvatureFn) or isinstance(params.n, Constant)
-    if kind is SystemKind.CURVATURE_ANGLE and n_constant and float(param_values(params.n, 0.0)) <= 0.0:
-        raise ParamDomainError("curvature_angle requires n > 0")
-    if kind is SystemKind.LINE_OF_CURVATURE and not n_constant:
-        raise ParamDomainError("line_of_curvature takes a constant n")
 
 
 def _coefficients(kind: SystemKind, params: SynthesisParams, s, k2) -> np.ndarray:
@@ -237,20 +242,21 @@ def system_rhs(
     """Right-hand side (theta', phi') of the determining system ``kind``.
 
     Every seeded kind evaluates the general system with its prescribed
-    (d, v0); the asymptotic mode keeps phi pinned (phi' = 0).  Raises
+    (d, v0); a kind with a ``pin`` keeps phi pinned (phi' = 0).  Raises
     ThetaSingularityError when |theta| < THETA_MIN (coth(theta) blows up;
     the pinned asymptotic mode is guarded for consistency because
     sinh(theta) = 0 degenerates the ruling as well), IntegrationDivergedError
     when |theta| > THETA_MAX or either angle is not finite, and
-    ParamDomainError where d^2 + v0^2 = 0.  These are the only state guards
+    ParamDomainError where d^2 + v0^2 = 0 or where the kind's prescription
+    rejects ``params`` at (s, k2).  These are the only state guards
     of the integration: they run on every stage value, so a diverging state
     cannot overflow sinh mid-step.
     """
-    if not KINDS[kind].seeded:
+    spec = KINDS[kind]
+    if not spec.seeded:
         raise ValueError(f"{kind.value} has no ODE right-hand side; it is built in closed form")
     a, b = _coefficients(kind, params, np.array([float(s)]), np.array([float(k2)]))[0]
-    pinned = kind is SystemKind.ASYMPTOTIC_LINE
-    return _rhs(theta, phi, s, (k1, k2, float(a), float(b)), pinned)
+    return _rhs(theta, phi, s, (k1, k2, float(a), float(b)), spec.pin is not None)
 
 
 def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: FrenetCurve) -> AngleTrack:
@@ -258,8 +264,8 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
 
     Seeded kinds run fixed-step 4th-order integration of the general system,
     with (a, b) evaluated once at the samples and step midpoints from the
-    prescribed (d, v0); the asymptotic mode integrates theta alone with phi
-    pinned at pi/2; the line-of-curvature mode is assembled in closed form.
+    prescribed (d, v0); a kind with a ``pin`` integrates theta alone with
+    phi held there; the line-of-curvature mode is assembled in closed form.
     The returned track stores (theta', phi') from the right-hand side at
     every sample.  A track aborts where |theta| leaves
     [THETA_MIN, THETA_MAX] (see ``system_rhs``).
@@ -267,28 +273,12 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
     validate_params(kind, params)
     s = directrix.s
     h = directrix.step
+    spec = KINDS[kind]
 
-    if not KINDS[kind].seeded:
+    if not spec.seeded:
         return _line_of_curvature_track(params, directrix)
 
-    phi0 = float(params.phi0)
-    pinned = kind is SystemKind.ASYMPTOTIC_LINE
-    if pinned:
-        phi0 = HALF_PI
-        k2_grid = directrix.k2
-        span = float(np.max(k2_grid) - np.min(k2_grid))
-        if span > 1e-9 * max(1.0, float(np.max(np.abs(k2_grid)))):
-            raise ParamDomainError("asymptotic mode requires constant k2 along the directrix")
-        k2_const = float(k2_grid[0])
-        if abs(k2_const) < 1e-12:
-            raise ParamDomainError("asymptotic mode requires k2 != 0")
-        if params.n is not None:
-            n_given = float(param_values(params.n, float(s[0])))
-            if abs(n_given + 1.0 / k2_const) > 1e-9 * max(1.0, abs(n_given)):
-                raise ParamDomainError(
-                    f"params.n = {n_given} conflicts with -1/k2 = {-1.0 / k2_const}"
-                )
-
+    pinned = spec.pin is not None
     # RK4 on the two angles as Python floats; (k1, k2, a, b) are evaluated
     # once at the samples and step midpoints, and the derivative at a sample
     # is the first stage of the step leaving it.
@@ -301,7 +291,7 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
 
     c_node, c_mid = coeffs(s), coeffs(mid)
     grid, mid = s.tolist(), mid.tolist()
-    t, p = float(params.theta0), phi0
+    t, p = float(params.theta0), spec.pin if pinned else float(params.phi0)
     a1, b1 = _rhs(t, p, grid[0], c_node[0], pinned)
     rows = [(t, p, a1, b1)]
     for i in range(len(grid) - 1):
@@ -317,10 +307,13 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
 
 
 def _line_of_curvature_track(params: SynthesisParams, directrix: FrenetCurve) -> AngleTrack:
+    n_fn = as_curvature_fn(params.n)
+    if not isinstance(n_fn, Constant):
+        raise ParamDomainError("line_of_curvature takes a constant n")
     s = directrix.s
     _, k2_fn = directrix.curvature_fns()
     phi = line_of_curvature_phi(k2_fn, float(params.C), s)
-    n = float(param_values(params.n, float(s[0])))
+    n = float(n_fn.value)
     cos_phi = np.cos(phi)
     if float(np.min(np.abs(cos_phi))) < 1e-12:
         i = int(np.argmin(np.abs(cos_phi)))

@@ -9,6 +9,7 @@ separately.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field as dc_field
@@ -23,7 +24,7 @@ from .surface import (
     finite_difference,
     invariants_numeric,
 )
-from .synthesis import KINDS, SynthesisParams, SystemKind, helix_relation_defect
+from .synthesis import KINDS, SynthesisParams, SystemKind
 
 #: Default pass tolerances at grid step 1e-3.  Finite-difference recovery is
 #: O(h^2), so rescale these when running at other steps.
@@ -84,16 +85,8 @@ class ErrorStats:
     def to_dict(self) -> dict:
         # non-finite values (e.g. relative error of a zero prescription) are
         # not representable in strict JSON; serialize them as null
-        def clean(x: float):
-            return x if math.isfinite(x) else None
-
-        return {
-            "max_abs": clean(self.max_abs),
-            "max_rel": clean(self.max_rel),
-            "mean_abs": clean(self.mean_abs),
-            "endpoint_max_abs": clean(self.endpoint_max_abs),
-            "margin": clean(self.margin),
-        }
+        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {name: x if math.isfinite(x) else None for name, x in values.items()}
 
 
 @dataclass(frozen=True)
@@ -171,9 +164,11 @@ def recompute_report(
 
     A failed comparison yields a fail verdict, never an exception; only a
     fully cylindrical surface submitted to a non-cylinder kind propagates
-    AllCylindricalError.  The Chasles angle recomputed from (d, v0) is
-    compared against the complement of a prescribed mu (the two angle
-    conventions are complementary; the report uses absolute radians there).
+    AllCylindricalError, and a prescription the kind rejects (see
+    ``KindSpec.prescribe``) raises ParamDomainError.  The Chasles angle
+    recomputed from (d, v0) is compared against the complement of a
+    prescribed mu (the two angle conventions are complementary; the report
+    uses absolute radians there).
     """
     tol = tolerances if tolerances is not None else Tolerances()
     h = surface.step
@@ -235,7 +230,6 @@ class SpecialCase(enum.Enum):
     GEODESIC = "geodesic"
     ASYMPTOTIC_LINE = "asymptotic_line"
     LINE_OF_CURVATURE = "line_of_curvature"
-    HELIX = "helix"
 
 
 def _normals_along_directrix(surface: RuledSurfaceGrid) -> np.ndarray:
@@ -250,20 +244,13 @@ def _normals_along_directrix(surface: RuledSurfaceGrid) -> np.ndarray:
     return c / nrm[:, None]
 
 
-def special_case_defects(
-    surface: RuledSurfaceGrid,
-    case: SpecialCase,
-    *,
-    theta: float | None = None,
-    mu: float | None = None,
-) -> dict[str, float]:
+def special_case_defects(surface: RuledSurfaceGrid, case: SpecialCase) -> dict[str, float]:
     """Dimensionless defect of a special-case characterization.
 
     GEODESIC          max(1 - |<m, N>|)          (normal parallel to N)
     ASYMPTOTIC_LINE   max |<m, N>|               (normal orthogonal to N)
     LINE_OF_CURVATURE max |<k' x m, m'>| / (|k'||m||m'| + eps)
                                                  (normals sweep a developable)
-    HELIX             max |k1/k2 - sinh(theta) cot(mu)|   (needs theta, mu)
 
     The normalization of the line-of-curvature determinant by the three
     norms (plus a tiny eps) makes its tolerance scale-free.  Maxima run
@@ -274,11 +261,6 @@ def special_case_defects(
     ``<name>_endpoints`` entry carries the max over the excluded boundary
     layer, whose error order is lower.
     """
-    if case is SpecialCase.HELIX:
-        if theta is None or mu is None:
-            raise ValueError("helix defect needs constant theta and mu")
-        return {"helix": helix_relation_defect(theta, mu, surface.directrix)}
-
     m = _normals_along_directrix(surface)
     N = surface.directrix.N
     if case is SpecialCase.GEODESIC:

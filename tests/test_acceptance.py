@@ -12,11 +12,8 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from minkruled import (
-    RuledSurfaceGrid,
-    RunConfig,
     SpecialCase,
     SynthesisParams,
     SystemKind,

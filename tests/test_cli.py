@@ -375,24 +375,24 @@ class TestSweep:
         assert rows[0].failure_s == pytest.approx(0.0)
         assert rows[1].verdict == "pass"
 
-    def test_numpy_seed_arrays_match_lists(self):
+    def test_numpy_seed_arrays_match_lists(self, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
-        seeds = dict(theta0_list=[0.0, 0.5, 1.0], phi0_list=[0.2, 1.0], write_summary=False)
+        seeds = dict(theta0_list=[0.0, 0.5, 1.0], phi0_list=[0.2, 1.0], out_dir=tmp_path)
         rows, _ = sweep_grid(cfg, **seeds)
         arrays = {k: np.array(v) if k.endswith("_list") else v for k, v in seeds.items()}
         assert sweep_grid(cfg, **arrays)[0] == rows
 
-    def test_empty_seed_list_rejected(self):
+    def test_empty_seed_list_rejected(self, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
         with pytest.raises(ValueError):
-            sweep_grid(cfg, theta0_list=[], write_summary=False)
+            sweep_grid(cfg, theta0_list=[], out_dir=tmp_path)
 
-    def test_directrix_built_once_per_sweep(self, monkeypatch):
+    def test_directrix_built_once_per_sweep(self, monkeypatch, tmp_path):
         calls = []
         integrate = minkruled.pipeline.integrate_frenet
         monkeypatch.setattr(minkruled.pipeline, "integrate_frenet", lambda *a, **kw: calls.append(1) or integrate(*a, **kw))
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
-        rows, _ = sweep_grid(cfg, write_summary=False)
+        rows, _ = sweep_grid(cfg, out_dir=tmp_path)
         assert len(rows) == 12 and len(calls) == 1
 
     @pytest.mark.parametrize("name", ["general_roundtrip.json", "cylinder.json", "step-too-large"])

@@ -21,6 +21,7 @@ from minkruled.errors import (
     StepTooLargeError,
     TorsionVanishesError,
 )
+from minkruled.config import _FUNCTIONS, curvature_fn_from_spec
 from minkruled.frenet import MAX_STEPS, default_initial_frame, grid_size, uniform_grid
 
 from conftest import random_boosted_frame
@@ -89,6 +90,30 @@ class TestCurvatureFns:
         f = Samples(s, vals)
         assert np.allclose(f(s), vals, atol=1e-12)
         assert f(0.55) == pytest.approx(1.0 + 0.2 * 0.55**2, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "fn, spec",
+        [
+            pytest.param(Constant(2.5), {"type": "constant", "value": 2.5}, id="constant"),
+            pytest.param(
+                Polynomial((1.0, 0.5, -0.2)), {"type": "polynomial", "coefficients": [1.0, 0.5, -0.2]}, id="polynomial"
+            ),
+            pytest.param(
+                Sinusoid(0.3, 2.0),
+                {"type": "sinusoid", "amplitude": 0.3, "frequency": 2.0, "phase": 0.0, "offset": 0.0},
+                id="sinusoid",
+            ),
+            pytest.param(
+                Samples([0.0, 0.5, 1.0], [1.0, 1.2, 0.9]),
+                {"type": "samples", "s": [0.0, 0.5, 1.0], "values": [1.0, 1.2, 0.9]},
+                id="samples",
+            ),
+        ],
+    )
+    def test_spec_round_trip(self, fn, spec):
+        assert fn.to_spec() == spec and list(fn.to_spec()) == list(spec)
+        assert spec["type"] in _FUNCTIONS
+        assert curvature_fn_from_spec(fn.to_spec(), "f").to_spec() == spec
 
 
 class TestSamplesSpline:

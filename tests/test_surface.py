@@ -7,6 +7,7 @@ from minkruled import (
     AngleTrack,
     RuledSurfaceGrid,
     angles_from_ruling,
+    build_surface,
     curvature_relations,
     dv0_from_n_mu,
     dv0_to_n_mu,
@@ -29,6 +30,7 @@ from minkruled.errors import (
     TangentRulingError,
     ThetaSingularityError,
 )
+from minkruled.surface import finite_difference
 from conftest import random_boosted_frame
 
 E1, E2, E3 = lvec(1, 0, 0), lvec(0, 1, 0), lvec(0, 0, 1)
@@ -198,8 +200,6 @@ class TestInvariants:
     def test_numeric_cross_checks_analytic(self):
         curve, track = self.example_setup()
         inv_a = invariants_analytic(track, curve)
-        from minkruled import build_surface
-
         surf = build_surface(track, curve)
         inv_n = invariants_numeric(surf)
         sl = slice(1, -1)
@@ -211,8 +211,6 @@ class TestInvariants:
         for step in (2e-3, 1e-3):
             curve = integrate_frenet(1.0, 1.0, s_range=(0.0, 0.4), step=step)
             track = linear_theta_track(curve.s, 1.0, 2.0, math.pi / 2)
-            from minkruled import build_surface
-
             surf = build_surface(track, curve)
             inv_a = invariants_analytic(track, curve)
             inv_n = invariants_numeric(surf)
@@ -234,9 +232,6 @@ class TestInvariants:
 
     def test_striction_orthogonality(self):
         curve, track = self.example_setup()
-        from minkruled import build_surface
-        from minkruled.surface import finite_difference
-
         surf = build_surface(track, curve)
         inv = invariants_numeric(surf)
         c = striction_curve(surf, inv)
@@ -247,9 +242,6 @@ class TestInvariants:
         assert np.max(vals) < 1e-4
 
     def test_striction_orthogonality_second_order(self):
-        from minkruled import build_surface
-        from minkruled.surface import finite_difference
-
         worst = []
         for step in (2e-3, 1e-3):
             curve = integrate_frenet(1.0, 1.0, s_range=(0.0, 0.4), step=step)

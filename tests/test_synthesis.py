@@ -87,6 +87,51 @@ class TestSystemRhs:
             system_rhs(SystemKind.GENERAL_DV0, 1.0, 0.0, 0.0, SynthesisParams(theta0=1, d=0.0, v0=0.0), 1.0, 0.1)
 
 
+#: (kind, k2, params, message) of a prescription the kind's rules reject
+DOMAIN_REJECTIONS = [
+    pytest.param(
+        SystemKind.CURVATURE_ANGLE, 0.1, SynthesisParams(theta0=0.6, n=-1.0, mu=math.pi / 3), "requires n > 0",
+        id="curvature-angle-negative-n",
+    ),
+    pytest.param(
+        SystemKind.LINE_OF_CURVATURE, 0.1, SynthesisParams(n=Polynomial((1.0, 0.1)), C=0.3), "takes a constant n",
+        id="line-of-curvature-varying-n",
+    ),
+    pytest.param(
+        SystemKind.ASYMPTOTIC_LINE, 0.0, SynthesisParams(theta0=0.6, mu=math.pi / 3), "requires k2 != 0",
+        id="asymptotic-zero-torsion",
+    ),
+    pytest.param(
+        SystemKind.ASYMPTOTIC_LINE, Sinusoid(0.2, 3.0, offset=-0.5), SynthesisParams(theta0=0.6, mu=math.pi / 3),
+        "constant k2", id="asymptotic-varying-torsion",
+    ),
+    pytest.param(
+        SystemKind.ASYMPTOTIC_LINE, -0.5, SynthesisParams(theta0=0.6, mu=math.pi / 3, n=3.0), "conflicts with -1/k2",
+        id="asymptotic-inconsistent-n",
+    ),
+]
+
+
+class TestDomainRules:
+    @pytest.mark.parametrize("kind, k2, params, message", DOMAIN_REJECTIONS)
+    def test_integrate_system_rejects(self, kind, k2, params, message):
+        curve = integrate_frenet(1.0, k2, s_range=(0.0, 0.1), step=1e-3)
+        with pytest.raises(ParamDomainError, match=message):
+            integrate_system(kind, params, curve)
+
+    @pytest.mark.parametrize(
+        "kind, n, message",
+        [
+            pytest.param(SystemKind.ASYMPTOTIC_LINE, 3.0, "conflicts with -1/k2", id="asymptotic-inconsistent-n"),
+            pytest.param(SystemKind.CURVATURE_ANGLE, -1.0, "requires n > 0", id="curvature-angle-negative-n"),
+        ],
+    )
+    def test_system_rhs_rejects(self, kind, n, message):
+        params = SynthesisParams(theta0=0.6, mu=math.pi / 3, n=n)  # -1/k2 = 2 below
+        with pytest.raises(ParamDomainError, match=message):
+            system_rhs(kind, 0.6, 0.0, 0.0, params, 1.0, -0.5)
+
+
 class TestCylinderMode:
     def test_ruling_field_is_constant(self, flat_directrix):
         params = SynthesisParams(theta0=1.0, phi0=0.5)

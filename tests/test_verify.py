@@ -12,6 +12,7 @@ from minkruled import (
     Tolerances,
     build_surface,
     geodesic_theta,
+    helix_relation_defect,
     integrate_frenet,
     integrate_system,
     lorentz_inner,
@@ -187,16 +188,4 @@ class TestSpecialCaseDefects:
         curve = integrate_frenet(2.0, 1.0, s_range=(0.0, 0.5), step=1e-3)
         theta = 1.0
         mu = math.atan2(math.sinh(theta), 2.0)
-        defects = special_case_defects(curveless_surface(curve), SpecialCase.HELIX, theta=theta, mu=mu)
-        assert defects["helix"] < 1e-10
-
-    def test_helix_requires_aux(self):
-        curve = integrate_frenet(2.0, 1.0, s_range=(0.0, 0.1), step=1e-3)
-        with pytest.raises(ValueError):
-            special_case_defects(curveless_surface(curve), SpecialCase.HELIX)
-
-
-def curveless_surface(curve):
-    """Any valid surface over the directrix (helix defect only reads the curve)."""
-    track = integrate_system(SystemKind.CYLINDER, SynthesisParams(theta0=1.0, phi0=0.3), curve)
-    return build_surface(track, curve)
+        assert helix_relation_defect(theta, mu, curve) < 1e-10
