@@ -210,6 +210,8 @@ def _frame_gram_defect(T, N, B) -> np.ndarray:
 #: Steps whose RK4 step matrices are built in one batch; bounds the scratch
 #: memory of a long grid to a few blocks of 4 x 4 matrices.
 _BLOCK = 256
+#: Steps per chunk of the prefix product inside a block.
+_CHUNK = 16
 
 
 def _frame_matrices(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
@@ -234,7 +236,15 @@ def _rk4_frames(frame: np.ndarray, h: float, k1, k2, k1_mid, k2_mid) -> np.ndarr
     y_{n+1} = M_n y_n with C1 = C(s_n), C2 = C(s_n + h/2), C4 = C(s_{n+1}),
     K2 = C2 (I + h/2 C1), K3 = C2 (I + h/2 K2), K4 = C4 (I + h K3) and
     M_n = I + h/6 (C1 + 2 K2 + 2 K3 + K4).  The M_n are built in batches of
-    ``_BLOCK`` steps and applied in order.
+    ``_BLOCK`` steps.
+
+    Within a block the frames come from a two-level prefix product over
+    chunks of ``_CHUNK`` steps: batched matmuls form the running products
+    P[c, j] = M[c, j] ... M[c, 0] of every chunk at once, the frame is
+    carried from one chunk start to the next by each chunk's full product,
+    and one batched matmul then applies every P[c, j] to its chunk's start
+    frame.  The products group the roundoff differently from applying the
+    M_n one at a time, so the frame moves only at roundoff level.
     """
     eye = np.eye(4)
     n_steps = k1_mid.shape[0]
@@ -248,9 +258,22 @@ def _rk4_frames(frame: np.ndarray, h: float, k1, k2, k1_mid, k2_mid) -> np.ndarr
         K2 = C2 @ (eye + (0.5 * h) * C1)
         K3 = C2 @ (eye + (0.5 * h) * K2)
         K4 = C4 @ (eye + h * K3)
-        M = eye + (h / 6.0) * (C1 + 2.0 * K2 + 2.0 * K3 + K4)
-        for M_i, y_i, y_next in zip(M, y[lo:hi], y[lo + 1 : hi + 1]):
-            np.dot(M_i, y_i, out=y_next)
+        m = hi - lo
+        n_chunks = -(-m // _CHUNK)
+        # the steps past the end of a short last chunk are identities
+        M = np.empty((n_chunks * _CHUNK, 4, 4))
+        M[:m] = eye + (h / 6.0) * (C1 + 2.0 * K2 + 2.0 * K3 + K4)
+        M[m:] = eye
+        M = M.reshape(n_chunks, _CHUNK, 4, 4)
+        P = np.empty_like(M)
+        P[:, 0] = M[:, 0]
+        for j in range(1, _CHUNK):
+            np.matmul(M[:, j], P[:, j - 1], out=P[:, j])
+        start = np.empty((n_chunks, 1, 4, 3))
+        start[0, 0] = y[lo]
+        for c in range(1, n_chunks):
+            np.dot(P[c - 1, -1], start[c - 1, 0], out=start[c, 0])
+        y[lo + 1 : hi + 1] = (P @ start).reshape(-1, 4, 3)[:m]
     return y
 
 

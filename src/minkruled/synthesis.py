@@ -128,11 +128,16 @@ def _asymptotic(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
         raise ParamDomainError("asymptotic mode requires constant k2 along the directrix")
     if float(np.min(np.abs(k2))) < 1e-12:
         raise ParamDomainError("asymptotic mode requires k2 != 0")
+    n_k2 = -1.0 / k2
     if p.n is not None:
-        n_given, n_k2 = float(as_curvature_fn(p.n)(s[0])), -1.0 / float(k2[0])
-        if abs(n_given - n_k2) > 1e-9 * max(1.0, abs(n_given)):
-            raise ParamDomainError(f"params.n = {n_given} conflicts with -1/k2 = {n_k2}")
-    return _from_n_mu(-1.0 / k2, p.mu)
+        n_given = as_curvature_fn(p.n)(s)
+        off = np.flatnonzero(np.abs(n_given - n_k2) > 1e-9 * np.maximum(1.0, np.abs(n_given)))
+        if off.size:
+            i = int(off[0])
+            raise ParamDomainError(
+                f"params.n = {float(n_given[i])} conflicts with -1/k2 = {float(n_k2[i])} at s = {s[i]:.6g}"
+            )
+    return _from_n_mu(n_k2, p.mu)
 
 
 def _line_of_curvature(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
@@ -269,6 +274,11 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
     The returned track stores (theta', phi') from the right-hand side at
     every sample.  A track aborts where |theta| leaves
     [THETA_MIN, THETA_MAX] (see ``system_rhs``).
+
+    The four stages of each step evaluate ``_rhs`` inline, with its operands
+    in the same order, so the track is bit-identical to calling it.  Each
+    stage value passes one combined test of every state guard; only when
+    that test trips is ``_rhs`` called, to raise its error there.
     """
     validate_params(kind, params)
     s = directrix.s
@@ -291,19 +301,50 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
 
     c_node, c_mid = coeffs(s), coeffs(mid)
     grid, mid = s.tolist(), mid.tolist()
+    n = len(grid)
+    theta, phi, theta_p, phi_p = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
     t, p = float(params.theta0), spec.pin if pinned else float(params.phi0)
     a1, b1 = _rhs(t, p, grid[0], c_node[0], pinned)
-    rows = [(t, p, a1, b1)]
-    for i in range(len(grid) - 1):
-        a2, b2 = _rhs(t + (0.5 * h) * a1, p + (0.5 * h) * b1, mid[i], c_mid[i], pinned)
-        a3, b3 = _rhs(t + (0.5 * h) * a2, p + (0.5 * h) * b2, mid[i], c_mid[i], pinned)
-        a4, b4 = _rhs(t + h * a3, p + h * b3, grid[i + 1], c_node[i + 1], pinned)
-        t = t + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        p = p + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        a1, b1 = _rhs(t, p, grid[i + 1], c_node[i + 1], pinned)
-        rows.append((t, p, a1, b1))
-    theta, phi, theta_p, phi_p = np.array(rows).T.copy()
-    return AngleTrack(s=s.copy(), theta=theta, phi=phi, theta_prime=theta_p, phi_prime=phi_p)
+    theta[0], phi[0], theta_p[0], phi_p[0] = t, p, a1, b1
+    half, sixth = 0.5 * h, h / 6.0
+    sinh, cosh, sin, cos = math.sinh, math.cosh, math.sin, math.cos
+    # A stage value (x, y) trips the test where _rhs raises: |x| outside
+    # [THETA_MIN, THETA_MAX] or NaN, y not finite (y - y is NaN for +-inf and
+    # NaN), or a NaN where d^2 + v0^2 = 0.  A pinned kind has phi = pi/2,
+    # where sin is exactly 1.0, so it gets _rhs's a sinh(theta) + k1 and
+    # phi' = 0.
+    for i, cm, cn in zip(range(1, n), c_mid, c_node[1:]):
+        k1, k2, a, b = cm
+        x, y = t + half * a1, p + half * b1
+        if not (THETA_MIN <= abs(x) <= THETA_MAX) or y - y != 0.0 or a != a:
+            _rhs(x, y, mid[i - 1], cm, pinned)
+        sh = sinh(x)
+        a2 = a * sh + k1 * sin(y)
+        b2 = 0.0 if pinned else b - k2 + k1 * (cosh(x) / sh) * cos(y)
+        x, y = t + half * a2, p + half * b2
+        if not (THETA_MIN <= abs(x) <= THETA_MAX) or y - y != 0.0 or a != a:
+            _rhs(x, y, mid[i - 1], cm, pinned)
+        sh = sinh(x)
+        a3 = a * sh + k1 * sin(y)
+        b3 = 0.0 if pinned else b - k2 + k1 * (cosh(x) / sh) * cos(y)
+        k1, k2, a, b = cn
+        x, y = t + h * a3, p + h * b3
+        if not (THETA_MIN <= abs(x) <= THETA_MAX) or y - y != 0.0 or a != a:
+            _rhs(x, y, grid[i], cn, pinned)
+        sh = sinh(x)
+        a4 = a * sh + k1 * sin(y)
+        b4 = 0.0 if pinned else b - k2 + k1 * (cosh(x) / sh) * cos(y)
+        t = t + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        p = p + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        if not (THETA_MIN <= abs(t) <= THETA_MAX) or p - p != 0.0 or a != a:
+            _rhs(t, p, grid[i], cn, pinned)
+        sh = sinh(t)
+        a1 = a * sh + k1 * sin(p)
+        b1 = 0.0 if pinned else b - k2 + k1 * (cosh(t) / sh) * cos(p)
+        theta[i], phi[i], theta_p[i], phi_p[i] = t, p, a1, b1
+    return AngleTrack(
+        s=s.copy(), theta=np.array(theta), phi=np.array(phi), theta_prime=np.array(theta_p), phi_prime=np.array(phi_p)
+    )
 
 
 def _line_of_curvature_track(params: SynthesisParams, directrix: FrenetCurve) -> AngleTrack:

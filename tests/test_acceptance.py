@@ -12,8 +12,10 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from minkruled import (
+    RunConfig,
     SpecialCase,
     SynthesisParams,
     SystemKind,
@@ -29,6 +31,7 @@ from minkruled import (
     lorentz_cross,
     lorentz_inner,
     q_prime_analytic,
+    run_config,
     special_case_defects,
     system_rhs,
 )
@@ -37,6 +40,15 @@ from minkruled.errors import GeometryError
 from minkruled.surface import finite_difference
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED_CONFIGS = [
+    "general_roundtrip.json",
+    "developable.json",
+    "striction_line.json",
+    "cylinder.json",
+    "geodesic.json",
+    "asymptotic_line.json",
+    "line_of_curvature.json",
+]
 
 E1, E2, E3 = np.eye(3)
 
@@ -396,16 +408,7 @@ def test_criterion_8_substitution_identity():
 def test_criterion_9_cli_contract(tmp_path, capsys):
     t0 = time.perf_counter()
     checks = []
-    configs = [
-        "general_roundtrip.json",
-        "developable.json",
-        "striction_line.json",
-        "cylinder.json",
-        "geodesic.json",
-        "asymptotic_line.json",
-        "line_of_curvature.json",
-    ]
-    for name in configs:
+    for name in SHIPPED_CONFIGS:
         path = str(CONFIG_DIR / name)
         out = str(tmp_path / name.replace(".json", ""))
         synth = main(["synthesize", "--config", path, "--out-dir", out])
@@ -447,3 +450,10 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
             elapsed,
             10.0,
         )
+
+
+@pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+def test_shipped_config_passes_at_fine_step(name):
+    cfg = RunConfig.from_file(str(CONFIG_DIR / name)).with_overrides(step=1e-4)
+    result = run_config(cfg, write_outputs=False)
+    assert result.report.passed, result.report.to_dict()

@@ -60,13 +60,27 @@ def boosted_frame(seed):
 
 S_KNOTS = np.linspace(0.0, 0.7, 8)
 
-#: (k1, k2, s_range, initial frame); 700 and 301 steps are not multiples of
-#: the step-matrix block size
+#: (k1, k2, s_range, step, initial frame).  The frame is built in blocks of
+#: 256 steps and, inside a block, in chunks of 16 steps: 1, 15, 16, 17 and
+#: 257 steps sit on those edges, 700 and 301 steps end inside a chunk, and
+#: the 10,000-step case accumulates the roundoff of a fine-step run.
 REFERENCE_CASES = [
-    pytest.param(Polynomial((1.0, 0.5, -0.2)), Sinusoid(0.05, 3.0, 0.0, 0.1), (0.0, 0.7), None, id="polynomial"),
-    pytest.param(Sinusoid(0.3, 2.0, 0.4, 1.2), Polynomial((0.2, -0.4)), (0.0, 0.7), None, id="sinusoid"),
-    pytest.param(Samples(S_KNOTS, 1.0 + 0.3 * S_KNOTS**2), Samples(S_KNOTS, 0.1 * np.cos(S_KNOTS)), (0.0, 0.7), None, id="samples"),
-    pytest.param(Sinusoid(0.3, 2.0, 0.4, 1.2), 0.5, (0.2, 0.501), boosted_frame(7), id="boosted-frame"),
+    pytest.param(Polynomial((1.0, 0.5, -0.2)), Sinusoid(0.05, 3.0, 0.0, 0.1), (0.0, 0.7), 1e-3, None, id="polynomial"),
+    pytest.param(Sinusoid(0.3, 2.0, 0.4, 1.2), Polynomial((0.2, -0.4)), (0.0, 0.7), 1e-3, None, id="sinusoid"),
+    pytest.param(
+        Samples(S_KNOTS, 1.0 + 0.3 * S_KNOTS**2), Samples(S_KNOTS, 0.1 * np.cos(S_KNOTS)), (0.0, 0.7), 1e-3, None,
+        id="samples",
+    ),
+    pytest.param(Sinusoid(0.3, 2.0, 0.4, 1.2), 0.5, (0.2, 0.501), 1e-3, boosted_frame(7), id="boosted-frame"),
+    *(
+        pytest.param(
+            Polynomial((1.0, 0.5, -0.2)), Sinusoid(0.05, 3.0, 0.0, 0.1), (0.0, n * 1e-3), 1e-3, None, id=f"{n}-steps"
+        )
+        for n in (1, 15, 16, 17, 257)
+    ),
+    pytest.param(
+        Sinusoid(0.3, 2.0, 0.4, 1.2), Polynomial((0.2, -0.4)), (0.0, 1.0), 1e-4, boosted_frame(3), id="10000-steps"
+    ),
 ]
 
 
@@ -239,9 +253,9 @@ class TestIntegrateFrenet:
             with pytest.raises(ValueError, match="limit"):
                 grid_size((0.0, 1.0), step)
 
-    @pytest.mark.parametrize("k1, k2, s_range, frame", REFERENCE_CASES)
-    def test_matches_stagewise_rk4(self, k1, k2, s_range, frame):
-        c = integrate_frenet(k1, k2, s_range=s_range, step=1e-3, initial_frame=frame)
+    @pytest.mark.parametrize("k1, k2, s_range, step, frame", REFERENCE_CASES)
+    def test_matches_stagewise_rk4(self, k1, k2, s_range, step, frame):
+        c = integrate_frenet(k1, k2, s_range=s_range, step=step, initial_frame=frame)
         ref = stagewise_rk4(k1, k2 if callable(k2) else Constant(k2), c.s, default_initial_frame() if frame is None else frame)
         for j, name in enumerate(("k", "T", "N", "B")):
             assert np.max(np.abs(getattr(c, name) - ref[:, j])) <= 1e-12, name

@@ -109,6 +109,10 @@ DOMAIN_REJECTIONS = [
         SystemKind.ASYMPTOTIC_LINE, -0.5, SynthesisParams(theta0=0.6, mu=math.pi / 3, n=3.0), "conflicts with -1/k2",
         id="asymptotic-inconsistent-n",
     ),
+    pytest.param(
+        SystemKind.ASYMPTOTIC_LINE, -0.5, SynthesisParams(theta0=0.6, mu=math.pi / 3, n=Polynomial((2.0, 0, 0, 0, 5.0))),
+        "conflicts with -1/k2", id="asymptotic-drifting-n",  # n(0.1) = 2.0005 against -1/k2 = 2
+    ),
 ]
 
 
@@ -150,6 +154,48 @@ class TestCylinderMode:
         assert err.value.s == pytest.approx(0.5, abs=0.05)
 
 
+_WAVY_TORSION = Sinusoid(amplitude=0.05, frequency=3.0, offset=0.1)
+
+#: (kind, k2, params) for every seeded kind; the directrix has k1 = 1 + s/2
+#: on [0, 0.5], and the asymptotic kind needs constant torsion
+STORED_DERIVATIVE_CASES = [
+    pytest.param(
+        SystemKind.GENERAL_DV0, _WAVY_TORSION, SynthesisParams(theta0=0.8, phi0=0.4, d=Polynomial((0.5, 0.2)), v0=0.3),
+        id="general_dv0",
+    ),
+    pytest.param(
+        SystemKind.STRICTION_LINE, _WAVY_TORSION, SynthesisParams(theta0=0.8, phi0=0.4, d=Polynomial((0.5, 0.2))),
+        id="striction_line",
+    ),
+    pytest.param(
+        SystemKind.CURVATURE_ANGLE, _WAVY_TORSION,
+        SynthesisParams(theta0=0.8, phi0=0.4, n=Polynomial((1.5, 0.3)), mu=1.1), id="curvature_angle",
+    ),
+    pytest.param(
+        SystemKind.DEVELOPABLE, _WAVY_TORSION, SynthesisParams(theta0=0.9, phi0=1.2, v0=Polynomial((-2.0, 0.5))),
+        id="developable",
+    ),
+    pytest.param(SystemKind.CYLINDER, _WAVY_TORSION, SynthesisParams(theta0=0.8, phi0=0.4), id="cylinder"),
+    pytest.param(SystemKind.ASYMPTOTIC_LINE, -0.5, SynthesisParams(theta0=0.6, mu=math.pi / 3), id="asymptotic_line"),
+]
+
+#: (kind, k2, params, error, message, located s) of a state guard that trips
+#: at a step midpoint, on k1 = 1 over [0, 1] at step 1e-3.  With k2 = 0 and
+#: phi at 3 pi/2 the cylinder's theta falls as theta0 - s and reaches 0 at
+#: the second stage of the step leaving s = 0.5; d = s - 0.0125 with v0 = 0
+#: vanishes at the midpoint 0.0125 of the step leaving s = 0.012.
+MIDPOINT_TRIPS = [
+    pytest.param(
+        SystemKind.CYLINDER, 0.0, SynthesisParams(theta0=0.5005, phi0=1.5 * math.pi), ThetaSingularityError,
+        "|theta| = 4.922e-16 below guard 1.0e-06 at s = 0.5005", 0.5005, id="theta-singularity",
+    ),
+    pytest.param(
+        SystemKind.STRICTION_LINE, 0.1, SynthesisParams(theta0=0.8, phi0=0.4, d=Polynomial((-0.0125, 1.0))),
+        ParamDomainError, "d^2 + v0^2 = 0 at s = 0.0125", None, id="vanishing-d-and-v0",
+    ),
+]
+
+
 class TestGeneralMode:
     def test_round_trip_recovers_prescription(self, unit_directrix):
         params = SynthesisParams(theta0=1.0, phi0=0.2, d=0.5, v0=0.3)
@@ -186,18 +232,23 @@ class TestGeneralMode:
         assert err.value.s == curve.s[842]
         assert "theta = 1.54819e+07" in str(err.value)
 
-    def test_stored_derivatives_equal_rhs(self):
-        curve = integrate_frenet(
-            Polynomial((1.0, 0.5)), Sinusoid(amplitude=0.05, frequency=3.0, offset=0.1), s_range=(0.0, 0.5), step=1e-3
-        )
-        params = SynthesisParams(theta0=0.8, phi0=0.4, d=Polynomial((0.5, 0.2)), v0=0.3)
-        kind = SystemKind.GENERAL_DV0
+    @pytest.mark.parametrize("kind, k2, params", STORED_DERIVATIVE_CASES)
+    def test_stored_derivatives_equal_rhs(self, kind, k2, params):
+        curve = integrate_frenet(Polynomial((1.0, 0.5)), k2, s_range=(0.0, 0.5), step=1e-3)
         track = integrate_system(kind, params, curve)
         for i in range(track.n_samples):
             rhs = system_rhs(
                 kind, float(track.theta[i]), float(track.phi[i]), float(track.s[i]), params, curve.k1[i], curve.k2[i]
             )
             assert rhs == (track.theta_prime[i], track.phi_prime[i])
+
+    @pytest.mark.parametrize("kind, k2, params, error, message, s", MIDPOINT_TRIPS)
+    def test_guard_trips_at_midpoint_stage(self, kind, k2, params, error, message, s):
+        curve = integrate_frenet(1.0, k2, s_range=(0.0, 1.0), step=1e-3)
+        with pytest.raises(error) as err:
+            integrate_system(kind, params, curve)
+        assert str(err.value) == message
+        assert getattr(err.value, "s", None) == s
 
     def test_seed_below_guard_rejected_at_start(self, unit_directrix):
         params = SynthesisParams(theta0=1e-9, phi0=0.2, d=0.5, v0=0.3)
@@ -314,18 +365,6 @@ class TestAsymptoticMode:
         track = integrate_system(SystemKind.ASYMPTOTIC_LINE, params, curve)
         assert np.array_equal(track.phi, np.full_like(track.phi, math.pi / 2))
         assert np.array_equal(track.phi_prime, np.zeros_like(track.phi_prime))
-
-    def test_inconsistent_n_rejected(self):
-        curve = integrate_frenet(1.0, -0.5, s_range=(0.0, 0.1), step=1e-3)
-        params = SynthesisParams(theta0=0.6, mu=math.pi / 3, n=3.0)  # -1/k2 = 2
-        with pytest.raises(ParamDomainError):
-            integrate_system(SystemKind.ASYMPTOTIC_LINE, params, curve)
-
-    def test_varying_torsion_rejected(self):
-        curve = integrate_frenet(1.0, Sinusoid(0.2, 3.0, offset=-0.5), s_range=(0.0, 0.2), step=1e-3)
-        params = SynthesisParams(theta0=0.6, mu=math.pi / 3)
-        with pytest.raises(ParamDomainError):
-            integrate_system(SystemKind.ASYMPTOTIC_LINE, params, curve)
 
 
 class TestLineOfCurvature:
