@@ -14,16 +14,12 @@ from .frenet import (
     Samples,
     Sinusoid,
     frame_defect,
-    helix_ratio,
     integrate_frenet,
 )
 from .lorentz import (
-    CausalClass,
-    causal_character,
     lorentz_cross,
     lorentz_inner,
     lorentz_norm,
-    lvec,
     mixed_product,
 )
 from .mesh import export_mesh
@@ -32,15 +28,12 @@ from .surface import (
     AngleTrack,
     RuledSurfaceGrid,
     SurfaceInvariants,
-    angles_from_ruling,
     curvature_relations,
     dv0_from_n_mu,
-    dv0_to_n_mu,
     invariants_analytic,
     invariants_numeric,
     q_prime_analytic,
     ruling_from_angles,
-    striction_curve,
 )
 from .synthesis import (
     SynthesisParams,
@@ -50,8 +43,6 @@ from .synthesis import (
     helix_relation_defect,
     integrate_system,
     line_of_curvature_phi,
-    locus_theta,
-    phi_from_theta_mu,
     system_rhs,
 )
 from .verify import (
@@ -64,7 +55,6 @@ from .verify import (
 
 __all__ = [
     "AngleTrack",
-    "CausalClass",
     "ConfigError",
     "Constant",
     "CurvatureFn",
@@ -82,35 +72,27 @@ __all__ = [
     "SynthesisParams",
     "SystemKind",
     "Tolerances",
-    "angles_from_ruling",
     "build_surface",
-    "causal_character",
     "curvature_relations",
     "dv0_from_n_mu",
-    "dv0_to_n_mu",
     "export_mesh",
     "frame_defect",
     "geodesic_theta",
-    "helix_ratio",
     "helix_relation_defect",
     "integrate_frenet",
     "integrate_system",
     "invariants_analytic",
     "invariants_numeric",
     "line_of_curvature_phi",
-    "locus_theta",
     "lorentz_cross",
     "lorentz_inner",
     "lorentz_norm",
-    "lvec",
     "mixed_product",
-    "phi_from_theta_mu",
     "q_prime_analytic",
     "recompute_report",
     "ruling_from_angles",
     "run_config",
     "special_case_defects",
-    "striction_curve",
     "sweep_grid",
     "system_rhs",
 ]

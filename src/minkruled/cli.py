@@ -21,7 +21,7 @@ import sys
 
 from .config import RunConfig
 from .errors import ConfigError, GeometryError
-from .pipeline import run_config, sweep_grid, synthesize_surface, write_mesh
+from .pipeline import build_directrix, run_config, sweep_grid, synthesize_surface, write_mesh
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -97,7 +97,7 @@ def main(argv=None) -> int:
             if cfg.outputs.mesh is None:
                 raise ConfigError("outputs.mesh", "required by export-mesh")
             os.makedirs(args.out_dir, exist_ok=True)
-            _, _, surface = synthesize_surface(cfg)
+            _, surface = synthesize_surface(cfg, build_directrix(cfg))
             print(f"wrote mesh: {write_mesh(cfg, surface, args.out_dir)}")
             return 0
         # sweep

@@ -39,10 +39,6 @@ class NotUnitTimelikeError(GeometryError):
     """A ruling vector is not unit timelike within tolerance."""
 
 
-class TangentRulingError(GeometryError):
-    """Ruling coincides with the tangent (theta = 0); phi is undefined."""
-
-
 class SingularPointError(GeometryError):
     """Surface normal undefined: the two partials are parallel here."""
 
@@ -53,10 +49,6 @@ class CylindricalRulingError(GeometryError):
 
 class AllCylindricalError(GeometryError):
     """Every sample of the surface is cylindrical; no invariants to report."""
-
-
-class DevelopableRulingError(GeometryError):
-    """d = 0: Gaussian-curvature radius n is undefined."""
 
 
 class DegenerateAngleError(GeometryError):

@@ -22,7 +22,6 @@ from .errors import (
     NonOrthonormalSeedError,
     NonPositiveCurvatureError,
     StepTooLargeError,
-    TorsionVanishesError,
 )
 from .lorentz import lorentz_inner, mixed_product
 
@@ -383,15 +382,3 @@ def frame_defect(curve: FrenetCurve) -> float:
     if curve.n_samples == 0:
         raise ValueError("empty curve")
     return float(np.max(_frame_gram_defect(curve.T, curve.N, curve.B)))
-
-
-def helix_ratio(curve: FrenetCurve, *, tol: float = 1e-9) -> tuple[float, float]:
-    """Mean of k1/k2 over the grid and the max deviation from that mean.
-
-    A vanishing max deviation is the general-helix criterion.
-    """
-    if np.min(np.abs(curve.k2)) < tol:
-        raise TorsionVanishesError("k2 is below tolerance somewhere on the grid")
-    ratio = curve.k1 / curve.k2
-    mean = float(np.mean(ratio))
-    return mean, float(np.max(np.abs(ratio - mean)))

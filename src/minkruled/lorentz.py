@@ -7,20 +7,9 @@ can be processed in one call.
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
-#: Default classification tolerance.  The algebra is exact only in exact
-#: arithmetic; every sign test here is taken within an explicit eps.
-DEFAULT_EPS = 1e-9
-
 LVec3 = np.ndarray
-
-
-def lvec(x1: float, x2: float, x3: float) -> LVec3:
-    """Build a 3-vector; x1 is the coefficient of the timelike axis."""
-    return np.array([x1, x2, x3], dtype=float)
 
 
 def lorentz_inner(x: LVec3, y: LVec3) -> np.ndarray | float:
@@ -61,33 +50,3 @@ def mixed_product(x: LVec3, y: LVec3, z: LVec3) -> np.ndarray | float:
     parameter; it equals minus the coordinate determinant det[x; y; z].
     """
     return lorentz_inner(lorentz_cross(x, y), z)
-
-
-class CausalClass(enum.Enum):
-    SPACELIKE = "spacelike"
-    TIMELIKE_FUTURE = "timelike_future"
-    TIMELIKE_PAST = "timelike_past"
-    NULL = "null"
-    ZERO = "zero"
-
-
-def causal_character(v: LVec3, eps: float = DEFAULT_EPS) -> CausalClass:
-    """Classify a single vector by the sign of <v,v> within eps.
-
-    Timelike vectors split further by the sign of the first component
-    (future pointing when x1 > 0).  A vector with every component within
-    eps of zero is ZERO, not NULL.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("causal_character classifies a single 3-vector")
-    if np.max(np.abs(v)) < eps:
-        return CausalClass.ZERO
-    q = float(lorentz_inner(v, v))
-    if abs(q) <= eps:
-        return CausalClass.NULL
-    if q > 0.0:
-        return CausalClass.SPACELIKE
-    return CausalClass.TIMELIKE_FUTURE if v[0] > 0.0 else CausalClass.TIMELIKE_PAST

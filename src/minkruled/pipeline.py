@@ -61,7 +61,8 @@ def run_config(cfg: RunConfig, out_dir=".", *, write_outputs: bool = True) -> Ru
     if write_outputs:
         out_dir = os.fspath(out_dir)
         os.makedirs(out_dir, exist_ok=True)
-    curve, track, surface = synthesize_surface(cfg)
+    curve = build_directrix(cfg)
+    track, surface = synthesize_surface(cfg, curve)
     report = recompute_report(surface, cfg.params, cfg.system, cfg.tolerances)
 
     written: dict[str, str] = {}
@@ -76,11 +77,10 @@ def run_config(cfg: RunConfig, out_dir=".", *, write_outputs: bool = True) -> Ru
     return RunResult(config=cfg, curve=curve, track=track, surface=surface, report=report, written=written)
 
 
-def synthesize_surface(cfg: RunConfig) -> tuple[FrenetCurve, AngleTrack, RuledSurfaceGrid]:
-    """Directrix, angle track and ruling field of one config, unverified."""
-    curve = build_directrix(cfg)
+def synthesize_surface(cfg: RunConfig, curve: FrenetCurve) -> tuple[AngleTrack, RuledSurfaceGrid]:
+    """Angle track and ruling field of one config on its directrix ``curve``, unverified."""
     track = integrate_system(cfg.system, cfg.params, curve)
-    return curve, track, build_surface(track, curve)
+    return track, build_surface(track, curve)
 
 
 def write_mesh(cfg: RunConfig, surface: RuledSurfaceGrid, out_dir=".") -> str:
@@ -186,8 +186,8 @@ def sweep_grid(
             error = directrix_error
             if error is None:
                 try:
-                    track = integrate_system(cfg.system, cfg.params, curve)
-                    report = recompute_report(build_surface(track, curve), cfg.params, cfg.system, cfg.tolerances)
+                    _, surface = synthesize_surface(cfg, curve)
+                    report = recompute_report(surface, cfg.params, cfg.system, cfg.tolerances)
                 except GeometryError as exc:
                     error = exc
             if error is not None:

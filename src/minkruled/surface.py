@@ -26,11 +26,8 @@ import numpy as np
 from .errors import (
     AllCylindricalError,
     CylindricalRulingError,
-    DegenerateAngleError,
-    DevelopableRulingError,
     GridMismatchError,
     NotUnitTimelikeError,
-    TangentRulingError,
     ThetaSingularityError,
 )
 from .frenet import FrenetCurve
@@ -72,7 +69,16 @@ def finite_difference(values: np.ndarray, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AngleTrack:
-    """Sampled solution (theta(s), phi(s)) of a determining system."""
+    """Sampled solution (theta(s), phi(s)) of a determining system.
+
+    theta must stay clear of 0, where the ruling is the tangent T and the
+    surface is singular along the directrix: every sample needs
+    |theta| >= THETA_MIN, and all samples need one sign of theta, so a
+    track that steps over zero between two samples is rejected at the
+    first sample past the crossing.  A track that only touches zero
+    between two samples and turns back keeps its sign at every sample, so
+    it can still escape both checks.
+    """
 
     s: np.ndarray
     theta: np.ndarray
@@ -93,6 +99,13 @@ class AngleTrack:
             i = int(np.argmin(np.abs(self.theta)))
             raise ThetaSingularityError(
                 f"|theta| = {worst:.3e} below guard {THETA_MIN:.1e} at s = {self.s[i]:.6g}",
+                s=float(self.s[i]),
+            )
+        flips = np.flatnonzero((self.theta[1:] < 0.0) != (self.theta[0] < 0.0))
+        if flips.size:
+            i = int(flips[0]) + 1
+            raise ThetaSingularityError(
+                f"theta changes sign between s = {self.s[i - 1]:.6g} and s = {self.s[i]:.6g}",
                 s=float(self.s[i]),
             )
 
@@ -158,14 +171,40 @@ class SurfaceInvariants:
     cylindrical: np.ndarray
 
 
-def _relations(d: np.ndarray, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (K, mu, n) from (d, v0), NaN where undefined."""
+# ---------------------------------------------------------------------------
+# closed-form relations between the invariants
+# ---------------------------------------------------------------------------
+
+
+def curvature_relations(d, v0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gaussian curvature, Chasles angle and curvature radius from (d, v0).
+
+        K = d^2 / (d^2 + v0^2)^2,   mu = atan(v0 / d),   n = (d^2 + v0^2) / d
+
+    Broadcasts; NaN where a value is undefined (K at d = v0 = 0, mu and n
+    at d = 0).  n = 1/sqrt(K) holds for d > 0.  This mu is the Chasles
+    angle, tan(mu) = v0/d; ``dv0_from_n_mu`` takes the complementary angle,
+    so for d > 0 it maps (n, pi/2 - mu) back to (d, v0).
+    """
+    d = np.asarray(d, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
     denom = d * d + v0 * v0
     with np.errstate(divide="ignore", invalid="ignore"):
         K = np.where(denom > 0.0, d * d / (denom * denom), np.nan)
         mu = np.where(d != 0.0, np.arctan(v0 / d), np.nan)
         n = np.where(d != 0.0, denom / d, np.nan)
     return K, mu, n
+
+
+def dv0_from_n_mu(n, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """(d, v0) = (n sin^2(mu), n sin(mu) cos(mu)), the curvature-angle map.
+
+    Broadcasts over ``n``; ``mu`` is one angle, with tan(mu) = d/v0, the
+    complement of the Chasles angle of ``curvature_relations``.  The domain
+    (n > 0, sin(mu) != 0) is checked where a run's parameters enter.
+    """
+    n = np.asarray(n, dtype=float)
+    return n * math.sin(mu) ** 2, n * math.sin(mu) * math.cos(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -191,29 +230,6 @@ def ruling_from_angles(T, N, B, theta, phi):
     q = ch * T + sh * A
     m = cp * N + sp * B
     return q, A, m
-
-
-def angles_from_ruling(T, N, B, q, *, tol: float = 1e-9) -> tuple[float, float]:
-    """Recover (theta, phi) from a unit timelike ruling, phi in [0, 2*pi).
-
-    Inverts ``ruling_from_angles`` for theta > 0.  theta = arccosh(-<q,T>)
-    on the nonnegative branch; phi comes from the (N, B) components of the
-    normalized A = (q - cosh(theta) T) / sinh(theta).
-    """
-    q = np.asarray(q, dtype=float)
-    qq = float(lorentz_inner(q, q))
-    if abs(qq + 1.0) > tol:
-        raise NotUnitTimelikeError(f"<q,q> = {qq:.12g}, expected -1")
-    c = -float(lorentz_inner(q, T))
-    theta = math.acosh(max(c, 1.0))
-    sh = math.sinh(theta)
-    if sh < tol:
-        raise TangentRulingError("theta = 0: ruling equals the tangent, phi undefined")
-    A = (q - math.cosh(theta) * np.asarray(T, dtype=float)) / sh
-    sin_phi = -float(lorentz_inner(A, N))
-    cos_phi = float(lorentz_inner(A, B))
-    phi = math.atan2(sin_phi, cos_phi) % (2.0 * math.pi)
-    return theta, phi
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +310,7 @@ def invariants_analytic(track: AngleTrack, directrix: FrenetCurve) -> SurfaceInv
     p = track.phi_prime + k2
     v0 = sh * (track.theta_prime - k1 * np.sin(track.phi)) / norm_sq
     d = sh * (k1 * ch * np.cos(track.phi) - p * sh) / norm_sq
-    K, mu, n = _relations(d, v0)
+    K, mu, n = curvature_relations(d, v0)
     return SurfaceInvariants(
         s=track.s.copy(),
         d=d,
@@ -327,7 +343,7 @@ def invariants_numeric(surface: RuledSurfaceGrid) -> SurfaceInvariants:
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.where(cylindrical, np.nan, mixed_product(kp, q, qp) / qq)
         v0 = np.where(cylindrical, np.nan, -lorentz_inner(kp, qp) / qq)
-    K, mu, n = _relations(d, v0)
+    K, mu, n = curvature_relations(d, v0)
     return SurfaceInvariants(
         s=surface.s.copy(),
         d=d,
@@ -338,57 +354,3 @@ def invariants_numeric(surface: RuledSurfaceGrid) -> SurfaceInvariants:
         qprime_norm=np.sqrt(np.abs(qq)),
         cylindrical=cylindrical,
     )
-
-
-def striction_curve(surface: RuledSurfaceGrid, invariants: SurfaceInvariants) -> np.ndarray:
-    """Central points c_i = k_i + v0_i q_i (the striction curve).
-
-    Satisfies <c', q'> = 0 up to finite-difference error on skew surfaces.
-    """
-    if bool(np.any(invariants.cylindrical)):
-        raise CylindricalRulingError("striction curve undefined on cylindrical samples")
-    return surface.directrix.k + invariants.v0[:, None] * surface.q
-
-
-def curvature_relations(d: float, v0: float) -> tuple[float, float, float]:
-    """Chasles angle, Gaussian curvature, and curvature radius from (d, v0).
-
-        mu = atan(v0 / d),   K = d^2 / (d^2 + v0^2)^2,   n = (d^2 + v0^2) / d
-
-    n = 1/sqrt(K) holds for d > 0.  Note mu here follows the tangent-plane
-    angle convention tan(mu) = v0/d; it is complementary to the angle used
-    by ``dv0_from_n_mu`` (see that docstring).
-    """
-    d = float(d)
-    v0 = float(v0)
-    if d == 0.0:
-        raise DevelopableRulingError("d = 0: K = 0 and n is undefined")
-    denom = d * d + v0 * v0
-    return math.atan(v0 / d), d * d / (denom * denom), denom / d
-
-
-def dv0_from_n_mu(n: float, mu: float) -> tuple[float, float]:
-    """(d, v0) = (n sin^2(mu), n sin(mu) cos(mu)).
-
-    This is the parameter map used by the curvature-angle determining
-    system.  Beware the convention clash: here tan(mu) = d/v0, which is the
-    complement of the Chasles angle returned by ``curvature_relations``.
-    Both are exposed; neither is silently converted.
-    """
-    n = float(n)
-    mu = float(mu)
-    if n <= 0.0:
-        raise ValueError("n must be positive")
-    s = math.sin(mu)
-    if abs(s) < 1e-12:
-        raise DegenerateAngleError("sin(mu) = 0 gives d = 0")
-    return n * s * s, n * s * math.cos(mu)
-
-
-def dv0_to_n_mu(d: float, v0: float) -> tuple[float, float]:
-    """Inverse of ``dv0_from_n_mu`` for d > 0: n = (d^2+v0^2)/d, mu = atan2(d, v0)."""
-    d = float(d)
-    v0 = float(v0)
-    if d <= 0.0:
-        raise DevelopableRulingError("inverse map requires d > 0")
-    return (d * d + v0 * v0) / d, math.atan2(d, v0)

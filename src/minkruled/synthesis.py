@@ -48,7 +48,15 @@ from .errors import (
     TorsionVanishesError,
 )
 from .frenet import Constant, CurvatureFn, FrenetCurve, as_curvature_fn
-from .surface import THETA_MIN, AngleTrack, RuledSurfaceGrid, finite_difference, require_same_grid, ruling_from_angles
+from .surface import (
+    THETA_MIN,
+    AngleTrack,
+    RuledSurfaceGrid,
+    dv0_from_n_mu,
+    finite_difference,
+    require_same_grid,
+    ruling_from_angles,
+)
 
 #: Abort threshold for |theta|; the determining systems blow up in finite s
 #: once sinh(theta) dominates, and past this value the surface is numerically
@@ -110,9 +118,10 @@ def _cylinder(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
 
 def _from_n_mu(n: np.ndarray, mu: float) -> dict[str, np.ndarray]:
     # K comes from n itself, not from the mapped (d, v0), so a wrong
-    # (n, mu) -> (d, v0) map still fails the K check; the raw products stay
-    # valid for either sign of n.
-    return {"d": n * math.sin(mu) ** 2, "v0": n * math.sin(mu) * math.cos(mu), "K": 1.0 / (n * n)}
+    # (n, mu) -> (d, v0) map still fails the K check; the map stays valid
+    # for either sign of n.
+    d, v0 = dv0_from_n_mu(n, mu)
+    return {"d": d, "v0": v0, "K": 1.0 / (n * n)}
 
 
 def _curvature_angle(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
@@ -413,29 +422,6 @@ def line_of_curvature_phi(k2, C: float, s_grid: np.ndarray) -> np.ndarray:
     node = -np.asarray(k2_fn(s), dtype=float)
     mid = -np.asarray(k2_fn(s[:-1] + 0.5 * h), dtype=float)
     return np.cumsum(np.concatenate([[float(C)], (h / 6.0) * (node[:-1] + 4.0 * mid + node[1:])]))
-
-
-def locus_theta(n: float, k1: float, phi: float) -> float:
-    """theta = artanh(n k1 cos(phi)), the line-of-curvature angle relation."""
-    c = math.cos(phi)
-    if abs(c) < 1e-12:
-        raise PhiSingularError("cos(phi) = 0: sec(phi) undefined")
-    x = n * k1 * c
-    if abs(x) >= 1.0:
-        raise NoSolutionError(f"|n k1 cos(phi)| = {abs(x):.6g} >= 1: no real angle")
-    return math.atanh(x)
-
-
-def phi_from_theta_mu(theta: float, mu: float) -> float:
-    """phi = atan(-cosh(theta) cot(mu)), principal branch.
-
-    Relates phi and mu when theta is constant and the directrix is a line
-    of curvature.
-    """
-    s = math.sin(mu)
-    if abs(s) < 1e-12:
-        raise DegenerateAngleError("sin(mu) = 0")
-    return math.atan(-math.cosh(theta) * math.cos(mu) / s)
 
 
 def helix_relation_defect(theta: float, mu: float, curve: FrenetCurve, *, tol: float = 1e-9) -> float:

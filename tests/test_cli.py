@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 import minkruled.mesh
 import minkruled.pipeline
-from minkruled import Constant, FrenetCurve, RuledSurfaceGrid, RunConfig, export_mesh, lvec
+from minkruled import Constant, FrenetCurve, RuledSurfaceGrid, RunConfig, export_mesh
 from minkruled.cli import main
 from minkruled.config import MAX_MESH_POINTS
 from minkruled.errors import ConfigError, GeometryError
-from minkruled.pipeline import run_config, sweep_grid, synthesize_surface, write_samples_csv
+from minkruled.pipeline import build_directrix, run_config, sweep_grid, synthesize_surface, write_samples_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -252,7 +252,7 @@ class TestConfigValidation:
 class TestExportMesh:
     def smallest_surface(self):
         curve = hyperbolic_curve(2)
-        q = np.tile(lvec(1, 0, 0), (2, 1))
+        q = np.tile(np.array([1.0, 0.0, 0.0]), (2, 1))
         return RuledSurfaceGrid(directrix=curve, q=q)
 
     def test_smallest_lattice(self, tmp_path):
@@ -267,7 +267,7 @@ class TestExportMesh:
     @given(n_s=st.integers(min_value=2, max_value=7), n_v=st.integers(min_value=2, max_value=7))
     def test_lattice_counts(self, tmp_path_factory, n_s, n_v):
         curve = hyperbolic_curve(n_s)
-        q = np.tile(lvec(1, 0, 0), (curve.n_samples, 1))
+        q = np.tile(np.array([1.0, 0.0, 0.0]), (curve.n_samples, 1))
         surf = RuledSurfaceGrid(directrix=curve, q=q)
         path = export_mesh(surf, (-1.0, 1.0), n_v, tmp_path_factory.mktemp("obj") / "m.obj")
         text = Path(path).read_text().splitlines()
@@ -289,7 +289,8 @@ class TestExportMesh:
         assert Path(path).read_bytes() == reference_obj(surf, v_range, v_samples, "c").encode()
 
     def test_blocks_match_reference_on_a_ragged_lattice(self, tmp_path):
-        _, _, surf = synthesize_surface(RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json"))
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        _, surf = synthesize_surface(cfg, build_directrix(cfg))
         block = minkruled.mesh._BLOCK
         v_samples = 2 * block // surf.n_samples + 1
         if surf.n_samples * v_samples % block == 0:
@@ -305,7 +306,8 @@ class TestExportMesh:
         self.assert_matches_reference(tmp_path, surf, (-1.0, 2.0), minkruled.mesh._BLOCK + 5)
 
     def test_two_v_samples_and_negative_range_match_reference(self, tmp_path):
-        _, _, surf = synthesize_surface(RunConfig.from_file(CONFIG_DIR / "asymptotic_line.json"))
+        cfg = RunConfig.from_file(CONFIG_DIR / "asymptotic_line.json")
+        _, surf = synthesize_surface(cfg, build_directrix(cfg))
         self.assert_matches_reference(tmp_path, surf, (-1.5, -0.25), 2)
 
 

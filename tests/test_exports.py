@@ -1,4 +1,9 @@
+import ast
+from pathlib import Path
+
 import minkruled
+
+SRC = Path(minkruled.__file__).parent
 
 
 def test_public_names_are_unique_and_resolve():
@@ -8,3 +13,25 @@ def test_public_names_are_unique_and_resolve():
     namespace = {}
     exec("from minkruled import *", namespace)  # raises on a name the package lacks
     assert set(names) <= namespace.keys()
+
+
+def test_public_names_are_sorted():
+    assert minkruled.__all__ == sorted(minkruled.__all__)
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+    assert unused == []

@@ -6,34 +6,27 @@ import pytest
 from minkruled import (
     AngleTrack,
     RuledSurfaceGrid,
-    angles_from_ruling,
     build_surface,
     curvature_relations,
     dv0_from_n_mu,
-    dv0_to_n_mu,
     integrate_frenet,
     invariants_analytic,
     invariants_numeric,
     lorentz_inner,
-    lvec,
     q_prime_analytic,
     ruling_from_angles,
-    striction_curve,
 )
 from minkruled.errors import (
     AllCylindricalError,
     CylindricalRulingError,
-    DegenerateAngleError,
-    DevelopableRulingError,
     GridMismatchError,
     NotUnitTimelikeError,
-    TangentRulingError,
     ThetaSingularityError,
 )
 from minkruled.surface import finite_difference
 from conftest import random_boosted_frame
 
-E1, E2, E3 = lvec(1, 0, 0), lvec(0, 1, 0), lvec(0, 0, 1)
+E1, E2, E3 = np.eye(3)
 
 
 def planar_surface(step=1e-3):
@@ -85,30 +78,17 @@ class TestRulingFromAngles:
 
 
 class TestAnglesFromRuling:
-    def test_inverse_of_phi_zero(self):
-        q = math.cosh(1) * E1 + math.sinh(1) * E3
-        theta, phi = angles_from_ruling(E1, E2, E3, q)
-        assert theta == pytest.approx(1.0)
-        assert phi == pytest.approx(0.0, abs=1e-12)
-
-    def test_tangent_ruling_rejected(self):
-        with pytest.raises(TangentRulingError):
-            angles_from_ruling(E1, E2, E3, E1)
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(NotUnitTimelikeError):
-            angles_from_ruling(E1, E2, E3, 1.5 * E1)
-
     def test_round_trip(self):
+        # the frame components of q and A give back cosh(theta), sin(phi), cos(phi)
         rng = np.random.default_rng(9)
         for _ in range(200):
             T, N, B = random_boosted_frame(rng)
             theta = rng.uniform(1e-3, 2.0)
             phi = rng.uniform(0, 2 * math.pi)
-            q, _, _ = ruling_from_angles(T, N, B, theta, phi)
-            theta_back, phi_back = angles_from_ruling(T, N, B, q)
-            assert theta_back == pytest.approx(theta, abs=1e-10)
-            assert phi_back % (2 * math.pi) == pytest.approx(phi % (2 * math.pi), abs=1e-9)
+            q, A, _ = ruling_from_angles(T, N, B, theta, phi)
+            assert -lorentz_inner(q, T) == pytest.approx(math.cosh(theta), abs=1e-12)
+            assert lorentz_inner(A, N) == pytest.approx(-math.sin(phi), abs=1e-12)
+            assert lorentz_inner(A, B) == pytest.approx(math.cos(phi), abs=1e-12)
 
 
 class TestQPrimeAnalytic:
@@ -234,7 +214,7 @@ class TestInvariants:
         curve, track = self.example_setup()
         surf = build_surface(track, curve)
         inv = invariants_numeric(surf)
-        c = striction_curve(surf, inv)
+        c = curve.k + inv.v0[:, None] * surf.q
         h = surf.step
         cp = finite_difference(c, h)
         qp = finite_difference(surf.q, h)
@@ -248,7 +228,7 @@ class TestInvariants:
             track = linear_theta_track(curve.s, 1.0, 2.0, math.pi / 2)
             surf = build_surface(track, curve)
             inv = invariants_numeric(surf)
-            c = striction_curve(surf, inv)
+            c = curve.k + inv.v0[:, None] * surf.q
             cp = finite_difference(c, step)
             qp = finite_difference(surf.q, step)
             worst.append(float(np.max(np.abs(lorentz_inner(cp, qp))[2:-2])))
@@ -261,21 +241,29 @@ class TestTrackAndGridValidation:
         with pytest.raises(ThetaSingularityError):
             AngleTrack(s=s, theta=s - 0.5, phi=s, theta_prime=s, phi_prime=s)
 
+    def test_theta_sign_change_rejected(self):
+        # theta steps from -0.05 to 0.05 between s = 0.5 and 0.6 without a
+        # sample below THETA_MIN
+        s = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(ThetaSingularityError, match="changes sign") as err:
+            AngleTrack(s=s, theta=s - 0.55, phi=s, theta_prime=s, phi_prime=s)
+        assert err.value.s == s[6]
+
     def test_non_unit_ruling_rejected(self):
         curve = integrate_frenet(1.0, 0.0, s_range=(0.0, 0.1), step=1e-2)
-        q = np.tile(lvec(1.1, 0, 0), (curve.n_samples, 1))
+        q = np.tile(np.array([1.1, 0.0, 0.0]), (curve.n_samples, 1))
         with pytest.raises(NotUnitTimelikeError):
             RuledSurfaceGrid(directrix=curve, q=q)
 
     def test_grid_mismatch_rejected(self):
         curve = integrate_frenet(1.0, 0.0, s_range=(0.0, 0.1), step=1e-2)
-        q = np.tile(lvec(1, 0, 0), (curve.n_samples - 1, 1))
+        q = np.tile(E1, (curve.n_samples - 1, 1))
         with pytest.raises(GridMismatchError):
             RuledSurfaceGrid(directrix=curve, q=q)
 
     def test_track_on_other_grid_rejected_by_surface(self):
         curve = integrate_frenet(1.0, 0.0, s_range=(0.0, 0.1), step=1e-2)
-        q = np.tile(lvec(1, 0, 0), (curve.n_samples, 1))
+        q = np.tile(E1, (curve.n_samples, 1))
         track = linear_theta_track(curve.s[:-1], 1.0, 0.0, 0.0)
         with pytest.raises(GridMismatchError):
             RuledSurfaceGrid(directrix=curve, q=q, track=track)
@@ -289,43 +277,53 @@ class TestTrackAndGridValidation:
 
 class TestCurvatureRelations:
     def test_unit_distribution(self):
-        assert curvature_relations(1.0, 0.0) == (
-            pytest.approx(0.0),
-            pytest.approx(1.0),
-            pytest.approx(1.0),
-        )
+        K, mu, n = curvature_relations(1.0, 0.0)
+        assert (K, mu, n) == (pytest.approx(1.0), pytest.approx(0.0), pytest.approx(1.0))
 
     def test_equal_pair(self):
-        mu, K, n = curvature_relations(1.0, 1.0)
+        K, mu, n = curvature_relations(1.0, 1.0)
         assert mu == pytest.approx(math.pi / 4)
         assert K == pytest.approx(0.25)
         assert n == pytest.approx(2.0)
 
     def test_developable_rejected(self):
-        with pytest.raises(DevelopableRulingError):
-            curvature_relations(0.0, 1.0)
+        K, mu, n = curvature_relations(0.0, 1.0)
+        assert K == 0.0
+        assert np.isnan(mu) and np.isnan(n)
+        assert all(np.isnan(x) for x in curvature_relations(0.0, 0.0))
+
+    def test_vector_matches_scalar_calls(self):
+        rng = np.random.default_rng(11)
+        d = np.concatenate([rng.uniform(-3.0, 3.0, 50), [0.0, 0.0]])
+        v0 = np.concatenate([rng.uniform(-3.0, 3.0, 50), [1.0, 0.0]])
+        vector = np.stack(curvature_relations(d, v0))
+        scalar = np.array([curvature_relations(a, b) for a, b in zip(d.tolist(), v0.tolist())]).T
+        assert np.array_equal(vector, scalar, equal_nan=True)
 
     def test_n_is_inverse_sqrt_K_for_positive_d(self):
         rng = np.random.default_rng(12)
-        for _ in range(100):
-            d = rng.uniform(0.05, 3.0)
-            v0 = rng.uniform(-3.0, 3.0)
-            _, K, n = curvature_relations(d, v0)
-            assert n == pytest.approx(1.0 / math.sqrt(K), rel=1e-12)
+        d = rng.uniform(0.05, 3.0, 100)
+        v0 = rng.uniform(-3.0, 3.0, 100)
+        K, _, n = curvature_relations(d, v0)
+        assert np.max(np.abs(n * np.sqrt(K) - 1.0)) < 1e-12
 
 
 class TestNMuMap:
     def test_right_angle(self):
-        assert dv0_from_n_mu(2.0, math.pi / 2) == (pytest.approx(2.0), pytest.approx(0.0, abs=1e-12))
+        d, v0 = dv0_from_n_mu(2.0, math.pi / 2)
+        assert d == pytest.approx(2.0)
+        assert v0 == pytest.approx(0.0, abs=1e-12)
 
     def test_quarter_angle(self):
         d, v0 = dv0_from_n_mu(2.0, math.pi / 4)
         assert d == pytest.approx(1.0)
         assert v0 == pytest.approx(1.0)
 
-    def test_degenerate_angle_rejected(self):
-        with pytest.raises(DegenerateAngleError):
-            dv0_from_n_mu(2.0, 0.0)
+    def test_vector_matches_scalar_calls(self):
+        n = np.random.default_rng(15).uniform(0.1, 5.0, 50)
+        d, v0 = dv0_from_n_mu(n, 1.1)
+        pairs = np.array([dv0_from_n_mu(x, 1.1) for x in n.tolist()])
+        assert np.array_equal(d, pairs[:, 0]) and np.array_equal(v0, pairs[:, 1])
 
     def test_round_trip_via_relations(self):
         rng = np.random.default_rng(13)
@@ -337,11 +335,12 @@ class TestNMuMap:
             assert abs(n_back - n) < 1e-12 * max(1.0, n)
 
     def test_inverse_map(self):
+        # for d > 0 the curvature-angle mu is the complement of the Chasles angle
         rng = np.random.default_rng(14)
         for _ in range(100):
             n = rng.uniform(0.1, 5.0)
             mu = rng.uniform(0.1, math.pi - 0.1)
             d, v0 = dv0_from_n_mu(n, mu)
-            n_back, mu_back = dv0_to_n_mu(d, v0)
+            _, chasles, n_back = curvature_relations(d, v0)
             assert n_back == pytest.approx(n, rel=1e-12)
-            assert mu_back == pytest.approx(mu, rel=1e-12)
+            assert math.pi / 2 - chasles == pytest.approx(mu, rel=1e-12)

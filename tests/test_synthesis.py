@@ -17,9 +17,7 @@ from minkruled import (
     integrate_system,
     invariants_numeric,
     line_of_curvature_phi,
-    locus_theta,
     lorentz_inner,
-    phi_from_theta_mu,
     system_rhs,
 )
 from minkruled.errors import (
@@ -113,6 +111,14 @@ DOMAIN_REJECTIONS = [
         SystemKind.ASYMPTOTIC_LINE, -0.5, SynthesisParams(theta0=0.6, mu=math.pi / 3, n=Polynomial((2.0, 0, 0, 0, 5.0))),
         "conflicts with -1/k2", id="asymptotic-drifting-n",  # n(0.1) = 2.0005 against -1/k2 = 2
     ),
+    pytest.param(
+        SystemKind.CURVATURE_ANGLE, 0.1, SynthesisParams(theta0=0.6, n=2.0, mu=0.0), r"sin\(mu\) = 0",
+        id="curvature-angle-zero-mu",
+    ),
+    pytest.param(
+        SystemKind.ASYMPTOTIC_LINE, -0.5, SynthesisParams(theta0=0.6, mu=0.0), r"sin\(mu\) = 0",
+        id="asymptotic-zero-mu",
+    ),
 ]
 
 
@@ -152,6 +158,14 @@ class TestCylinderMode:
         with pytest.raises(ThetaSingularityError) as err:
             integrate_system(SystemKind.CYLINDER, params, flat_directrix)
         assert err.value.s == pytest.approx(0.5, abs=0.05)
+
+    def test_theta_crossing_between_samples_rejected(self, flat_directrix):
+        # theta falls from 4.9e-4 at s = 0.5 to -5.1e-4 at s = 0.501; no
+        # stage value comes within THETA_MIN of zero
+        params = SynthesisParams(theta0=0.50049, phi0=1.5 * math.pi)
+        with pytest.raises(ThetaSingularityError, match="changes sign") as err:
+            integrate_system(SystemKind.CYLINDER, params, flat_directrix)
+        assert err.value.s == pytest.approx(0.501, abs=1e-12)
 
 
 _WAVY_TORSION = Sinusoid(amplitude=0.05, frequency=3.0, offset=0.1)
@@ -277,15 +291,14 @@ class TestStrictionAndDevelopable:
         assert float(np.max(np.abs(inv.v0[sl]))) < 1e-6
         assert np.max(np.abs(inv.d[sl] - 0.5) / 0.5) <= 1e-4
 
-    def test_striction_curve_equals_base(self, unit_directrix):
-        from minkruled import striction_curve
+    def test_central_points_equal_base(self, unit_directrix):
         from minkruled.lorentz import lorentz_norm
 
         params = SynthesisParams(theta0=1.0, phi0=0.5, d=0.5)
         track = integrate_system(SystemKind.STRICTION_LINE, params, unit_directrix)
         surf = build_surface(track, unit_directrix)
         inv = invariants_numeric(surf)
-        c = striction_curve(surf, inv)
+        c = unit_directrix.k + inv.v0[:, None] * surf.q  # the striction curve
         assert float(np.max(lorentz_norm(c - unit_directrix.k))) < 1e-5
 
     def test_developable_mode(self):
@@ -386,15 +399,13 @@ class TestLineOfCurvature:
         fd = (phi[2:] - phi[:-2]) / (2 * h)
         assert np.max(np.abs(fd + k2(s[1:-1]))) < 5 * h**2
 
-    def test_locus_theta_values(self):
-        assert locus_theta(1.0, 0.5, math.acos(1.0)) == pytest.approx(math.atanh(0.5))
-        assert locus_theta(1.0, math.tanh(1.0), 0.0) == pytest.approx(1.0)
-
-    def test_locus_theta_errors(self):
-        with pytest.raises(PhiSingularError):
-            locus_theta(1.0, 0.5, math.pi / 2)
-        with pytest.raises(NoSolutionError):
-            locus_theta(3.0, 1.0, 0.0)
+    def test_angle_relation_errors(self):
+        # k2 = 0 holds phi at C; tanh(theta) = n k1 cos(phi) needs cos(phi) != 0 and |n k1 cos(phi)| < 1
+        curve = integrate_frenet(1.0, 0.0, s_range=(0.0, 0.1), step=1e-3)
+        with pytest.raises(PhiSingularError, match="cos"):
+            integrate_system(SystemKind.LINE_OF_CURVATURE, SynthesisParams(n=1.0, C=math.pi / 2), curve)
+        with pytest.raises(NoSolutionError, match="n k1 cos"):
+            integrate_system(SystemKind.LINE_OF_CURVATURE, SynthesisParams(n=3.0, C=0.0), curve)
 
     def test_track_satisfies_angle_relation(self):
         curve = integrate_frenet(0.6, 0.2, s_range=(0.0, 1.0), step=1e-3)
@@ -412,28 +423,6 @@ class TestLineOfCurvature:
         with pytest.raises(ThetaSingularityError) as err:
             integrate_system(SystemKind.LINE_OF_CURVATURE, params, curve)
         assert err.value.s == 0.5
-
-
-class TestPhiFromThetaMu:
-    def test_right_angle(self):
-        assert phi_from_theta_mu(1.3, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
-
-    def test_zero_theta(self):
-        assert phi_from_theta_mu(0.0, math.pi / 4) == pytest.approx(-math.pi / 4)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateAngleError):
-            phi_from_theta_mu(1.0, 0.0)
-
-    def test_consistent_with_component_pair(self):
-        # dividing k1 sin(phi) = -(1/n) sinh(theta) cot(mu) by
-        # k1 cos(phi) = (1/n) tanh(theta) reproduces the phi relation
-        theta, mu, n = 0.8, 1.1, 1.5
-        phi = phi_from_theta_mu(theta, mu)
-        k1 = math.tanh(theta) / (n * math.cos(phi))
-        lhs = k1 * math.sin(phi)
-        rhs = -(1.0 / n) * math.sinh(theta) * math.cos(mu) / math.sin(mu)
-        assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
 class TestHelixDefect:
@@ -459,3 +448,8 @@ class TestHelixDefect:
         curve = integrate_frenet(1.0, 0.0, s_range=(0.0, 0.1), step=1e-3)
         with pytest.raises(TorsionVanishesError):
             helix_relation_defect(1.0, 1.0, curve)
+
+    def test_degenerate_angle(self):
+        curve = integrate_frenet(2.0, 1.0, s_range=(0.0, 0.1), step=1e-3)
+        with pytest.raises(DegenerateAngleError):
+            helix_relation_defect(1.0, 0.0, curve)
