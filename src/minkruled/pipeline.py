@@ -18,7 +18,7 @@ from .errors import GeometryError
 from .frenet import FrenetCurve, integrate_frenet
 from .mesh import export_mesh
 from .surface import AngleTrack, RuledSurfaceGrid
-from .synthesis import DEFAULT_PHI0_GRID, DEFAULT_THETA0_GRID, build_surface, integrate_system
+from .synthesis import DEFAULT_PHI0_GRID, DEFAULT_THETA0_GRID, KINDS, build_surface, integrate_system
 from .verify import InvariantReport, recompute_report
 
 
@@ -113,15 +113,20 @@ def write_samples_csv(path, track: AngleTrack, report: InvariantReport) -> str:
     """Per-sample table: s, angles, recomputed invariants, cylindrical flag.
 
     Without recomputed invariants the six invariant cells are empty and the
-    flag is 1.  Rows are formatted ``_CSV_BLOCK`` at a time, one ``%`` per block.
+    flag is 1.  When the kind prescribes ``d = 0`` the ``mu`` and ``n`` cells
+    are empty: both are functions of ``d``, so the recomputed values would be
+    its roundoff.  Rows are formatted ``_CSV_BLOCK`` at a time, one ``%`` per
+    block.
     """
     path = os.fspath(path)
     inv = report.recomputed
     if inv is None:
         row, cols = "%.17g,%.17g,%.17g,,,,,,,1\n", (track.s, track.theta, track.phi)
     else:
-        row = "%.17g," * 9 + "%d\n"
-        cols = (track.s, track.theta, track.phi, inv.d, inv.v0, inv.K, inv.mu, inv.n, inv.qprime_norm, inv.cylindrical)
+        blank = ("mu", "n") if "d" in KINDS[report.kind].vanishing else ()
+        values = (track.s, track.theta, track.phi, inv.d, inv.v0, inv.K, inv.mu, inv.n, inv.qprime_norm, inv.cylindrical)
+        row = ",".join("" if c in blank else "%d" if c == "cylindrical" else "%.17g" for c in _CSV_COLUMNS) + "\n"
+        cols = [v for c, v in zip(_CSV_COLUMNS, values) if c not in blank]
     n = track.n_samples
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_CSV_COLUMNS) + "\n")

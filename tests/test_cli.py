@@ -1,11 +1,15 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +19,7 @@ from hypothesis import strategies as st
 
 import minkruled.mesh
 import minkruled.pipeline
-from minkruled import Constant, FrenetCurve, RuledSurfaceGrid, RunConfig, export_mesh
+from minkruled import Constant, FrenetCurve, RuledSurfaceGrid, RunConfig, SystemKind, export_mesh
 from minkruled.cli import main
 from minkruled.config import MAX_MESH_POINTS
 from minkruled.errors import ConfigError, GeometryError
@@ -69,9 +73,15 @@ def reference_csv(track, report):
         if inv is None:
             writer.writerow(head + ["", "", "", "", "", "", 1])
         else:
-            cols = (inv.d, inv.v0, inv.K, inv.mu, inv.n, inv.qprime_norm)
-            writer.writerow(head + [f"{float(c[i]):.17g}" for c in cols] + [int(inv.cylindrical[i])])
+            cells = {c: f"{float(getattr(inv, c)[i]):.17g}" for c in ("d", "v0", "K", "mu", "n", "qprime_norm")}
+            if report.kind is SystemKind.DEVELOPABLE:
+                cells["mu"] = cells["n"] = ""
+            writer.writerow(head + list(cells.values()) + [int(inv.cylindrical[i])])
     return out.getvalue()
+
+
+def raise_(exc):
+    raise exc
 
 
 def load_doc(name):
@@ -284,11 +294,24 @@ class TestExportMesh:
         with pytest.raises(ValueError):
             export_mesh(self.smallest_surface(), (0.0, 1.0), 1, tmp_path / "m.obj")
 
-    def assert_matches_reference(self, tmp_path, surf, v_range, v_samples):
+    def assert_matches_reference(self, monkeypatch, tmp_path, surf, v_range, v_samples, cpus=frozenset({0, 1})):
+        """Write through ``export_mesh`` on ``cpus`` and compare with the line-by-line reference.
+
+        Also checks that no child is left unreaped and that the OBJ is the
+        only file written; returns the number of forks attempted.
+        """
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
         path = export_mesh(surf, v_range, v_samples, tmp_path / "m.obj", comment="c")
         assert Path(path).read_bytes() == reference_obj(surf, v_range, v_samples, "c").encode()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.listdir(tmp_path) == ["m.obj"]
+        return len(forks)
 
-    def test_blocks_match_reference_on_a_ragged_lattice(self, tmp_path):
+    def test_blocks_match_reference_on_a_ragged_lattice(self, monkeypatch, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
         _, surf = synthesize_surface(cfg, build_directrix(cfg))
         block = minkruled.mesh._BLOCK
@@ -296,19 +319,56 @@ class TestExportMesh:
         if surf.n_samples * v_samples % block == 0:
             v_samples += 1
         n_points = surf.n_samples * v_samples
-        assert n_points > 2 * block and n_points % block
-        self.assert_matches_reference(tmp_path, surf, (-0.5, 0.5), v_samples)
+        assert n_points > minkruled.mesh._FORK_MIN_POINTS and n_points % block
+        # the parent's share ends inside a block and the cut inside a lattice row
+        share = minkruled.mesh._PARENT_SHARE * n_points
+        cut = round(share / block) * block
+        assert share % block and cut % v_samples
+        assert self.assert_matches_reference(monkeypatch, tmp_path, surf, (-0.5, 0.5), v_samples) == 1
 
-    def test_blocks_match_reference_on_a_wide_two_row_lattice(self, tmp_path):
+    def test_blocks_match_reference_on_a_wide_two_row_lattice(self, monkeypatch, tmp_path):
         curve = hyperbolic_curve(2)
         a = np.array([0.3, -1.1])
         surf = RuledSurfaceGrid(directrix=curve, q=np.stack([np.cosh(a), 0.0 * a, np.sinh(a)], axis=1))
-        self.assert_matches_reference(tmp_path, surf, (-1.0, 2.0), minkruled.mesh._BLOCK + 5)
+        threshold = minkruled.mesh._FORK_MIN_POINTS
+        # just below, exactly at and above the fork threshold
+        for v_samples in (threshold // 2 - 1, threshold // 2, minkruled.mesh._BLOCK + 5):
+            out = tmp_path / str(v_samples)
+            out.mkdir()
+            forks = self.assert_matches_reference(monkeypatch, out, surf, (-1.0, 2.0), v_samples)
+            assert forks == (2 * v_samples >= threshold)
 
-    def test_two_v_samples_and_negative_range_match_reference(self, tmp_path):
+    def test_two_v_samples_and_negative_range_match_reference(self, monkeypatch, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "asymptotic_line.json")
         _, surf = synthesize_surface(cfg, build_directrix(cfg))
-        self.assert_matches_reference(tmp_path, surf, (-1.5, -0.25), 2)
+        assert self.assert_matches_reference(monkeypatch, tmp_path, surf, (-1.5, -0.25), 2) == 0
+
+    def test_failed_child_is_replaced_by_the_parent(self, monkeypatch, tmp_path):
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        _, surf = synthesize_surface(cfg, build_directrix(cfg))
+        parent, write_lines = os.getpid(), minkruled.mesh._write_lines
+
+        def failing_in_child(*args):
+            if os.getpid() != parent:
+                raise OSError("child fails")
+            write_lines(*args)
+
+        monkeypatch.setattr(minkruled.mesh, "_write_lines", failing_in_child)
+        assert self.assert_matches_reference(monkeypatch, tmp_path, surf, (-0.5, 0.5), 33) == 1
+
+    @pytest.mark.parametrize("case", ["threads", "one-cpu", "no-temp-file", "fork-fails"])
+    def test_one_process_paths_match_reference(self, monkeypatch, tmp_path, case):
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        _, surf = synthesize_surface(cfg, build_directrix(cfg))
+        if case == "threads":
+            monkeypatch.setattr(threading, "active_count", lambda: 2)
+        if case == "no-temp-file":
+            monkeypatch.setattr(tempfile, "TemporaryFile", lambda **kw: raise_(PermissionError(errno.EACCES, "no")))
+        fork_error = OSError(errno.EAGAIN, "no") if case == "fork-fails" else AssertionError("forked")
+        monkeypatch.setattr(os, "fork", lambda: raise_(fork_error))
+        cpus = {0} if case == "one-cpu" else {0, 1}
+        forks = self.assert_matches_reference(monkeypatch, tmp_path, surf, (-0.5, 0.5), 33, cpus=cpus)
+        assert forks == (case == "fork-fails")
 
 
 class TestPipeline:
@@ -358,6 +418,14 @@ class TestPipeline:
         assert {line[-1] for line in text.splitlines()[1:]} == {"0", "1"}
         assert result.track.n_samples > minkruled.pipeline._CSV_BLOCK
         assert Path(path).read_bytes() == text.encode()
+
+    def test_csv_leaves_n_and_mu_empty_where_d_vanishes(self, tmp_path):
+        result = run_config(RunConfig.from_file(CONFIG_DIR / "developable.json"), tmp_path)
+        text = Path(result.written["csv"]).read_text()
+        assert text == reference_csv(result.track, result.report)
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert len(rows) == result.track.n_samples
+        assert all(r["mu"] == r["n"] == "" and r["d"] and r["K"] for r in rows)
 
 
 class TestSweep:

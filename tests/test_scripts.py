@@ -1,5 +1,6 @@
 """Smoke tests: the shipped scripts run end to end against the package."""
 
+import json
 import os
 import subprocess
 import sys
@@ -38,3 +39,25 @@ def test_convergence_study_prints_three_tables(tmp_path):
     _, recovery, loc = rows[1::2]
     assert 3.5 < float(recovery[2]) < 4.5 and 3.5 < float(recovery[4]) < 4.5
     assert 3.5 < float(loc[2]) < 4.5
+
+
+def test_bench_stages_writes_every_key_and_compares(tmp_path):
+    out = tmp_path / "bench.json"
+    args = ["--steps", "1e-2", "--repeats", "1", "--out", str(out)]
+    proc = run_script("bench_stages.py", *args, "--save", str(tmp_path / "a"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    stages = {"build_directrix", "integrate_system", "build_surface", "recompute_report", "write_samples_csv", "export_mesh"}
+    assert set(doc) == {"commit", "machine", "repeats", "stages_ms", "sweep_ms"}
+    assert sorted(doc["stages_ms"]) == CONFIG_NAMES
+    assert all(set(per_step) == {"0.01"} and set(per_step["0.01"]) == stages for per_step in doc["stages_ms"].values())
+    assert doc["sweep_ms"].keys() == {"cylinder", "developable", "general_roundtrip"}
+    assert all(t > 0 for per_step in doc["sweep_ms"].values() for t in per_step.values())
+    assert list(doc) == sorted(doc)
+
+    proc = run_script("bench_stages.py", *args, "--compare", str(tmp_path / "a"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    drift = proc.stdout.split("largest absolute drift", 1)[1].splitlines()[1:]
+    labels = [line.split()[1] for line in drift]
+    assert labels == ["s", "theta", "phi", "d", "v0", "K", "mu", "n", "qprime_norm", "cylindrical", "x1", "x2", "x3"]
+    assert all(float(line.split()[2]) == 0.0 for line in drift)
