@@ -9,12 +9,14 @@ sweep base the benchmark uses.  Each time is a median over --repeats runs in
 ms, scaled to the machine's uncontended speed by the benchmark's reference
 loop (perfbench/refloop.py) run beside it, as perfbench scales its timings.
 
---save DIR keeps every run's CSV, report and OBJ; --compare DIR prints the
-largest absolute drift per CSV column and per OBJ vertex coordinate of this
-run's files against an earlier --save.
+--save DIR keeps every run's CSV, report, OBJ and sweep summary; --compare
+DIR prints, against an earlier --save, the largest absolute drift per CSV
+column, per sweep summary column and per OBJ vertex coordinate of this run's
+files, and for the sweep verdict and detail the number of rows that differ.
 """
 
 import argparse
+import csv
 import importlib.util
 import json
 import os
@@ -43,6 +45,8 @@ STAGES = (
 SWEEP_BASES = ("cylinder", "developable", "general_roundtrip")
 MESH_V_RANGE = (-0.75, 0.75)
 MESH_V_SAMPLES = 33
+#: Sweep summary columns compared as text, by the number of rows that differ.
+TEXT_COLUMNS = ("verdict", "detail")
 
 
 def _refloop():
@@ -120,10 +124,16 @@ def run_sweep(timer, name: str, step: float, out_dir: Path) -> None:
     timer(("sweep_ms", name, f"{step:g}"), sweep_grid, cfg, None, None, out_dir, summary_name=f"sweep_{name}_{step:g}.csv")
 
 
-def _csv_columns(path: Path) -> dict[str, np.ndarray]:
-    """Each column of a sample CSV as floats; an empty cell is NaN."""
-    header, *rows = (line.split(",") for line in path.read_text().splitlines())
-    return {c: np.array([float(r[j]) if r[j] else np.nan for r in rows]) for j, c in enumerate(header)}
+def _csv_columns(path: Path) -> dict[str, list[str]]:
+    """Each column of a CSV as its cells."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return {c: [r[j] for r in rows] for j, c in enumerate(header)}
+
+
+def _floats(cells: list[str]) -> np.ndarray:
+    """Cells as floats; an empty cell is NaN."""
+    return np.array([float(x) if x else np.nan for x in cells])
 
 
 def _obj_vertices(path: Path) -> np.ndarray:
@@ -140,7 +150,12 @@ def _drift(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def compare(out_dir: Path, old_dir: Path) -> None:
-    """Print the largest drift per CSV column and OBJ coordinate against ``old_dir``."""
+    """Print the largest drift per CSV column and OBJ coordinate against ``old_dir``.
+
+    Sample CSVs and sweep summaries (``sweep_*.csv``) are labelled ``csv`` and
+    ``sweep``; for the sweep's text columns the value is the number of rows
+    that differ.
+    """
     worst: dict[str, tuple[float, str]] = {}
 
     def note(label, value, where):
@@ -148,18 +163,22 @@ def compare(out_dir: Path, old_dir: Path) -> None:
             worst[label] = (value, where)
 
     for new in sorted(out_dir.glob("*.csv")):
-        if new.name.startswith("sweep_"):
-            continue
+        kind = "sweep" if new.name.startswith("sweep_") else "csv"
         old_cols = _csv_columns(old_dir / new.name)
         for c, col in _csv_columns(new).items():
-            note(f"csv {c}", _drift(col, old_cols[c]), new.name)
+            old = old_cols[c]
+            if c in TEXT_COLUMNS:  # the number of rows that differ
+                value = float(sum(a != b for a, b in zip(col, old))) if len(col) == len(old) else float("inf")
+            else:
+                value = _drift(_floats(col), _floats(old))
+            note(f"{kind} {c}", value, new.name)
     for new in sorted(out_dir.glob("*.obj")):
         a, b = _obj_vertices(new), _obj_vertices(old_dir / new.name)
         for j in range(3):
             note(f"obj x{j + 1}", _drift(a[:, j], b[:, j]) if a.shape == b.shape else float("inf"), new.name)
     print(f"\nlargest absolute drift against {old_dir}")
     for label, (value, where) in worst.items():
-        print(f"  {label:<18} {value:10.3g}" + (f"  ({where})" if value else ""))
+        print(f"  {label:<20} {value:10.3g}" + (f"  ({where})" if value else ""))
 
 
 def main():

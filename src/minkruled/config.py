@@ -262,6 +262,8 @@ class RunConfig:
             samples = grid_size(self.directrix.s_range, self.directrix.step) + 1
         except ValueError as exc:
             raise ConfigError("directrix.step", str(exc)) from None
+        if samples < 3:  # the finite differences of the oracle need three
+            raise ConfigError("directrix.step", f"the grid has {samples} samples; at least 3 are needed")
         mesh = self.outputs.mesh
         if mesh is not None and samples * mesh.v_samples > MAX_MESH_POINTS:
             raise ConfigError("outputs.mesh.v_samples", f"the mesh would have more than {MAX_MESH_POINTS} points")

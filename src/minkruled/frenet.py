@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    IntegrationDivergedError,
     NonOrthonormalSeedError,
     NonPositiveCurvatureError,
     StepTooLargeError,
@@ -324,11 +325,12 @@ def integrate_frenet(
         a flipped orientation would silently negate every mixed product
         downstream.
 
-    Integration fails with StepTooLargeError, naming the first sample whose
-    frame orthonormality defect exceeds DEFAULT_FRAME_TOL.
+    Integration fails with IntegrationDivergedError at the first arc length,
+    sample or step midpoint, where k1 or k2 is not finite (an overflowing
+    polynomial, say), and with StepTooLargeError at the first sample whose
+    frame orthonormality defect exceeds DEFAULT_FRAME_TOL or is NaN.
     """
-    k1_fn = as_curvature_fn(k1)
-    k2_fn = as_curvature_fn(k2)
+    k1_fn, k2_fn = as_curvature_fn(k1), as_curvature_fn(k2)
     s = uniform_grid(s_range, step)
 
     frame = np.asarray(default_initial_frame() if initial_frame is None else initial_frame, dtype=float)
@@ -342,21 +344,23 @@ def integrate_frenet(
     if abs(orient + 1.0) > 1e-9:
         raise NonOrthonormalSeedError(f"seed frame orientation <T x N, B> = {orient:.3e}, expected -1")
 
-    k1_grid = np.asarray(k1_fn(s), dtype=float)
-    k2_grid = np.asarray(k2_fn(s), dtype=float)
-    if not (np.all(np.isfinite(k1_grid)) and np.all(np.isfinite(k2_grid))):
-        raise ValueError("curvature functions produced non-finite values on the grid")
-    if np.min(k1_grid) <= 0.0:
-        i = int(np.argmin(k1_grid))
-        raise NonPositiveCurvatureError(f"k1(s={s[i]:.6g}) = {k1_grid[i]:.6g} is not positive")
-
     h = float(s[1] - s[0])
     mid = s[:-1] + 0.5 * h
-    k1_mid, k2_mid = np.asarray(k1_fn(mid), dtype=float), np.asarray(k2_fn(mid), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
+        k1_grid, k1_mid, k2_grid, k2_mid = k1_fn(s), k1_fn(mid), k2_fn(s), k2_fn(mid)
+        # the first arc length, sample or midpoint, where k1 or k2 is not finite
+        at, name = min(
+            (x[~np.isfinite(v)].min(initial=math.inf), name)
+            for name, x, v in (("k1", s, k1_grid), ("k1", mid, k1_mid), ("k2", s, k2_grid), ("k2", mid, k2_mid))
+        )
+        if at < math.inf:
+            raise IntegrationDivergedError(f"{name}(s={at:.6g}) is not finite", s=float(at))
+        if np.min(k1_grid) <= 0.0:
+            i = int(np.argmin(k1_grid))
+            raise NonPositiveCurvatureError(f"k1(s={s[i]:.6g}) = {k1_grid[i]:.6g} is not positive")
         y = _rk4_frames(frame, h, k1_grid, k2_grid, k1_mid, k2_mid)
         defect = _frame_gram_defect(y[1:, 1], y[1:, 2], y[1:, 3])
-    over = np.flatnonzero(defect > DEFAULT_FRAME_TOL)
+    over = np.flatnonzero(~(defect <= DEFAULT_FRAME_TOL))  # a NaN frame fails too
     if over.size:
         i = int(over[0])
         raise StepTooLargeError(

@@ -8,6 +8,7 @@ records timestamps.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -23,10 +24,7 @@ from .verify import InvariantReport, recompute_report
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    return f"{x:.17g}"
+    return "" if x is None else f"{float(x):.17g}"
 
 
 @dataclass(frozen=True)
@@ -61,20 +59,26 @@ def run_config(cfg: RunConfig, out_dir=".", *, write_outputs: bool = True) -> Ru
     if write_outputs:
         out_dir = os.fspath(out_dir)
         os.makedirs(out_dir, exist_ok=True)
-    curve = build_directrix(cfg)
+    result = run_seed(cfg, build_directrix(cfg))
+    if write_outputs:
+        o, written = cfg.outputs, result.written
+        if o.csv_path is not None:
+            written["csv"] = write_samples_csv(os.path.join(out_dir, o.csv_path), result.track, result.report)
+        if o.report_path is not None:
+            written["report"] = write_report_json(os.path.join(out_dir, o.report_path), result.report)
+        if o.mesh is not None:
+            written["mesh"] = write_mesh(cfg, result.surface, out_dir)
+    return result
+
+
+def run_seed(cfg: RunConfig, curve: FrenetCurve) -> RunResult:
+    """Synthesize and verify one config on its directrix ``curve``; writes nothing.
+
+    The one per-seed path of ``run_config`` and ``sweep_grid``.
+    """
     track, surface = synthesize_surface(cfg, curve)
     report = recompute_report(surface, cfg.params, cfg.system, cfg.tolerances)
-
-    written: dict[str, str] = {}
-    if write_outputs:
-        o = cfg.outputs
-        if o.csv_path is not None:
-            written["csv"] = write_samples_csv(os.path.join(out_dir, o.csv_path), track, report)
-        if o.report_path is not None:
-            written["report"] = write_report_json(os.path.join(out_dir, o.report_path), report)
-        if o.mesh is not None:
-            written["mesh"] = write_mesh(cfg, surface, out_dir)
-    return RunResult(config=cfg, curve=curve, track=track, surface=surface, report=report, written=written)
+    return RunResult(config=cfg, curve=curve, track=track, surface=surface, report=report, written={})
 
 
 def synthesize_surface(cfg: RunConfig, curve: FrenetCurve) -> tuple[AngleTrack, RuledSurfaceGrid]:
@@ -146,6 +150,8 @@ def write_samples_csv(path, track: AngleTrack, report: InvariantReport) -> str:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One seed of a sweep; the fields are the summary CSV's columns, in order."""
+
     theta0: float
     phi0: float
     verdict: str  # pass / fail / error
@@ -153,6 +159,17 @@ class SweepRow:
     worst_defect: float | None
     failure_s: float | None
     detail: str
+
+    @classmethod
+    def of(cls, theta0: float, phi0: float, outcome: InvariantReport | GeometryError) -> "SweepRow":
+        """The row of a seed from its report, or from the error that stopped it."""
+        if isinstance(outcome, GeometryError):
+            detail = f"{type(outcome).__name__}: {outcome}"
+            return cls(theta0, phi0, "error", None, None, getattr(outcome, "s", None), detail)
+        rels = [st.max_rel for st in outcome.errors.values() if math.isfinite(st.max_rel)]
+        defects = [v for k, v in outcome.defects.items() if not k.endswith("_endpoints")]
+        detail = "" if outcome.passed else "failed: " + ",".join(outcome.failures)
+        return cls(theta0, phi0, outcome.verdict, max(rels, default=None), max(defects, default=None), None, detail)
 
 
 def sweep_grid(
@@ -180,62 +197,22 @@ def sweep_grid(
     # the directrix does not depend on the seed: build it once; if it cannot
     # be built, every row carries that error
     try:
-        curve, directrix_error = build_directrix(base), None
+        curve, outcome = build_directrix(base), None
     except GeometryError as exc:
-        curve, directrix_error = None, exc
-
+        curve, outcome = None, exc
     rows: list[SweepRow] = []
-    for theta0 in theta0_list:
-        for phi0 in phi0_list:
-            cfg = base.with_seed(float(theta0), float(phi0))
-            error = directrix_error
-            if error is None:
+    for theta0 in map(float, theta0_list):
+        for phi0 in map(float, phi0_list):
+            if curve is not None:
                 try:
-                    _, surface = synthesize_surface(cfg, curve)
-                    report = recompute_report(surface, cfg.params, cfg.system, cfg.tolerances)
+                    outcome = run_seed(base.with_seed(theta0, phi0), curve).report
                 except GeometryError as exc:
-                    error = exc
-            if error is not None:
-                rows.append(
-                    SweepRow(
-                        theta0=float(theta0),
-                        phi0=float(phi0),
-                        verdict="error",
-                        max_rel_error=None,
-                        worst_defect=None,
-                        failure_s=getattr(error, "s", None),
-                        detail=f"{type(error).__name__}: {error}",
-                    )
-                )
-                continue
-            rels = [st.max_rel for st in report.errors.values() if math.isfinite(st.max_rel)]
-            defects = [v for k, v in report.defects.items() if not k.endswith("_endpoints")]
-            rows.append(
-                SweepRow(
-                    theta0=float(theta0),
-                    phi0=float(phi0),
-                    verdict=report.verdict,
-                    max_rel_error=max(rels) if rels else None,
-                    worst_defect=max(defects) if defects else None,
-                    failure_s=None,
-                    detail="" if report.passed else "failed: " + ",".join(report.failures),
-                )
-            )
+                    outcome = exc
+            rows.append(SweepRow.of(theta0, phi0, outcome))
 
     summary_path = os.path.join(out_dir, summary_name)
     with open(summary_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["theta0", "phi0", "verdict", "max_rel_error", "worst_defect", "failure_s", "detail"])
-        for row in rows:
-            writer.writerow(
-                [
-                    _fmt(row.theta0),
-                    _fmt(row.phi0),
-                    row.verdict,
-                    _fmt(row.max_rel_error),
-                    _fmt(row.worst_defect),
-                    _fmt(row.failure_s),
-                    row.detail,
-                ]
-            )
+        writer.writerow([f.name for f in dataclasses.fields(SweepRow)])
+        writer.writerows([x if isinstance(x, str) else _fmt(x) for x in dataclasses.astuple(row)] for row in rows)
     return rows, summary_path

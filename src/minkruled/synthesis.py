@@ -121,14 +121,17 @@ def _from_n_mu(n: np.ndarray, mu: float) -> dict[str, np.ndarray]:
     # (n, mu) -> (d, v0) map still fails the K check; the map stays valid
     # for either sign of n.
     d, v0 = dv0_from_n_mu(n, mu)
-    return {"d": d, "v0": v0, "K": 1.0 / (n * n)}
+    with np.errstate(over="ignore"):  # K = 0 for |n| near the float limit
+        return {"d": d, "v0": v0, "K": 1.0 / (n * n)}
 
 
 def _curvature_angle(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
-    n = as_curvature_fn(p.n)
-    if isinstance(n, Constant) and n.value <= 0.0:
-        raise ParamDomainError("curvature_angle requires n > 0")
-    return {**_from_n_mu(n(s), p.mu), "mu": np.full(np.shape(s), HALF_PI - p.mu)}
+    n = as_curvature_fn(p.n)(s)
+    off = np.flatnonzero(~(n > 0.0))
+    if off.size:
+        i = int(off[0])
+        raise ParamDomainError(f"curvature_angle requires n > 0; n = {float(n[i]):.6g} at s = {float(s[i]):.6g}")
+    return {**_from_n_mu(n, p.mu), "mu": np.full(np.shape(s), HALF_PI - p.mu)}
 
 
 def _asymptotic(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
@@ -209,11 +212,12 @@ def validate_params(kind: SystemKind, params: SynthesisParams) -> None:
 def _coefficients(kind: SystemKind, params: SynthesisParams, s, k2) -> np.ndarray:
     """Columns (a, b) of the general system at the arc lengths ``s``.
 
-    A kind that prescribes no (d, v0), the cylinder, has a = b = 0.  Both are
-    NaN where d^2 + v0^2 = 0; the right-hand side reports that at the stage
-    that reaches it.
+    A kind that prescribes no (d, v0), the cylinder, has a = b = 0, and so
+    does a (d, v0) whose d^2 + v0^2 overflows.  Both are NaN where
+    d^2 + v0^2 = 0; the right-hand side reports that at the stage that
+    reaches it.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         fixed = KINDS[kind].prescribe(params, s, k2)
         if "d" not in fixed:
             return np.zeros((np.size(s), 2))

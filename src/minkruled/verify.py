@@ -58,9 +58,7 @@ class Tolerances:
                 raise ConfigError(f"tolerances.{name}", "must be a finite number >= 0")
 
     def defect_tol(self, name: str) -> float:
-        if name in self.defects:
-            return float(self.defects[name])
-        return float(DEFAULT_DEFECT_TOLS.get(name, self.abs))
+        return float(self.defects.get(name, DEFAULT_DEFECT_TOLS.get(name, self.abs)))
 
     def to_dict(self) -> dict:
         return {"rel": self.rel, "abs": self.abs, "defects": dict(self.defects)}
@@ -130,28 +128,25 @@ def _stats(actual: np.ndarray, expected: np.ndarray, mask: np.ndarray, tol: Tole
     per sample, so quantities prescribed to be (numerically) zero are judged
     on the absolute branch instead of a meaningless relative error.
     """
-    err = np.abs(actual - expected)
     interior = mask.copy()
     interior[0] = interior[-1] = False
     ends = mask & ~interior
-    bound = tol.abs + tol.rel * np.abs(expected)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = err / np.abs(expected)
-        ratio = np.where(err == 0.0, 0.0, err / bound)
-    if not np.any(interior):
+    # a prescription near the float limit may overflow the errors to inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        err = np.abs(actual - expected)
+        bound = tol.abs + tol.rel * np.abs(expected)
+        endpoint_max_abs = float(np.max(err[ends])) if np.any(ends) else math.nan
+        if not np.any(interior):
+            return ErrorStats(math.nan, math.nan, math.nan, endpoint_max_abs, math.nan), False
+        err, bound = err[interior], bound[interior]
         stats = ErrorStats(
-            math.nan, math.nan, math.nan, float(np.max(err[ends])) if np.any(ends) else math.nan, math.nan
+            max_abs=float(np.max(err)),
+            max_rel=float(np.max(err / np.abs(expected[interior]))),
+            mean_abs=float(np.mean(err)),
+            endpoint_max_abs=endpoint_max_abs,
+            margin=float(np.max(np.where(err == 0.0, 0.0, err / bound))),
         )
-        return stats, False
-    ok = bool(np.all(err[interior] <= bound[interior]))
-    stats = ErrorStats(
-        max_abs=float(np.max(err[interior])),
-        max_rel=float(np.max(rel[interior])),
-        mean_abs=float(np.mean(err[interior])),
-        endpoint_max_abs=float(np.max(err[ends])) if np.any(ends) else math.nan,
-        margin=float(np.max(ratio[interior])),
-    )
-    return stats, ok
+    return stats, bool(np.all(err <= bound))
 
 
 def recompute_report(
@@ -171,53 +166,40 @@ def recompute_report(
     uses absolute radians there).
     """
     tol = tolerances if tolerances is not None else Tolerances()
-    h = surface.step
-    failures: list[str] = []
-    defects: dict[str, float] = {}
-
-    if kind is SystemKind.CYLINDER:
-        qp = finite_difference(surface.q, h)
-        norms = lorentz_norm(qp)
-        interior = float(np.max(norms[1:-1]))
-        defects["qprime_norm"] = interior
-        defects["qprime_norm_endpoints"] = float(max(norms[0], norms[-1]))
-        if interior > tol.defect_tol("qprime_norm"):
-            failures.append("qprime_norm")
-        return InvariantReport(
-            kind=kind,
-            n_samples=surface.n_samples,
-            n_cylindrical=surface.n_samples,
-            recomputed=None,
-            errors={},
-            defects=defects,
-            tolerances=tol,
-            failures=tuple(failures),
-        )
-
-    inv = invariants_numeric(surface)
-    usable = ~inv.cylindrical
-    spec = KINDS[kind]
-    prescribed = spec.prescribe(params, surface.s, surface.directrix.k2)
-
     errors: dict[str, ErrorStats] = {}
-    for name, expected in prescribed.items():
-        if name not in spec.vanishing:
-            errors[name], ok = _stats(getattr(inv, name), expected, usable, tol)
-            if not ok:
-                failures.append(name)
+    defects: dict[str, float] = {}
+    failures: list[str] = []
 
-    interior = usable.copy()
-    interior[0] = interior[-1] = False
-    for name in spec.vanishing:
-        defect = VANISHING_DEFECTS[name]
-        defects[defect] = float(np.max(np.abs(getattr(inv, name)[interior])))
-        if defects[defect] > tol.defect_tol(defect):
-            failures.append(defect)
+    # samples of each named defect; its value is their max
+    if kind is SystemKind.CYLINDER:
+        inv, n_cylindrical = None, surface.n_samples
+        norms = lorentz_norm(finite_difference(surface.q, surface.step))
+        samples = {"qprime_norm": norms[1:-1]}
+        defects["qprime_norm_endpoints"] = float(max(norms[0], norms[-1]))
+    else:
+        inv = invariants_numeric(surface)
+        n_cylindrical = int(np.sum(inv.cylindrical))
+        usable = ~inv.cylindrical
+        spec = KINDS[kind]
+        prescribed = spec.prescribe(params, surface.s, surface.directrix.k2)
+        for name, expected in prescribed.items():
+            if name not in spec.vanishing:
+                errors[name], ok = _stats(getattr(inv, name), expected, usable, tol)
+                if not ok:
+                    failures.append(name)
+        interior = usable.copy()
+        interior[0] = interior[-1] = False
+        samples = {VANISHING_DEFECTS[name]: np.abs(getattr(inv, name)[interior]) for name in spec.vanishing}
+
+    for name, values in samples.items():
+        defects[name] = float(np.max(values))
+        if defects[name] > tol.defect_tol(name):
+            failures.append(name)
 
     return InvariantReport(
         kind=kind,
         n_samples=surface.n_samples,
-        n_cylindrical=int(np.sum(inv.cylindrical)),
+        n_cylindrical=n_cylindrical,
         recomputed=inv,
         errors=errors,
         defects=defects,

@@ -142,6 +142,7 @@ BAD_ENTRIES = [
     pytest.param(("directrix", "step"), "x", "directrix.step", id="directrix.step"),
     pytest.param(("directrix", "step"), 3e-4, "directrix.step", id="step-not-dividing"),
     pytest.param(("directrix", "step"), 1e-9, "directrix.step", id="step-over-grid-limit"),
+    pytest.param(("directrix", "s_range"), [0.0, 0.001], "directrix.step", id="two-sample-grid"),
     pytest.param(("directrix", "step"), 10**400, "directrix.step", id="huge-integer-step"),
     pytest.param(("tolerances", "defects", "helix"), 10**400, "tolerances.defects.helix", id="huge-integer-defect"),
     pytest.param(("outputs", "mesh", "v_range"), [-0.5, "x"], "outputs.mesh.v_range[1]", id="mesh.v_range"),
@@ -493,7 +494,8 @@ class TestSweep:
             return "" if x is None else f"{x:.17g}"
 
         with open(summary, newline="") as fh:
-            lines = list(csv.reader(fh))[1:]
+            header, *lines = csv.reader(fh)
+        assert header == ["theta0", "phi0", "verdict", "max_rel_error", "worst_defect", "failure_s", "detail"]
         assert lines == [
             [cell(r.theta0), cell(r.phi0), verdict, cell(rel), cell(defect), cell(s), detail]
             for r, (verdict, rel, defect, s, detail) in zip(rows, expected)
@@ -531,6 +533,7 @@ class TestCliEntry:
             pytest.param(None, ["--step", "-1"], "directrix.step", id="negative-step"),
             pytest.param(None, ["--step", "1e-9"], "directrix.step", id="step-over-grid-limit"),
             pytest.param(None, ["--step", "5e-324"], "directrix.step", id="subnormal-step"),
+            pytest.param(None, ["--step", "1"], "directrix.step", id="two-sample-step"),
             pytest.param(None, ["--tol-rel", "-1"], "tolerances.rel", id="negative-tol-rel"),
         ],
     )
@@ -556,7 +559,7 @@ class TestCliEntry:
             node = doc
             for key in path[:-1]:
                 node = node[key]
-            node[path[-1]] = data.draw(st.sampled_from(["x", None, True, [], {}, -1, 10**400]))
+            node[path[-1]] = data.draw(st.sampled_from(["x", None, True, [], {}, -1, 10**400, 1e308, 1e-3]))
             codes = (0, 1, 2)
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
@@ -613,6 +616,46 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert "ThetaSingularity" in err and "s = 0" in err
         assert err.count("at s =") == 1
+
+    @pytest.mark.parametrize(
+        "k1, error",
+        [
+            pytest.param(1e308, "StepTooLargeError: frame defect nan", id="constant"),
+            pytest.param(
+                {"type": "polynomial", "coefficients": [1e308] * 4}, "IntegrationDivergedError: k1(s=0.47",
+                id="polynomial",
+            ),
+        ],
+    )
+    def test_overflowing_curvature_exits_one(self, tmp_path, capsys, k1, error):
+        doc = load_doc("general_roundtrip.json")
+        doc["directrix"]["k1"] = k1
+        config = write_doc(tmp_path, doc)
+        assert main(["verify", "--config", config]) == 1
+        assert main(["sweep", "--config", config, "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert error in err and "Traceback" not in err
+        with open(tmp_path / "sweep_summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 12 and all(r["verdict"] == "error" and error in r["detail"] for r in rows)
+
+    @pytest.mark.parametrize(
+        "name, param",
+        [("general_roundtrip.json", "d"), ("developable.json", "v0"), ("geodesic.json", "n"), ("geodesic.json", "mu")],
+    )
+    def test_parameter_near_float_limit_fails_without_warning(self, tmp_path, capsys, name, param):
+        # d^2 + v0^2, 1 / n^2 and the errors of mu overflow; the run still ends in a verdict or an error
+        doc = load_doc(name)
+        doc["params"][param] = 1e308
+        assert main(["verify", "--config", write_doc(tmp_path, doc)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_function_valued_negative_n_exits_one(self, tmp_path, capsys):
+        doc = load_doc("geodesic.json")
+        doc["params"]["n"] = {"type": "polynomial", "coefficients": [-1.0]}
+        assert main(["verify", "--config", write_doc(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert "ParamDomainError: curvature_angle requires n > 0" in err and "Traceback" not in err
 
     def test_verify_prints_finite_margins(self, capsys):
         # geodesic.json prescribes v0 and mu to be zero, where a relative

@@ -14,6 +14,7 @@ from minkruled import (
     lorentz_inner,
 )
 from minkruled.errors import (
+    IntegrationDivergedError,
     NonOrthonormalSeedError,
     NonPositiveCurvatureError,
     StepTooLargeError,
@@ -240,6 +241,25 @@ class TestIntegrateFrenet:
         with pytest.raises(StepTooLargeError) as err:
             integrate_frenet(5.0, 0.0, s_range=(0.0, 1.0), step=0.25)
         assert err.value.s == 0.25
+
+    @pytest.mark.parametrize("k1, k2", [(1e308, 0.0), (1.0, 1e308)], ids=["k1", "k2"])
+    def test_overflowing_frame_fails_at_its_sample(self, k1, k2):
+        # the RK4 step matrices overflow and the frame turns NaN at the first step
+        with pytest.raises(StepTooLargeError) as err:
+            integrate_frenet(k1, k2, s_range=(0.0, 1.0), step=1e-3)
+        assert err.value.s == 1e-3
+
+    @pytest.mark.parametrize("name", ["k1", "k2"])
+    def test_non_finite_curvature_names_function_and_first_arc_length(self, name):
+        step = 1e-2
+        overflowing = Polynomial((1.0, 1e308, 1e308))  # first inf near s = 0.93
+        fns = {"k1": Constant(1.0), "k2": Constant(0.0), name: overflowing}
+        with pytest.raises(IntegrationDivergedError, match=rf"^{name}\(s=") as err:
+            integrate_frenet(fns["k1"], fns["k2"], s_range=(0.0, 1.0), step=step)
+        s = err.value.s
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(overflowing(s)) and math.isfinite(overflowing(s - step / 2))
+        assert 0.5 < s < 1.0
 
     def test_grid_must_divide_evenly(self):
         with pytest.raises(ValueError):

@@ -59,5 +59,8 @@ def test_bench_stages_writes_every_key_and_compares(tmp_path):
     assert proc.returncode == 0, proc.stderr
     drift = proc.stdout.split("largest absolute drift", 1)[1].splitlines()[1:]
     labels = [line.split()[1] for line in drift]
-    assert labels == ["s", "theta", "phi", "d", "v0", "K", "mu", "n", "qprime_norm", "cylindrical", "x1", "x2", "x3"]
+    sample_csv = ["s", "theta", "phi", "d", "v0", "K", "mu", "n", "qprime_norm", "cylindrical"]
+    sweep = ["theta0", "phi0", "verdict", "max_rel_error", "worst_defect", "failure_s", "detail"]
+    assert labels == sample_csv + sweep + ["x1", "x2", "x3"]
+    assert [line.split()[0] for line in drift] == ["csv"] * 10 + ["sweep"] * 7 + ["obj"] * 3
     assert all(float(line.split()[2]) == 0.0 for line in drift)

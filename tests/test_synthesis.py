@@ -92,6 +92,14 @@ DOMAIN_REJECTIONS = [
         id="curvature-angle-negative-n",
     ),
     pytest.param(
+        SystemKind.CURVATURE_ANGLE, 0.1, SynthesisParams(theta0=0.6, n=Polynomial((-1.0,)), mu=math.pi / 3),
+        r"requires n > 0; n = -1 at s = 0$", id="curvature-angle-negative-polynomial-n",
+    ),
+    pytest.param(
+        SystemKind.CURVATURE_ANGLE, 0.1, SynthesisParams(theta0=0.6, n=Polynomial((0.05, -1.0)), mu=math.pi / 3),
+        r"requires n > 0; n = \S+ at s = 0\.05", id="curvature-angle-n-crossing-zero",
+    ),
+    pytest.param(
         SystemKind.LINE_OF_CURVATURE, 0.1, SynthesisParams(n=Polynomial((1.0, 0.1)), C=0.3), "takes a constant n",
         id="line-of-curvature-varying-n",
     ),
