@@ -12,7 +12,6 @@ import argparse
 import numpy as np
 
 from minkruled import (
-    SpecialCase,
     SynthesisParams,
     SystemKind,
     build_surface,
@@ -20,7 +19,7 @@ from minkruled import (
     integrate_frenet,
     integrate_system,
     invariants_numeric,
-    special_case_defects,
+    surface_defects,
 )
 
 
@@ -43,7 +42,7 @@ def loc_defect(step):
     curve = integrate_frenet(0.6, 0.2, s_range=(0.0, 1.0), step=step)
     track = integrate_system(SystemKind.LINE_OF_CURVATURE, SynthesisParams(n=1.0, C=0.3), curve)
     surf = build_surface(track, curve)
-    return special_case_defects(surf, SpecialCase.LINE_OF_CURVATURE)["line_of_curvature"]
+    return surface_defects(surf, "line_of_curvature")["line_of_curvature"]
 
 
 def table(title, steps, rows, headers):

@@ -47,10 +47,9 @@ from .synthesis import (
 )
 from .verify import (
     InvariantReport,
-    SpecialCase,
     Tolerances,
     recompute_report,
-    special_case_defects,
+    surface_defects,
 )
 
 __all__ = [
@@ -67,7 +66,6 @@ __all__ = [
     "RunResult",
     "Samples",
     "Sinusoid",
-    "SpecialCase",
     "SurfaceInvariants",
     "SynthesisParams",
     "SystemKind",
@@ -92,7 +90,7 @@ __all__ = [
     "recompute_report",
     "ruling_from_angles",
     "run_config",
-    "special_case_defects",
+    "surface_defects",
     "sweep_grid",
     "system_rhs",
 ]

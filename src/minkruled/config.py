@@ -149,7 +149,10 @@ def curvature_fn_from_spec(spec, where: str) -> CurvatureFn:
 
 
 def _number_or_fn(spec, where: str) -> float | CurvatureFn:
-    """A number as a float; anything else read as a function object."""
+    """A number as a float; anything else read as a function object.
+
+    A constructor's ValueError (an unusable ``samples`` table) names ``where``.
+    """
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         return _float(spec, where)
     if not isinstance(spec, dict):
@@ -159,9 +162,10 @@ def _number_or_fn(spec, where: str) -> float | CurvatureFn:
         raise ConfigError(f"{where}.type", f"unknown function type {kind!r}; expected one of {tuple(_FUNCTIONS)}")
     build, schema, required = _FUNCTIONS[kind]
     entries = _section({k: v for k, v in spec.items() if k != "type"}, where, schema, required)
-    if kind == "samples" and not len(entries["s"]) == len(entries["values"]) >= 2:
-        raise ConfigError(where, "samples need matching 's' and 'values' lists (length >= 2)")
-    return build(**entries)
+    try:
+        return build(**entries)
+    except ValueError as exc:
+        raise ConfigError(where, str(exc)) from None
 
 
 @dataclass(frozen=True)

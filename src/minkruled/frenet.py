@@ -106,24 +106,27 @@ class Samples(CurvatureFn):
             raise ValueError("s and values must be matching 1-d arrays of at least 2 knots")
         if not (np.isfinite(s).all() and np.isfinite(values).all()):
             raise ValueError("s and values must be finite")
-        h = np.diff(s)
-        if not (h > 0).all():
-            raise ValueError("s must be strictly increasing")
-        # knot second derivatives m, m[0] = m[-1] = 0, by a Thomas sweep over
-        # h[i-1] m[i-1] + 2 (h[i-1] + h[i]) m[i] + h[i] m[i+1] = 6 (slope[i] - slope[i-1])
-        slope = np.diff(values) / h
-        rhs = (6.0 * np.diff(slope)).tolist()
-        diag = (2.0 * (h[:-1] + h[1:])).tolist()
-        hl = h.tolist()
-        m = [0.0] * len(s)
-        for i in range(1, len(rhs)):
-            w = hl[i] / diag[i - 1]
-            diag[i] -= w * hl[i]
-            rhs[i] -= w * rhs[i - 1]
-        for i in range(len(rhs) - 1, -1, -1):
-            m[i + 1] = (rhs[i] - hl[i + 1] * m[i + 2]) / diag[i]
-        m = np.asarray(m)
-        self._coef = (values[:-1], slope - h * (2.0 * m[:-1] + m[1:]) / 6.0, m[:-1] / 2.0, np.diff(m) / (6.0 * h))
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = np.diff(s)
+            if not (h > 0).all():
+                raise ValueError("s must be strictly increasing")
+            # knot second derivatives m, m[0] = m[-1] = 0, by a Thomas sweep over
+            # h[i-1] m[i-1] + 2 (h[i-1] + h[i]) m[i] + h[i] m[i+1] = 6 (slope[i] - slope[i-1])
+            slope = np.diff(values) / h
+            rhs = (6.0 * np.diff(slope)).tolist()
+            diag = (2.0 * (h[:-1] + h[1:])).tolist()
+            hl = h.tolist()
+            m = [0.0] * len(s)
+            for i in range(1, len(rhs)):
+                w = hl[i] / diag[i - 1]
+                diag[i] -= w * hl[i]
+                rhs[i] -= w * rhs[i - 1]
+            for i in range(len(rhs) - 1, -1, -1):
+                m[i + 1] = (rhs[i] - hl[i + 1] * m[i + 2]) / diag[i]
+            m = np.asarray(m)
+            self._coef = (values[:-1], slope - h * (2.0 * m[:-1] + m[1:]) / 6.0, m[:-1] / 2.0, np.diff(m) / (6.0 * h))
+        if not all(np.isfinite(c).all() for c in self._coef):
+            raise ValueError("the spline through these knots overflows the float range")
 
     def _at(self, s):
         i = np.clip(np.searchsorted(self.s, s, side="right") - 1, 0, len(self.s) - 2)

@@ -43,7 +43,8 @@ def export_mesh(
     ``comment`` goes on the leading # line; the second comment line warns
     that a viewer measures Euclidean, not Lorentzian, distances.  Vertex
     ``i * v_samples + j`` (0-based) is ``k(s_i) + v_j q(s_i)``; the lattice is
-    formatted ``_BLOCK`` flat indices at a time, one ``%`` per block.
+    formatted ``_BLOCK`` flat indices at a time, one ``%`` per block.  A
+    ``v_range`` that overflows a vertex raises ValueError, writing nothing.
 
     The text is formatted by two processes when this one may run on 2 or
     more CPUs, runs no other thread, and the lattice has at least
@@ -53,12 +54,16 @@ def export_mesh(
     if v_samples < 2:
         raise ValueError("v_samples must be at least 2")
     v_min, v_max = float(v_range[0]), float(v_range[1])
-    vs = v_min + (v_max - v_min) * np.arange(v_samples) / (v_samples - 1)
+    k, q = surface.directrix.k, surface.q
+    with np.errstate(over="ignore", invalid="ignore"):
+        vs = v_min + (v_max - v_min) * np.arange(v_samples) / (v_samples - 1)
+        # each vertex coordinate is monotone in v, so the end columns bound the lattice
+        ends = k[:, None] + vs[[0, -1], None] * q[:, None]
+    if not (np.isfinite(vs).all() and np.isfinite(ends).all()):
+        raise ValueError("v_range puts mesh vertices beyond the float range")
 
     n_s = surface.n_samples
     n_points, n_faces = n_s * v_samples, (n_s - 1) * (v_samples - 1)
-    k = surface.directrix.k
-    q = surface.q
     path = os.fspath(path)
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# {comment}\n# coordinates: (x1, x2, x3), x1 timelike; viewer distances are Euclidean\n")

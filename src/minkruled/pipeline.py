@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 
 from .config import RunConfig
-from .errors import GeometryError
+from .errors import ConfigError, GeometryError
 from .frenet import FrenetCurve, integrate_frenet
 from .mesh import export_mesh
 from .surface import AngleTrack, RuledSurfaceGrid
@@ -91,12 +91,16 @@ def write_mesh(cfg: RunConfig, surface: RuledSurfaceGrid, out_dir=".") -> str:
     """Write the config's OBJ mesh of ``surface``; its path resolves against ``out_dir``.
 
     ``out_dir`` must exist.  The header comment records the system and the
-    normalized params.
+    normalized params.  A ``v_range`` that overflows a vertex is a ConfigError.
     """
     mesh = cfg.outputs.mesh
     params = " ".join(f"{k}={json.dumps(v, sort_keys=True)}" for k, v in sorted(cfg.to_dict()["params"].items()))
     path = os.path.join(out_dir, mesh.path)
-    return export_mesh(surface, mesh.v_range, mesh.v_samples, path, comment=f"system={cfg.system.value} params={params}")
+    comment = f"system={cfg.system.value} params={params}"
+    try:
+        return export_mesh(surface, mesh.v_range, mesh.v_samples, path, comment=comment)
+    except ValueError as exc:
+        raise ConfigError("outputs.mesh.v_range", str(exc)) from None
 
 
 def write_report_json(path, report: InvariantReport) -> str:

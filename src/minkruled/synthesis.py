@@ -170,15 +170,18 @@ class KindSpec:
     compares every entry with the recomputed invariants, except the
     ``vanishing`` ones, which are prescribed zero and reported as named
     defects instead.  It also checks the kind's domain rules and raises
-    ParamDomainError for a prescription outside them.  ``pin`` is the
-    constant phi of a kind that holds phi fixed (phi' = 0, the seed phi0
-    ignored), so only theta is integrated; None integrates both angles.
+    ParamDomainError for a prescription outside them.  ``defects`` names
+    the entries of ``verify.SURFACE_DEFECTS`` the verdict also checks.
+    ``pin`` is the constant phi of a kind that holds phi fixed (phi' = 0,
+    the seed phi0 ignored), so only theta is integrated; None integrates
+    both angles.
     """
 
     params: tuple[str, ...]
     seeded: bool
     prescribe: Callable[[SynthesisParams, np.ndarray, np.ndarray], dict[str, np.ndarray]]
     vanishing: tuple[str, ...] = ()
+    defects: tuple[str, ...] = ()
     pin: float | None = None
 
 
@@ -187,7 +190,7 @@ KINDS: dict[SystemKind, KindSpec] = {
     SystemKind.STRICTION_LINE: KindSpec(("d",), True, _striction, vanishing=("v0",)),
     SystemKind.CURVATURE_ANGLE: KindSpec(("n", "mu"), True, _curvature_angle),
     SystemKind.DEVELOPABLE: KindSpec(("v0",), True, _developable, vanishing=("d",)),
-    SystemKind.CYLINDER: KindSpec((), True, _cylinder),
+    SystemKind.CYLINDER: KindSpec((), True, _cylinder, defects=("qprime_norm",)),
     SystemKind.ASYMPTOTIC_LINE: KindSpec(("mu",), True, _asymptotic, pin=HALF_PI),
     SystemKind.LINE_OF_CURVATURE: KindSpec(("n", "C"), False, _line_of_curvature),
 }

@@ -10,20 +10,15 @@ separately.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, SingularPointError
 from .lorentz import lorentz_cross, lorentz_inner, lorentz_norm, mixed_product
-from .surface import (
-    RuledSurfaceGrid,
-    SurfaceInvariants,
-    finite_difference,
-    invariants_numeric,
-)
+from .surface import RuledSurfaceGrid, SurfaceInvariants, finite_difference, invariants_numeric
 from .synthesis import KINDS, SynthesisParams, SystemKind
 
 #: Default pass tolerances at grid step 1e-3.  Finite-difference recovery is
@@ -31,14 +26,12 @@ from .synthesis import KINDS, SynthesisParams, SystemKind
 DEFAULT_REL_TOL = 1e-4
 DEFAULT_ABS_TOL = 1e-6
 
+#: The tolerance of every defect some kind checks (``KindSpec.vanishing``
+#: through ``VANISHING_DEFECTS``, and ``KindSpec.defects``).
 DEFAULT_DEFECT_TOLS = {
     "qprime_norm": 1e-6,
     "distribution_parameter": 1e-6,
     "strictional_distance": 1e-6,
-    "geodesic": 1e-6,
-    "asymptotic_line": 1e-6,
-    "line_of_curvature": 1e-5,
-    "helix": 1e-10,
 }
 
 #: The defect name under which a prescribed-zero invariant is reported.
@@ -58,7 +51,7 @@ class Tolerances:
                 raise ConfigError(f"tolerances.{name}", "must be a finite number >= 0")
 
     def defect_tol(self, name: str) -> float:
-        return float(self.defects.get(name, DEFAULT_DEFECT_TOLS.get(name, self.abs)))
+        return float(self.defects.get(name, DEFAULT_DEFECT_TOLS[name]))
 
     def to_dict(self) -> dict:
         return {"rel": self.rel, "abs": self.abs, "defects": dict(self.defects)}
@@ -157,9 +150,10 @@ def recompute_report(
 ) -> InvariantReport:
     """Recompute invariants from raw samples and compare with the prescription.
 
-    A failed comparison yields a fail verdict, never an exception; only a
-    fully cylindrical surface submitted to a non-cylinder kind propagates
-    AllCylindricalError, and a prescription the kind rejects (see
+    Only a kind that prescribes invariants (all but the cylinder) has them
+    recomputed.  A failed comparison yields a fail verdict, never an
+    exception; only a fully cylindrical surface submitted to such a kind
+    propagates AllCylindricalError, and a prescription the kind rejects (see
     ``KindSpec.prescribe``) raises ParamDomainError.  The Chasles angle
     recomputed from (d, v0) is compared against the complement of a
     prescribed mu (the two angle conventions are complementary; the report
@@ -170,29 +164,24 @@ def recompute_report(
     defects: dict[str, float] = {}
     failures: list[str] = []
 
-    # samples of each named defect; its value is their max
-    if kind is SystemKind.CYLINDER:
-        inv, n_cylindrical = None, surface.n_samples
-        norms = lorentz_norm(finite_difference(surface.q, surface.step))
-        samples = {"qprime_norm": norms[1:-1]}
-        defects["qprime_norm_endpoints"] = float(max(norms[0], norms[-1]))
-    else:
+    spec = KINDS[kind]
+    prescribed = spec.prescribe(params, surface.s, surface.directrix.k2)
+    inv, n_cylindrical = None, surface.n_samples
+    if prescribed:
         inv = invariants_numeric(surface)
         n_cylindrical = int(np.sum(inv.cylindrical))
         usable = ~inv.cylindrical
-        spec = KINDS[kind]
-        prescribed = spec.prescribe(params, surface.s, surface.directrix.k2)
         for name, expected in prescribed.items():
             if name not in spec.vanishing:
                 errors[name], ok = _stats(getattr(inv, name), expected, usable, tol)
                 if not ok:
                     failures.append(name)
-        interior = usable.copy()
-        interior[0] = interior[-1] = False
-        samples = {VANISHING_DEFECTS[name]: np.abs(getattr(inv, name)[interior]) for name in spec.vanishing}
+        for name in spec.vanishing:  # interior samples only
+            defects[VANISHING_DEFECTS[name]] = float(np.max(np.abs(getattr(inv, name)[1:-1][usable[1:-1]])))
+    for name in spec.defects:
+        defects.update(surface_defects(surface, name))
 
-    for name, values in samples.items():
-        defects[name] = float(np.max(values))
+    for name in (*(VANISHING_DEFECTS[v] for v in spec.vanishing), *spec.defects):
         if defects[name] > tol.defect_tol(name):
             failures.append(name)
 
@@ -208,12 +197,6 @@ def recompute_report(
     )
 
 
-class SpecialCase(enum.Enum):
-    GEODESIC = "geodesic"
-    ASYMPTOTIC_LINE = "asymptotic_line"
-    LINE_OF_CURVATURE = "line_of_curvature"
-
-
 def _normals_along_directrix(surface: RuledSurfaceGrid) -> np.ndarray:
     """Unit normals at v = 0 for every sample, from raw finite differences."""
     h = surface.step
@@ -226,42 +209,40 @@ def _normals_along_directrix(surface: RuledSurfaceGrid) -> np.ndarray:
     return c / nrm[:, None]
 
 
-def special_case_defects(surface: RuledSurfaceGrid, case: SpecialCase) -> dict[str, float]:
-    """Dimensionless defect of a special-case characterization.
+def _developability(surface: RuledSurfaceGrid) -> np.ndarray:
+    kp = finite_difference(surface.directrix.k, surface.step)
+    m = _normals_along_directrix(surface)
+    mp = finite_difference(m, surface.step)
+    return np.abs(mixed_product(kp, m, mp)) / (lorentz_norm(kp) * lorentz_norm(m) * lorentz_norm(mp) + 1e-12)
 
-    GEODESIC          max(1 - |<m, N>|)          (normal parallel to N)
-    ASYMPTOTIC_LINE   max |<m, N>|               (normal orthogonal to N)
-    LINE_OF_CURVATURE max |<k' x m, m'>| / (|k'||m||m'| + eps)
-                                                 (normals sweep a developable)
 
-    The normalization of the line-of-curvature determinant by the three
-    norms (plus a tiny eps) makes its tolerance scale-free.  Maxima run
-    over interior samples, where "interior" excludes every sample whose
-    stencil closure touched a one-sided difference: one layer per end for
-    the single-derivative defects, two layers for the line-of-curvature
-    defect (m' differentiates the already differenced normals).  The
-    ``<name>_endpoints`` entry carries the max over the excluded boundary
+#: name -> (per-sample values from raw samples, boundary layer per end), the
+#: defects a kind may list in ``KindSpec.defects``:
+#:   qprime_norm        |q'|                  (rulings parallel: a cylinder)
+#:   geodesic           1 - |<m, N>|          (normal m parallel to N)
+#:   asymptotic_line    |<m, N>|              (normal orthogonal to N)
+#:   line_of_curvature  |<k' x m, m'>| / (|k'||m||m'| + eps), scale-free
+#:                                            (normals sweep a developable)
+#: The layer holds the samples whose stencil closure touched a one-sided
+#: difference: two for line_of_curvature, whose m' differences differenced
+#: normals.
+SURFACE_DEFECTS: dict[str, tuple[Callable[[RuledSurfaceGrid], np.ndarray], int]] = {
+    "qprime_norm": (lambda surf: lorentz_norm(finite_difference(surf.q, surf.step)), 1),
+    "geodesic": (lambda surf: 1.0 - np.abs(lorentz_inner(_normals_along_directrix(surf), surf.directrix.N)), 1),
+    "asymptotic_line": (lambda surf: np.abs(lorentz_inner(_normals_along_directrix(surf), surf.directrix.N)), 1),
+    "line_of_curvature": (_developability, 2),
+}
+
+
+def surface_defects(surface: RuledSurfaceGrid, name: str) -> dict[str, float]:
+    """The defect ``name`` of ``SURFACE_DEFECTS``: its max over interior samples.
+
+    Interior excludes the boundary layer at each end (ValueError if nothing
+    is left); the ``<name>_endpoints`` entry carries the max over that
     layer, whose error order is lower.
     """
-    m = _normals_along_directrix(surface)
-    N = surface.directrix.N
-    if case is SpecialCase.GEODESIC:
-        vals = 1.0 - np.abs(lorentz_inner(m, N))
-        layer = 1
-    elif case is SpecialCase.ASYMPTOTIC_LINE:
-        vals = np.abs(lorentz_inner(m, N))
-        layer = 1
-    else:
-        h = surface.step
-        kp = finite_difference(surface.directrix.k, h)
-        mp = finite_difference(m, h)
-        det = np.abs(mixed_product(kp, m, mp))
-        scale = lorentz_norm(kp) * lorentz_norm(m) * lorentz_norm(mp) + 1e-12
-        vals = det / scale
-        layer = 2
-    if vals.shape[0] <= 2 * layer:
-        raise ValueError("too few samples for an interior defect")
-    name = case.value
+    values, layer = SURFACE_DEFECTS[name]
+    vals = values(surface)
     return {
         name: float(np.max(vals[layer:-layer])),
         f"{name}_endpoints": float(max(np.max(vals[:layer]), np.max(vals[-layer:]))),

@@ -16,7 +16,6 @@ import pytest
 
 from minkruled import (
     RunConfig,
-    SpecialCase,
     SynthesisParams,
     SystemKind,
     build_surface,
@@ -32,7 +31,7 @@ from minkruled import (
     lorentz_inner,
     q_prime_analytic,
     run_config,
-    special_case_defects,
+    surface_defects,
     system_rhs,
 )
 from minkruled.cli import main
@@ -303,7 +302,7 @@ def test_criterion_7a_geodesic():
     surf = build_surface(track, curve)
     dtheta = float(np.max(np.abs(track.theta - theta0)))
     dphi = float(np.max(np.abs(track.phi)))
-    defect = special_case_defects(surf, SpecialCase.GEODESIC)["geodesic"]
+    defect = surface_defects(surf, "geodesic")["geodesic"]
     elapsed = time.perf_counter() - t0
     report(
         "7a",
@@ -324,7 +323,7 @@ def test_criterion_7b_asymptotic_line():
     params = SynthesisParams(theta0=0.6, mu=math.pi / 3, n=2.0)
     track = integrate_system(SystemKind.ASYMPTOTIC_LINE, params, curve)
     surf = build_surface(track, curve)
-    defect = special_case_defects(surf, SpecialCase.ASYMPTOTIC_LINE)["asymptotic_line"]
+    defect = surface_defects(surf, "asymptotic_line")["asymptotic_line"]
     elapsed = time.perf_counter() - t0
     report(
         "7b",
@@ -340,14 +339,12 @@ def test_criterion_7c_line_of_curvature():
     curve = integrate_frenet(0.6, 0.2, s_range=(0.0, 1.0), step=1e-3)
     track = integrate_system(SystemKind.LINE_OF_CURVATURE, SynthesisParams(n=1.0, C=0.3), curve)
     surf = build_surface(track, curve)
-    defect = special_case_defects(surf, SpecialCase.LINE_OF_CURVATURE)["line_of_curvature"]
+    defect = surface_defects(surf, "line_of_curvature")["line_of_curvature"]
     # negative control: a generic surface over the same directrix
     generic = integrate_system(
         SystemKind.GENERAL_DV0, SynthesisParams(theta0=0.5, phi0=0.2, d=0.5, v0=0.3), curve
     )
-    control = special_case_defects(build_surface(generic, curve), SpecialCase.LINE_OF_CURVATURE)[
-        "line_of_curvature"
-    ]
+    control = surface_defects(build_surface(generic, curve), "line_of_curvature")["line_of_curvature"]
     elapsed = time.perf_counter() - t0
     report(
         "7c",

@@ -122,10 +122,10 @@ BAD_ENTRIES = [
     pytest.param(("params", "theta0"), "one", "params.theta0", id="params.theta0"),
     pytest.param(("tolerances", "rel"), "x", "tolerances.rel", id="tolerances.rel"),
     pytest.param(("tolerances", "abs"), "x", "tolerances.abs", id="tolerances.abs"),
-    pytest.param(("tolerances", "defects", "helix"), "x", "tolerances.defects.helix", id="tolerances.defects"),
+    pytest.param(("tolerances", "defects", "qprime_norm"), "x", "tolerances.defects.qprime_norm", id="tolerances.defects"),
     pytest.param(("tolerances", "rel"), -1e-4, "tolerances.rel", id="negative-rel"),
     pytest.param(("tolerances", "abs"), math.inf, "tolerances.abs", id="infinite-abs"),
-    pytest.param(("tolerances", "defects", "helix"), -1.0, "tolerances.defects.helix", id="negative-defect"),
+    pytest.param(("tolerances", "defects", "qprime_norm"), -1.0, "tolerances.defects.qprime_norm", id="negative-defect"),
     pytest.param(
         ("directrix", "k1"), {"type": "polynomial", "coefficients": [1.0, "x"]}, "directrix.k1.coefficients[1]",
         id="polynomial-coefficient",
@@ -137,6 +137,13 @@ BAD_ENTRIES = [
         id="unsorted-samples",
     ),
     pytest.param(
+        ("directrix", "k1"), {"type": "samples", "s": [0, 0.25, 0.5], "values": [1.0, -1e308, 1e308]}, "directrix.k1",
+        id="samples-overflow",
+    ),
+    pytest.param(
+        ("directrix", "k2"), {"type": "samples", "s": [0.0, 0.5], "values": [0.1]}, "directrix.k2", id="samples-mismatch"
+    ),
+    pytest.param(
         ("directrix", "initial_frame"), {**FRAME, "T": [1, 0, "x"]}, "directrix.initial_frame.T[2]", id="initial-frame"
     ),
     pytest.param(("directrix", "step"), "x", "directrix.step", id="directrix.step"),
@@ -144,7 +151,7 @@ BAD_ENTRIES = [
     pytest.param(("directrix", "step"), 1e-9, "directrix.step", id="step-over-grid-limit"),
     pytest.param(("directrix", "s_range"), [0.0, 0.001], "directrix.step", id="two-sample-grid"),
     pytest.param(("directrix", "step"), 10**400, "directrix.step", id="huge-integer-step"),
-    pytest.param(("tolerances", "defects", "helix"), 10**400, "tolerances.defects.helix", id="huge-integer-defect"),
+    pytest.param(("tolerances", "defects", "qprime_norm"), 10**400, "tolerances.defects.qprime_norm", id="huge-integer-defect"),
     pytest.param(("outputs", "mesh", "v_range"), [-0.5, "x"], "outputs.mesh.v_range[1]", id="mesh.v_range"),
     pytest.param(("outputs", "mesh", "v_samples"), 10**9, "outputs.mesh.v_samples", id="mesh-over-point-limit"),
     pytest.param(("outputs", "csv_path"), 3, "outputs.csv_path", id="csv_path"),
@@ -162,6 +169,10 @@ UNKNOWN_KEYS = [
     pytest.param(("outputs", "mesh"), "v_sample", "outputs.mesh.v_sample", id="mesh"),
     pytest.param(("tolerances", "defects"), "helx", "tolerances.defects.helx", id="defect-name"),
     pytest.param(("params",), "step", "params.step", id="params-step"),
+] + [
+    # special-case characterizations no kind checks take no tolerance
+    pytest.param(("tolerances", "defects"), name, f"tolerances.defects.{name}", id=f"unchecked-{name}")
+    for name in ("geodesic", "asymptotic_line", "line_of_curvature", "helix")
 ]
 
 
@@ -201,7 +212,7 @@ class TestConfigValidation:
     def test_unknown_key_rejected(self, tmp_path, path, key, field):
         doc = load_doc("general_roundtrip.json")
         doc["directrix"].update(k2=dict(SINUSOID), initial_frame=dict(FRAME))
-        doc["tolerances"] = {"defects": {"helix": 1e-10}}
+        doc["tolerances"] = {"defects": {"qprime_norm": 1e-10}}
         RunConfig.from_dict(doc)
         node = doc
         for name in path:
@@ -338,6 +349,18 @@ class TestExportMesh:
             out.mkdir()
             forks = self.assert_matches_reference(monkeypatch, out, surf, (-1.0, 2.0), v_samples)
             assert forks == (2 * v_samples >= threshold)
+
+    def test_v_range_near_the_float_limit(self, monkeypatch, tmp_path):
+        a = np.array([0.3, -1.1])  # the largest |q| component is cosh(1.1) = 1.67
+        surf = RuledSurfaceGrid(directrix=hyperbolic_curve(2), q=np.stack([np.cosh(a), 0.0 * a, np.sinh(a)], axis=1))
+        for v_range in ((-1e307, 1e307), (1e308, 1e308)):
+            out = tmp_path / str(v_range[0])
+            out.mkdir()
+            self.assert_matches_reference(monkeypatch, out, surf, v_range, 5)
+        for v_range in ((0.0, 1e308), (-1e308, 1e308), (1.5e308, 1.5e308)):
+            with pytest.raises(ValueError, match="v_range"):
+                export_mesh(surf, v_range, 33, tmp_path / "m.obj")
+            assert not (tmp_path / "m.obj").exists()
 
     def test_two_v_samples_and_negative_range_match_reference(self, monkeypatch, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "asymptotic_line.json")
@@ -703,6 +726,17 @@ class TestCliEntry:
         assert main(["synthesize", "--config", config, "--out-dir", str(tmp_path / "all")]) == 0
         obj = "general_roundtrip.obj"
         assert (tmp_path / "mesh" / obj).read_bytes() == (tmp_path / "all" / obj).read_bytes()
+
+    @pytest.mark.parametrize("command", ["synthesize", "export-mesh"])
+    @pytest.mark.parametrize("v_range", [[0, 1e308], [-1e308, 1e308], [1e308, 1e308]])
+    def test_overflowing_v_range_exits_two(self, tmp_path, capsys, command, v_range):
+        doc = load_doc("general_roundtrip.json")
+        doc["outputs"]["mesh"]["v_range"] = v_range
+        code = main([command, "--config", write_doc(tmp_path, doc), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'outputs.mesh.v_range'" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "general_roundtrip.obj").exists()
 
     def test_export_mesh_requires_mesh_spec(self, tmp_path, capsys):
         code = main(["export-mesh", "--config", str(CONFIG_DIR / "cylinder.json"), "--out-dir", str(tmp_path)])

@@ -35,3 +35,16 @@ def test_every_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
     assert unused == []
+
+
+def test_no_system_kind_identity_test():
+    """Kinds differ only through their ``synthesis.KINDS`` entry, never by an ``is SystemKind.X`` branch."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)):
+                continue
+            sides = (node.left, *node.comparators)
+            if any(isinstance(x, ast.Attribute) and getattr(x.value, "id", None) == "SystemKind" for x in sides):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

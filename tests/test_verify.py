@@ -6,7 +6,6 @@ import pytest
 
 from minkruled import (
     RuledSurfaceGrid,
-    SpecialCase,
     SynthesisParams,
     SystemKind,
     Tolerances,
@@ -17,9 +16,11 @@ from minkruled import (
     integrate_system,
     lorentz_inner,
     recompute_report,
-    special_case_defects,
+    surface_defects,
 )
 from minkruled.errors import AllCylindricalError
+from minkruled.synthesis import KINDS
+from minkruled.verify import DEFAULT_DEFECT_TOLS, SURFACE_DEFECTS, VANISHING_DEFECTS
 
 
 def general_surface(directrix, theta0=1.0, phi0=0.2, d=0.5, v0=0.3):
@@ -118,6 +119,14 @@ class TestRecomputeReport:
         assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 
+def test_every_checked_defect_has_a_definition_and_a_tolerance():
+    table = {name for spec in KINDS.values() for name in spec.defects}
+    vanishing = {VANISHING_DEFECTS[name] for spec in KINDS.values() for name in spec.vanishing}
+    assert table <= SURFACE_DEFECTS.keys()
+    # a tolerance no kind reads would be accepted by the config and silently ignored
+    assert DEFAULT_DEFECT_TOLS.keys() == table | vanishing
+
+
 class TestSpecialCaseDefects:
     def geodesic_surface(self):
         n, k1, k2 = 1.0, 0.6, 0.2
@@ -129,13 +138,13 @@ class TestSpecialCaseDefects:
 
     def test_geodesic_defect_small(self):
         surf, _ = self.geodesic_surface()
-        defects = special_case_defects(surf, SpecialCase.GEODESIC)
+        defects = surface_defects(surf, "geodesic")
         assert defects["geodesic"] < 1e-6
 
     def test_geodesic_negative_control(self):
         curve = integrate_frenet(0.6, 0.2, s_range=(0.0, 1.0), step=1e-3)
         surf, _ = general_surface(curve, theta0=0.5, phi0=1.2)
-        defects = special_case_defects(surf, SpecialCase.GEODESIC)
+        defects = surface_defects(surf, "geodesic")
         assert defects["geodesic"] > 100 * 1e-6
 
     def test_asymptotic_defect_small(self):
@@ -143,7 +152,7 @@ class TestSpecialCaseDefects:
         params = SynthesisParams(theta0=0.6, mu=math.pi / 3, n=2.0)
         track = integrate_system(SystemKind.ASYMPTOTIC_LINE, params, curve)
         surf = build_surface(track, curve)
-        defects = special_case_defects(surf, SpecialCase.ASYMPTOTIC_LINE)
+        defects = surface_defects(surf, "asymptotic_line")
         assert defects["asymptotic_line"] < 1e-6
         report = recompute_report(surf, params, SystemKind.ASYMPTOTIC_LINE)
         assert report.passed
@@ -151,7 +160,7 @@ class TestSpecialCaseDefects:
     def test_asymptotic_negative_control(self):
         curve = integrate_frenet(1.0, -0.5, s_range=(0.0, 1.0), step=1e-3)
         surf, _ = general_surface(curve, theta0=0.5, phi0=0.2)
-        defects = special_case_defects(surf, SpecialCase.ASYMPTOTIC_LINE)
+        defects = surface_defects(surf, "asymptotic_line")
         assert defects["asymptotic_line"] > 100 * 1e-6
 
     def line_of_curvature_surface(self):
@@ -162,7 +171,7 @@ class TestSpecialCaseDefects:
 
     def test_line_of_curvature_defect_small(self):
         surf, _, params = self.line_of_curvature_surface()
-        defects = special_case_defects(surf, SpecialCase.LINE_OF_CURVATURE)
+        defects = surface_defects(surf, "line_of_curvature")
         assert defects["line_of_curvature"] < 1e-5
         report = recompute_report(surf, params, SystemKind.LINE_OF_CURVATURE)
         assert report.passed
@@ -171,7 +180,7 @@ class TestSpecialCaseDefects:
     def test_line_of_curvature_negative_control(self):
         _, curve, _ = self.line_of_curvature_surface()
         surf, _ = general_surface(curve, theta0=0.5, phi0=0.2)
-        defects = special_case_defects(surf, SpecialCase.LINE_OF_CURVATURE)
+        defects = surface_defects(surf, "line_of_curvature")
         assert defects["line_of_curvature"] > 1e-3
 
     def test_line_of_curvature_defect_converges(self):
@@ -181,7 +190,7 @@ class TestSpecialCaseDefects:
             params = SynthesisParams(n=1.0, C=0.3)
             track = integrate_system(SystemKind.LINE_OF_CURVATURE, params, curve)
             surf = build_surface(track, curve)
-            vals.append(special_case_defects(surf, SpecialCase.LINE_OF_CURVATURE)["line_of_curvature"])
+            vals.append(surface_defects(surf, "line_of_curvature")["line_of_curvature"])
         assert 3.5 <= vals[0] / vals[1] <= 4.5
 
     def test_helix_defect(self):
