@@ -13,6 +13,8 @@ loop (perfbench/refloop.py) run beside it, as perfbench scales its timings.
 DIR prints, against an earlier --save, the largest absolute drift per CSV
 column, per sweep summary column and per OBJ vertex coordinate of this run's
 files, and for the sweep verdict and detail the number of rows that differ.
+For the report JSONs it prints the number of reports whose verdict or
+failures differ and the largest drift of any error statistic or defect.
 """
 
 import argparse
@@ -149,12 +151,22 @@ def _drift(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a[both] - b[both]), initial=0.0))
 
 
+def _report_values(path: Path) -> tuple[tuple, dict[str, float]]:
+    """A report JSON's (verdict, failures), and its error statistics and defects by name (null as NaN)."""
+    report = json.loads(path.read_text())
+    values = {f"defects.{k}": v for k, v in report["defects"].items()}
+    values.update((f"errors.{q}.{k}", v) for q, st in report["errors"].items() for k, v in st.items())
+    return (report["verdict"], report["failures"]), {k: np.nan if v is None else v for k, v in values.items()}
+
+
 def compare(out_dir: Path, old_dir: Path) -> None:
-    """Print the largest drift per CSV column and OBJ coordinate against ``old_dir``.
+    """Print the largest drift per CSV column, OBJ coordinate and report against ``old_dir``.
 
     Sample CSVs and sweep summaries (``sweep_*.csv``) are labelled ``csv`` and
     ``sweep``; for the sweep's text columns the value is the number of rows
-    that differ.
+    that differ.  Reports are labelled ``report``: ``verdict`` counts the
+    reports whose verdict or failures differ, ``values`` is the largest
+    drift of any error statistic or defect.
     """
     worst: dict[str, tuple[float, str]] = {}
 
@@ -176,6 +188,14 @@ def compare(out_dir: Path, old_dir: Path) -> None:
         a, b = _obj_vertices(new), _obj_vertices(old_dir / new.name)
         for j in range(3):
             note(f"obj x{j + 1}", _drift(a[:, j], b[:, j]) if a.shape == b.shape else float("inf"), new.name)
+    differ = []
+    for new in sorted(out_dir.glob("*.json")):
+        (outcome, a), (old_outcome, b) = _report_values(new), _report_values(old_dir / new.name)
+        if outcome != old_outcome:
+            differ.append(new.name)
+        names = sorted(a.keys() | b.keys())  # a name on one side only drifts by inf
+        note("report values", _drift(*(np.array([r.get(k, np.inf) for k in names]) for r in (a, b))), new.name)
+    note("report verdict", float(len(differ)), ", ".join(differ))
     print(f"\nlargest absolute drift against {old_dir}")
     for label, (value, where) in worst.items():
         print(f"  {label:<20} {value:10.3g}" + (f"  ({where})" if value else ""))

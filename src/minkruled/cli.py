@@ -97,7 +97,7 @@ def main(argv=None) -> int:
             if cfg.outputs.mesh is None:
                 raise ConfigError("outputs.mesh", "required by export-mesh")
             os.makedirs(args.out_dir, exist_ok=True)
-            _, surface = synthesize_surface(cfg, build_directrix(cfg))
+            surface = synthesize_surface(cfg, build_directrix(cfg))
             print(f"wrote mesh: {write_mesh(cfg, surface, args.out_dir)}")
             return 0
         # sweep

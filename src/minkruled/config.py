@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .frenet import Constant, CurvatureFn, Polynomial, Samples, Sinusoid, grid_size
-from .synthesis import KINDS, SynthesisParams, SystemKind
+from .synthesis import SynthesisParams, SystemKind, is_unset, missing_param
 from .verify import DEFAULT_DEFECT_TOLS, Tolerances
 
 SCHEMA_VERSION = 1
@@ -230,12 +230,8 @@ _DOCUMENT = {
 }
 
 
-def _unset(value) -> bool:
-    return value is None or (isinstance(value, float) and math.isnan(value))
-
-
 def _to_json(value):
-    """The normalized JSON form of a config value; unset (None/NaN) entries are dropped."""
+    """The normalized JSON form of a config value; unset entries (``is_unset``) are dropped."""
     if isinstance(value, CurvatureFn):
         return value.to_spec()
     if isinstance(value, enum.Enum):
@@ -245,7 +241,7 @@ def _to_json(value):
     if dataclasses.is_dataclass(value):
         value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
-        return {key: _to_json(v) for key, v in value.items() if not _unset(v)}
+        return {key: _to_json(v) for key, v in value.items() if not is_unset(v)}
     if isinstance(value, tuple):
         return [_to_json(v) for v in value]
     return value
@@ -289,10 +285,9 @@ class RunConfig:
         entries = _section(doc, "", _DOCUMENT, ("version", "directrix", "system", "params"))
         del entries["version"]
         cfg = cls(**entries)
-        kind = KINDS[cfg.system]
-        for name in kind.params + (("theta0",) if kind.seeded else ()):
-            if _unset(getattr(cfg.params, name)):
-                raise ConfigError(f"params.{name}", f"required by system '{cfg.system.value}'")
+        name = missing_param(cfg.system, cfg.params)
+        if name is not None:
+            raise ConfigError(f"params.{name}", f"required by system '{cfg.system.value}'")
         return cfg
 
     def to_dict(self) -> dict:

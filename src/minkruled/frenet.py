@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,9 +152,9 @@ class FrenetCurve:
     """A sampled timelike directrix with per-sample frame and curvatures.
 
     ``s`` is a uniform arc-length grid; ``k`` holds positions and T, N, B
-    the frame vectors, one row per sample.  ``k1_fn``/``k2_fn`` keep the
-    generating functions when known so downstream integrators can evaluate
-    curvatures off-grid; they default to spline interpolants of the samples.
+    the frame vectors, one row per sample.  ``k1``, ``k2`` are the
+    curvatures at the samples and ``k1_mid``, ``k2_mid`` at the step
+    midpoints ``s[:-1] + h/2``: every value an RK4 step on this grid reads.
     """
 
     s: np.ndarray
@@ -164,16 +164,19 @@ class FrenetCurve:
     B: np.ndarray
     k1: np.ndarray
     k2: np.ndarray
-    k1_fn: CurvatureFn | None = field(default=None, repr=False, compare=False)
-    k2_fn: CurvatureFn | None = field(default=None, repr=False, compare=False)
+    k1_mid: np.ndarray
+    k2_mid: np.ndarray
 
     def __post_init__(self):
-        for name in ("s", "k", "T", "N", "B", "k1", "k2"):
+        names = [f.name for f in dataclasses.fields(self)]
+        for name in names:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = self.s.shape[0]
         if self.k.shape != (n, 3) or self.T.shape != (n, 3):
             raise ValueError("position/frame arrays must have shape (n, 3)")
-        if not all(np.all(np.isfinite(getattr(self, name))) for name in ("s", "k", "T", "N", "B", "k1", "k2")):
+        if self.k1_mid.shape != (max(n - 1, 0),) or self.k2_mid.shape != self.k1_mid.shape:
+            raise ValueError("midpoint curvature arrays must have shape (n - 1,)")
+        if not all(np.all(np.isfinite(getattr(self, name))) for name in names):
             raise ValueError("curve contains non-finite samples")
 
     @property
@@ -185,11 +188,6 @@ class FrenetCurve:
         if self.n_samples < 2:
             raise ValueError("single-sample curve has no step")
         return float(self.s[1] - self.s[0])
-
-    def curvature_fns(self) -> tuple[CurvatureFn, CurvatureFn]:
-        k1 = self.k1_fn if self.k1_fn is not None else Samples(self.s, self.k1)
-        k2 = self.k2_fn if self.k2_fn is not None else Samples(self.s, self.k2)
-        return k1, k2
 
 
 def default_initial_frame() -> np.ndarray:
@@ -379,8 +377,8 @@ def integrate_frenet(
         B=y[:, 3],
         k1=k1_grid,
         k2=k2_grid,
-        k1_fn=k1_fn,
-        k2_fn=k2_fn,
+        k1_mid=k1_mid,
+        k2_mid=k2_mid,
     )
 
 

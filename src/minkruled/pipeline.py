@@ -29,9 +29,9 @@ def _fmt(x) -> str:
 
 @dataclass(frozen=True)
 class RunResult:
+    """One synthesized and verified config; the angle track is ``surface.track``."""
+
     config: RunConfig
-    curve: FrenetCurve
-    track: AngleTrack
     surface: RuledSurfaceGrid
     report: InvariantReport
     written: dict[str, str]
@@ -55,6 +55,7 @@ def run_config(cfg: RunConfig, out_dir=".", *, write_outputs: bool = True) -> Ru
     decides the exit code; pipeline errors (singular seeds, divergence)
     propagate as exceptions carrying the failure location.  ``out_dir`` is
     created before synthesis, so an unusable one fails before any work.
+    The mesh is written first: a ``v_range`` it rejects leaves no output.
     """
     if write_outputs:
         out_dir = os.fspath(out_dir)
@@ -62,12 +63,12 @@ def run_config(cfg: RunConfig, out_dir=".", *, write_outputs: bool = True) -> Ru
     result = run_seed(cfg, build_directrix(cfg))
     if write_outputs:
         o, written = cfg.outputs, result.written
-        if o.csv_path is not None:
-            written["csv"] = write_samples_csv(os.path.join(out_dir, o.csv_path), result.track, result.report)
-        if o.report_path is not None:
-            written["report"] = write_report_json(os.path.join(out_dir, o.report_path), result.report)
         if o.mesh is not None:
             written["mesh"] = write_mesh(cfg, result.surface, out_dir)
+        if o.csv_path is not None:
+            written["csv"] = write_samples_csv(os.path.join(out_dir, o.csv_path), result.surface.track, result.report)
+        if o.report_path is not None:
+            written["report"] = write_report_json(os.path.join(out_dir, o.report_path), result.report)
     return result
 
 
@@ -76,15 +77,14 @@ def run_seed(cfg: RunConfig, curve: FrenetCurve) -> RunResult:
 
     The one per-seed path of ``run_config`` and ``sweep_grid``.
     """
-    track, surface = synthesize_surface(cfg, curve)
+    surface = synthesize_surface(cfg, curve)
     report = recompute_report(surface, cfg.params, cfg.system, cfg.tolerances)
-    return RunResult(config=cfg, curve=curve, track=track, surface=surface, report=report, written={})
+    return RunResult(config=cfg, surface=surface, report=report, written={})
 
 
-def synthesize_surface(cfg: RunConfig, curve: FrenetCurve) -> tuple[AngleTrack, RuledSurfaceGrid]:
-    """Angle track and ruling field of one config on its directrix ``curve``, unverified."""
-    track = integrate_system(cfg.system, cfg.params, curve)
-    return track, build_surface(track, curve)
+def synthesize_surface(cfg: RunConfig, curve: FrenetCurve) -> RuledSurfaceGrid:
+    """The ruling field of one config on its directrix ``curve``, with its angle track; unverified."""
+    return build_surface(integrate_system(cfg.system, cfg.params, curve), curve)
 
 
 def write_mesh(cfg: RunConfig, surface: RuledSurfaceGrid, out_dir=".") -> str:

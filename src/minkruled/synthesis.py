@@ -135,7 +135,6 @@ def _curvature_angle(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
 
 
 def _asymptotic(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
-    k2 = np.asarray(k2, dtype=float)
     if float(np.max(k2) - np.min(k2)) > 1e-9 * max(1.0, float(np.max(np.abs(k2)))):
         raise ParamDomainError("asymptotic mode requires constant k2 along the directrix")
     if float(np.min(np.abs(k2))) < 1e-12:
@@ -161,7 +160,7 @@ def _line_of_curvature(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
 class KindSpec:
     """What one SystemKind prescribes.
 
-    ``params`` are the parameters it consumes beyond the seed angles.
+    ``params`` are the parameters it needs beyond the seed (``missing_param``).
     ``seeded`` says whether it starts from a theta0 seed; the only seedless
     kind, line of curvature, is also the only one built in closed form
     rather than integrated.  ``prescribe(params, s, k2)`` gives the
@@ -196,19 +195,28 @@ KINDS: dict[SystemKind, KindSpec] = {
 }
 
 
+def is_unset(value) -> bool:
+    """Whether a param value counts as absent: None or a non-finite number."""
+    return value is None or (isinstance(value, float) and not math.isfinite(value))
+
+
+def missing_param(kind: SystemKind, params: SynthesisParams) -> str | None:
+    """The first param ``kind`` needs (``theta0`` last, if seeded) that ``params`` leaves unset."""
+    spec = KINDS[kind]
+    needed = spec.params + (("theta0",) if spec.seeded else ())
+    return next((name for name in needed if is_unset(getattr(params, name))), None)
+
+
 def validate_params(kind: SystemKind, params: SynthesisParams) -> None:
-    """Check that the params ``kind`` needs are present and sin(mu) != 0.
+    """Check that the params ``kind`` needs are set and sin(mu) != 0.
 
     Raises ParamDomainError.  The other domain rules of a kind are checked
     where its prescription is evaluated.
     """
-    spec = KINDS[kind]
-    for name in spec.params:
-        if getattr(params, name) is None:
-            raise ParamDomainError(f"{kind.value} requires params.{name}")
-    if spec.seeded and not math.isfinite(params.theta0):
-        raise ParamDomainError(f"{kind.value} requires params.theta0")
-    if "mu" in spec.params and abs(math.sin(params.mu)) < 1e-12:
+    name = missing_param(kind, params)
+    if name is not None:
+        raise ParamDomainError(f"{kind.value} requires params.{name}")
+    if "mu" in KINDS[kind].params and abs(math.sin(params.mu)) < 1e-12:
         raise ParamDomainError("sin(mu) = 0 is outside the curvature-angle domain")
 
 
@@ -285,8 +293,9 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
 
     Seeded kinds run fixed-step 4th-order integration of the general system,
     with (a, b) evaluated once at the samples and step midpoints from the
-    prescribed (d, v0); a kind with a ``pin`` integrates theta alone with
-    phi held there; the line-of-curvature mode is assembled in closed form.
+    prescribed (d, v0), and (k1, k2) read there from the directrix; a kind
+    with a ``pin`` integrates theta alone with phi held there; the
+    line-of-curvature mode is assembled in closed form.
     The returned track stores (theta', phi') from the right-hand side at
     every sample.  A track aborts where |theta| leaves
     [THETA_MIN, THETA_MAX] (see ``system_rhs``).
@@ -305,17 +314,15 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
         return _line_of_curvature_track(params, directrix)
 
     pinned = spec.pin is not None
-    # RK4 on the two angles as Python floats; (k1, k2, a, b) are evaluated
-    # once at the samples and step midpoints, and the derivative at a sample
-    # is the first stage of the step leaving it.
-    k1_fn, k2_fn = directrix.curvature_fns()
+    # RK4 on the two angles as Python floats; (k1, k2, a, b) are taken once
+    # at the samples and step midpoints, and the derivative at a sample is
+    # the first stage of the step leaving it.
     mid = s[:-1] + 0.5 * h
 
-    def coeffs(x: np.ndarray) -> list:
-        k2 = k2_fn(x)
-        return np.column_stack([k1_fn(x), k2, _coefficients(kind, params, x, k2)]).tolist()
+    def coeffs(x: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> list:
+        return np.column_stack([k1, k2, _coefficients(kind, params, x, k2)]).tolist()
 
-    c_node, c_mid = coeffs(s), coeffs(mid)
+    c_node, c_mid = coeffs(s, directrix.k1, directrix.k2), coeffs(mid, directrix.k1_mid, directrix.k2_mid)
     grid, mid = s.tolist(), mid.tolist()
     n = len(grid)
     theta, phi, theta_p, phi_p = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
@@ -368,8 +375,7 @@ def _line_of_curvature_track(params: SynthesisParams, directrix: FrenetCurve) ->
     if not isinstance(n_fn, Constant):
         raise ParamDomainError("line_of_curvature takes a constant n")
     s = directrix.s
-    _, k2_fn = directrix.curvature_fns()
-    phi = line_of_curvature_phi(k2_fn, float(params.C), s)
+    phi = line_of_curvature_phi(directrix, float(params.C))
     n = float(n_fn.value)
     cos_phi = np.cos(phi)
     if float(np.min(np.abs(cos_phi))) < 1e-12:
@@ -383,7 +389,7 @@ def _line_of_curvature_track(params: SynthesisParams, directrix: FrenetCurve) ->
     # theta' has no closed form without k1'; second-order differences are
     # enough for the analytic invariants, which tolerate O(h^2) here.
     theta_p = finite_difference(theta, directrix.step)
-    phi_p = -np.asarray(directrix.k2, dtype=float)
+    phi_p = -directrix.k2
     return AngleTrack(s=s.copy(), theta=theta, phi=phi, theta_prime=theta_p, phi_prime=phi_p)
 
 
@@ -415,20 +421,15 @@ def geodesic_theta(n: float, k1: float, k2: float) -> float:
     return math.atanh(x)
 
 
-def line_of_curvature_phi(k2, C: float, s_grid: np.ndarray) -> np.ndarray:
-    """phi(s) = -cumulative integral of k2 + C on the grid.
+def line_of_curvature_phi(directrix: FrenetCurve, C: float) -> np.ndarray:
+    """phi(s) = -cumulative integral of k2 + C on the directrix grid.
 
     phi' = -k2(s) does not depend on phi, so the 4th-order step reduces to
-    a cumulative Simpson sum over the uniform grid.
+    a cumulative Simpson sum of the directrix's torsion at the samples and
+    step midpoints.
     """
-    k2_fn = as_curvature_fn(k2)
-    s = np.asarray(s_grid, dtype=float)
-    if s.shape[0] < 2:
-        return np.full(s.shape, float(C))
-    h = float(s[1] - s[0])
-    node = -np.asarray(k2_fn(s), dtype=float)
-    mid = -np.asarray(k2_fn(s[:-1] + 0.5 * h), dtype=float)
-    return np.cumsum(np.concatenate([[float(C)], (h / 6.0) * (node[:-1] + 4.0 * mid + node[1:])]))
+    node, mid = -directrix.k2, -directrix.k2_mid
+    return np.cumsum(np.concatenate([[float(C)], (directrix.step / 6.0) * (node[:-1] + 4.0 * mid + node[1:])]))
 
 
 def helix_relation_defect(theta: float, mu: float, curve: FrenetCurve, *, tol: float = 1e-9) -> float:

@@ -45,6 +45,9 @@ class Tolerances:
     defects: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
+        for name in self.defects:
+            if name not in DEFAULT_DEFECT_TOLS:
+                raise ConfigError(f"tolerances.defects.{name}", "unknown key")
         bounds = {"rel": self.rel, "abs": self.abs, **{f"defects.{k}": v for k, v in self.defects.items()}}
         for name, value in bounds.items():
             if not (math.isfinite(value) and value >= 0.0):
@@ -237,11 +240,13 @@ SURFACE_DEFECTS: dict[str, tuple[Callable[[RuledSurfaceGrid], np.ndarray], int]]
 def surface_defects(surface: RuledSurfaceGrid, name: str) -> dict[str, float]:
     """The defect ``name`` of ``SURFACE_DEFECTS``: its max over interior samples.
 
-    Interior excludes the boundary layer at each end (ValueError if nothing
-    is left); the ``<name>_endpoints`` entry carries the max over that
-    layer, whose error order is lower.
+    Interior excludes the boundary layer at each end (ValueError, naming
+    the samples needed, if nothing is left); the ``<name>_endpoints`` entry
+    carries the max over that layer, whose error order is lower.
     """
     values, layer = SURFACE_DEFECTS[name]
+    if surface.n_samples <= 2 * layer:
+        raise ValueError(f"the {name} defect needs at least {2 * layer + 1} samples; the grid has {surface.n_samples}")
     vals = values(surface)
     return {
         name: float(np.max(vals[layer:-layer])),

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import minkruled.mesh
 import minkruled.pipeline
-from minkruled import Constant, FrenetCurve, RuledSurfaceGrid, RunConfig, SystemKind, export_mesh
+from minkruled import Constant, CurvatureFn, FrenetCurve, RuledSurfaceGrid, RunConfig, SystemKind, export_mesh
 from minkruled.cli import main
 from minkruled.config import MAX_MESH_POINTS
 from minkruled.errors import ConfigError, GeometryError
@@ -40,6 +40,8 @@ def hyperbolic_curve(n_samples):
         B=np.stack([zero, zero, zero + 1.0], axis=1),
         k1=zero + 1.0,
         k2=zero,
+        k1_mid=zero[1:] + 1.0,
+        k2_mid=zero[1:],
     )
 
 
@@ -325,7 +327,7 @@ class TestExportMesh:
 
     def test_blocks_match_reference_on_a_ragged_lattice(self, monkeypatch, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
-        _, surf = synthesize_surface(cfg, build_directrix(cfg))
+        surf = synthesize_surface(cfg, build_directrix(cfg))
         block = minkruled.mesh._BLOCK
         v_samples = 2 * block // surf.n_samples + 1
         if surf.n_samples * v_samples % block == 0:
@@ -364,12 +366,12 @@ class TestExportMesh:
 
     def test_two_v_samples_and_negative_range_match_reference(self, monkeypatch, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "asymptotic_line.json")
-        _, surf = synthesize_surface(cfg, build_directrix(cfg))
+        surf = synthesize_surface(cfg, build_directrix(cfg))
         assert self.assert_matches_reference(monkeypatch, tmp_path, surf, (-1.5, -0.25), 2) == 0
 
     def test_failed_child_is_replaced_by_the_parent(self, monkeypatch, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
-        _, surf = synthesize_surface(cfg, build_directrix(cfg))
+        surf = synthesize_surface(cfg, build_directrix(cfg))
         parent, write_lines = os.getpid(), minkruled.mesh._write_lines
 
         def failing_in_child(*args):
@@ -383,7 +385,7 @@ class TestExportMesh:
     @pytest.mark.parametrize("case", ["threads", "one-cpu", "no-temp-file", "fork-fails"])
     def test_one_process_paths_match_reference(self, monkeypatch, tmp_path, case):
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
-        _, surf = synthesize_surface(cfg, build_directrix(cfg))
+        surf = synthesize_surface(cfg, build_directrix(cfg))
         if case == "threads":
             monkeypatch.setattr(threading, "active_count", lambda: 2)
         if case == "no-temp-file":
@@ -426,30 +428,58 @@ class TestPipeline:
     def test_csv_without_recomputed_invariants_matches_reference(self, tmp_path):
         result = run_config(RunConfig.from_file(CONFIG_DIR / "cylinder.json"), write_outputs=False)
         assert result.report.recomputed is None
-        path = write_samples_csv(tmp_path / "c.csv", result.track, result.report)
-        assert Path(path).read_bytes() == reference_csv(result.track, result.report).encode()
+        path = write_samples_csv(tmp_path / "c.csv", result.surface.track, result.report)
+        assert Path(path).read_bytes() == reference_csv(result.surface.track, result.report).encode()
 
     def test_csv_with_cylindrical_samples_matches_reference(self, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json").with_overrides(step=1e-4)
         result = run_config(cfg, write_outputs=False)
         inv = result.report.recomputed
-        cylindrical = np.zeros(result.track.n_samples, dtype=bool)
+        cylindrical = np.zeros(result.surface.track.n_samples, dtype=bool)
         cylindrical[[0, 7, -1]] = True
         d = np.where(cylindrical, np.nan, inv.d)
         report = dataclasses.replace(result.report, recomputed=dataclasses.replace(inv, cylindrical=cylindrical, d=d))
-        path = write_samples_csv(tmp_path / "c.csv", result.track, report)
-        text = reference_csv(result.track, report)
+        path = write_samples_csv(tmp_path / "c.csv", result.surface.track, report)
+        text = reference_csv(result.surface.track, report)
         assert {line[-1] for line in text.splitlines()[1:]} == {"0", "1"}
-        assert result.track.n_samples > minkruled.pipeline._CSV_BLOCK
+        assert result.surface.track.n_samples > minkruled.pipeline._CSV_BLOCK
         assert Path(path).read_bytes() == text.encode()
 
     def test_csv_leaves_n_and_mu_empty_where_d_vanishes(self, tmp_path):
         result = run_config(RunConfig.from_file(CONFIG_DIR / "developable.json"), tmp_path)
         text = Path(result.written["csv"]).read_text()
-        assert text == reference_csv(result.track, result.report)
+        assert text == reference_csv(result.surface.track, result.report)
         rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == result.track.n_samples
+        assert len(rows) == result.surface.track.n_samples
         assert all(r["mu"] == r["n"] == "" and r["d"] and r["K"] for r in rows)
+
+
+def count_directrix_evaluations(monkeypatch, cfg) -> dict:
+    """Count the ``_at`` calls of ``cfg``'s directrix k1 and k2 from now on, by name."""
+    names = {id(cfg.directrix.k1): "k1", id(cfg.directrix.k2): "k2"}
+    assert len(names) == 2
+    calls = dict.fromkeys(names.values(), 0)
+    for cls in CurvatureFn.__subclasses__():
+
+        def counted(self, s, at=cls._at):
+            if id(self) in names:
+                calls[names[id(self)]] += 1
+            return at(self, s)
+
+        monkeypatch.setattr(cls, "_at", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_directrix_curvatures_are_evaluated_at_samples_and_midpoints_only(monkeypatch, tmp_path, name):
+    cfg = RunConfig.from_file(CONFIG_DIR / name)
+    calls = count_directrix_evaluations(monkeypatch, cfg)
+    run_config(cfg, write_outputs=False)
+    assert calls == {"k1": 2, "k2": 2}  # once on the grid, once at the step midpoints
+    calls.update(k1=0, k2=0)
+    rows, _ = sweep_grid(cfg, out_dir=tmp_path)
+    assert len(rows) == 12
+    assert calls == {"k1": 2, "k2": 2}  # one directrix shared by every seed
 
 
 class TestSweep:
@@ -737,6 +767,7 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert "'outputs.mesh.v_range'" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "general_roundtrip.obj").exists()
+        assert os.listdir(tmp_path / "out") == []  # no CSV or report either
 
     def test_export_mesh_requires_mesh_spec(self, tmp_path, capsys):
         code = main(["export-mesh", "--config", str(CONFIG_DIR / "cylinder.json"), "--out-dir", str(tmp_path)])

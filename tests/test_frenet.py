@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -261,6 +262,24 @@ class TestIntegrateFrenet:
             assert not math.isfinite(overflowing(s)) and math.isfinite(overflowing(s - step / 2))
         assert 0.5 < s < 1.0
 
+    def test_keeps_the_curvatures_at_the_step_midpoints(self):
+        k1, k2 = Polynomial((1.0, 0.5)), Sinusoid(0.3, 5.0, offset=0.1)
+        c = integrate_frenet(k1, k2, s_range=(0.0, 1.0), step=1e-2)
+        mid = c.s[:-1] + 0.5 * c.step
+        assert np.array_equal(c.k1_mid, k1(mid)) and np.array_equal(c.k2_mid, k2(mid))
+
+    @pytest.mark.parametrize("field", ["k1_mid", "k2_mid"])
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
+    def test_curve_rejects_midpoint_arrays_of_the_wrong_shape(self, field, shape):
+        c = integrate_frenet(1.0, 0.0, s_range=(0.0, 0.02), step=1e-2)  # 3 samples, 2 midpoints
+        with pytest.raises(ValueError, match=r"shape \(n - 1,\)"):
+            dataclasses.replace(c, **{field: np.ones(shape)})
+
+    def test_curve_rejects_non_finite_midpoints(self):
+        c = integrate_frenet(1.0, 0.0, s_range=(0.0, 0.02), step=1e-2)
+        with pytest.raises(ValueError, match="non-finite"):
+            dataclasses.replace(c, k2_mid=np.array([0.0, np.nan]))
+
     def test_grid_must_divide_evenly(self):
         with pytest.raises(ValueError):
             uniform_grid((0.0, 1.0), 3e-4)
@@ -291,6 +310,8 @@ class TestFrameDefect:
             B=f[3:4],
             k1=np.array([1.0]),
             k2=np.array([0.0]),
+            k1_mid=np.array([]),
+            k2_mid=np.array([]),
         )
         assert frame_defect(c) == 0.0
 
@@ -308,5 +329,7 @@ class TestFrameDefect:
             B=f[3:4],
             k1=np.array([1.0]),
             k2=np.array([0.0]),
+            k1_mid=np.array([]),
+            k2_mid=np.array([]),
         )
         assert frame_defect(c) == pytest.approx(0.0201, abs=1e-12)

@@ -61,6 +61,6 @@ def test_bench_stages_writes_every_key_and_compares(tmp_path):
     labels = [line.split()[1] for line in drift]
     sample_csv = ["s", "theta", "phi", "d", "v0", "K", "mu", "n", "qprime_norm", "cylindrical"]
     sweep = ["theta0", "phi0", "verdict", "max_rel_error", "worst_defect", "failure_s", "detail"]
-    assert labels == sample_csv + sweep + ["x1", "x2", "x3"]
-    assert [line.split()[0] for line in drift] == ["csv"] * 10 + ["sweep"] * 7 + ["obj"] * 3
+    assert labels == sample_csv + sweep + ["x1", "x2", "x3", "values", "verdict"]
+    assert [line.split()[0] for line in drift] == ["csv"] * 10 + ["sweep"] * 7 + ["obj"] * 3 + ["report"] * 2
     assert all(float(line.split()[2]) == 0.0 for line in drift)

@@ -127,6 +127,23 @@ DOMAIN_REJECTIONS = [
         SystemKind.ASYMPTOTIC_LINE, -0.5, SynthesisParams(theta0=0.6, mu=0.0), r"sin\(mu\) = 0",
         id="asymptotic-zero-mu",
     ),
+    # a needed param left unset: None or a non-finite number
+    pytest.param(
+        SystemKind.GENERAL_DV0, 0.1, SynthesisParams(theta0=0.6, d=0.5), r"^general_dv0 requires params\.v0$",
+        id="general-without-v0",
+    ),
+    pytest.param(
+        SystemKind.GENERAL_DV0, 0.1, SynthesisParams(theta0=0.6, d=math.inf, v0=0.3),
+        r"^general_dv0 requires params\.d$", id="general-infinite-d",
+    ),
+    pytest.param(
+        SystemKind.CURVATURE_ANGLE, 0.1, SynthesisParams(theta0=0.6, n=2.0, mu=math.inf),
+        r"^curvature_angle requires params\.mu$", id="curvature-angle-infinite-mu",
+    ),
+    pytest.param(
+        SystemKind.DEVELOPABLE, 0.1, SynthesisParams(theta0=-math.inf, v0=0.5), r"^developable requires params\.theta0$",
+        id="developable-infinite-theta0",
+    ),
 ]
 
 
@@ -390,19 +407,25 @@ class TestAsymptoticMode:
 
 class TestLineOfCurvature:
     def test_phi_quadrature_constant_torsion(self):
-        s = np.linspace(0.0, 1.0, 101)
-        phi = line_of_curvature_phi(Constant(0.4), 0.3, s)
+        curve = integrate_frenet(1.0, Constant(0.4), s_range=(0.0, 1.0), step=1e-2)
+        s = curve.s
+        assert s.shape == (101,)
+        phi = line_of_curvature_phi(curve, 0.3)
         assert np.allclose(phi, -0.4 * s + 0.3, atol=1e-13)
 
     def test_phi_quadrature_zero_torsion(self):
-        s = np.linspace(0.0, 1.0, 51)
-        phi = line_of_curvature_phi(Constant(0.0), 0.7, s)
+        curve = integrate_frenet(1.0, Constant(0.0), s_range=(0.0, 1.0), step=2e-2)
+        s = curve.s
+        assert s.shape == (51,)
+        phi = line_of_curvature_phi(curve, 0.7)
         assert np.array_equal(phi, np.full_like(s, 0.7))
 
     def test_phi_prime_matches_minus_torsion(self):
-        s = np.linspace(0.0, 1.0, 1001)
         k2 = Sinusoid(0.3, 5.0, offset=0.1)
-        phi = line_of_curvature_phi(k2, 0.0, s)
+        curve = integrate_frenet(1.0, k2, s_range=(0.0, 1.0), step=1e-3)
+        s = curve.s
+        assert s.shape == (1001,)
+        phi = line_of_curvature_phi(curve, 0.0)
         h = s[1] - s[0]
         fd = (phi[2:] - phi[:-2]) / (2 * h)
         assert np.max(np.abs(fd + k2(s[1:-1]))) < 5 * h**2

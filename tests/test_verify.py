@@ -18,7 +18,7 @@ from minkruled import (
     recompute_report,
     surface_defects,
 )
-from minkruled.errors import AllCylindricalError
+from minkruled.errors import AllCylindricalError, ConfigError
 from minkruled.synthesis import KINDS
 from minkruled.verify import DEFAULT_DEFECT_TOLS, SURFACE_DEFECTS, VANISHING_DEFECTS
 
@@ -85,6 +85,11 @@ class TestRecomputeReport:
         strict = Tolerances(rel=1e-9, abs=1e-12)
         report = recompute_report(surf, params, SystemKind.GENERAL_DV0, strict)
         assert not report.passed
+
+    @pytest.mark.parametrize("name", ["helix", "geodesic", "qprime"])
+    def test_tolerances_reject_defects_no_kind_checks(self, name):
+        with pytest.raises(ConfigError, match=rf"'tolerances\.defects\.{name}': unknown key"):
+            Tolerances(defects={"qprime_norm": 1e-6, name: 1e-10})
 
     def test_report_serializes_to_json(self, unit_directrix):
         surf, params = general_surface(unit_directrix)
@@ -192,6 +197,18 @@ class TestSpecialCaseDefects:
             surf = build_surface(track, curve)
             vals.append(surface_defects(surf, "line_of_curvature")["line_of_curvature"])
         assert 3.5 <= vals[0] / vals[1] <= 4.5
+
+    @pytest.mark.parametrize("name", sorted(SURFACE_DEFECTS))
+    def test_grid_without_interior_samples_names_the_samples_needed(self, name):
+        layer = SURFACE_DEFECTS[name][1]
+        small = self.surface_on(2 * layer)
+        message = rf"^the {name} defect needs at least {2 * layer + 1} samples; the grid has {2 * layer}$"
+        with pytest.raises(ValueError, match=message):
+            surface_defects(small, name)
+        assert set(surface_defects(self.surface_on(2 * layer + 1), name)) == {name, f"{name}_endpoints"}
+
+    def surface_on(self, n_samples):
+        return general_surface(integrate_frenet(0.6, 0.2, s_range=(0.0, 1e-2 * (n_samples - 1)), step=1e-2))[0]
 
     def test_helix_defect(self):
         curve = integrate_frenet(2.0, 1.0, s_range=(0.0, 0.5), step=1e-3)
