@@ -98,7 +98,7 @@ def main(argv=None) -> int:
                 raise ConfigError("outputs.mesh", "required by export-mesh")
             os.makedirs(args.out_dir, exist_ok=True)
             surface = synthesize_surface(cfg, build_directrix(cfg))
-            print(f"wrote mesh: {write_mesh(cfg, surface, args.out_dir)}")
+            print(f"wrote mesh: {write_mesh(cfg, surface, os.path.join(args.out_dir, cfg.outputs.mesh.path))}")
             return 0
         # sweep
         rows, summary = sweep_grid(cfg, args.theta0, args.phi0, args.out_dir, summary_name=args.summary_name)

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import os
 import shutil
-import tempfile
-import threading
 
 import numpy as np
 
+from .fork import child_part
 from .surface import RuledSurfaceGrid
 
 #: Vertices (and faces) formatted per write; bounds the Python objects alive
@@ -48,8 +47,11 @@ def export_mesh(
 
     The text is formatted by two processes when this one may run on 2 or
     more CPUs, runs no other thread, and the lattice has at least
-    ``_FORK_MIN_POINTS`` vertices; otherwise by this process alone.  See
-    ``_write_forked``.  The bytes are the same either way.
+    ``_FORK_MIN_POINTS`` vertices; otherwise by this process alone.  The
+    forked child (``fork.child_part``) formats the vertices from the block
+    boundary nearest ``_PARENT_SHARE`` of them on, and every face, into a
+    temporary file in the output's directory; this process formats the rest
+    and then appends that file.  The bytes are the same either way.
     """
     if v_samples < 2:
         raise ValueError("v_samples must be at least 2")
@@ -64,62 +66,26 @@ def export_mesh(
 
     n_s = surface.n_samples
     n_points, n_faces = n_s * v_samples, (n_s - 1) * (v_samples - 1)
+    cut = min(n_points, round(_PARENT_SHARE * n_points / _BLOCK) * _BLOCK)
+    tail, faces = range(cut, n_points), range(n_faces)
+
+    def write_tail(out):
+        with open(out.fileno(), "w", newline="\n", closefd=False) as text:
+            _write_lines(text, k, q, vs, tail, faces)
+
     path = os.fspath(path)
+    tmp_dir = os.path.dirname(path) or "."
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# {comment}\n# coordinates: (x1, x2, x3), x1 timelike; viewer distances are Euclidean\n")
-        if n_points >= _FORK_MIN_POINTS and _two_cpus() and threading.active_count() == 1:
-            cut = round(_PARENT_SHARE * n_points / _BLOCK) * _BLOCK
-            _write_forked(fh, os.path.dirname(path) or ".", k, q, vs, cut, n_points, n_faces)
-        else:
-            _write_lines(fh, k, q, vs, range(n_points), range(n_faces))
-    return path
-
-
-def _two_cpus() -> bool:
-    """Whether this process may run on at least two CPUs."""
-    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-
-
-def _write_forked(fh, tmp_dir: str, k, q, vs, cut: int, n_points: int, n_faces: int) -> None:
-    """Format vertices below ``cut`` onto ``fh`` while a forked child formats the rest.
-
-    The child writes the vertices from ``cut`` on and every face into an
-    unnamed temporary file in ``tmp_dir``; ``fh`` gets that file's bytes
-    once the child exits cleanly.  If the temporary file cannot be made, the
-    fork fails or the child exits non-zero, this process formats the
-    child's part itself, so any error is raised here with its usual class
-    and path.
-    """
-    tail, faces = range(cut, n_points), range(n_faces)
-    try:
-        tmp = tempfile.TemporaryFile(dir=tmp_dir)
-    except OSError:  # an existing output in a directory that takes no new file
-        _write_lines(fh, k, q, vs, range(n_points), faces)
-        return
-    with tmp:
-        fh.flush()
-        try:
-            pid = os.fork()
-        except OSError:  # out of processes or memory
-            pid = None
-        if pid == 0:
-            code = 1
-            try:
-                with open(tmp.fileno(), "w", newline="\n", closefd=False) as out:
-                    _write_lines(out, k, q, vs, tail, faces)
-                code = 0
-            finally:
-                os._exit(code)
-        try:
+        with child_part(write_tail, work=n_points, min_work=_FORK_MIN_POINTS, tmp_dir=tmp_dir) as join:
             _write_lines(fh, k, q, vs, range(cut), range(0))
-        finally:
-            status = 1 if pid is None else os.waitpid(pid, 0)[1]
-        if status == 0:
-            fh.flush()
-            tmp.seek(0)
-            shutil.copyfileobj(tmp, fh.buffer)
-        else:
-            _write_lines(fh, k, q, vs, tail, faces)
+            out = join()
+            if out is None:
+                _write_lines(fh, k, q, vs, tail, faces)
+            else:
+                fh.flush()
+                shutil.copyfileobj(out, fh.buffer)
+    return path
 
 
 def _write_lines(fh, k: np.ndarray, q: np.ndarray, vs: np.ndarray, points: range, faces: range) -> None:

@@ -24,6 +24,7 @@ from minkruled.cli import main
 from minkruled.config import MAX_MESH_POINTS
 from minkruled.errors import ConfigError, GeometryError
 from minkruled.pipeline import build_directrix, run_config, sweep_grid, synthesize_surface, write_samples_csv
+from minkruled.synthesis import DEFAULT_PHI0_GRID, DEFAULT_THETA0_GRID
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -273,6 +274,59 @@ class TestConfigValidation:
             RunConfig.from_file(path)
 
 
+def count_forks(monkeypatch, cpus):
+    """Let this process run on ``cpus``; every fork attempted from now on is appended to the returned list."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def obj_matches_reference(monkeypatch, tmp_path, surf, v_range, v_samples, cpus=frozenset({0, 1})):
+    """Write through ``export_mesh`` on ``cpus`` and compare with the line-by-line reference.
+
+    Also checks that no child is left unreaped and that the OBJ is the
+    only file written; returns the number of forks attempted.
+    """
+    forks = count_forks(monkeypatch, cpus)
+    path = export_mesh(surf, v_range, v_samples, tmp_path / "m.obj", comment="c")
+    assert Path(path).read_bytes() == reference_obj(surf, v_range, v_samples, "c").encode()
+    assert_no_child_left()
+    assert os.listdir(tmp_path) == ["m.obj"]
+    return len(forks)
+
+
+def one_process_sweep(cfg, out_dir, **grid):
+    """The rows and the summary bytes of ``sweep_grid`` forced to one CPU."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        mp.setattr(os, "fork", lambda: raise_(AssertionError("forked")))
+        rows, summary = sweep_grid(cfg, out_dir=out_dir, **grid)
+    return rows, Path(summary).read_bytes()
+
+
+def sweep_matches_reference(monkeypatch, tmp_path, cfg, cpus=frozenset({0, 1}), **grid):
+    """Sweep through ``sweep_grid`` on ``cpus`` and compare with the one-process rows and summary.
+
+    Also checks that no child is left unreaped and that the summary is the
+    only file written; returns the number of forks attempted.
+    """
+    rows, summary = one_process_sweep(cfg, tmp_path / "one", **grid)
+    forks = count_forks(monkeypatch, cpus)
+    got, path = sweep_grid(cfg, out_dir=tmp_path / "two", **grid)
+    assert got == rows
+    assert Path(path).read_bytes() == summary
+    assert_no_child_left()
+    assert os.listdir(tmp_path / "two") == ["sweep_summary.csv"]
+    return len(forks)
+
+
 class TestExportMesh:
     def smallest_surface(self):
         curve = hyperbolic_curve(2)
@@ -308,23 +362,6 @@ class TestExportMesh:
         with pytest.raises(ValueError):
             export_mesh(self.smallest_surface(), (0.0, 1.0), 1, tmp_path / "m.obj")
 
-    def assert_matches_reference(self, monkeypatch, tmp_path, surf, v_range, v_samples, cpus=frozenset({0, 1})):
-        """Write through ``export_mesh`` on ``cpus`` and compare with the line-by-line reference.
-
-        Also checks that no child is left unreaped and that the OBJ is the
-        only file written; returns the number of forks attempted.
-        """
-        forks = []
-        fork = os.fork
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
-        path = export_mesh(surf, v_range, v_samples, tmp_path / "m.obj", comment="c")
-        assert Path(path).read_bytes() == reference_obj(surf, v_range, v_samples, "c").encode()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert os.listdir(tmp_path) == ["m.obj"]
-        return len(forks)
-
     def test_blocks_match_reference_on_a_ragged_lattice(self, monkeypatch, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
         surf = synthesize_surface(cfg, build_directrix(cfg))
@@ -338,7 +375,7 @@ class TestExportMesh:
         share = minkruled.mesh._PARENT_SHARE * n_points
         cut = round(share / block) * block
         assert share % block and cut % v_samples
-        assert self.assert_matches_reference(monkeypatch, tmp_path, surf, (-0.5, 0.5), v_samples) == 1
+        assert obj_matches_reference(monkeypatch, tmp_path, surf, (-0.5, 0.5), v_samples) == 1
 
     def test_blocks_match_reference_on_a_wide_two_row_lattice(self, monkeypatch, tmp_path):
         curve = hyperbolic_curve(2)
@@ -349,7 +386,7 @@ class TestExportMesh:
         for v_samples in (threshold // 2 - 1, threshold // 2, minkruled.mesh._BLOCK + 5):
             out = tmp_path / str(v_samples)
             out.mkdir()
-            forks = self.assert_matches_reference(monkeypatch, out, surf, (-1.0, 2.0), v_samples)
+            forks = obj_matches_reference(monkeypatch, out, surf, (-1.0, 2.0), v_samples)
             assert forks == (2 * v_samples >= threshold)
 
     def test_v_range_near_the_float_limit(self, monkeypatch, tmp_path):
@@ -358,7 +395,7 @@ class TestExportMesh:
         for v_range in ((-1e307, 1e307), (1e308, 1e308)):
             out = tmp_path / str(v_range[0])
             out.mkdir()
-            self.assert_matches_reference(monkeypatch, out, surf, v_range, 5)
+            obj_matches_reference(monkeypatch, out, surf, v_range, 5)
         for v_range in ((0.0, 1e308), (-1e308, 1e308), (1.5e308, 1.5e308)):
             with pytest.raises(ValueError, match="v_range"):
                 export_mesh(surf, v_range, 33, tmp_path / "m.obj")
@@ -367,25 +404,49 @@ class TestExportMesh:
     def test_two_v_samples_and_negative_range_match_reference(self, monkeypatch, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "asymptotic_line.json")
         surf = synthesize_surface(cfg, build_directrix(cfg))
-        assert self.assert_matches_reference(monkeypatch, tmp_path, surf, (-1.5, -0.25), 2) == 0
+        assert obj_matches_reference(monkeypatch, tmp_path, surf, (-1.5, -0.25), 2) == 0
 
-    def test_failed_child_is_replaced_by_the_parent(self, monkeypatch, tmp_path):
-        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
-        surf = synthesize_surface(cfg, build_directrix(cfg))
-        parent, write_lines = os.getpid(), minkruled.mesh._write_lines
+
+FORK_CALLERS = ["mesh", "sweep"]
+SHIPPED = sorted(p.name for p in CONFIG_DIR.glob("*.json"))
+
+
+def forking_caller_matches_reference(monkeypatch, tmp_path, caller, cpus=frozenset({0, 1})):
+    """Run the OBJ writer (33 rulings) or the default sweep of general_roundtrip.json on ``cpus``.
+
+    Both are large enough to fork; see ``obj_matches_reference`` and
+    ``sweep_matches_reference`` for what is checked and returned.
+    """
+    cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+    if caller == "sweep":
+        return sweep_matches_reference(monkeypatch, tmp_path, cfg, cpus)
+    surf = synthesize_surface(cfg, build_directrix(cfg))
+    return obj_matches_reference(monkeypatch, tmp_path, surf, (-0.5, 0.5), 33, cpus)
+
+
+class TestForkedPart:
+    """The OBJ writer and the sweep share ``fork.child_part``; every path gives the one-process output."""
+
+    @pytest.mark.parametrize("caller", FORK_CALLERS)
+    def test_failed_child_is_replaced_by_the_parent(self, monkeypatch, tmp_path, caller):
+        owner, name = (minkruled.mesh, "_write_lines") if caller == "mesh" else (minkruled.pipeline, "run_seed")
+        parent, work, calls = os.getpid(), getattr(owner, name), []
 
         def failing_in_child(*args):
             if os.getpid() != parent:
                 raise OSError("child fails")
-            write_lines(*args)
+            calls.append(1)
+            return work(*args)
 
-        monkeypatch.setattr(minkruled.mesh, "_write_lines", failing_in_child)
-        assert self.assert_matches_reference(monkeypatch, tmp_path, surf, (-0.5, 0.5), 33) == 1
+        monkeypatch.setattr(owner, name, failing_in_child)
+        assert forking_caller_matches_reference(monkeypatch, tmp_path, caller) == 1
+        # the parent did the child's part: the mesh's head and tail; the
+        # sweep's 12 seeds once for the reference and once more
+        assert len(calls) == {"mesh": 2, "sweep": 24}[caller]
 
+    @pytest.mark.parametrize("caller", FORK_CALLERS)
     @pytest.mark.parametrize("case", ["threads", "one-cpu", "no-temp-file", "fork-fails"])
-    def test_one_process_paths_match_reference(self, monkeypatch, tmp_path, case):
-        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
-        surf = synthesize_surface(cfg, build_directrix(cfg))
+    def test_one_process_paths_match_reference(self, monkeypatch, tmp_path, caller, case):
         if case == "threads":
             monkeypatch.setattr(threading, "active_count", lambda: 2)
         if case == "no-temp-file":
@@ -393,8 +454,77 @@ class TestExportMesh:
         fork_error = OSError(errno.EAGAIN, "no") if case == "fork-fails" else AssertionError("forked")
         monkeypatch.setattr(os, "fork", lambda: raise_(fork_error))
         cpus = {0} if case == "one-cpu" else {0, 1}
-        forks = self.assert_matches_reference(monkeypatch, tmp_path, surf, (-0.5, 0.5), 33, cpus=cpus)
+        forks = forking_caller_matches_reference(monkeypatch, tmp_path, caller, cpus=cpus)
         assert forks == (case == "fork-fails")
+
+    @pytest.mark.parametrize("name", SHIPPED + ["error-rows"])
+    def test_sweep_matches_one_process(self, monkeypatch, tmp_path, name):
+        grid = {}
+        if name == "error-rows":  # theta0 = 0 is singular
+            cfg, grid = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json"), {"theta0_list": [0.0, 0.5, 1.0]}
+        else:
+            cfg = RunConfig.from_file(CONFIG_DIR / name)
+        assert 12 * build_directrix(cfg).n_samples >= minkruled.pipeline._FORK_MIN_SEED_SAMPLES
+        assert sweep_matches_reference(monkeypatch, tmp_path, cfg, **grid) == 1
+        if name == "error-rows":
+            rows, _ = one_process_sweep(cfg, tmp_path / "rows", **grid)
+            assert [r.verdict for r in rows] == ["error"] * 4 + ["pass"] * 8
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["parent-seed", "child-seed"])
+    def test_other_errors_in_a_seed_propagate_with_their_class(self, monkeypatch, tmp_path, index):
+        class SeedBug(Exception):
+            pass
+
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        bad = (DEFAULT_THETA0_GRID[0], DEFAULT_PHI0_GRID[index])
+        run_seed = minkruled.pipeline.run_seed
+
+        def buggy(seed_cfg, curve):
+            if (seed_cfg.params.theta0, seed_cfg.params.phi0) == bad:
+                raise SeedBug("not a geometry error")
+            return run_seed(seed_cfg, curve)
+
+        monkeypatch.setattr(minkruled.pipeline, "run_seed", buggy)
+        forks = count_forks(monkeypatch, {0, 1})
+        with pytest.raises(SeedBug):
+            sweep_grid(cfg, out_dir=tmp_path)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert os.listdir(tmp_path) == []
+
+    def test_sweep_without_a_directrix_never_forks(self, monkeypatch, tmp_path):
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        cfg = dataclasses.replace(cfg, directrix=dataclasses.replace(cfg.directrix, k1=Constant(1e308)))
+        # had the directrix been built, its 501 samples would make this sweep fork
+        assert 12 * 501 >= minkruled.pipeline._FORK_MIN_SEED_SAMPLES
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: raise_(AssertionError("forked")))
+        rows, _ = sweep_grid(cfg, out_dir=tmp_path)
+        assert len(rows) == 12 and all(r.verdict == "error" and "StepTooLarge" in r.detail for r in rows)
+
+
+def test_forked_children_never_flush_inherited_stdio(tmp_path):
+    # stdout is a pipe, so the line sits in the parent's buffer across both
+    # forks; a child that flushed it on exit would print it again
+    config = str(CONFIG_DIR / "general_roundtrip.json")
+    code = (
+        "import os, sys\n"
+        f"sys.path.insert(0, {str(Path(minkruled.__file__).parent.parent)!r})\n"
+        "from minkruled import RunConfig, export_mesh, sweep_grid\n"
+        "from minkruled.pipeline import build_directrix, synthesize_surface\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "print('printed once')\n"
+        f"cfg = RunConfig.from_file({config!r})\n"
+        f"sweep_grid(cfg, out_dir={str(tmp_path)!r})\n"
+        f"export_mesh(synthesize_surface(cfg, build_directrix(cfg)), (-0.5, 0.5), 33, {str(tmp_path / 'm.obj')!r})\n"
+        "sys.stderr.write(f'forks={len(forks)}')\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "forks=2"
+    assert proc.stdout == "printed once\n"
 
 
 class TestPipeline:
@@ -768,6 +898,26 @@ class TestCliEntry:
         assert "'outputs.mesh.v_range'" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "general_roundtrip.obj").exists()
         assert os.listdir(tmp_path / "out") == []  # no CSV or report either
+
+    @pytest.mark.parametrize("blocked", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("output", ["mesh", "csv", "report"])
+    def test_unwritable_output_leaves_no_output(self, tmp_path, capsys, output, blocked):
+        doc = load_doc("general_roundtrip.json")
+        rel = "missing/x" if blocked == "missing-dir" else "x"
+        if output == "mesh":
+            doc["outputs"]["mesh"]["path"] = rel
+        else:
+            doc["outputs"][f"{output}_path"] = rel
+        out = tmp_path / "out"
+        if blocked == "directory":
+            (out / rel).mkdir(parents=True)
+        code = main(["synthesize", "--config", write_doc(tmp_path, doc), "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out / rel}:" in err and "Traceback" not in err
+        assert os.listdir(out) == ([] if blocked == "missing-dir" else ["x"])
+        if blocked == "directory":
+            assert os.listdir(out / "x") == []
 
     def test_export_mesh_requires_mesh_spec(self, tmp_path, capsys):
         code = main(["export-mesh", "--config", str(CONFIG_DIR / "cylinder.json"), "--out-dir", str(tmp_path)])
