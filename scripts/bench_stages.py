@@ -5,7 +5,8 @@ For each shipped config and step, times the six stages of a run by calling
 their public functions directly: build_directrix, integrate_system,
 build_surface, recompute_report, write_samples_csv and export_mesh (a fixed
 33-ruling mesh).  Also times sweep_grid on the default seed grid of each
-sweep base the benchmark uses.  Each time is a median over --repeats runs in
+sweep base the benchmark uses, SWEEP_RUNS times per repeat, and prints each
+sweep's median beside its quartiles.  Each time is a median over its runs in
 ms, scaled to the machine's uncontended speed by the benchmark's reference
 loop (perfbench/refloop.py) run beside it, as perfbench scales its timings.
 
@@ -47,6 +48,10 @@ STAGES = (
 SWEEP_BASES = ("cylinder", "developable", "general_roundtrip")
 MESH_V_RANGE = (-0.75, 0.75)
 MESH_V_SAMPLES = 33
+#: Runs of each sweep per repeat.  A large sweep forks a second process, and
+#: two processes on a 2-vCPU machine sometimes run at half speed each, so a
+#: sweep's time spreads far more than a stage's.
+SWEEP_RUNS = 3
 #: Sweep summary columns compared as text, by the number of rows that differ.
 TEXT_COLUMNS = ("verdict", "detail")
 
@@ -220,8 +225,9 @@ def main():
             for step in steps:
                 for name in configs:
                     run_stages(timer, name, step, out_dir)
-                for name in SWEEP_BASES:
-                    run_sweep(timer, name, step, out_dir)
+                for _ in range(SWEEP_RUNS):
+                    for name in SWEEP_BASES:
+                        run_sweep(timer, name, step, out_dir)
         doc = {"commit": _commit(), "machine": _machine(), "repeats": args.repeats, **timer.medians_ms()}
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
@@ -229,6 +235,9 @@ def main():
         for step in steps:
             totals = {st: sum(doc["stages_ms"][n][f"{step:g}"][st] for n in configs) for st in STAGES}
             print(f"step {step:g}, sum over {len(configs)} configs (ms): " + ", ".join(f"{k} {v:.1f}" for k, v in totals.items()))
+            for name in SWEEP_BASES:
+                q1, _, q3 = statistics.quantiles(timer.times[("sweep_ms", name, f"{step:g}")], n=4)
+                print(f"  sweep {name} (ms): median {doc['sweep_ms'][name][f'{step:g}']:.1f}, quartiles {1e3 * q1:.1f}-{1e3 * q3:.1f}")
         print(f"wrote {args.out}")
         if args.compare:
             compare(out_dir, Path(args.compare))

@@ -314,20 +314,16 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
         return _line_of_curvature_track(params, directrix)
 
     pinned = spec.pin is not None
-    # RK4 on the two angles as Python floats; (k1, k2, a, b) are taken once
-    # at the samples and step midpoints, and the derivative at a sample is
-    # the first stage of the step leaving it.
+    # RK4 on the two angles as Python floats, fed flat lists of (k1, k2, a, b)
+    # taken once at the samples and step midpoints; the derivative at a
+    # sample is the first stage of the step leaving it.
     mid = s[:-1] + 0.5 * h
-
-    def coeffs(x: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> list:
-        return np.column_stack([k1, k2, _coefficients(kind, params, x, k2)]).tolist()
-
-    c_node, c_mid = coeffs(s, directrix.k1, directrix.k2), coeffs(mid, directrix.k1_mid, directrix.k2_mid)
-    grid, mid = s.tolist(), mid.tolist()
-    n = len(grid)
+    node = (directrix.k1, directrix.k2, *_coefficients(kind, params, s, directrix.k2).T)
+    middle = (directrix.k1_mid, directrix.k2_mid, *_coefficients(kind, params, mid, directrix.k2_mid).T)
+    n = len(s)
     theta, phi, theta_p, phi_p = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
     t, p = float(params.theta0), spec.pin if pinned else float(params.phi0)
-    a1, b1 = _rhs(t, p, grid[0], c_node[0], pinned)
+    a1, b1 = _rhs(t, p, float(s[0]), [float(x[0]) for x in node], pinned)
     theta[0], phi[0], theta_p[0], phi_p[0] = t, p, a1, b1
     half, sixth = 0.5 * h, h / 6.0
     sinh, cosh, sin, cos = math.sinh, math.cosh, math.sin, math.cos
@@ -335,39 +331,37 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
     # [THETA_MIN, THETA_MAX] or NaN, y not finite (y - y is NaN for +-inf and
     # NaN), or a NaN where d^2 + v0^2 = 0.  A pinned kind has phi = pi/2,
     # where sin is exactly 1.0, so it gets _rhs's a sinh(theta) + k1 and
-    # phi' = 0.
-    for i, cm, cn in zip(range(1, n), c_mid, c_node[1:]):
-        k1, k2, a, b = cm
+    # phi' = 0.  Stage 3 reads stage 2's a and the step's end stage 4's, so
+    # only stages 2 and 4 test a.
+    streams = (*(x.tolist() for x in middle), *(x[1:].tolist() for x in node))
+    for i, k1m, k2m, am, bm, k1, k2, a, b in zip(range(1, n), *streams):
         x, y = t + half * a1, p + half * b1
-        if not (THETA_MIN <= abs(x) <= THETA_MAX) or y - y != 0.0 or a != a:
-            _rhs(x, y, mid[i - 1], cm, pinned)
+        if not (THETA_MIN <= abs(x) <= THETA_MAX) or y - y != 0.0 or am != am:
+            _rhs(x, y, float(mid[i - 1]), (k1m, k2m, am, bm), pinned)
         sh = sinh(x)
-        a2 = a * sh + k1 * sin(y)
-        b2 = 0.0 if pinned else b - k2 + k1 * (cosh(x) / sh) * cos(y)
+        a2 = am * sh + k1m * sin(y)
+        b2 = 0.0 if pinned else bm - k2m + k1m * (cosh(x) / sh) * cos(y)
         x, y = t + half * a2, p + half * b2
-        if not (THETA_MIN <= abs(x) <= THETA_MAX) or y - y != 0.0 or a != a:
-            _rhs(x, y, mid[i - 1], cm, pinned)
+        if not (THETA_MIN <= abs(x) <= THETA_MAX) or y - y != 0.0:
+            _rhs(x, y, float(mid[i - 1]), (k1m, k2m, am, bm), pinned)
         sh = sinh(x)
-        a3 = a * sh + k1 * sin(y)
-        b3 = 0.0 if pinned else b - k2 + k1 * (cosh(x) / sh) * cos(y)
-        k1, k2, a, b = cn
+        a3 = am * sh + k1m * sin(y)
+        b3 = 0.0 if pinned else bm - k2m + k1m * (cosh(x) / sh) * cos(y)
         x, y = t + h * a3, p + h * b3
         if not (THETA_MIN <= abs(x) <= THETA_MAX) or y - y != 0.0 or a != a:
-            _rhs(x, y, grid[i], cn, pinned)
+            _rhs(x, y, float(s[i]), (k1, k2, a, b), pinned)
         sh = sinh(x)
         a4 = a * sh + k1 * sin(y)
         b4 = 0.0 if pinned else b - k2 + k1 * (cosh(x) / sh) * cos(y)
         t = t + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         p = p + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        if not (THETA_MIN <= abs(t) <= THETA_MAX) or p - p != 0.0 or a != a:
-            _rhs(t, p, grid[i], cn, pinned)
+        if not (THETA_MIN <= abs(t) <= THETA_MAX) or p - p != 0.0:
+            _rhs(t, p, float(s[i]), (k1, k2, a, b), pinned)
         sh = sinh(t)
         a1 = a * sh + k1 * sin(p)
         b1 = 0.0 if pinned else b - k2 + k1 * (cosh(t) / sh) * cos(p)
         theta[i], phi[i], theta_p[i], phi_p[i] = t, p, a1, b1
-    return AngleTrack(
-        s=s.copy(), theta=np.array(theta), phi=np.array(phi), theta_prime=np.array(theta_p), phi_prime=np.array(phi_p)
-    )
+    return AngleTrack(s.copy(), *(np.fromiter(x, float, n) for x in (theta, phi, theta_p, phi_p)))
 
 
 def _line_of_curvature_track(params: SynthesisParams, directrix: FrenetCurve) -> AngleTrack:

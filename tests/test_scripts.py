@@ -52,6 +52,7 @@ def test_bench_stages_writes_every_key_and_compares(tmp_path):
     assert sorted(doc["stages_ms"]) == CONFIG_NAMES
     assert all(set(per_step) == {"0.01"} and set(per_step["0.01"]) == stages for per_step in doc["stages_ms"].values())
     assert doc["sweep_ms"].keys() == {"cylinder", "developable", "general_roundtrip"}
+    assert all(f"sweep {name} (ms): median " in proc.stdout for name in doc["sweep_ms"])
     assert all(t > 0 for per_step in doc["sweep_ms"].values() for t in per_step.values())
     assert list(doc) == sorted(doc)
 

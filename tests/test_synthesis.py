@@ -32,6 +32,7 @@ from minkruled.errors import (
     TorsionVanishesError,
 )
 from minkruled.surface import finite_difference
+from minkruled.synthesis import KINDS
 
 
 class TestSystemRhs:
@@ -219,11 +220,13 @@ STORED_DERIVATIVE_CASES = [
 ]
 
 #: (kind, k2, params, error, message, located s) of a state guard that trips
-#: at a step midpoint, on k1 = 1 over [0, 1] at step 1e-3.  With k2 = 0 and
-#: phi at 3 pi/2 the cylinder's theta falls as theta0 - s and reaches 0 at
-#: the second stage of the step leaving s = 0.5; d = s - 0.0125 with v0 = 0
-#: vanishes at the midpoint 0.0125 of the step leaving s = 0.012.
-MIDPOINT_TRIPS = [
+#: at a stage, on k1 = 1 over [0, 1] at step 1e-3.  With k2 = 0 and phi at
+#: 3 pi/2 the cylinder's theta falls as theta0 - s and reaches 0 at the
+#: second stage of the step leaving s = 0.5; d = s - 0.0125 with v0 = 0
+#: vanishes at the midpoint 0.0125 of the step leaving s = 0.012, and
+#: d = s - 0.25 exactly at the sample 0.25, the fourth stage of the step
+#: leaving s = 0.249.
+STAGE_TRIPS = [
     pytest.param(
         SystemKind.CYLINDER, 0.0, SynthesisParams(theta0=0.5005, phi0=1.5 * math.pi), ThetaSingularityError,
         "|theta| = 4.922e-16 below guard 1.0e-06 at s = 0.5005", 0.5005, id="theta-singularity",
@@ -232,7 +235,36 @@ MIDPOINT_TRIPS = [
         SystemKind.STRICTION_LINE, 0.1, SynthesisParams(theta0=0.8, phi0=0.4, d=Polynomial((-0.0125, 1.0))),
         ParamDomainError, "d^2 + v0^2 = 0 at s = 0.0125", None, id="vanishing-d-and-v0",
     ),
+    pytest.param(
+        SystemKind.STRICTION_LINE, 0.1, SynthesisParams(theta0=0.8, phi0=0.4, d=Polynomial((-0.25, 1.0))),
+        ParamDomainError, "d^2 + v0^2 = 0 at s = 0.25", None, id="vanishing-d-and-v0-at-sample",
+    ),
 ]
+
+
+def _stage_by_stage_rk4(kind, params, curve):
+    """The angle RK4 by its definition: four ``system_rhs`` stages per step,
+    fed the directrix curvatures at the samples and step midpoints."""
+    h = curve.step
+    half, sixth = 0.5 * h, h / 6.0
+    mid = curve.s[:-1] + h / 2
+    pin = KINDS[kind].pin
+    t, p = float(params.theta0), float(params.phi0) if pin is None else pin
+
+    def rhs(x, y, s, k1, k2):
+        return system_rhs(kind, x, y, float(s), params, float(k1), float(k2))
+
+    a1, b1 = rhs(t, p, curve.s[0], curve.k1[0], curve.k2[0])
+    out = [(t, p, a1, b1)]
+    for i in range(1, curve.n_samples):
+        a2, b2 = rhs(t + half * a1, p + half * b1, mid[i - 1], curve.k1_mid[i - 1], curve.k2_mid[i - 1])
+        a3, b3 = rhs(t + half * a2, p + half * b2, mid[i - 1], curve.k1_mid[i - 1], curve.k2_mid[i - 1])
+        a4, b4 = rhs(t + h * a3, p + h * b3, curve.s[i], curve.k1[i], curve.k2[i])
+        t = t + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        p = p + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        a1, b1 = rhs(t, p, curve.s[i], curve.k1[i], curve.k2[i])
+        out.append((t, p, a1, b1))
+    return [np.array(col) for col in zip(*out)]
 
 
 class TestGeneralMode:
@@ -281,8 +313,18 @@ class TestGeneralMode:
             )
             assert rhs == (track.theta_prime[i], track.phi_prime[i])
 
-    @pytest.mark.parametrize("kind, k2, params, error, message, s", MIDPOINT_TRIPS)
-    def test_guard_trips_at_midpoint_stage(self, kind, k2, params, error, message, s):
+    @pytest.mark.parametrize("kind, k2, params", STORED_DERIVATIVE_CASES)
+    def test_track_equals_stage_by_stage_rk4(self, kind, k2, params):
+        curve = integrate_frenet(Polynomial((1.0, 0.5)), k2, s_range=(0.0, 0.5), step=1e-3)
+        track = integrate_system(kind, params, curve)
+        theta, phi, theta_p, phi_p = _stage_by_stage_rk4(kind, params, curve)
+        assert np.array_equal(track.theta, theta)
+        assert np.array_equal(track.phi, phi)
+        assert np.array_equal(track.theta_prime, theta_p)
+        assert np.array_equal(track.phi_prime, phi_p)
+
+    @pytest.mark.parametrize("kind, k2, params, error, message, s", STAGE_TRIPS)
+    def test_guard_trips_at_its_stage(self, kind, k2, params, error, message, s):
         curve = integrate_frenet(1.0, k2, s_range=(0.0, 1.0), step=1e-3)
         with pytest.raises(error) as err:
             integrate_system(kind, params, curve)
