@@ -21,7 +21,7 @@ import sys
 
 from .config import RunConfig
 from .errors import ConfigError, GeometryError
-from .pipeline import build_directrix, run_config, sweep_grid, synthesize_surface, write_mesh
+from .pipeline import build_directrix, run_config, sweep_grid, synthesize_surface, write_all, write_mesh
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -98,7 +98,8 @@ def main(argv=None) -> int:
                 raise ConfigError("outputs.mesh", "required by export-mesh")
             os.makedirs(args.out_dir, exist_ok=True)
             surface = synthesize_surface(cfg, build_directrix(cfg))
-            print(f"wrote mesh: {write_mesh(cfg, surface, os.path.join(args.out_dir, cfg.outputs.mesh.path))}")
+            mesh = (cfg.outputs.mesh.path, lambda path: write_mesh(cfg, surface, path))
+            print(f"wrote mesh: {write_all(args.out_dir, {'mesh': mesh})['mesh']}")
             return 0
         # sweep
         rows, summary = sweep_grid(cfg, args.theta0, args.phi0, args.out_dir, summary_name=args.summary_name)

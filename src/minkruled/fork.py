@@ -1,9 +1,9 @@
 """Part of a job done by a forked child while the calling process does the rest.
 
-The package's one fork, shared by the OBJ writer (``mesh.export_mesh``)
-and the seed sweep (``pipeline.sweep_grid``).  The child writes its part
-into an unnamed temporary file and leaves through ``os._exit``, so it never
-flushes the stdio buffers it inherited or runs exit handlers.
+The package's one fork, used by the seed sweep (``pipeline.sweep_grid``).
+The child writes its part into an unnamed temporary file and leaves
+through ``os._exit``, so it never flushes the stdio buffers it inherited
+or runs exit handlers.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ import os
 import pickle
 from dataclasses import dataclass
 
+from . import text
 from .config import RunConfig
 from .errors import ConfigError, GeometryError
 from .fork import child_part
@@ -59,7 +60,7 @@ def run_config(cfg: RunConfig, out_dir=".", *, write_outputs: bool = True) -> Ru
     decides the exit code; pipeline errors (singular seeds, divergence)
     propagate as exceptions carrying the failure location.  ``out_dir`` is
     created before synthesis, so an unusable one fails before any work.
-    The outputs are written all or none (see ``_write_all``).
+    The outputs are written all or none (see ``write_all``).
     """
     if write_outputs:
         out_dir = os.fspath(out_dir)
@@ -74,11 +75,11 @@ def run_config(cfg: RunConfig, out_dir=".", *, write_outputs: bool = True) -> Ru
             writers["csv"] = (o.csv_path, lambda path: write_samples_csv(path, surface.track, report))
         if o.report_path is not None:
             writers["report"] = (o.report_path, lambda path: write_report_json(path, report))
-        result.written.update(_write_all(out_dir, writers))
+        result.written.update(write_all(out_dir, writers))
     return result
 
 
-def _write_all(out_dir: str, writers: dict) -> dict[str, str]:
+def write_all(out_dir: str, writers: dict) -> dict[str, str]:
     """Write every output or none; ``writers`` maps a key to (path in ``out_dir``, function writing a path).
 
     Each output is written under a temporary name beside its path, and all
@@ -157,27 +158,32 @@ def write_samples_csv(path, track: AngleTrack, report: InvariantReport) -> str:
     Without recomputed invariants the six invariant cells are empty and the
     flag is 1.  When the kind prescribes ``d = 0`` the ``mu`` and ``n`` cells
     are empty: both are functions of ``d``, so the recomputed values would be
-    its roundoff.  Rows are formatted ``_CSV_BLOCK`` at a time, one ``%`` per
-    block.
+    its roundoff.  Rows are formatted ``_CSV_BLOCK`` at a time by
+    ``text.lines``.
     """
     path = os.fspath(path)
     inv = report.recomputed
+    values = {"s": track.s, "theta": track.theta, "phi": track.phi}
     if inv is None:
-        row, cols = "%.17g,%.17g,%.17g,,,,,,,1\n", (track.s, track.theta, track.phi)
+        values["cylindrical"] = b"1"
     else:
         blank = ("mu", "n") if "d" in KINDS[report.kind].vanishing else ()
-        values = (track.s, track.theta, track.phi, inv.d, inv.v0, inv.K, inv.mu, inv.n, inv.qprime_norm, inv.cylindrical)
-        row = ",".join("" if c in blank else "%d" if c == "cylindrical" else "%.17g" for c in _CSV_COLUMNS) + "\n"
-        cols = [v for c, v in zip(_CSV_COLUMNS, values) if c not in blank]
+        values.update((c, getattr(inv, c)) for c in _CSV_COLUMNS[3:] if c not in blank)
+    # a fixed or empty cell goes into the separator before the next value
+    cols, seps = [], [b""]
+    for c in _CSV_COLUMNS:
+        v = values.get(c, b"")
+        if isinstance(v, bytes):
+            seps[-1] += v
+        else:
+            cols.append(v)
+            seps.append(b"")
+        seps[-1] += b"\n" if c == _CSV_COLUMNS[-1] else b","
     n = track.n_samples
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_CSV_COLUMNS) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(_CSV_COLUMNS).encode() + b"\n")
         for lo in range(0, n, _CSV_BLOCK):
-            hi = min(lo + _CSV_BLOCK, n)
-            cells = [None] * ((hi - lo) * len(cols))
-            for c, col in enumerate(cols):
-                cells[c :: len(cols)] = col[lo:hi].tolist()
-            fh.write((row * (hi - lo)) % tuple(cells))
+            fh.write(text.lines([col[lo : lo + _CSV_BLOCK] for col in cols], seps))
     return path
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import minkruled.mesh
 import minkruled.pipeline
+import minkruled.text
 from minkruled import Constant, CurvatureFn, FrenetCurve, RuledSurfaceGrid, RunConfig, SystemKind, export_mesh
 from minkruled.cli import main
 from minkruled.config import MAX_MESH_POINTS
@@ -288,18 +289,11 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def obj_matches_reference(monkeypatch, tmp_path, surf, v_range, v_samples, cpus=frozenset({0, 1})):
-    """Write through ``export_mesh`` on ``cpus`` and compare with the line-by-line reference.
-
-    Also checks that no child is left unreaped and that the OBJ is the
-    only file written; returns the number of forks attempted.
-    """
-    forks = count_forks(monkeypatch, cpus)
+def obj_matches_reference(tmp_path, surf, v_range, v_samples):
+    """Write through ``export_mesh`` and compare with the line-by-line reference; the OBJ is the only file written."""
     path = export_mesh(surf, v_range, v_samples, tmp_path / "m.obj", comment="c")
     assert Path(path).read_bytes() == reference_obj(surf, v_range, v_samples, "c").encode()
-    assert_no_child_left()
     assert os.listdir(tmp_path) == ["m.obj"]
-    return len(forks)
 
 
 def one_process_sweep(cfg, out_dir, **grid):
@@ -362,75 +356,71 @@ class TestExportMesh:
         with pytest.raises(ValueError):
             export_mesh(self.smallest_surface(), (0.0, 1.0), 1, tmp_path / "m.obj")
 
-    def test_blocks_match_reference_on_a_ragged_lattice(self, monkeypatch, tmp_path):
+    def test_blocks_match_reference_on_a_ragged_lattice(self, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
         surf = synthesize_surface(cfg, build_directrix(cfg))
         block = minkruled.mesh._BLOCK
         v_samples = 2 * block // surf.n_samples + 1
         if surf.n_samples * v_samples % block == 0:
             v_samples += 1
-        n_points = surf.n_samples * v_samples
-        assert n_points > minkruled.mesh._FORK_MIN_POINTS and n_points % block
-        # the parent's share ends inside a block and the cut inside a lattice row
-        share = minkruled.mesh._PARENT_SHARE * n_points
-        cut = round(share / block) * block
-        assert share % block and cut % v_samples
-        assert obj_matches_reference(monkeypatch, tmp_path, surf, (-0.5, 0.5), v_samples) == 1
+        # more than two blocks, the last one partial, and blocks that end inside a lattice row
+        assert surf.n_samples * v_samples > 2 * block and surf.n_samples * v_samples % block
+        assert block % v_samples
+        obj_matches_reference(tmp_path, surf, (-0.5, 0.5), v_samples)
 
-    def test_blocks_match_reference_on_a_wide_two_row_lattice(self, monkeypatch, tmp_path):
+    def test_blocks_match_reference_on_a_wide_two_row_lattice(self, tmp_path):
         curve = hyperbolic_curve(2)
         a = np.array([0.3, -1.1])
         surf = RuledSurfaceGrid(directrix=curve, q=np.stack([np.cosh(a), 0.0 * a, np.sinh(a)], axis=1))
-        threshold = minkruled.mesh._FORK_MIN_POINTS
-        # just below, exactly at and above the fork threshold
-        for v_samples in (threshold // 2 - 1, threshold // 2, minkruled.mesh._BLOCK + 5):
+        block = minkruled.mesh._BLOCK
+        # vertices filling one block exactly, one more, and two and a half blocks
+        for v_samples in (block // 2, block // 2 + 1, block + 5):
             out = tmp_path / str(v_samples)
             out.mkdir()
-            forks = obj_matches_reference(monkeypatch, out, surf, (-1.0, 2.0), v_samples)
-            assert forks == (2 * v_samples >= threshold)
+            obj_matches_reference(out, surf, (-1.0, 2.0), v_samples)
 
-    def test_v_range_near_the_float_limit(self, monkeypatch, tmp_path):
+    def test_v_range_near_the_float_limit(self, tmp_path):
         a = np.array([0.3, -1.1])  # the largest |q| component is cosh(1.1) = 1.67
         surf = RuledSurfaceGrid(directrix=hyperbolic_curve(2), q=np.stack([np.cosh(a), 0.0 * a, np.sinh(a)], axis=1))
         for v_range in ((-1e307, 1e307), (1e308, 1e308)):
             out = tmp_path / str(v_range[0])
             out.mkdir()
-            obj_matches_reference(monkeypatch, out, surf, v_range, 5)
+            obj_matches_reference(out, surf, v_range, 5)
         for v_range in ((0.0, 1e308), (-1e308, 1e308), (1.5e308, 1.5e308)):
             with pytest.raises(ValueError, match="v_range"):
                 export_mesh(surf, v_range, 33, tmp_path / "m.obj")
             assert not (tmp_path / "m.obj").exists()
 
-    def test_two_v_samples_and_negative_range_match_reference(self, monkeypatch, tmp_path):
+    def test_two_v_samples_and_negative_range_match_reference(self, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "asymptotic_line.json")
         surf = synthesize_surface(cfg, build_directrix(cfg))
-        assert obj_matches_reference(monkeypatch, tmp_path, surf, (-1.5, -0.25), 2) == 0
+        obj_matches_reference(tmp_path, surf, (-1.5, -0.25), 2)
 
 
-FORK_CALLERS = ["mesh", "sweep"]
 SHIPPED = sorted(p.name for p in CONFIG_DIR.glob("*.json"))
 
 
-def forking_caller_matches_reference(monkeypatch, tmp_path, caller, cpus=frozenset({0, 1})):
-    """Run the OBJ writer (33 rulings) or the default sweep of general_roundtrip.json on ``cpus``.
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_outputs_match_the_line_by_line_writers(tmp_path, name):
+    """Every shipped config at its default step: the CSV and a 33-ruling OBJ byte for byte.
 
-    Both are large enough to fork; see ``obj_matches_reference`` and
-    ``sweep_matches_reference`` for what is checked and returned.
+    This covers the exactly-zero coordinates of the cylinder and the
+    roundoff-sized cells formatted in exponent notation.
     """
-    cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
-    if caller == "sweep":
-        return sweep_matches_reference(monkeypatch, tmp_path, cfg, cpus)
-    surf = synthesize_surface(cfg, build_directrix(cfg))
-    return obj_matches_reference(monkeypatch, tmp_path, surf, (-0.5, 0.5), 33, cpus)
+    result = run_config(RunConfig.from_file(CONFIG_DIR / name), write_outputs=False)
+    csv_path = write_samples_csv(tmp_path / "c.csv", result.surface.track, result.report)
+    assert Path(csv_path).read_bytes() == reference_csv(result.surface.track, result.report).encode()
+    mesh = result.config.outputs.mesh
+    v_range, v_samples = (mesh.v_range, mesh.v_samples) if mesh is not None else ((-0.5, 0.5), 33)
+    (tmp_path / "obj").mkdir()
+    obj_matches_reference(tmp_path / "obj", result.surface, v_range, v_samples)
 
 
 class TestForkedPart:
-    """The OBJ writer and the sweep share ``fork.child_part``; every path gives the one-process output."""
+    """The sweep runs on ``fork.child_part``; every path gives the one-process output."""
 
-    @pytest.mark.parametrize("caller", FORK_CALLERS)
-    def test_failed_child_is_replaced_by_the_parent(self, monkeypatch, tmp_path, caller):
-        owner, name = (minkruled.mesh, "_write_lines") if caller == "mesh" else (minkruled.pipeline, "run_seed")
-        parent, work, calls = os.getpid(), getattr(owner, name), []
+    def test_failed_child_is_replaced_by_the_parent(self, monkeypatch, tmp_path):
+        parent, work, calls = os.getpid(), minkruled.pipeline.run_seed, []
 
         def failing_in_child(*args):
             if os.getpid() != parent:
@@ -438,15 +428,14 @@ class TestForkedPart:
             calls.append(1)
             return work(*args)
 
-        monkeypatch.setattr(owner, name, failing_in_child)
-        assert forking_caller_matches_reference(monkeypatch, tmp_path, caller) == 1
-        # the parent did the child's part: the mesh's head and tail; the
-        # sweep's 12 seeds once for the reference and once more
-        assert len(calls) == {"mesh": 2, "sweep": 24}[caller]
+        monkeypatch.setattr(minkruled.pipeline, "run_seed", failing_in_child)
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")  # its default sweep forks
+        assert sweep_matches_reference(monkeypatch, tmp_path, cfg) == 1
+        # the parent did the child's part: the 12 seeds once for the reference and once more
+        assert len(calls) == 24
 
-    @pytest.mark.parametrize("caller", FORK_CALLERS)
     @pytest.mark.parametrize("case", ["threads", "one-cpu", "no-temp-file", "fork-fails"])
-    def test_one_process_paths_match_reference(self, monkeypatch, tmp_path, caller, case):
+    def test_one_process_paths_match_reference(self, monkeypatch, tmp_path, case):
         if case == "threads":
             monkeypatch.setattr(threading, "active_count", lambda: 2)
         if case == "no-temp-file":
@@ -454,8 +443,8 @@ class TestForkedPart:
         fork_error = OSError(errno.EAGAIN, "no") if case == "fork-fails" else AssertionError("forked")
         monkeypatch.setattr(os, "fork", lambda: raise_(fork_error))
         cpus = {0} if case == "one-cpu" else {0, 1}
-        forks = forking_caller_matches_reference(monkeypatch, tmp_path, caller, cpus=cpus)
-        assert forks == (case == "fork-fails")
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        assert sweep_matches_reference(monkeypatch, tmp_path, cfg, cpus) == (case == "fork-fails")
 
     @pytest.mark.parametrize("name", SHIPPED + ["error-rows"])
     def test_sweep_matches_one_process(self, monkeypatch, tmp_path, name):
@@ -504,8 +493,9 @@ class TestForkedPart:
 
 
 def test_forked_children_never_flush_inherited_stdio(tmp_path):
-    # stdout is a pipe, so the line sits in the parent's buffer across both
-    # forks; a child that flushed it on exit would print it again
+    # stdout is a pipe, so the line sits in the parent's buffer across the
+    # sweep's fork; a child that flushed it on exit would print it again.
+    # The OBJ writer formats in this process and never forks.
     config = str(CONFIG_DIR / "general_roundtrip.json")
     code = (
         "import os, sys\n"
@@ -523,7 +513,7 @@ def test_forked_children_never_flush_inherited_stdio(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "forks=2"
+    assert proc.stderr == "forks=1"
     assert proc.stdout == "printed once\n"
 
 
@@ -879,6 +869,26 @@ class TestCliEntry:
         assert code == 0
         text = (tmp_path / "general_roundtrip.obj").read_text()
         assert text.startswith("# system=general_dv0")
+
+    def test_export_mesh_failure_keeps_the_existing_obj(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        obj = out / "general_roundtrip.obj"
+        obj.write_bytes(b"an earlier mesh\n")
+        seen = []
+
+        def failing(*args):  # the first block, after the header went to a temporary beside the OBJ
+            seen.append((sorted(os.listdir(out)), obj.read_bytes()))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(minkruled.text, "lines", failing)
+        code = main(["export-mesh", "--config", str(CONFIG_DIR / "general_roundtrip.json"), "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {obj}: {os.strerror(errno.ENOSPC)}" in err and "Traceback" not in err
+        assert seen == [(["general_roundtrip.obj", "general_roundtrip.obj.mesh.tmp"], b"an earlier mesh\n")]
+        assert obj.read_bytes() == b"an earlier mesh\n"
+        assert os.listdir(out) == ["general_roundtrip.obj"]
 
     def test_export_mesh_matches_synthesize(self, tmp_path):
         config = str(CONFIG_DIR / "general_roundtrip.json")
