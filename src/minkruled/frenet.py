@@ -209,72 +209,123 @@ def _frame_gram_defect(T, N, B) -> np.ndarray:
 
 
 #: Steps whose RK4 step matrices are built in one batch; bounds the scratch
-#: memory of a long grid to a few blocks of 4 x 4 matrices.
-_BLOCK = 256
+#: memory of a long grid to a few blocks of 3 x 3 matrices.
+_BLOCK = 1024
 #: Steps per chunk of the prefix product inside a block.
-_CHUNK = 16
+_CHUNK = 32
 
 
-def _frame_matrices(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """Coefficient matrices C with y' = C y on the rows (position, T, N, B).
+def _times_a(k1, k2, G: np.ndarray) -> np.ndarray:
+    """A G per step, for A = [[0, k1, 0], [k1, 0, k2], [0, -k2, 0]].
 
-    The moving-frame equations k' = T, T' = k1 N, N' = k1 T + k2 B and
-    B' = -k2 N, one 4 x 4 matrix per curvature pair.
+    ``G`` is an entry-major (3, 3, m) block whose rows are the T, N and B
+    rows; A sets T <- k1 N, N <- k1 T + k2 B and B <- -k2 N.
     """
-    C = np.zeros(k1.shape + (4, 4))
-    C[:, 0, 1] = 1.0
-    C[:, 1, 2] = C[:, 2, 1] = k1
-    C[:, 2, 3] = k2
-    C[:, 3, 2] = -k2
-    return C
+    out = np.empty_like(G)
+    np.multiply(k1, G[1], out=out[0])
+    np.multiply(k1, G[0], out=out[1])
+    out[1] += k2 * G[2]
+    np.multiply(-k2, G[1], out=out[2])
+    return out
+
+
+def _plus_identity(c: float, K: np.ndarray) -> np.ndarray:
+    """I + c K per step, on an entry-major (3, 3, m) block."""
+    G = c * K
+    G.reshape(9, -1)[::4] += 1.0
+    return G
+
+
+def _step_matrices(h: float, k1, k2, k1_mid, k2_mid, k1_end, k2_end) -> tuple[np.ndarray, np.ndarray]:
+    """The RK4 step matrices of one block of steps, as (F, p).
+
+    The coefficient matrix of the rows (position, T, N, B) is
+    C = [[0, e1], [0, A]], with a zero first column, so every RK4 stage
+    matrix C (I + c K) is [[0, row T of (I + c K)], [0, A (I + c K)]] and
+    the step matrix is M_n = [[1, p_n], [0, F_n]]:
+
+        K2 = A_mid (I + h/2 A1),  K3 = A_mid (I + h/2 K2),  K4 = A_end (I + h K3),
+        F = I + h/6 (A1 + 2 K2 + 2 K3 + K4),
+        p = h/6 (e1 + 2 (e1 + h/2 A1_T) + 2 (e1 + h/2 K2_T) + e1 + h K3_T)
+          = h e1 + h^2/6 (A1_T + K2_T + K3_T),
+
+    where A1_T = (0, k1, 0) is the T row of A1.  ``F`` is entry-major
+    (3, 3, m) and ``p`` is (3, m).
+    """
+    a, b = (0.5 * h) * k1, (0.5 * h) * k2
+    G = np.zeros((3, 3) + k1.shape)  # I + h/2 A1
+    G.reshape(9, -1)[::4] = 1.0
+    G[0, 1] = G[1, 0] = a
+    G[1, 2] = b
+    np.negative(b, out=G[2, 1])
+    K2 = _times_a(k1_mid, k2_mid, G)
+    K3 = _times_a(k1_mid, k2_mid, _plus_identity(0.5 * h, K2))
+    K4 = _times_a(k1_end, k2_end, _plus_identity(h, K3))
+    p = K2[0] + K3[0]
+    p[1] += k1
+    p *= h * h / 6.0
+    p[0] += h
+    S = K2  # A1 + 2 K2 + 2 K3 + K4
+    S += K3
+    S *= 2.0
+    S += K4
+    S[0, 1] += k1
+    S[1, 0] += k1
+    S[1, 2] += k2
+    S[2, 1] -= k2
+    return _plus_identity(h / 6.0, S), p
 
 
 def _rk4_frames(frame: np.ndarray, h: float, k1, k2, k1_mid, k2_mid) -> np.ndarray:
     """Classical RK4 on the linear frame equations, one step matrix per step.
 
     ``k1``, ``k2`` hold the curvatures at the samples and ``k1_mid``,
-    ``k2_mid`` at the step midpoints.  RK4 on y' = C(s) y is exactly
-    y_{n+1} = M_n y_n with C1 = C(s_n), C2 = C(s_n + h/2), C4 = C(s_{n+1}),
-    K2 = C2 (I + h/2 C1), K3 = C2 (I + h/2 K2), K4 = C4 (I + h K3) and
-    M_n = I + h/6 (C1 + 2 K2 + 2 K3 + K4).  The M_n are built in batches of
-    ``_BLOCK`` steps.
+    ``k2_mid`` at the step midpoints.  RK4 on the rows (position, T, N, B)
+    is exactly one step matrix M_n = [[1, p_n], [0, F_n]] per step (see
+    ``_step_matrices``), built in batches of ``_BLOCK`` steps.  The position
+    never feeds the frame: (T, N, B)_{n+1} = F_n (T, N, B)_n, and the
+    positions are the seed position plus one cumulative sum of the
+    increments p_n . (T, N, B)_n.  Returns the positions and T, N, B as one
+    (4, n_samples, 3) array.
 
     Within a block the frames come from a two-level prefix product over
-    chunks of ``_CHUNK`` steps: batched matmuls form the running products
-    P[c, j] = M[c, j] ... M[c, 0] of every chunk at once, the frame is
-    carried from one chunk start to the next by each chunk's full product,
-    and one batched matmul then applies every P[c, j] to its chunk's start
-    frame.  The products group the roundoff differently from applying the
-    M_n one at a time, so the frame moves only at roundoff level.
+    chunks of ``_CHUNK`` steps: batched 3 x 3 matmuls form the running
+    products P[c, j] = F[c, j] ... F[c, 0] of every chunk at once, the frame
+    is carried from one chunk start to the next by each chunk's full
+    product, and one batched matmul then applies every P[c, j] to its
+    chunk's start frame.  The products group the roundoff differently from
+    applying the M_n one at a time, so the curve moves only at roundoff
+    level.
     """
-    eye = np.eye(4)
     n_steps = k1_mid.shape[0]
-    y = np.empty((n_steps + 1, 4, 3))
-    y[0] = frame
+    y = np.empty((4, n_steps + 1, 3))
+    y[:, 0] = frame
+    # the positions hold the increments until the closing cumulative sum
+    positions, frames = y[0], y[1:].transpose(1, 0, 2)
     for lo in range(0, n_steps, _BLOCK):
         hi = min(lo + _BLOCK, n_steps)
-        C1 = _frame_matrices(k1[lo:hi], k2[lo:hi])
-        C2 = _frame_matrices(k1_mid[lo:hi], k2_mid[lo:hi])
-        C4 = _frame_matrices(k1[lo + 1 : hi + 1], k2[lo + 1 : hi + 1])
-        K2 = C2 @ (eye + (0.5 * h) * C1)
-        K3 = C2 @ (eye + (0.5 * h) * K2)
-        K4 = C4 @ (eye + h * K3)
+        F, p = _step_matrices(
+            h, k1[lo:hi], k2[lo:hi], k1_mid[lo:hi], k2_mid[lo:hi], k1[lo + 1 : hi + 1], k2[lo + 1 : hi + 1]
+        )
         m = hi - lo
         n_chunks = -(-m // _CHUNK)
         # the steps past the end of a short last chunk are identities
-        M = np.empty((n_chunks * _CHUNK, 4, 4))
-        M[:m] = eye + (h / 6.0) * (C1 + 2.0 * K2 + 2.0 * K3 + K4)
-        M[m:] = eye
-        M = M.reshape(n_chunks, _CHUNK, 4, 4)
+        M = np.empty((n_chunks * _CHUNK, 3, 3))
+        M[:m] = F.transpose(2, 0, 1)
+        M[m:] = np.eye(3)
+        M = M.reshape(n_chunks, _CHUNK, 3, 3)
         P = np.empty_like(M)
         P[:, 0] = M[:, 0]
         for j in range(1, _CHUNK):
             np.matmul(M[:, j], P[:, j - 1], out=P[:, j])
-        start = np.empty((n_chunks, 1, 4, 3))
-        start[0, 0] = y[lo]
+        start = np.empty((n_chunks, 3, 3))
+        start[0] = frames[lo]
         for c in range(1, n_chunks):
-            np.dot(P[c - 1, -1], start[c - 1, 0], out=start[c, 0])
-        y[lo + 1 : hi + 1] = (P @ start).reshape(-1, 4, 3)[:m]
+            np.dot(P[c - 1, -1], start[c - 1], out=start[c])
+        # each chunk's products stacked into one (3 _CHUNK, 3) matrix times its start frame
+        frames[lo + 1 : hi + 1] = (P.reshape(n_chunks, 3 * _CHUNK, 3) @ start).reshape(-1, 3, 3)[:m]
+        np.einsum("im,mij->mj", p, frames[lo:hi], out=positions[lo + 1 : hi + 1])
+    np.cumsum(positions, axis=0, out=positions)
     return y
 
 
@@ -321,7 +372,7 @@ def integrate_frenet(
         Uniform grid specification; the span must divide evenly by step.
     initial_frame:
         4 x 3 array of rows (position, T, N, B).  Defaults to the origin with
-        the standard basis.  Must be Lorentz-orthonormal within 1e-12 and
+        the standard basis.  Must be finite, Lorentz-orthonormal within 1e-12 and
         positively oriented (<T x N, B> = -1, matching the standard basis);
         a flipped orientation would silently negate every mixed product
         downstream.
@@ -337,12 +388,16 @@ def integrate_frenet(
     frame = np.asarray(default_initial_frame() if initial_frame is None else initial_frame, dtype=float)
     if frame.shape != (4, 3):
         raise ValueError("initial_frame must be a 4 x 3 array (position, T, N, B)")
+    if not np.isfinite(frame).all():
+        raise NonOrthonormalSeedError("seed frame has a non-finite entry")
     T0, N0, B0 = frame[1], frame[2], frame[3]
-    seed_defect = float(_frame_gram_defect(T0, N0, B0))
-    if seed_defect > 1e-12:
+    # a huge finite frame overflows to inf or NaN here, and a NaN fails each check
+    with np.errstate(over="ignore", invalid="ignore"):
+        seed_defect = float(_frame_gram_defect(T0, N0, B0))
+        orient = float(mixed_product(T0, N0, B0))
+    if not seed_defect <= 1e-12:
         raise NonOrthonormalSeedError(f"seed frame Gram defect {seed_defect:.3e} exceeds 1e-12")
-    orient = float(mixed_product(T0, N0, B0))
-    if abs(orient + 1.0) > 1e-9:
+    if not abs(orient + 1.0) <= 1e-9:
         raise NonOrthonormalSeedError(f"seed frame orientation <T x N, B> = {orient:.3e}, expected -1")
 
     h = float(s[1] - s[0])
@@ -360,7 +415,7 @@ def integrate_frenet(
             i = int(np.argmin(k1_grid))
             raise NonPositiveCurvatureError(f"k1(s={s[i]:.6g}) = {k1_grid[i]:.6g} is not positive")
         y = _rk4_frames(frame, h, k1_grid, k2_grid, k1_mid, k2_mid)
-        defect = _frame_gram_defect(y[1:, 1], y[1:, 2], y[1:, 3])
+        defect = _frame_gram_defect(y[1, 1:], y[2, 1:], y[3, 1:])
     over = np.flatnonzero(~(defect <= DEFAULT_FRAME_TOL))  # a NaN frame fails too
     if over.size:
         i = int(over[0])
@@ -371,10 +426,10 @@ def integrate_frenet(
 
     return FrenetCurve(
         s=s,
-        k=y[:, 0],
-        T=y[:, 1],
-        N=y[:, 2],
-        B=y[:, 3],
+        k=y[0],
+        T=y[1],
+        N=y[2],
+        B=y[3],
         k1=k1_grid,
         k2=k2_grid,
         k1_mid=k1_mid,

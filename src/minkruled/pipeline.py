@@ -17,6 +17,8 @@ import os
 import pickle
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import text
 from .config import RunConfig
 from .errors import ConfigError, GeometryError
@@ -47,10 +49,22 @@ class RunResult:
 
 
 def build_directrix(cfg: RunConfig) -> FrenetCurve:
+    """The config's directrix.
+
+    A ConfigError if its positions reach |x| > h / eps, where floats can be
+    spaced more than a step h apart: there the positions cannot follow the
+    tangent, and the oracle's finite differences of them read rounding (and
+    overflow beyond about 4.5e307).
+    """
     d = cfg.directrix
-    return integrate_frenet(
-        d.k1, d.k2, s_range=d.s_range, step=d.step, initial_frame=d.initial_frame
-    )
+    curve = integrate_frenet(d.k1, d.k2, s_range=d.s_range, step=d.step, initial_frame=d.initial_frame)
+    limit = curve.step / np.finfo(float).eps
+    if not np.abs(curve.k).max() <= limit:
+        raise ConfigError(
+            "directrix.initial_frame.position",
+            f"puts the directrix beyond |x| = {limit:.6g}, where the float spacing can exceed the step",
+        )
+    return curve
 
 
 def run_config(cfg: RunConfig, out_dir=".", *, write_outputs: bool = True) -> RunResult:
@@ -195,8 +209,12 @@ def write_samples_csv(path, track: AngleTrack, report: InvariantReport) -> str:
 #: A seed costs about 1.2 to 1.8 us per sample on a 2-vCPU VM (the default
 #: grids of three sweep bases at h = 1e-3), and the fork about 5 ms more:
 #: the fork itself, the pages each process copies on its first writes, and
-#: the child's exit.  Two processes ran sweeps of 3,000 slower than one and
-#: sweeps of 4,000 to 6,000 7 to 20 % faster, when a seed cost more.
+#: the child's exit.  The gain depends on a free second vCPU: two processes
+#: have run sweeps of 3,000 slower than one and sweeps of 4,000 to 6,000
+#: 7 to 20 % faster, when a seed cost more, but on a shared VM the 12 sweeps
+#: of a perfbench seed_sweep pass (3,006 or 6,006 seed samples each, 8 of
+#: them forking) took a median of 241 ms raw with the fork against 194 ms
+#: without, in 16 interleaved passes (270 against 232 ms in a second set).
 _FORK_MIN_SEED_SAMPLES = 4000
 
 

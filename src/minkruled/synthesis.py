@@ -314,9 +314,10 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
         return _line_of_curvature_track(params, directrix)
 
     pinned = spec.pin is not None
-    # RK4 on the two angles as Python floats, fed flat lists of (k1, k2, a, b)
-    # taken once at the samples and step midpoints; the derivative at a
-    # sample is the first stage of the step leaving it.
+    # RK4 on the two angles as Python floats, fed memoryviews of (k1, k2, a, b)
+    # taken once at the samples and step midpoints (the same floats as tolist,
+    # without building the lists); the derivative at a sample is the first
+    # stage of the step leaving it.
     mid = s[:-1] + 0.5 * h
     node = (directrix.k1, directrix.k2, *_coefficients(kind, params, s, directrix.k2).T)
     middle = (directrix.k1_mid, directrix.k2_mid, *_coefficients(kind, params, mid, directrix.k2_mid).T)
@@ -333,7 +334,7 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
     # where sin is exactly 1.0, so it gets _rhs's a sinh(theta) + k1 and
     # phi' = 0.  Stage 3 reads stage 2's a and the step's end stage 4's, so
     # only stages 2 and 4 test a.
-    streams = (*(x.tolist() for x in middle), *(x[1:].tolist() for x in node))
+    streams = (*map(memoryview, middle), *(memoryview(x[1:]) for x in node))
     for i, k1m, k2m, am, bm, k1, k2, a, b in zip(range(1, n), *streams):
         x, y = t + half * a1, p + half * b1
         if not (THETA_MIN <= abs(x) <= THETA_MAX) or y - y != 0.0 or am != am:

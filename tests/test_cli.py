@@ -909,6 +909,18 @@ class TestCliEntry:
         assert not (tmp_path / "out" / "general_roundtrip.obj").exists()
         assert os.listdir(tmp_path / "out") == []  # no CSV or report either
 
+    @pytest.mark.parametrize("command", ["verify", "synthesize", "sweep"])
+    @pytest.mark.parametrize("position", [[1e308, 0, 0], [0, -1e13, 0]], ids=["overflow", "coarse"])
+    def test_far_seed_position_exits_two(self, tmp_path, capsys, command, position):
+        doc = load_doc("general_roundtrip.json")
+        doc["directrix"]["initial_frame"] = {"position": position, "T": [1, 0, 0], "N": [0, 1, 0], "B": [0, 0, 1]}
+        out = tmp_path / "out"
+        assert main([command, "--config", write_doc(tmp_path, doc), "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()  # the error line alone: no warning, no traceback
+        assert captured.err.startswith("error: config invalid at 'directrix.initial_frame.position': ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists() or os.listdir(out) == []
+
     @pytest.mark.parametrize("blocked", ["missing-dir", "directory"])
     @pytest.mark.parametrize("output", ["mesh", "csv", "report"])
     def test_unwritable_output_leaves_no_output(self, tmp_path, capsys, output, blocked):

@@ -58,11 +58,14 @@ def boosted_frame(seed):
 
 
 S_KNOTS = np.linspace(0.0, 0.7, 8)
+S_SPAN = np.linspace(0.0, 1.0, 11)
 
 #: (k1, k2, s_range, step, initial frame).  The frame is built in blocks of
-#: 256 steps and, inside a block, in chunks of 16 steps: 1, 15, 16, 17 and
-#: 257 steps sit on those edges, 700 and 301 steps end inside a chunk, and
-#: the 10,000-step case accumulates the roundoff of a fine-step run.
+#: 1024 steps and, inside a block, in chunks of 32 steps: 1, 31, 32, 33,
+#: 1024 and 1025 steps sit on those edges, 15, 16, 17, 257, 700 and 301
+#: steps end inside a chunk, and the two 10,000-step cases accumulate the
+#: roundoff of a fine-step run, one of them on splines as the benchmark
+#: runs them.
 REFERENCE_CASES = [
     pytest.param(Polynomial((1.0, 0.5, -0.2)), Sinusoid(0.05, 3.0, 0.0, 0.1), (0.0, 0.7), 1e-3, None, id="polynomial"),
     pytest.param(Sinusoid(0.3, 2.0, 0.4, 1.2), Polynomial((0.2, -0.4)), (0.0, 0.7), 1e-3, None, id="sinusoid"),
@@ -75,10 +78,14 @@ REFERENCE_CASES = [
         pytest.param(
             Polynomial((1.0, 0.5, -0.2)), Sinusoid(0.05, 3.0, 0.0, 0.1), (0.0, n * 1e-3), 1e-3, None, id=f"{n}-steps"
         )
-        for n in (1, 15, 16, 17, 257)
+        for n in (1, 15, 16, 17, 31, 32, 33, 257, 1024, 1025)
     ),
     pytest.param(
         Sinusoid(0.3, 2.0, 0.4, 1.2), Polynomial((0.2, -0.4)), (0.0, 1.0), 1e-4, boosted_frame(3), id="10000-steps"
+    ),
+    pytest.param(
+        Samples(S_SPAN, 1.2 + 0.2 * np.sin(4.0 * S_SPAN)), Samples(S_SPAN, 0.3 - 0.1 * S_SPAN**2), (0.0, 1.0), 1e-4, None,
+        id="samples-10000-steps",
     ),
 ]
 
@@ -227,6 +234,32 @@ class TestIntegrateFrenet:
         frame[2] = [0.0, 1.01, 0.0]
         with pytest.raises(NonOrthonormalSeedError):
             integrate_frenet(1.0, 0.0, s_range=(0.0, 0.1), step=1e-3, initial_frame=frame)
+
+    @pytest.mark.parametrize("row", [0, 1, 2, 3], ids=["position", "T", "N", "B"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_seed_rejected(self, row, value):
+        frame = default_initial_frame()
+        frame[row, 1] = value
+        with pytest.raises(NonOrthonormalSeedError, match="non-finite"):
+            integrate_frenet(1.0, 0.0, s_range=(0.0, 0.1), step=1e-3, initial_frame=frame)
+
+    @pytest.mark.parametrize("row", [1, 2, 3], ids=["T", "N", "B"])
+    def test_overflowing_seed_rejected_without_warning(self, row):
+        frame = default_initial_frame()
+        frame[row] *= 1e300  # the Gram products overflow
+        with pytest.raises(NonOrthonormalSeedError, match="Gram defect"):
+            integrate_frenet(1.0, 0.0, s_range=(0.0, 0.1), step=1e-3, initial_frame=frame)
+
+    def test_translated_seed_moves_only_the_positions(self):
+        k1, k2, frame = Sinusoid(0.3, 2.0, 0.4, 1.2), Polynomial((0.2, -0.4)), boosted_frame(5)
+        c = integrate_frenet(k1, k2, s_range=(0.0, 1.0), step=1e-3, initial_frame=frame)
+        frame[0] = (1e3, -2e3, 5e2)
+        moved = integrate_frenet(k1, k2, s_range=(0.0, 1.0), step=1e-3, initial_frame=frame)
+        for name in ("T", "N", "B"):
+            assert np.array_equal(getattr(moved, name), getattr(c, name)), name
+        assert np.array_equal(moved.k[0], frame[0])
+        # each step's position sum rounds at the seed's magnitude
+        assert np.max(np.abs(moved.k - frame[0] - (c.k - c.k[0]))) <= c.n_samples * np.spacing(2e3)
 
     def test_flipped_orientation_rejected(self):
         frame = default_initial_frame()
