@@ -39,8 +39,6 @@ from .synthesis import (
     SynthesisParams,
     SystemKind,
     build_surface,
-    geodesic_theta,
-    helix_relation_defect,
     integrate_system,
     line_of_curvature_phi,
     system_rhs,
@@ -75,8 +73,6 @@ __all__ = [
     "dv0_from_n_mu",
     "export_mesh",
     "frame_defect",
-    "geodesic_theta",
-    "helix_relation_defect",
     "integrate_frenet",
     "integrate_system",
     "invariants_analytic",

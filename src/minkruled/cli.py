@@ -16,6 +16,7 @@ read or parsed is named '<document>') or an output that cannot be written
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -37,8 +38,8 @@ def _parse_list(text: str) -> list[float]:
         values = [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
         values = []
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    if not values or not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
     return values
 
 

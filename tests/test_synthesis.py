@@ -11,8 +11,6 @@ from minkruled import (
     SystemKind,
     build_surface,
     dv0_from_n_mu,
-    geodesic_theta,
-    helix_relation_defect,
     integrate_frenet,
     integrate_system,
     invariants_numeric,
@@ -21,15 +19,12 @@ from minkruled import (
     system_rhs,
 )
 from minkruled.errors import (
-    DegenerateAngleError,
-    DegenerateDenominatorError,
     GridMismatchError,
     IntegrationDivergedError,
     NoSolutionError,
     ParamDomainError,
     PhiSingularError,
     ThetaSingularityError,
-    TorsionVanishesError,
 )
 from minkruled.surface import finite_difference
 from minkruled.synthesis import KINDS
@@ -409,29 +404,10 @@ class TestBuildSurface:
 
 
 class TestGeodesic:
-    def test_angle_formula(self):
-        assert geodesic_theta(1.0, 0.6, 0.2) == pytest.approx(math.atanh(0.5))
-
-    def test_no_solution(self):
-        with pytest.raises(NoSolutionError):
-            geodesic_theta(1.0, 2.0, 0.0)
-
-    def test_degenerate_denominator(self):
-        with pytest.raises(DegenerateDenominatorError):
-            geodesic_theta(2.0, 1.0, -0.5)
-
-    def test_vanishing_curvature_flagged_downstream(self, unit_directrix):
-        # k1 -> 0 gives theta = 0, which the seed guard must reject
-        theta0 = geodesic_theta(1.0, 1e-13, 0.2)
-        assert theta0 == pytest.approx(0.0, abs=1e-12)
-        params = SynthesisParams(theta0=theta0, phi0=0.0, n=1.0, mu=math.pi / 2)
-        with pytest.raises(ThetaSingularityError):
-            integrate_system(SystemKind.CURVATURE_ANGLE, params, unit_directrix)
-
     def test_fixed_point_holds(self):
         n, k1, k2 = 1.0, 0.6, 0.2
         curve = integrate_frenet(k1, k2, s_range=(0.0, 1.0), step=1e-3)
-        theta0 = geodesic_theta(n, k1, k2)
+        theta0 = math.atanh(0.5)  # tanh(theta) = n k1 / (n k2 + 1)
         params = SynthesisParams(theta0=theta0, phi0=0.0, n=n, mu=math.pi / 2)
         track = integrate_system(SystemKind.CURVATURE_ANGLE, params, curve)
         assert float(np.max(np.abs(track.theta - theta0))) < 1e-8
@@ -496,33 +472,3 @@ class TestLineOfCurvature:
         with pytest.raises(ThetaSingularityError) as err:
             integrate_system(SystemKind.LINE_OF_CURVATURE, params, curve)
         assert err.value.s == 0.5
-
-
-class TestHelixDefect:
-    def test_matching_helix(self):
-        curve = integrate_frenet(2.0, 1.0, s_range=(0.0, 0.3), step=1e-3)
-        theta = 1.0
-        mu = math.atan2(math.sinh(theta), 2.0)  # sinh(theta) cot(mu) = 2
-        assert helix_relation_defect(theta, mu, curve) < 1e-12
-
-    def test_mismatched_target(self):
-        curve = integrate_frenet(2.0, 1.0, s_range=(0.0, 0.3), step=1e-3)
-        theta = 1.0
-        mu = math.atan2(math.sinh(theta), 1.5)
-        assert helix_relation_defect(theta, mu, curve) == pytest.approx(0.5, abs=1e-12)
-
-    def test_non_helix_has_positive_defect(self):
-        curve = integrate_frenet(Polynomial((1.0, 1.0)), 1.0, s_range=(0.0, 1.0), step=1e-3)
-        theta = 1.0
-        mu = math.atan2(math.sinh(theta), 1.5)
-        assert helix_relation_defect(theta, mu, curve) > 0.1
-
-    def test_vanishing_torsion(self):
-        curve = integrate_frenet(1.0, 0.0, s_range=(0.0, 0.1), step=1e-3)
-        with pytest.raises(TorsionVanishesError):
-            helix_relation_defect(1.0, 1.0, curve)
-
-    def test_degenerate_angle(self):
-        curve = integrate_frenet(2.0, 1.0, s_range=(0.0, 0.1), step=1e-3)
-        with pytest.raises(DegenerateAngleError):
-            helix_relation_defect(1.0, 0.0, curve)

@@ -10,8 +10,6 @@ from minkruled import (
     SystemKind,
     Tolerances,
     build_surface,
-    geodesic_theta,
-    helix_relation_defect,
     integrate_frenet,
     integrate_system,
     lorentz_inner,
@@ -136,7 +134,7 @@ class TestSpecialCaseDefects:
     def geodesic_surface(self):
         n, k1, k2 = 1.0, 0.6, 0.2
         curve = integrate_frenet(k1, k2, s_range=(0.0, 1.0), step=1e-3)
-        theta0 = geodesic_theta(n, k1, k2)
+        theta0 = math.atanh(0.5)  # tanh(theta) = n k1 / (n k2 + 1)
         params = SynthesisParams(theta0=theta0, phi0=0.0, n=n, mu=math.pi / 2)
         track = integrate_system(SystemKind.CURVATURE_ANGLE, params, curve)
         return build_surface(track, curve), curve
@@ -209,9 +207,3 @@ class TestSpecialCaseDefects:
 
     def surface_on(self, n_samples):
         return general_surface(integrate_frenet(0.6, 0.2, s_range=(0.0, 1e-2 * (n_samples - 1)), step=1e-2))[0]
-
-    def test_helix_defect(self):
-        curve = integrate_frenet(2.0, 1.0, s_range=(0.0, 0.5), step=1e-3)
-        theta = 1.0
-        mu = math.atan2(math.sinh(theta), 2.0)
-        assert helix_relation_defect(theta, mu, curve) < 1e-10
