@@ -30,9 +30,7 @@ from .surface import (
     SurfaceInvariants,
     curvature_relations,
     dv0_from_n_mu,
-    invariants_analytic,
     invariants_numeric,
-    q_prime_analytic,
     ruling_from_angles,
 )
 from .synthesis import (
@@ -41,7 +39,6 @@ from .synthesis import (
     build_surface,
     integrate_system,
     line_of_curvature_phi,
-    system_rhs,
 )
 from .verify import (
     InvariantReport,
@@ -75,18 +72,15 @@ __all__ = [
     "frame_defect",
     "integrate_frenet",
     "integrate_system",
-    "invariants_analytic",
     "invariants_numeric",
     "line_of_curvature_phi",
     "lorentz_cross",
     "lorentz_inner",
     "lorentz_norm",
     "mixed_product",
-    "q_prime_analytic",
     "recompute_report",
     "ruling_from_angles",
     "run_config",
     "surface_defects",
     "sweep_grid",
-    "system_rhs",
 ]

@@ -39,10 +39,6 @@ class SingularPointError(GeometryError):
     """Surface normal undefined: the two partials are parallel here."""
 
 
-class CylindricalRulingError(GeometryError):
-    """Operation undefined on a cylindrical sample (q' below tolerance)."""
-
-
 class AllCylindricalError(GeometryError):
     """Every sample of the surface is cylindrical; no invariants to report."""
 

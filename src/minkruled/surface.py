@@ -1,15 +1,10 @@
 """Timelike ruled surfaces r(s, v) = k(s) + v q(s) and their invariants.
 
 A surface is a directrix plus a unit timelike ruling field q(s) on the same
-arc-length grid.  Every invariant here can be computed two ways:
-
-* analytically, from the angle pair (theta, phi) that places the ruling in
-  the moving frame, via the closed-form expression for q' and its norm;
-* numerically, from nothing but the raw (k_i, q_i) samples, using central
-  finite differences.
-
-The numeric route never looks at angle provenance, which is what makes it an
-independent check of the analytic one.
+arc-length grid.  The angle pair (theta, phi) places the ruling in the
+moving frame; the invariants are recomputed from nothing but the raw
+(k_i, q_i) samples, using central finite differences, so they never look at
+the angles the surface was synthesized from.
 
 Conventions: theta is the hyperbolic angle between q and T, phi the spacelike
 angle between the surface normal m and N.  The mixed product used for the
@@ -25,7 +20,6 @@ import numpy as np
 
 from .errors import (
     AllCylindricalError,
-    CylindricalRulingError,
     GridMismatchError,
     NotUnitTimelikeError,
     ThetaSingularityError,
@@ -37,7 +31,7 @@ from .lorentz import lorentz_inner, mixed_product
 #: are rejected outright rather than clamped.
 THETA_MIN = 1e-6
 
-#: Cylindrical threshold on <q',q'>; the numeric route scales it by max|q|^2.
+#: Cylindrical threshold on <q',q'>; ``invariants_numeric`` scales it by max|q|^2.
 CYL_TOL = 1e-12
 
 
@@ -83,16 +77,11 @@ class AngleTrack:
     s: np.ndarray
     theta: np.ndarray
     phi: np.ndarray
-    theta_prime: np.ndarray
-    phi_prime: np.ndarray
 
     def __post_init__(self):
-        for name in ("s", "theta", "phi", "theta_prime", "phi_prime"):
+        for name in ("s", "theta", "phi"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if not all(
-            np.all(np.isfinite(getattr(self, name)))
-            for name in ("s", "theta", "phi", "theta_prime", "phi_prime")
-        ):
+        if not all(np.all(np.isfinite(getattr(self, name))) for name in ("s", "theta", "phi")):
             raise ValueError("angle track contains non-finite samples")
         worst = float(np.min(np.abs(self.theta)))
         if worst < THETA_MIN:
@@ -233,94 +222,8 @@ def ruling_from_angles(T, N, B, theta, phi):
 
 
 # ---------------------------------------------------------------------------
-# analytic derivative of the ruling
+# invariants from the raw samples
 # ---------------------------------------------------------------------------
-
-
-def qprime_norm_sq(theta, phi, theta_prime, phi_prime, k1, k2):
-    """Closed form for <q', q'> in terms of the angles and curvatures."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    tp = np.asarray(theta_prime, dtype=float)
-    p = np.asarray(phi_prime, dtype=float) + np.asarray(k2, dtype=float)
-    k1 = np.asarray(k1, dtype=float)
-    sh, ch = np.sinh(theta), np.cosh(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    out = (
-        tp * tp
-        - 2.0 * k1 * tp * sp
-        + k1 * k1 * (ch * ch * cp * cp + sp * sp)
-        - 2.0 * k1 * p * sh * ch * cp
-        + p * p * sh * sh
-    )
-    return float(out) if out.ndim == 0 else out
-
-
-def q_prime_analytic(T, N, B, theta, phi, theta_prime, phi_prime, k1, k2):
-    """q' assembled in ambient coordinates, plus the closed-form <q',q'>.
-
-    The frame components are
-
-        q' = sinh(theta) (theta' - k1 sin(phi)) T
-           + (cosh(theta) (k1 - theta' sin(phi)) - (phi'+k2) sinh(theta) cos(phi)) N
-           + (theta' cosh(theta) cos(phi) - (phi'+k2) sinh(theta) sin(phi)) B
-
-    and the returned norm_sq must agree with the Lorentz norm-square of the
-    assembled vector; the pair is the internal consistency check used by the
-    test suite.
-    """
-    T = np.asarray(T, dtype=float)
-    N = np.asarray(N, dtype=float)
-    B = np.asarray(B, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    tp = np.asarray(theta_prime, dtype=float)
-    p = np.asarray(phi_prime, dtype=float) + np.asarray(k2, dtype=float)
-    k1 = np.asarray(k1, dtype=float)
-    sh, ch = np.sinh(theta), np.cosh(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    aT = (sh * (tp - k1 * sp))[..., None]
-    aN = (ch * (k1 - tp * sp) - p * sh * cp)[..., None]
-    aB = (tp * ch * cp - p * sh * sp)[..., None]
-    q_prime = aT * T + aN * N + aB * B
-    return q_prime, qprime_norm_sq(theta, phi, tp, np.asarray(phi_prime, dtype=float), k1, k2)
-
-
-# ---------------------------------------------------------------------------
-# invariants, two ways
-# ---------------------------------------------------------------------------
-
-
-def invariants_analytic(track: AngleTrack, directrix: FrenetCurve) -> SurfaceInvariants:
-    """Invariants from the angle track via the closed forms
-
-        v0 = sinh(theta) (theta' - k1 sin(phi)) / <q',q'>
-        d  = sinh(theta) (k1 cosh(theta) cos(phi) - (phi'+k2) sinh(theta)) / <q',q'>
-    """
-    require_same_grid(track, directrix)
-    k1, k2 = directrix.k1, directrix.k2
-    norm_sq = qprime_norm_sq(track.theta, track.phi, track.theta_prime, track.phi_prime, k1, k2)
-    if float(np.min(norm_sq)) <= CYL_TOL:
-        i = int(np.argmin(norm_sq))
-        raise CylindricalRulingError(
-            f"<q',q'> = {norm_sq[i]:.3e} at s = {track.s[i]:.6g}: ruling is cylindrical"
-        )
-    sh = np.sinh(track.theta)
-    ch = np.cosh(track.theta)
-    p = track.phi_prime + k2
-    v0 = sh * (track.theta_prime - k1 * np.sin(track.phi)) / norm_sq
-    d = sh * (k1 * ch * np.cos(track.phi) - p * sh) / norm_sq
-    K, mu, n = curvature_relations(d, v0)
-    return SurfaceInvariants(
-        s=track.s.copy(),
-        d=d,
-        v0=v0,
-        K=K,
-        mu=mu,
-        n=n,
-        qprime_norm=np.sqrt(norm_sq),
-        cylindrical=np.zeros(track.n_samples, dtype=bool),
-    )
 
 
 def invariants_numeric(surface: RuledSurfaceGrid) -> SurfaceInvariants:

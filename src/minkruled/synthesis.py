@@ -50,7 +50,6 @@ from .surface import (
     AngleTrack,
     RuledSurfaceGrid,
     dv0_from_n_mu,
-    finite_difference,
     require_same_grid,
     ruling_from_angles,
 )
@@ -236,7 +235,18 @@ def _coefficients(kind: SystemKind, params: SynthesisParams, s, k2) -> np.ndarra
 
 
 def _rhs(theta: float, phi: float, s: float, c, pinned: bool) -> tuple[float, float]:
-    """The general system for c = (k1, k2, a, b), with every state guard."""
+    """The general system (theta', phi') for c = (k1, k2, a, b), with every state guard.
+
+    A ``pinned`` kind keeps phi fixed (phi' = 0).  Raises
+    ThetaSingularityError when |theta| < THETA_MIN (coth(theta) blows up;
+    the pinned asymptotic mode is guarded for consistency because
+    sinh(theta) = 0 degenerates the ruling as well), IntegrationDivergedError
+    when |theta| > THETA_MAX or either angle is not finite, and
+    ParamDomainError where a is NaN, which ``_coefficients`` makes it where
+    d^2 + v0^2 = 0.  These are the only state guards of the integration:
+    they run on every stage value, so a diverging state cannot overflow
+    sinh mid-step.
+    """
     k1, k2, a, b = c
     if not (math.isfinite(theta) and math.isfinite(phi)) or abs(theta) > THETA_MAX:
         raise IntegrationDivergedError(
@@ -256,35 +266,6 @@ def _rhs(theta: float, phi: float, s: float, c, pinned: bool) -> tuple[float, fl
     return a * sh + k1 * math.sin(phi), b - k2 + k1 * (math.cosh(theta) / sh) * math.cos(phi)
 
 
-def system_rhs(
-    kind: SystemKind,
-    theta: float,
-    phi: float,
-    s: float,
-    params: SynthesisParams,
-    k1: float,
-    k2: float,
-) -> tuple[float, float]:
-    """Right-hand side (theta', phi') of the determining system ``kind``.
-
-    Every seeded kind evaluates the general system with its prescribed
-    (d, v0); a kind with a ``pin`` keeps phi pinned (phi' = 0).  Raises
-    ThetaSingularityError when |theta| < THETA_MIN (coth(theta) blows up;
-    the pinned asymptotic mode is guarded for consistency because
-    sinh(theta) = 0 degenerates the ruling as well), IntegrationDivergedError
-    when |theta| > THETA_MAX or either angle is not finite, and
-    ParamDomainError where d^2 + v0^2 = 0 or where the kind's prescription
-    rejects ``params`` at (s, k2).  These are the only state guards
-    of the integration: they run on every stage value, so a diverging state
-    cannot overflow sinh mid-step.
-    """
-    spec = KINDS[kind]
-    if not spec.seeded:
-        raise ValueError(f"{kind.value} has no ODE right-hand side; it is built in closed form")
-    a, b = _coefficients(kind, params, np.array([float(s)]), np.array([float(k2)]))[0]
-    return _rhs(theta, phi, s, (k1, k2, float(a), float(b)), spec.pin is not None)
-
-
 def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: FrenetCurve) -> AngleTrack:
     """Solve the determining system along the directrix grid.
 
@@ -292,10 +273,8 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
     with (a, b) evaluated once at the samples and step midpoints from the
     prescribed (d, v0), and (k1, k2) read there from the directrix; a kind
     with a ``pin`` integrates theta alone with phi held there; the
-    line-of-curvature mode is assembled in closed form.
-    The returned track stores (theta', phi') from the right-hand side at
-    every sample.  A track aborts where |theta| leaves
-    [THETA_MIN, THETA_MAX] (see ``system_rhs``).
+    line-of-curvature mode is assembled in closed form.  A track aborts
+    where |theta| leaves [THETA_MIN, THETA_MAX] (see ``_rhs``).
 
     The four stages of each step evaluate ``_rhs`` inline, with its operands
     in the same order, so the track is bit-identical to calling it.  Each
@@ -313,16 +292,16 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
     pinned = spec.pin is not None
     # RK4 on the two angles as Python floats, fed memoryviews of (k1, k2, a, b)
     # taken once at the samples and step midpoints (the same floats as tolist,
-    # without building the lists); the derivative at a sample is the first
-    # stage of the step leaving it.
+    # without building the lists); the right-hand side at the end of a step
+    # is the first stage of the next.
     mid = s[:-1] + 0.5 * h
     node = (directrix.k1, directrix.k2, *_coefficients(kind, params, s, directrix.k2).T)
     middle = (directrix.k1_mid, directrix.k2_mid, *_coefficients(kind, params, mid, directrix.k2_mid).T)
     n = len(s)
-    theta, phi, theta_p, phi_p = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    theta, phi = [0.0] * n, [0.0] * n
     t, p = float(params.theta0), spec.pin if pinned else float(params.phi0)
     a1, b1 = _rhs(t, p, float(s[0]), [float(x[0]) for x in node], pinned)
-    theta[0], phi[0], theta_p[0], phi_p[0] = t, p, a1, b1
+    theta[0], phi[0] = t, p
     half, sixth = 0.5 * h, h / 6.0
     sinh, cosh, sin, cos = math.sinh, math.cosh, math.sin, math.cos
     # A stage value (x, y) trips the test where _rhs raises: |x| outside
@@ -358,8 +337,8 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
         sh = sinh(t)
         a1 = a * sh + k1 * sin(p)
         b1 = 0.0 if pinned else b - k2 + k1 * (cosh(t) / sh) * cos(p)
-        theta[i], phi[i], theta_p[i], phi_p[i] = t, p, a1, b1
-    return AngleTrack(s.copy(), *(np.fromiter(x, float, n) for x in (theta, phi, theta_p, phi_p)))
+        theta[i], phi[i] = t, p
+    return AngleTrack(s.copy(), np.fromiter(theta, float, n), np.fromiter(phi, float, n))
 
 
 def line_of_curvature_phi(directrix: FrenetCurve, C: float) -> np.ndarray:
@@ -388,12 +367,7 @@ def _line_of_curvature_track(params: SynthesisParams, directrix: FrenetCurve) ->
     if float(np.max(np.abs(arg))) >= 1.0:
         i = int(np.argmax(np.abs(arg)))
         raise NoSolutionError(f"|n k1 cos(phi)| = {abs(arg[i]):.6g} >= 1 at s = {s[i]:.6g}")
-    theta = np.arctanh(arg)
-    # theta' has no closed form without k1'; second-order differences are
-    # enough for the analytic invariants, which tolerate O(h^2) here.
-    theta_p = finite_difference(theta, directrix.step)
-    phi_p = -directrix.k2
-    return AngleTrack(s=s.copy(), theta=theta, phi=phi, theta_prime=theta_p, phi_prime=phi_p)
+    return AngleTrack(s=s.copy(), theta=np.arctanh(arg), phi=phi)
 
 
 def build_surface(track: AngleTrack, directrix: FrenetCurve) -> RuledSurfaceGrid:

@@ -1,0 +1,123 @@
+"""Closed forms of the paper that the tests check the package against.
+
+No run needs them: the package synthesizes tracks with its inline RK4 and
+verifies surfaces from the raw samples.  Here are the right-hand side of a
+determining system as one call, q' and <q',q'> in terms of the angles and
+their derivatives, and the invariants d and v0 from the angle track.
+"""
+
+import numpy as np
+
+from minkruled import AngleTrack, FrenetCurve, SurfaceInvariants, SynthesisParams, SystemKind, curvature_relations
+from minkruled.errors import GeometryError
+from minkruled.surface import CYL_TOL, require_same_grid
+from minkruled.synthesis import KINDS, _coefficients, _rhs
+
+
+class CylindricalRulingError(GeometryError):
+    """Operation undefined on a cylindrical sample (q' below tolerance)."""
+
+
+def system_rhs(
+    kind: SystemKind,
+    theta: float,
+    phi: float,
+    s: float,
+    params: SynthesisParams,
+    k1: float,
+    k2: float,
+) -> tuple[float, float]:
+    """Right-hand side (theta', phi') of the determining system ``kind``.
+
+    Every seeded kind evaluates the general system with its prescribed
+    (d, v0); a kind with a ``pin`` keeps phi pinned (phi' = 0).  Raises the
+    state guards of ``synthesis._rhs``, and ParamDomainError where the
+    kind's prescription rejects ``params`` at (s, k2).
+    """
+    spec = KINDS[kind]
+    if not spec.seeded:
+        raise ValueError(f"{kind.value} has no ODE right-hand side; it is built in closed form")
+    a, b = _coefficients(kind, params, np.array([float(s)]), np.array([float(k2)]))[0]
+    return _rhs(theta, phi, s, (k1, k2, float(a), float(b)), spec.pin is not None)
+
+
+def qprime_norm_sq(theta, phi, theta_prime, phi_prime, k1, k2):
+    """Closed form for <q', q'> in terms of the angles and curvatures."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    tp = np.asarray(theta_prime, dtype=float)
+    p = np.asarray(phi_prime, dtype=float) + np.asarray(k2, dtype=float)
+    k1 = np.asarray(k1, dtype=float)
+    sh, ch = np.sinh(theta), np.cosh(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    out = (
+        tp * tp
+        - 2.0 * k1 * tp * sp
+        + k1 * k1 * (ch * ch * cp * cp + sp * sp)
+        - 2.0 * k1 * p * sh * ch * cp
+        + p * p * sh * sh
+    )
+    return float(out) if out.ndim == 0 else out
+
+
+def q_prime_analytic(T, N, B, theta, phi, theta_prime, phi_prime, k1, k2):
+    """q' assembled in ambient coordinates, plus the closed-form <q',q'>.
+
+    The frame components are
+
+        q' = sinh(theta) (theta' - k1 sin(phi)) T
+           + (cosh(theta) (k1 - theta' sin(phi)) - (phi'+k2) sinh(theta) cos(phi)) N
+           + (theta' cosh(theta) cos(phi) - (phi'+k2) sinh(theta) sin(phi)) B
+
+    and the returned norm_sq must agree with the Lorentz norm-square of the
+    assembled vector.
+    """
+    T = np.asarray(T, dtype=float)
+    N = np.asarray(N, dtype=float)
+    B = np.asarray(B, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    tp = np.asarray(theta_prime, dtype=float)
+    p = np.asarray(phi_prime, dtype=float) + np.asarray(k2, dtype=float)
+    k1 = np.asarray(k1, dtype=float)
+    sh, ch = np.sinh(theta), np.cosh(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    aT = (sh * (tp - k1 * sp))[..., None]
+    aN = (ch * (k1 - tp * sp) - p * sh * cp)[..., None]
+    aB = (tp * ch * cp - p * sh * sp)[..., None]
+    q_prime = aT * T + aN * N + aB * B
+    return q_prime, qprime_norm_sq(theta, phi, tp, np.asarray(phi_prime, dtype=float), k1, k2)
+
+
+def invariants_analytic(track: AngleTrack, directrix: FrenetCurve, theta_prime, phi_prime) -> SurfaceInvariants:
+    """Invariants from the angle track and its derivatives via the closed forms
+
+        v0 = sinh(theta) (theta' - k1 sin(phi)) / <q',q'>
+        d  = sinh(theta) (k1 cosh(theta) cos(phi) - (phi'+k2) sinh(theta)) / <q',q'>
+
+    ``theta_prime`` and ``phi_prime`` are per-sample arrays or constants.
+    """
+    require_same_grid(track, directrix)
+    k1, k2 = directrix.k1, directrix.k2
+    norm_sq = qprime_norm_sq(track.theta, track.phi, theta_prime, phi_prime, k1, k2)
+    if float(np.min(norm_sq)) <= CYL_TOL:
+        i = int(np.argmin(norm_sq))
+        raise CylindricalRulingError(
+            f"<q',q'> = {norm_sq[i]:.3e} at s = {track.s[i]:.6g}: ruling is cylindrical"
+        )
+    sh = np.sinh(track.theta)
+    ch = np.cosh(track.theta)
+    p = phi_prime + k2
+    v0 = sh * (theta_prime - k1 * np.sin(track.phi)) / norm_sq
+    d = sh * (k1 * ch * np.cos(track.phi) - p * sh) / norm_sq
+    K, mu, n = curvature_relations(d, v0)
+    return SurfaceInvariants(
+        s=track.s.copy(),
+        d=d,
+        v0=v0,
+        K=K,
+        mu=mu,
+        n=n,
+        qprime_norm=np.sqrt(norm_sq),
+        cylindrical=np.zeros(track.n_samples, dtype=bool),
+    )

@@ -27,14 +27,13 @@ from minkruled import (
     invariants_numeric,
     lorentz_cross,
     lorentz_inner,
-    q_prime_analytic,
     run_config,
     surface_defects,
-    system_rhs,
 )
 from minkruled.cli import main
 from minkruled.errors import GeometryError
 from minkruled.surface import finite_difference
+from reference import q_prime_analytic, system_rhs
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED_CONFIGS = [

@@ -7,8 +7,6 @@ from minkruled import errors
 
 SRC = Path(minkruled.__file__).parent
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-# Reference implementations the tests check the numeric paths against; no run calls them.
-TEST_REFERENCES = ("invariants_analytic", "q_prime_analytic", "system_rhs")
 
 
 def test_public_names_are_unique_and_resolve():
@@ -72,7 +70,7 @@ def test_every_public_function_has_a_caller():
     modules = [path for path in SRC.glob("*.py") if path.name != "__init__.py"]
     read = _read_names(modules + sorted(SCRIPTS.glob("*.py")))
     functions = [name for name in minkruled.__all__ if inspect.isfunction(getattr(minkruled, name))]
-    assert [name for name in functions if name not in read] == sorted(TEST_REFERENCES)
+    assert [name for name in functions if name not in read] == []
 
 
 def test_every_error_class_is_raised():

@@ -10,21 +10,19 @@ from minkruled import (
     curvature_relations,
     dv0_from_n_mu,
     integrate_frenet,
-    invariants_analytic,
     invariants_numeric,
     lorentz_inner,
-    q_prime_analytic,
     ruling_from_angles,
 )
 from minkruled.errors import (
     AllCylindricalError,
-    CylindricalRulingError,
     GridMismatchError,
     NotUnitTimelikeError,
     ThetaSingularityError,
 )
 from minkruled.surface import finite_difference
 from conftest import random_boosted_frame
+from reference import CylindricalRulingError, invariants_analytic, q_prime_analytic
 
 E1, E2, E3 = np.eye(3)
 
@@ -128,26 +126,22 @@ class TestQPrimeAnalytic:
 
 
 def linear_theta_track(s, theta_at_mid, slope, phi_const):
+    """A track with theta linear in s and phi constant, and its (theta', phi')."""
     mid = 0.5 * (s[0] + s[-1])
-    return AngleTrack(
-        s=s,
-        theta=theta_at_mid + slope * (s - mid),
-        phi=np.full_like(s, phi_const),
-        theta_prime=np.full_like(s, slope),
-        phi_prime=np.zeros_like(s),
-    )
+    track = AngleTrack(s=s, theta=theta_at_mid + slope * (s - mid), phi=np.full_like(s, phi_const))
+    return track, (np.full_like(s, slope), np.zeros_like(s))
 
 
 class TestInvariants:
     def example_setup(self):
         """theta = 1 + 2(s - 0.2), phi = pi/2, k1 = 1, k2 = 1 (so phi'+k2 = 1)."""
         curve = integrate_frenet(1.0, 1.0, s_range=(0.0, 0.4), step=1e-3)
-        track = linear_theta_track(curve.s, 1.0, 2.0, math.pi / 2)
-        return curve, track
+        track, rates = linear_theta_track(curve.s, 1.0, 2.0, math.pi / 2)
+        return curve, track, rates
 
     def test_analytic_example_values(self):
-        curve, track = self.example_setup()
-        inv = invariants_analytic(track, curve)
+        curve, track, rates = self.example_setup()
+        inv = invariants_analytic(track, curve, *rates)
         i = 200  # s = 0.2, where theta = 1
         v0_expected = math.sinh(1) / math.cosh(1) ** 2  # ~0.4936
         d_expected = -math.tanh(1) ** 2  # ~-0.5800
@@ -159,27 +153,22 @@ class TestInvariants:
     def test_v0_vanishes_when_theta_prime_matches(self):
         curve = integrate_frenet(1.0, 0.2, s_range=(0.0, 0.2), step=1e-3)
         phi = 0.7
-        track = linear_theta_track(curve.s, 0.8, math.sin(phi), phi)  # theta' = k1 sin(phi)
-        inv = invariants_analytic(track, curve)
+        track, rates = linear_theta_track(curve.s, 0.8, math.sin(phi), phi)  # theta' = k1 sin(phi)
+        inv = invariants_analytic(track, curve, *rates)
         assert np.max(np.abs(inv.v0)) < 1e-12
 
     def test_cylinder_conditions_rejected(self):
         curve = integrate_frenet(1.0, 0.0, s_range=(0.0, 0.2), step=1e-2)
         theta = np.full_like(curve.s, 0.9)
         phi = np.zeros_like(curve.s)
-        track = AngleTrack(
-            s=curve.s,
-            theta=theta,
-            phi=phi,
-            theta_prime=np.zeros_like(curve.s),
-            phi_prime=1.0 * np.cosh(0.9) / np.sinh(0.9) * np.ones_like(curve.s),
-        )
+        track = AngleTrack(s=curve.s, theta=theta, phi=phi)
+        phi_prime = 1.0 * np.cosh(0.9) / np.sinh(0.9) * np.ones_like(curve.s)
         with pytest.raises(CylindricalRulingError):
-            invariants_analytic(track, curve)
+            invariants_analytic(track, curve, np.zeros_like(curve.s), phi_prime)
 
     def test_numeric_cross_checks_analytic(self):
-        curve, track = self.example_setup()
-        inv_a = invariants_analytic(track, curve)
+        curve, track, rates = self.example_setup()
+        inv_a = invariants_analytic(track, curve, *rates)
         surf = build_surface(track, curve)
         inv_n = invariants_numeric(surf)
         sl = slice(1, -1)
@@ -190,9 +179,9 @@ class TestInvariants:
         discrepancies = []
         for step in (2e-3, 1e-3):
             curve = integrate_frenet(1.0, 1.0, s_range=(0.0, 0.4), step=step)
-            track = linear_theta_track(curve.s, 1.0, 2.0, math.pi / 2)
+            track, rates = linear_theta_track(curve.s, 1.0, 2.0, math.pi / 2)
             surf = build_surface(track, curve)
-            inv_a = invariants_analytic(track, curve)
+            inv_a = invariants_analytic(track, curve, *rates)
             inv_n = invariants_numeric(surf)
             sl = slice(1, -1)
             discrepancies.append(float(np.max(np.abs(inv_n.d[sl] - inv_a.d[sl]))))
@@ -204,14 +193,14 @@ class TestInvariants:
             invariants_numeric(surf)
 
     def test_internal_consistency_of_relations(self):
-        curve, track = self.example_setup()
-        inv = invariants_analytic(track, curve)
+        curve, track, rates = self.example_setup()
+        inv = invariants_analytic(track, curve, *rates)
         denom = inv.d**2 + inv.v0**2
         assert np.max(np.abs(inv.K - inv.d**2 / denom**2)) < 1e-12
         assert np.max(np.abs(inv.n - denom / inv.d)) < 1e-12
 
     def test_striction_orthogonality(self):
-        curve, track = self.example_setup()
+        curve, track, _ = self.example_setup()
         surf = build_surface(track, curve)
         inv = invariants_numeric(surf)
         c = curve.k + inv.v0[:, None] * surf.q
@@ -225,7 +214,7 @@ class TestInvariants:
         worst = []
         for step in (2e-3, 1e-3):
             curve = integrate_frenet(1.0, 1.0, s_range=(0.0, 0.4), step=step)
-            track = linear_theta_track(curve.s, 1.0, 2.0, math.pi / 2)
+            track, _ = linear_theta_track(curve.s, 1.0, 2.0, math.pi / 2)
             surf = build_surface(track, curve)
             inv = invariants_numeric(surf)
             c = curve.k + inv.v0[:, None] * surf.q
@@ -239,14 +228,14 @@ class TestTrackAndGridValidation:
     def test_theta_min_guard(self):
         s = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ThetaSingularityError):
-            AngleTrack(s=s, theta=s - 0.5, phi=s, theta_prime=s, phi_prime=s)
+            AngleTrack(s=s, theta=s - 0.5, phi=s)
 
     def test_theta_sign_change_rejected(self):
         # theta steps from -0.05 to 0.05 between s = 0.5 and 0.6 without a
         # sample below THETA_MIN
         s = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ThetaSingularityError, match="changes sign") as err:
-            AngleTrack(s=s, theta=s - 0.55, phi=s, theta_prime=s, phi_prime=s)
+            AngleTrack(s=s, theta=s - 0.55, phi=s)
         assert err.value.s == s[6]
 
     def test_non_unit_ruling_rejected(self):
@@ -264,15 +253,15 @@ class TestTrackAndGridValidation:
     def test_track_on_other_grid_rejected_by_surface(self):
         curve = integrate_frenet(1.0, 0.0, s_range=(0.0, 0.1), step=1e-2)
         q = np.tile(E1, (curve.n_samples, 1))
-        track = linear_theta_track(curve.s[:-1], 1.0, 0.0, 0.0)
+        track, _ = linear_theta_track(curve.s[:-1], 1.0, 0.0, 0.0)
         with pytest.raises(GridMismatchError):
             RuledSurfaceGrid(directrix=curve, q=q, track=track)
 
     def test_track_on_other_grid_rejected_by_analytic_invariants(self):
         curve = integrate_frenet(1.0, 1.0, s_range=(0.0, 0.4), step=1e-3)
-        track = linear_theta_track(curve.s + 0.1, 1.0, 2.0, math.pi / 2)
+        track, rates = linear_theta_track(curve.s + 0.1, 1.0, 2.0, math.pi / 2)
         with pytest.raises(GridMismatchError):
-            invariants_analytic(track, curve)
+            invariants_analytic(track, curve, *rates)
 
 
 class TestCurvatureRelations:

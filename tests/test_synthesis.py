@@ -16,7 +16,6 @@ from minkruled import (
     invariants_numeric,
     line_of_curvature_phi,
     lorentz_inner,
-    system_rhs,
 )
 from minkruled.errors import (
     GridMismatchError,
@@ -28,6 +27,7 @@ from minkruled.errors import (
 )
 from minkruled.surface import finite_difference
 from minkruled.synthesis import KINDS
+from reference import CylindricalRulingError, invariants_analytic, system_rhs
 
 
 class TestSystemRhs:
@@ -193,7 +193,7 @@ _WAVY_TORSION = Sinusoid(amplitude=0.05, frequency=3.0, offset=0.1)
 
 #: (kind, k2, params) for every seeded kind; the directrix has k1 = 1 + s/2
 #: on [0, 0.5], and the asymptotic kind needs constant torsion
-STORED_DERIVATIVE_CASES = [
+SEEDED_CASES = [
     pytest.param(
         SystemKind.GENERAL_DV0, _WAVY_TORSION, SynthesisParams(theta0=0.8, phi0=0.4, d=Polynomial((0.5, 0.2)), v0=0.3),
         id="general_dv0",
@@ -250,7 +250,7 @@ def _stage_by_stage_rk4(kind, params, curve):
         return system_rhs(kind, x, y, float(s), params, float(k1), float(k2))
 
     a1, b1 = rhs(t, p, curve.s[0], curve.k1[0], curve.k2[0])
-    out = [(t, p, a1, b1)]
+    out = [(t, p)]
     for i in range(1, curve.n_samples):
         a2, b2 = rhs(t + half * a1, p + half * b1, mid[i - 1], curve.k1_mid[i - 1], curve.k2_mid[i - 1])
         a3, b3 = rhs(t + half * a2, p + half * b2, mid[i - 1], curve.k1_mid[i - 1], curve.k2_mid[i - 1])
@@ -258,7 +258,7 @@ def _stage_by_stage_rk4(kind, params, curve):
         t = t + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         p = p + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         a1, b1 = rhs(t, p, curve.s[i], curve.k1[i], curve.k2[i])
-        out.append((t, p, a1, b1))
+        out.append((t, p))
     return [np.array(col) for col in zip(*out)]
 
 
@@ -298,25 +298,36 @@ class TestGeneralMode:
         assert err.value.s == curve.s[842]
         assert "theta = 1.54819e+07" in str(err.value)
 
-    @pytest.mark.parametrize("kind, k2, params", STORED_DERIVATIVE_CASES)
-    def test_stored_derivatives_equal_rhs(self, kind, k2, params):
+    @pytest.mark.parametrize("kind, k2, params", SEEDED_CASES)
+    def test_closed_forms_reproduce_prescription(self, kind, k2, params):
+        # the paper's closed forms for (d, v0), fed the track and the system's
+        # (theta', phi') at every sample, give back what the kind prescribes;
+        # a kind that prescribes nothing, the cylinder, has q' = 0 everywhere
         curve = integrate_frenet(Polynomial((1.0, 0.5)), k2, s_range=(0.0, 0.5), step=1e-3)
         track = integrate_system(kind, params, curve)
-        for i in range(track.n_samples):
-            rhs = system_rhs(
-                kind, float(track.theta[i]), float(track.phi[i]), float(track.s[i]), params, curve.k1[i], curve.k2[i]
-            )
-            assert rhs == (track.theta_prime[i], track.phi_prime[i])
+        rates = np.array(
+            [
+                system_rhs(kind, float(x), float(y), float(s), params, float(k1), float(k2))
+                for x, y, s, k1, k2 in zip(track.theta, track.phi, track.s, curve.k1, curve.k2)
+            ]
+        )
+        prescribed = KINDS[kind].prescribe(params, curve.s, curve.k2)
+        if not prescribed:
+            with pytest.raises(CylindricalRulingError):
+                invariants_analytic(track, curve, *rates.T)
+            return
+        inv = invariants_analytic(track, curve, *rates.T)
+        for name, want in prescribed.items():
+            off = np.abs(getattr(inv, name) - want) - 1e-13 * np.maximum(1.0, np.abs(want))
+            assert float(np.max(off)) <= 0.0, name
 
-    @pytest.mark.parametrize("kind, k2, params", STORED_DERIVATIVE_CASES)
+    @pytest.mark.parametrize("kind, k2, params", SEEDED_CASES)
     def test_track_equals_stage_by_stage_rk4(self, kind, k2, params):
         curve = integrate_frenet(Polynomial((1.0, 0.5)), k2, s_range=(0.0, 0.5), step=1e-3)
         track = integrate_system(kind, params, curve)
-        theta, phi, theta_p, phi_p = _stage_by_stage_rk4(kind, params, curve)
+        theta, phi = _stage_by_stage_rk4(kind, params, curve)
         assert np.array_equal(track.theta, theta)
         assert np.array_equal(track.phi, phi)
-        assert np.array_equal(track.theta_prime, theta_p)
-        assert np.array_equal(track.phi_prime, phi_p)
 
     @pytest.mark.parametrize("kind, k2, params, error, message, s", STAGE_TRIPS)
     def test_guard_trips_at_its_stage(self, kind, k2, params, error, message, s):
@@ -379,13 +390,7 @@ class TestBuildSurface:
         from minkruled import AngleTrack
 
         n = flat_directrix.n_samples
-        track = AngleTrack(
-            s=flat_directrix.s,
-            theta=np.ones(n),
-            phi=np.zeros(n),
-            theta_prime=np.zeros(n),
-            phi_prime=np.zeros(n),
-        )
+        track = AngleTrack(s=flat_directrix.s, theta=np.ones(n), phi=np.zeros(n))
         surf = build_surface(track, flat_directrix)
         expected = math.cosh(1) * flat_directrix.T + math.sinh(1) * flat_directrix.B
         assert np.max(np.abs(surf.q - expected)) < 1e-12
@@ -420,7 +425,6 @@ class TestAsymptoticMode:
         params = SynthesisParams(theta0=0.6, mu=math.pi / 3, n=2.0)
         track = integrate_system(SystemKind.ASYMPTOTIC_LINE, params, curve)
         assert np.array_equal(track.phi, np.full_like(track.phi, math.pi / 2))
-        assert np.array_equal(track.phi_prime, np.zeros_like(track.phi_prime))
 
 
 class TestLineOfCurvature:
@@ -462,7 +466,6 @@ class TestLineOfCurvature:
         track = integrate_system(SystemKind.LINE_OF_CURVATURE, params, curve)
         lhs = np.tanh(track.theta) / np.cos(track.phi)
         assert np.max(np.abs(lhs - 1.0 * curve.k1)) < 1e-12
-        assert np.array_equal(track.phi_prime, -curve.k2)
 
     def test_theta_guard_names_nearest_sample(self):
         # phi = C - 0.1 s passes pi/2 + 3e-7 at s = 0.5, where
