@@ -31,6 +31,10 @@ class StepTooLargeError(LocatedError):
     """Frame orthonormality defect exceeded tolerance during integration."""
 
 
+class FarPositionError(LocatedError):
+    """A curve position passed |x| = h / eps, where the float spacing can exceed the step h."""
+
+
 class NotUnitTimelikeError(GeometryError):
     """A ruling vector is not unit timelike within tolerance."""
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    FarPositionError,
     IntegrationDivergedError,
     NonOrthonormalSeedError,
     NonPositiveCurvatureError,
@@ -379,8 +380,12 @@ def integrate_frenet(
 
     Integration fails with IntegrationDivergedError at the first arc length,
     sample or step midpoint, where k1 or k2 is not finite (an overflowing
-    polynomial, say), and with StepTooLargeError at the first sample whose
-    frame orthonormality defect exceeds DEFAULT_FRAME_TOL or is NaN.
+    polynomial, say), with StepTooLargeError at the first sample whose
+    frame orthonormality defect exceeds DEFAULT_FRAME_TOL or is NaN, and with
+    FarPositionError at the first sample whose position passes |x| = h / eps.
+    There floats can be spaced more than a step apart, so the positions cannot
+    follow the tangent, and finite differences of them read rounding (and
+    overflow beyond about 4.5e307).
     """
     k1_fn, k2_fn = as_curvature_fn(k1), as_curvature_fn(k2)
     s = uniform_grid(s_range, step)
@@ -422,6 +427,14 @@ def integrate_frenet(
         raise StepTooLargeError(
             f"frame defect {defect[i]:.3e} exceeds {DEFAULT_FRAME_TOL:.3e} at s = {s[i + 1]:.6g}; reduce the step",
             s=float(s[i + 1]),
+        )
+    limit = h / np.finfo(float).eps
+    far = np.flatnonzero(~(np.abs(y[0]).max(axis=1) <= limit))
+    if far.size:
+        i = int(far[0])
+        raise FarPositionError(
+            f"position |x| passes h / eps = {limit:.6g} at s = {s[i]:.6g}, where the float spacing can exceed the step",
+            s=float(s[i]),
         )
 
     return FrenetCurve(

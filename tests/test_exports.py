@@ -53,6 +53,23 @@ def test_no_system_kind_identity_test():
     assert found == []
 
 
+def test_no_module_forks():
+    """Every run stays in the calling process: no module calls ``os.fork`` or imports a ``fork`` module."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = []
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Import):
+                names = [part for alias in node.names for part in alias.name.split(".")]
+            elif isinstance(node, ast.ImportFrom):
+                names = (node.module or "").split(".") + [alias.name for alias in node.names]
+            if "fork" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _read_names(paths):
     """Every name a module body reads, as a bare name or an attribute."""
     names = set()

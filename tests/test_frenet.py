@@ -15,6 +15,7 @@ from minkruled import (
     lorentz_inner,
 )
 from minkruled.errors import (
+    FarPositionError,
     IntegrationDivergedError,
     NonOrthonormalSeedError,
     NonPositiveCurvatureError,
@@ -260,6 +261,25 @@ class TestIntegrateFrenet:
         assert np.array_equal(moved.k[0], frame[0])
         # each step's position sum rounds at the seed's magnitude
         assert np.max(np.abs(moved.k - frame[0] - (c.k - c.k[0]))) <= c.n_samples * np.spacing(2e3)
+
+    def test_position_passing_h_over_eps_fails_at_its_sample(self):
+        step = 1e-3
+        limit = step / np.finfo(float).eps
+        frame = default_initial_frame()
+        frame[0, 0] = limit - 0.25  # x grows as sinh(s) and passes the limit near s = 0.247
+        c = integrate_frenet(1.0, 0.0, s_range=(0.0, 0.2), step=step, initial_frame=frame)
+        assert np.abs(c.k).max() <= limit
+        with pytest.raises(FarPositionError, match=r"h / eps") as err:
+            integrate_frenet(1.0, 0.0, s_range=(0.0, 0.5), step=step, initial_frame=frame)
+        assert 0.24 < err.value.s < 0.26
+
+    @pytest.mark.parametrize("position", [(1e308, 0.0, 0.0), (0.0, -1e13, 0.0)], ids=["overflow", "coarse"])
+    def test_far_seed_position_fails_at_the_seed(self, position):
+        frame = default_initial_frame()
+        frame[0] = position
+        with pytest.raises(FarPositionError) as err:
+            integrate_frenet(1.0, 0.1, s_range=(0.0, 0.5), step=1e-3, initial_frame=frame)
+        assert err.value.s == 0.0
 
     def test_flipped_orientation_rejected(self):
         frame = default_initial_frame()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -406,6 +407,13 @@ class TestBuildSurface:
         track = integrate_system(SystemKind.CYLINDER, params, unit_directrix)
         with pytest.raises(GridMismatchError):
             build_surface(track, flat_directrix)
+
+    def test_shifted_grid_of_the_same_length_rejected(self, unit_directrix):
+        params = SynthesisParams(theta0=1.0, phi0=0.5)
+        track = integrate_system(SystemKind.CYLINDER, params, unit_directrix)
+        shifted = dataclasses.replace(track, s=track.s + 0.1)
+        with pytest.raises(GridMismatchError):
+            build_surface(shifted, unit_directrix)
 
 
 class TestGeodesic:
