@@ -523,25 +523,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_grid(cfg, theta0_list=[], out_dir=tmp_path)
 
-    @pytest.mark.parametrize("name", SHIPPED + ["error-rows"])
-    def test_rows_are_the_direct_seed_runs(self, tmp_path, name):
-        """Every row, in grid order, is the row of ``run_seed`` on the once-built directrix."""
-        cfg = RunConfig.from_file(CONFIG_DIR / ("general_roundtrip.json" if name == "error-rows" else name))
-        theta0_list = [0.0, 0.5, 1.0] if name == "error-rows" else DEFAULT_THETA0_GRID  # theta0 = 0 is singular
-        rows, _ = sweep_grid(cfg, theta0_list=theta0_list, out_dir=tmp_path)
-        curve, expected = build_directrix(cfg), []
-        for theta0 in theta0_list:
-            for phi0 in DEFAULT_PHI0_GRID:
-                try:
-                    outcome = run_seed(cfg.with_seed(theta0, phi0), curve).report
-                except GeometryError as exc:
-                    outcome = exc
-                expected.append(SweepRow.of(theta0, phi0, outcome))
-        assert rows == expected
-        if name == "error-rows":
-            assert [r.verdict for r in rows] == ["error"] * 4 + ["pass"] * 8
-        assert os.listdir(tmp_path) == ["sweep_summary.csv"]
-
     @pytest.mark.parametrize("index", [0, -1], ids=["first-seed", "last-seed"])
     def test_other_errors_in_a_seed_propagate_with_their_class(self, monkeypatch, tmp_path, index):
         class SeedBug(Exception):
@@ -559,15 +540,6 @@ class TestSweep:
         with pytest.raises(SeedBug):
             sweep_grid(cfg, out_dir=tmp_path)
         assert os.listdir(tmp_path) == []
-
-    def test_directrix_error_fills_every_row(self, tmp_path):
-        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
-        cfg = dataclasses.replace(cfg, directrix=dataclasses.replace(cfg.directrix, k1=Constant(1e308)))
-        with pytest.raises(GeometryError) as info:
-            build_directrix(cfg)
-        rows, _ = sweep_grid(cfg, out_dir=tmp_path)
-        assert rows == [SweepRow.of(t, p, info.value) for t in DEFAULT_THETA0_GRID for p in DEFAULT_PHI0_GRID]
-        assert len(rows) == 12 and all(r.verdict == "error" and "StepTooLarge" in r.detail for r in rows)
 
     def test_directrix_built_once_per_sweep(self, monkeypatch, tmp_path):
         calls = []
@@ -611,6 +583,49 @@ class TestSweep:
             [cell(r.theta0), cell(r.phi0), verdict, cell(rel), cell(defect), cell(s), detail]
             for r, (verdict, rel, defect, s, detail) in zip(rows, expected)
         ]
+
+
+def forbid_fork(monkeypatch):
+    """Fail the test if anything calls ``os.fork`` from now on."""
+
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+class TestForkedPart:
+    """The seeds a second process once ran now run in the calling process; rows match the one-process runs."""
+
+    @pytest.mark.parametrize("name", SHIPPED + ["error-rows"])
+    def test_sweep_matches_one_process(self, monkeypatch, tmp_path, name):
+        """Every row, in grid order, is the row of ``run_seed`` on the once-built directrix."""
+        cfg = RunConfig.from_file(CONFIG_DIR / ("general_roundtrip.json" if name == "error-rows" else name))
+        theta0_list = [0.0, 0.5, 1.0] if name == "error-rows" else DEFAULT_THETA0_GRID  # theta0 = 0 is singular
+        forbid_fork(monkeypatch)
+        rows, _ = sweep_grid(cfg, theta0_list=theta0_list, out_dir=tmp_path)
+        curve, expected = build_directrix(cfg), []
+        for theta0 in theta0_list:
+            for phi0 in DEFAULT_PHI0_GRID:
+                try:
+                    outcome = run_seed(cfg.with_seed(theta0, phi0), curve).report
+                except GeometryError as exc:
+                    outcome = exc
+                expected.append(SweepRow.of(theta0, phi0, outcome))
+        assert rows == expected
+        if name == "error-rows":
+            assert [r.verdict for r in rows] == ["error"] * 4 + ["pass"] * 8
+        assert os.listdir(tmp_path) == ["sweep_summary.csv"]
+
+    def test_sweep_without_a_directrix_never_forks(self, monkeypatch, tmp_path):
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        cfg = dataclasses.replace(cfg, directrix=dataclasses.replace(cfg.directrix, k1=Constant(1e308)))
+        with pytest.raises(GeometryError) as info:
+            build_directrix(cfg)
+        forbid_fork(monkeypatch)
+        rows, _ = sweep_grid(cfg, out_dir=tmp_path)
+        assert rows == [SweepRow.of(t, p, info.value) for t in DEFAULT_THETA0_GRID for p in DEFAULT_PHI0_GRID]
+        assert len(rows) == 12 and all(r.verdict == "error" and "StepTooLarge" in r.detail for r in rows)
 
 
 def test_import_graph_loads_no_scipy():
