@@ -48,10 +48,10 @@ STAGES = (
 SWEEP_BASES = ("cylinder", "developable", "general_roundtrip")
 MESH_V_RANGE = (-0.75, 0.75)
 MESH_V_SAMPLES = 33
-#: Runs of each sweep per repeat, so each sweep's median is printed beside
-#: its quartiles.  A sweep runs its twelve seeds back to back in this
-#: process, long enough for other tenants of a shared VM to move its time
-#: more than a stage's.
+#: Runs of each sweep per repeat.  A large sweep forks a second process when
+#: recent sweeps ran faster that way, and two processes on a 2-vCPU machine
+#: sometimes run at half speed each, so a sweep's time spreads far more than
+#: a stage's.
 SWEEP_RUNS = 3
 #: Sweep summary columns compared as text, by the number of rows that differ.
 TEXT_COLUMNS = ("verdict", "detail")

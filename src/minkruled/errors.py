@@ -32,7 +32,11 @@ class StepTooLargeError(LocatedError):
 
 
 class FarPositionError(LocatedError):
-    """A curve position passed |x| = h / eps, where the float spacing can exceed the step h."""
+    """A curve position passed |x| = ``limit`` = h / eps, where the float spacing can exceed the step h."""
+
+    def __init__(self, message: str, s: float | None = None, limit: float | None = None):
+        super().__init__(message, s)
+        self.limit = limit
 
 
 class NotUnitTimelikeError(GeometryError):

@@ -435,6 +435,7 @@ def integrate_frenet(
         raise FarPositionError(
             f"position |x| passes h / eps = {limit:.6g} at s = {s[i]:.6g}, where the float spacing can exceed the step",
             s=float(s[i]),
+            limit=limit,
         )
 
     return FrenetCurve(

@@ -14,11 +14,13 @@ import errno
 import json
 import math
 import os
+import pickle
 from dataclasses import dataclass
 
 from . import text
 from .config import RunConfig
 from .errors import ConfigError, FarPositionError, GeometryError
+from .fork import child_part
 from .frenet import FrenetCurve, integrate_frenet
 from .mesh import export_mesh
 from .surface import AngleTrack, RuledSurfaceGrid
@@ -45,12 +47,19 @@ class RunResult:
 
 
 def build_directrix(cfg: RunConfig) -> FrenetCurve:
-    """The config's directrix; a seed position too far out to follow the step is a ConfigError."""
+    """The config's directrix.
+
+    A ConfigError naming the seed position if the positions pass
+    |x| = h / eps, where ``integrate_frenet`` stops with FarPositionError.
+    """
     d = cfg.directrix
     try:
         return integrate_frenet(d.k1, d.k2, s_range=d.s_range, step=d.step, initial_frame=d.initial_frame)
     except FarPositionError as exc:
-        raise ConfigError("directrix.initial_frame.position", str(exc)) from None
+        raise ConfigError(
+            "directrix.initial_frame.position",
+            f"puts the directrix beyond |x| = {exc.limit:.6g}, where the float spacing can exceed the step",
+        ) from None
 
 
 def run_config(cfg: RunConfig, out_dir=".", *, write_outputs: bool = True) -> RunResult:
@@ -191,6 +200,16 @@ def write_samples_csv(path, track: AngleTrack, report: InvariantReport) -> str:
 # seed sweeps
 # ---------------------------------------------------------------------------
 
+#: Smallest sweep, in seeds times directrix samples, that two processes run.
+#: A seed costs about 1.2 to 1.8 us per sample on a 2-vCPU VM (the default
+#: grids of three sweep bases at h = 1e-3), and the fork about 5 ms more:
+#: the fork itself, the pages each process copies on its first writes, and
+#: the child's exit.  With a free second vCPU two processes have run sweeps
+#: of 3,000 slower than one and sweeps of 4,000 to 6,000 7 to 20 % faster,
+#: when a seed cost more; whether that vCPU is free, ``fork.child_part``
+#: learns from the times of recent sweeps.
+_FORK_MIN_SEED_SAMPLES = 4000
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -230,6 +249,13 @@ def sweep_grid(
     recorded per row and never abort the sweep.  Per-seed file outputs are
     suppressed (only the summary is written); ``out_dir`` is created before
     the first seed runs.
+
+    A sweep of at least ``_FORK_MIN_SEED_SAMPLES`` seeds times directrix
+    samples runs on two processes where ``fork.child_part`` allows, which
+    includes recent sweeps of the same shape having run faster that way: a
+    forked child runs the odd grid indices and hands its rows back pickled
+    in a temporary file in ``out_dir``.  If it cannot, this process runs
+    them itself.  The rows and the summary are the same either way.
     """
     theta0_list = list(DEFAULT_THETA0_GRID if theta0_list is None else theta0_list)
     phi0_list = list(DEFAULT_PHI0_GRID if phi0_list is None else phi0_list)
@@ -245,9 +271,9 @@ def sweep_grid(
     except GeometryError as exc:
         curve, error = None, exc
 
-    rows = []
-    for theta0 in map(float, theta0_list):
-        for phi0 in map(float, phi0_list):
+    def rows_of(seeds) -> list[SweepRow]:
+        rows = []
+        for theta0, phi0 in seeds:
             outcome = error
             if curve is not None:
                 try:
@@ -255,6 +281,24 @@ def sweep_grid(
                 except GeometryError as exc:
                     outcome = exc
             rows.append(SweepRow.of(theta0, phi0, outcome))
+        return rows
+
+    # a forked child runs the odd grid indices: alternate seeds spread the
+    # rows that end early (errors at phi0 = 3 pi / 2) over both processes
+    seeds = [(theta0, phi0) for theta0 in map(float, theta0_list) for phi0 in map(float, phi0_list)]
+    work = 0 if curve is None else len(seeds) * curve.n_samples
+    rows = [None] * len(seeds)
+
+    def child(out):
+        pickle.dump(rows_of(seeds[1::2]), out)
+
+    # a seed's cost per sample depends on the system and, through its fixed
+    # part, on the grid: sweeps are timed against sweeps of the same shape
+    key = (base.system, len(seeds), work)
+    with child_part(child, work=work, min_work=_FORK_MIN_SEED_SAMPLES, tmp_dir=out_dir, key=key) as join:
+        rows[0::2] = rows_of(seeds[0::2])
+        out = join()
+        rows[1::2] = rows_of(seeds[1::2]) if out is None else pickle.load(out)
 
     summary_path = os.path.join(out_dir, summary_name)
     with open(summary_path, "w", newline="") as fh:

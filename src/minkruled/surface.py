@@ -104,8 +104,14 @@ class AngleTrack:
 
 
 def require_same_grid(track: AngleTrack, directrix: FrenetCurve) -> None:
-    """Raise GridMismatchError unless the track samples the directrix grid."""
-    if track.n_samples != directrix.n_samples or not np.allclose(track.s, directrix.s, atol=1e-12):
+    """Raise GridMismatchError unless the track samples the directrix grid.
+
+    An equal grid, the usual case (a track carries a copy of its directrix's),
+    skips the tolerance comparison.
+    """
+    if track.n_samples != directrix.n_samples or not (
+        np.array_equal(track.s, directrix.s) or np.allclose(track.s, directrix.s, atol=1e-12)
+    ):
         raise GridMismatchError("angle track and directrix grids differ")
 
 

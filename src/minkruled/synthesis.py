@@ -38,7 +38,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    GridMismatchError,
     IntegrationDivergedError,
     NoSolutionError,
     ParamDomainError,
@@ -51,6 +50,7 @@ from .surface import (
     AngleTrack,
     RuledSurfaceGrid,
     dv0_from_n_mu,
+    require_same_grid,
     ruling_from_angles,
 )
 
@@ -371,12 +371,7 @@ def _line_of_curvature_track(params: SynthesisParams, directrix: FrenetCurve) ->
 
 
 def build_surface(track: AngleTrack, directrix: FrenetCurve) -> RuledSurfaceGrid:
-    """Realize the track as a ruling field q_i on the directrix grid.
-
-    ``RuledSurfaceGrid`` checks that the grids agree; a track of another
-    length fails here, before its angles are broadcast against the frame.
-    """
-    if track.n_samples != directrix.n_samples:
-        raise GridMismatchError(f"angle track has {track.n_samples} samples, directrix has {directrix.n_samples}")
+    """Realize the track as a ruling field q_i on the directrix grid."""
+    require_same_grid(track, directrix)
     q, _, _ = ruling_from_angles(directrix.T, directrix.N, directrix.B, track.theta, track.phi)
     return RuledSurfaceGrid(directrix=directrix, q=q, track=track)

@@ -1,13 +1,17 @@
+import collections
 import contextlib
 import csv
 import dataclasses
 import errno
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -16,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minkruled.fork
 import minkruled.mesh
 import minkruled.pipeline
 import minkruled.text
@@ -32,15 +37,7 @@ from minkruled import (
 from minkruled.cli import main
 from minkruled.config import MAX_MESH_POINTS
 from minkruled.errors import ConfigError, FarPositionError, GeometryError
-from minkruled.pipeline import (
-    SweepRow,
-    build_directrix,
-    run_config,
-    run_seed,
-    sweep_grid,
-    synthesize_surface,
-    write_samples_csv,
-)
+from minkruled.pipeline import build_directrix, run_config, run_seed, sweep_grid, synthesize_surface, write_samples_csv
 from minkruled.synthesis import DEFAULT_PHI0_GRID, DEFAULT_THETA0_GRID
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -98,6 +95,10 @@ def reference_csv(track, report):
                 cells["mu"] = cells["n"] = ""
             writer.writerow(head + list(cells.values()) + [int(inv.cylindrical[i])])
     return out.getvalue()
+
+
+def raise_(exc):
+    raise exc
 
 
 def load_doc(name):
@@ -287,11 +288,72 @@ class TestConfigValidation:
             RunConfig.from_file(path)
 
 
+@pytest.fixture(autouse=True)
+def untimed_fork_paths(monkeypatch):
+    """Each test starts with no timed sweep, so its first sweep that can fork does."""
+    monkeypatch.setattr(minkruled.fork, "_recent", collections.defaultdict(minkruled.fork._new_times))
+
+
+def test_fork_path_follows_recent_timings():
+    fork = minkruled.fork
+    assert fork._use_child("a")  # nothing timed: fork first
+    fork._recent["a"][0][True].append(2.0)
+    assert not fork._use_child("a")  # then once alone
+    fork._recent["a"][0][False].append(1.0)
+    # the faster path, and every fifth run the other one
+    assert [fork._use_child("a") for _ in range(10)] == ([False] * 4 + [True]) * 2
+    assert fork._use_child("b")  # another key is timed apart
+    fork._recent["a"][0][True].extend([0.5, 0.5])  # median 0.5: now forking is faster
+    assert [fork._use_child("a") for _ in range(5)] == [True] * 4 + [False]
+    for key in range(fork._MAX_KEYS):  # "a", "b" and keys 0 to 61 fill the table
+        fork._use_child(key)
+    assert list(fork._recent) == [fork._MAX_KEYS - 2, fork._MAX_KEYS - 1]  # key 62 started it afresh
+
+
+def count_forks(monkeypatch, cpus):
+    """Let this process run on ``cpus``; every fork attempted from now on is appended to the returned list."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def obj_matches_reference(tmp_path, surf, v_range, v_samples):
     """Write through ``export_mesh`` and compare with the line-by-line reference; the OBJ is the only file written."""
     path = export_mesh(surf, v_range, v_samples, tmp_path / "m.obj", comment="c")
     assert Path(path).read_bytes() == reference_obj(surf, v_range, v_samples, "c").encode()
     assert os.listdir(tmp_path) == ["m.obj"]
+
+
+def one_process_sweep(cfg, out_dir, **grid):
+    """The rows and the summary bytes of ``sweep_grid`` forced to one CPU."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        mp.setattr(os, "fork", lambda: raise_(AssertionError("forked")))
+        rows, summary = sweep_grid(cfg, out_dir=out_dir, **grid)
+    return rows, Path(summary).read_bytes()
+
+
+def sweep_matches_reference(monkeypatch, tmp_path, cfg, cpus=frozenset({0, 1}), **grid):
+    """Sweep through ``sweep_grid`` on ``cpus`` and compare with the one-process rows and summary.
+
+    Also checks that no child is left unreaped and that the summary is the
+    only file written; returns the number of forks attempted.
+    """
+    rows, summary = one_process_sweep(cfg, tmp_path / "one", **grid)
+    forks = count_forks(monkeypatch, cpus)
+    got, path = sweep_grid(cfg, out_dir=tmp_path / "two", **grid)
+    assert got == rows
+    assert Path(path).read_bytes() == summary
+    assert_no_child_left()
+    assert os.listdir(tmp_path / "two") == ["sweep_summary.csv"]
+    return len(forks)
 
 
 class TestExportMesh:
@@ -389,6 +451,121 @@ def test_shipped_outputs_match_the_line_by_line_writers(tmp_path, name):
     obj_matches_reference(tmp_path / "obj", result.surface, v_range, v_samples)
 
 
+class TestForkedPart:
+    """The sweep runs on ``fork.child_part``; every path gives the one-process output."""
+
+    def test_failed_child_is_replaced_by_the_parent(self, monkeypatch, tmp_path):
+        parent, work, calls = os.getpid(), minkruled.pipeline.run_seed, []
+
+        def failing_in_child(*args):
+            if os.getpid() != parent:
+                raise OSError("child fails")
+            calls.append(1)
+            return work(*args)
+
+        monkeypatch.setattr(minkruled.pipeline, "run_seed", failing_in_child)
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")  # its default sweep forks
+        assert sweep_matches_reference(monkeypatch, tmp_path, cfg) == 1
+        # the parent did the child's part: the 12 seeds once for the reference and once more
+        assert len(calls) == 24
+
+    @pytest.mark.parametrize("case", ["threads", "one-cpu", "no-temp-file", "fork-fails"])
+    def test_one_process_paths_match_reference(self, monkeypatch, tmp_path, case):
+        if case == "threads":
+            monkeypatch.setattr(threading, "active_count", lambda: 2)
+        if case == "no-temp-file":
+            monkeypatch.setattr(tempfile, "TemporaryFile", lambda **kw: raise_(PermissionError(errno.EACCES, "no")))
+        fork_error = OSError(errno.EAGAIN, "no") if case == "fork-fails" else AssertionError("forked")
+        monkeypatch.setattr(os, "fork", lambda: raise_(fork_error))
+        cpus = {0} if case == "one-cpu" else {0, 1}
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        assert sweep_matches_reference(monkeypatch, tmp_path, cfg, cpus) == (case == "fork-fails")
+
+    @pytest.mark.parametrize("name", SHIPPED + ["error-rows"])
+    def test_sweep_matches_one_process(self, monkeypatch, tmp_path, name):
+        grid = {}
+        if name == "error-rows":  # theta0 = 0 is singular
+            cfg, grid = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json"), {"theta0_list": [0.0, 0.5, 1.0]}
+        else:
+            cfg = RunConfig.from_file(CONFIG_DIR / name)
+        assert 12 * build_directrix(cfg).n_samples >= minkruled.pipeline._FORK_MIN_SEED_SAMPLES
+        assert sweep_matches_reference(monkeypatch, tmp_path, cfg, **grid) == 1
+        if name == "error-rows":
+            rows, _ = one_process_sweep(cfg, tmp_path / "rows", **grid)
+            assert [r.verdict for r in rows] == ["error"] * 4 + ["pass"] * 8
+
+    def test_sweep_runs_alone_while_forking_is_slower(self, monkeypatch, tmp_path):
+        def timed():
+            times, runs = minkruled.fork._new_times()
+            times[True].append(2.0)
+            times[False].append(1.0)
+            return times, runs
+
+        recent = collections.defaultdict(timed)
+        monkeypatch.setattr(minkruled.fork, "_recent", recent)
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        assert sweep_matches_reference(monkeypatch, tmp_path, cfg) == 0
+        [(times, _)] = recent.values()  # the sweep's run was timed alone
+        assert list(times[True]) == [2.0] and len(times[False]) == 2
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["parent-seed", "child-seed"])
+    def test_other_errors_in_a_seed_propagate_with_their_class(self, monkeypatch, tmp_path, index):
+        class SeedBug(Exception):
+            pass
+
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        bad = (DEFAULT_THETA0_GRID[0], DEFAULT_PHI0_GRID[index])
+        run_seed = minkruled.pipeline.run_seed
+
+        def buggy(seed_cfg, curve):
+            if (seed_cfg.params.theta0, seed_cfg.params.phi0) == bad:
+                raise SeedBug("not a geometry error")
+            return run_seed(seed_cfg, curve)
+
+        monkeypatch.setattr(minkruled.pipeline, "run_seed", buggy)
+        forks = count_forks(monkeypatch, {0, 1})
+        with pytest.raises(SeedBug):
+            sweep_grid(cfg, out_dir=tmp_path)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert os.listdir(tmp_path) == []
+
+    def test_sweep_without_a_directrix_never_forks(self, monkeypatch, tmp_path):
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        cfg = dataclasses.replace(cfg, directrix=dataclasses.replace(cfg.directrix, k1=Constant(1e308)))
+        # had the directrix been built, its 501 samples would make this sweep fork
+        assert 12 * 501 >= minkruled.pipeline._FORK_MIN_SEED_SAMPLES
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: raise_(AssertionError("forked")))
+        rows, _ = sweep_grid(cfg, out_dir=tmp_path)
+        assert len(rows) == 12 and all(r.verdict == "error" and "StepTooLarge" in r.detail for r in rows)
+
+
+def test_forked_children_never_flush_inherited_stdio(tmp_path):
+    # stdout is a pipe, so the line sits in the parent's buffer across the
+    # sweep's fork; a child that flushed it on exit would print it again.
+    # The OBJ writer formats in this process and never forks.
+    config = str(CONFIG_DIR / "general_roundtrip.json")
+    code = (
+        "import os, sys\n"
+        f"sys.path.insert(0, {str(Path(minkruled.__file__).parent.parent)!r})\n"
+        "from minkruled import RunConfig, export_mesh, sweep_grid\n"
+        "from minkruled.pipeline import build_directrix, synthesize_surface\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "print('printed once')\n"
+        f"cfg = RunConfig.from_file({config!r})\n"
+        f"sweep_grid(cfg, out_dir={str(tmp_path)!r})\n"
+        f"export_mesh(synthesize_surface(cfg, build_directrix(cfg)), (-0.5, 0.5), 33, {str(tmp_path / 'm.obj')!r})\n"
+        "sys.stderr.write(f'forks={len(forks)}')\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "forks=1"
+    assert proc.stdout == "printed once\n"
+
+
 class TestPipeline:
     def test_outputs_written_and_deterministic(self, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
@@ -463,7 +640,9 @@ def test_build_directrix_names_the_seed_position_of_a_far_curve():
     directrix = dataclasses.replace(cfg.directrix, initial_frame=np.array([[0.0, 1e13, 0.0], *np.eye(3)]))
     with pytest.raises(ConfigError) as info:
         build_directrix(dataclasses.replace(cfg, directrix=directrix))
-    assert info.value.field == "directrix.initial_frame.position" and "h / eps" in str(info.value)
+    limit = cfg.directrix.step / np.finfo(float).eps
+    assert info.value.field == "directrix.initial_frame.position"
+    assert str(info.value).endswith(f"puts the directrix beyond |x| = {limit:.6g}, where the float spacing can exceed the step")
 
 
 def count_directrix_evaluations(monkeypatch, cfg) -> dict:
@@ -523,24 +702,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_grid(cfg, theta0_list=[], out_dir=tmp_path)
 
-    @pytest.mark.parametrize("index", [0, -1], ids=["first-seed", "last-seed"])
-    def test_other_errors_in_a_seed_propagate_with_their_class(self, monkeypatch, tmp_path, index):
-        class SeedBug(Exception):
-            pass
-
-        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
-        bad = (DEFAULT_THETA0_GRID[index], DEFAULT_PHI0_GRID[index])
-
-        def buggy(seed_cfg, curve):
-            if (seed_cfg.params.theta0, seed_cfg.params.phi0) == bad:
-                raise SeedBug("not a geometry error")
-            return run_seed(seed_cfg, curve)
-
-        monkeypatch.setattr(minkruled.pipeline, "run_seed", buggy)
-        with pytest.raises(SeedBug):
-            sweep_grid(cfg, out_dir=tmp_path)
-        assert os.listdir(tmp_path) == []
-
     def test_directrix_built_once_per_sweep(self, monkeypatch, tmp_path):
         calls = []
         integrate = minkruled.pipeline.integrate_frenet
@@ -583,49 +744,6 @@ class TestSweep:
             [cell(r.theta0), cell(r.phi0), verdict, cell(rel), cell(defect), cell(s), detail]
             for r, (verdict, rel, defect, s, detail) in zip(rows, expected)
         ]
-
-
-def forbid_fork(monkeypatch):
-    """Fail the test if anything calls ``os.fork`` from now on."""
-
-    def fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", fork)
-
-
-class TestForkedPart:
-    """The seeds a second process once ran now run in the calling process; rows match the one-process runs."""
-
-    @pytest.mark.parametrize("name", SHIPPED + ["error-rows"])
-    def test_sweep_matches_one_process(self, monkeypatch, tmp_path, name):
-        """Every row, in grid order, is the row of ``run_seed`` on the once-built directrix."""
-        cfg = RunConfig.from_file(CONFIG_DIR / ("general_roundtrip.json" if name == "error-rows" else name))
-        theta0_list = [0.0, 0.5, 1.0] if name == "error-rows" else DEFAULT_THETA0_GRID  # theta0 = 0 is singular
-        forbid_fork(monkeypatch)
-        rows, _ = sweep_grid(cfg, theta0_list=theta0_list, out_dir=tmp_path)
-        curve, expected = build_directrix(cfg), []
-        for theta0 in theta0_list:
-            for phi0 in DEFAULT_PHI0_GRID:
-                try:
-                    outcome = run_seed(cfg.with_seed(theta0, phi0), curve).report
-                except GeometryError as exc:
-                    outcome = exc
-                expected.append(SweepRow.of(theta0, phi0, outcome))
-        assert rows == expected
-        if name == "error-rows":
-            assert [r.verdict for r in rows] == ["error"] * 4 + ["pass"] * 8
-        assert os.listdir(tmp_path) == ["sweep_summary.csv"]
-
-    def test_sweep_without_a_directrix_never_forks(self, monkeypatch, tmp_path):
-        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
-        cfg = dataclasses.replace(cfg, directrix=dataclasses.replace(cfg.directrix, k1=Constant(1e308)))
-        with pytest.raises(GeometryError) as info:
-            build_directrix(cfg)
-        forbid_fork(monkeypatch)
-        rows, _ = sweep_grid(cfg, out_dir=tmp_path)
-        assert rows == [SweepRow.of(t, p, info.value) for t in DEFAULT_THETA0_GRID for p in DEFAULT_PHI0_GRID]
-        assert len(rows) == 12 and all(r.verdict == "error" and "StepTooLarge" in r.detail for r in rows)
 
 
 def test_import_graph_loads_no_scipy():

@@ -257,6 +257,13 @@ class TestTrackAndGridValidation:
         with pytest.raises(GridMismatchError):
             RuledSurfaceGrid(directrix=curve, q=q, track=track)
 
+    def test_track_within_tolerance_of_the_grid_accepted(self):
+        curve = integrate_frenet(1.0, 0.0, s_range=(0.0, 0.1), step=1e-2)
+        q = np.tile(E1, (curve.n_samples, 1))
+        track, _ = linear_theta_track(curve.s + 1e-14, 1.0, 0.0, 0.0)
+        assert not np.array_equal(track.s, curve.s)
+        assert RuledSurfaceGrid(directrix=curve, q=q, track=track).track is track
+
     def test_track_on_other_grid_rejected_by_analytic_invariants(self):
         curve = integrate_frenet(1.0, 1.0, s_range=(0.0, 0.4), step=1e-3)
         track, rates = linear_theta_track(curve.s + 0.1, 1.0, 2.0, math.pi / 2)
