@@ -14,8 +14,10 @@ loop (perfbench/refloop.py) run beside it, as perfbench scales its timings.
 DIR prints, against an earlier --save, the largest absolute drift per CSV
 column, per sweep summary column and per OBJ vertex coordinate of this run's
 files, and for the sweep verdict and detail the number of rows that differ.
-For the report JSONs it prints the number of reports whose verdict or
-failures differ and the largest drift of any error statistic or defect.
+For the OBJs it also prints the largest number of lines, vertex or face,
+that differ byte for byte.  For the report JSONs it prints the number of
+reports whose verdict or failures differ and the largest drift of any error
+statistic or defect.
 """
 
 import argparse
@@ -149,6 +151,12 @@ def _obj_vertices(path: Path) -> np.ndarray:
         return np.array([[float(x) for x in ln.split()[1:]] for ln in fh if ln.startswith("v ")]).reshape(-1, 3)
 
 
+def _lines_differ(a: Path, b: Path) -> float:
+    """The number of lines of two files that differ byte for byte; inf when the line counts differ."""
+    x, y = a.read_bytes().split(b"\n"), b.read_bytes().split(b"\n")
+    return float(sum(p != q for p, q in zip(x, y))) if len(x) == len(y) else float("inf")
+
+
 def _drift(a: np.ndarray, b: np.ndarray) -> float:
     """Largest |a - b|; inf when the shapes or the empty cells differ."""
     if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
@@ -170,7 +178,9 @@ def compare(out_dir: Path, old_dir: Path) -> None:
 
     Sample CSVs and sweep summaries (``sweep_*.csv``) are labelled ``csv`` and
     ``sweep``; for the sweep's text columns the value is the number of rows
-    that differ.  Reports are labelled ``report``: ``verdict`` counts the
+    that differ.  OBJs are labelled ``obj``: ``x1`` to ``x3`` drift by
+    vertex coordinate, ``lines`` counts the lines that differ byte for
+    byte.  Reports are labelled ``report``: ``verdict`` counts the
     reports whose verdict or failures differ, ``values`` is the largest
     drift of any error statistic or defect.
     """
@@ -194,6 +204,7 @@ def compare(out_dir: Path, old_dir: Path) -> None:
         a, b = _obj_vertices(new), _obj_vertices(old_dir / new.name)
         for j in range(3):
             note(f"obj x{j + 1}", _drift(a[:, j], b[:, j]) if a.shape == b.shape else float("inf"), new.name)
+        note("obj lines", _lines_differ(new, old_dir / new.name), new.name)
     differ = []
     for new in sorted(out_dir.glob("*.json")):
         (outcome, a), (old_outcome, b) = _report_values(new), _report_values(old_dir / new.name)

@@ -16,6 +16,7 @@ read or parsed is named '<document>') or an output that cannot be written
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -43,7 +44,9 @@ def _parse_list(text: str) -> list[float]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="minkruled",
         description="Synthesize timelike ruled surfaces in Minkowski 3-space and verify their invariants.",

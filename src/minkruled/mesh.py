@@ -4,7 +4,9 @@ Vertices are the lattice points r(s_i, v_j), written row-major in s then v,
 with the Minkowski coordinates emitted as Euclidean triples.  Output is
 deterministic: identical inputs give byte-identical files.  The text of
 each block of vertices and faces comes from one ``text.lines`` call, which
-formats whole numpy arrays with the bytes of ``%.17g`` and ``%d``.
+formats whole numpy arrays with the bytes of ``%.17g`` and ``%d``.  A block
+holds whole rulings (lattice rows of one ``s_i``); a face block formats the
+indices of its rulings' vertices once and puts each on up to four faces.
 """
 
 from __future__ import annotations
@@ -16,9 +18,21 @@ import numpy as np
 from . import text
 from .surface import RuledSurfaceGrid
 
-#: Vertices (and faces) formatted per write; bounds the arrays alive at
-#: once to a few blocks whatever the lattice size.
+#: Vertices (and faces) per block at most; bounds the arrays alive at once
+#: to a few blocks whatever the lattice size.
 _BLOCK = 4096
+
+
+def _blocks(rows: int, cols: int) -> list[tuple[int, int, int, int]]:
+    """Row-major ``(lo, hi, c0, c1)`` blocks of a ``rows x cols`` lattice: rows ``lo:hi``, columns ``c0:c1``.
+
+    A block holds as many whole rows as fit in ``_BLOCK`` cells; a row wider
+    than ``_BLOCK`` is split into blocks of ``_BLOCK`` columns.
+    """
+    per = _BLOCK // cols
+    if per:
+        return [(lo, min(lo + per, rows), 0, cols) for lo in range(0, rows, per)]
+    return [(i, i + 1, c0, min(c0 + _BLOCK, cols)) for i in range(rows) for c0 in range(0, cols, _BLOCK)]
 
 
 def export_mesh(
@@ -32,10 +46,13 @@ def export_mesh(
 
     ``comment`` goes on the leading # line; the second comment line warns
     that a viewer measures Euclidean, not Lorentzian, distances.  Vertex
-    ``i * v_samples + j`` (0-based) is ``k(s_i) + v_j q(s_i)``; the lattice is
-    formatted ``_BLOCK`` flat indices at a time, one ``text.lines`` call per
-    block.  A ``v_range`` that overflows a vertex raises ValueError, writing
-    nothing.
+    ``i * v_samples + j`` (0-based) is ``k(s_i) + v_j q(s_i)``, and face
+    ``(i, j)`` joins vertices ``(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)``.
+    Vertices and faces are formatted in ``_blocks`` of whole rulings, one
+    ``text.lines`` call per block; a face block formats the 1-based indices
+    of rulings ``lo`` to ``hi`` once (``text.cells``) and takes each face's
+    four corners from them.  A ``v_range`` that overflows a vertex raises
+    ValueError, writing nothing.
     """
     if v_samples < 2:
         raise ValueError("v_samples must be at least 2")
@@ -48,17 +65,15 @@ def export_mesh(
     if not (np.isfinite(vs).all() and np.isfinite(ends).all()):
         raise ValueError("v_range puts mesh vertices beyond the float range")
 
-    n_points = surface.n_samples * v_samples
-    n_faces = (surface.n_samples - 1) * (v_samples - 1)
     path = os.fspath(path)
     with open(path, "wb") as fh:
         fh.write(f"# {comment}\n# coordinates: (x1, x2, x3), x1 timelike; viewer distances are Euclidean\n".encode())
-        for lo in range(0, n_points, _BLOCK):
-            i, j = np.divmod(np.arange(lo, min(lo + _BLOCK, n_points)), v_samples)
-            fh.write(text.lines([k[i] + vs[j, None] * q[i]], [b"v ", b" ", b" ", b"\n"]))
-        for lo in range(0, n_faces, _BLOCK):
-            i, j = np.divmod(np.arange(lo, min(lo + _BLOCK, n_faces)), v_samples - 1)
-            a = i * v_samples + j + 1
-            b = a + v_samples
-            fh.write(text.lines([np.stack([a, b, b + 1, a + 1], axis=1)], [b"f ", b" ", b" ", b" ", b"\n"]))
+        for lo, hi, c0, c1 in _blocks(surface.n_samples, v_samples):
+            p = k[lo:hi, None] + vs[c0:c1, None] * q[lo:hi, None]
+            fh.write(text.lines([p.reshape(-1, 3)], [b"v ", b" ", b" ", b"\n"]))
+        for lo, hi, c0, c1 in _blocks(surface.n_samples - 1, v_samples - 1):
+            # the vertices of rulings lo..hi, columns c0..c1, as 1-based index cells
+            at = text.cells(np.arange(lo, hi + 1)[:, None] * v_samples + np.arange(c0 + 1, c1 + 2))
+            corners = (at[:-1, :-1], at[1:, :-1], at[1:, 1:], at[:-1, 1:])
+            fh.write(text.lines([c.ravel() for c in corners], [b"f ", b" ", b" ", b" ", b"\n"]))
     return path

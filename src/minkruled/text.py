@@ -4,10 +4,13 @@
 ``seps[0]``, then each cell followed by its separator.  A float cell reads
 exactly as ``'%.17g' % x`` and an integer or bool cell exactly as
 ``'%d' % i``; the writers of the OBJ mesh and the sample CSV build every
-line through it.
+line through it.  ``cells(values)`` formats values once, for a caller that
+puts the same cell on several lines.
 
 Each value is formatted into a fixed slot of bytes padded with NULs, and
-the NULs are dropped once per block.  A float takes the fast path when
+the NULs are dropped once per block.  An integer slot is as wide as the
+longest text of its block, so a block of integers of one digit count has
+no NULs to drop.  A float takes the fast path when
 ``1e-4 <= |x| < 1e15`` or ``x == 0``, where ``%g`` writes fixed notation:
 ``x * 10**k`` for ``k = 16 - floor(log10|x|)`` (an exact power of ten,
 at most ``10**22``) is formed exactly as ``p + e`` by Dekker's product,
@@ -170,9 +173,10 @@ def _float_chunk(x: np.ndarray, slots: np.ndarray) -> None:
 
 
 def _ints(i: np.ndarray) -> np.ndarray:
-    """``(len(i), 8)`` uint8 slots holding ``'%d' % v`` of each value, NUL padded.
+    """``(len(i), width)`` uint8 slots holding ``'%d' % v`` of each value, right-aligned after NULs.
 
-    The slots are ``_SLOT`` wide when a value is outside ``[0, 10**8)``.
+    ``width`` is the digit count of the largest value, or ``_SLOT`` when a
+    value is outside ``[0, 10**8)``, whose text is then left-aligned.
     """
     i = np.asarray(i).astype(np.int64)
     fast = (i >= 0) & (i < 10**8)
@@ -188,24 +192,39 @@ def _ints(i: np.ndarray) -> np.ndarray:
     if len(rows):
         slots = np.concatenate([slots, np.zeros((len(i), _SLOT - 8), dtype=np.uint8)], axis=1)
         _fallback(slots, rows, i[rows], "d")
-    return slots
+        return slots
+    return slots[:, 8 - len(str(int(v.max(initial=0)))) :]
+
+
+def cells(values) -> np.ndarray:
+    """Each value's text as one cell: an array of ``values``' shape whose items are NUL-padded bytes.
+
+    Once its NULs are dropped, a float cell reads ``'%.17g' % x`` and an
+    integer or bool cell ``'%d' % i``.  The items have a ``V`` dtype as wide
+    as the widest text the values can have: ``_SLOT`` bytes for floats, the
+    digit count of the largest integer, or ``_SLOT`` when an integer is
+    outside ``[0, 10**8)``.
+    """
+    values = np.asarray(values)
+    slots = (_ints if values.dtype.kind in "biu" else _floats)(values.ravel())
+    return slots.view(f"V{slots.shape[1]}").reshape(values.shape)
 
 
 def lines(columns, seps) -> bytes:
     """The text of ``len(columns[0])`` lines: ``seps[0]``, then each cell's value and the next separator.
 
-    A column is a 1-d array of one cell per line or a 2-d array of several;
-    floats are written as ``%.17g``, integers and bools as ``%d``.  ``seps``
-    holds one separator (bytes without NULs) before the first cell and one
-    after each cell.
+    A column is a 1-d array of one value per line or a 2-d array of several,
+    of numbers or of ``cells``; floats are written as ``%.17g``, integers and
+    bools as ``%d``.  ``seps`` holds one separator (bytes without NULs)
+    before the first cell and one after each cell.
     """
-    cells = []
+    texts = []
     for column in map(np.asarray, columns):
-        slots = (_ints if column.dtype.kind in "biu" else _floats)(column.ravel())
-        cells += list(slots.view(f"V{slots.shape[1]}").reshape(len(column), -1).T)
-    parts = [seps[0]] + [part for cell_sep in zip(cells, seps[1:]) for part in cell_sep]
+        column = column if column.dtype.kind == "V" else cells(column)
+        texts += list(column.reshape(len(column), -1).T)
+    parts = [seps[0]] + [part for text_sep in zip(texts, seps[1:]) for part in text_sep]
     widths = [len(part) if isinstance(part, bytes) else part.itemsize for part in parts]
-    buf = np.empty((len(cells[0]), sum(widths)), dtype=np.uint8)
+    buf = np.empty((len(texts[0]), sum(widths)), dtype=np.uint8)
     at = 0
     for part, width in zip(parts, widths):
         if isinstance(part, bytes):
@@ -213,4 +232,5 @@ def lines(columns, seps) -> bytes:
         else:
             buf[:, at : at + width].view(part.dtype)[:, 0] = part
         at += width
-    return buf.tobytes().translate(None, b"\0")
+    data = buf.tobytes()
+    return data.translate(None, b"\0") if b"\0" in data else data

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from minkruled import (
     export_mesh,
     integrate_frenet,
 )
-from minkruled.cli import main
+from minkruled.cli import build_parser, main
 from minkruled.config import MAX_MESH_POINTS
 from minkruled.errors import ConfigError, FarPositionError, GeometryError
 from minkruled.pipeline import build_directrix, run_config, run_seed, sweep_grid, synthesize_surface, write_samples_csv
@@ -362,6 +363,13 @@ class TestExportMesh:
         q = np.tile(np.array([1.0, 0.0, 0.0]), (2, 1))
         return RuledSurfaceGrid(directrix=curve, q=q)
 
+    def turning_surface(self, n_rulings):
+        """Rulings ``(cosh a, 0, sinh a)`` with ``a`` going from 0.3 to -1.1 along the hyperbolic directrix."""
+        a = np.linspace(0.3, -1.1, n_rulings)
+        return RuledSurfaceGrid(
+            directrix=hyperbolic_curve(n_rulings), q=np.stack([np.cosh(a), 0.0 * a, np.sinh(a)], axis=1)
+        )
+
     def test_smallest_lattice(self, tmp_path):
         surf = self.smallest_surface()
         path = export_mesh(surf, (0.0, 1.0), 2, tmp_path / "m.obj")
@@ -395,18 +403,41 @@ class TestExportMesh:
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
         surf = synthesize_surface(cfg, build_directrix(cfg))
         block = minkruled.mesh._BLOCK
-        v_samples = 2 * block // surf.n_samples + 1
-        if surf.n_samples * v_samples % block == 0:
-            v_samples += 1
-        # more than two blocks, the last one partial, and blocks that end inside a lattice row
-        assert surf.n_samples * v_samples > 2 * block and surf.n_samples * v_samples % block
-        assert block % v_samples
+
+        def ragged(rows, cols):
+            # more than two blocks of whole rows, each short of _BLOCK cells, the last holding fewer rows
+            per = block // cols
+            return rows > 2 * per and rows % per and block % cols
+
+        v_samples = next(v for v in itertools.count(2) if ragged(surf.n_samples, v) and ragged(surf.n_samples - 1, v - 1))
         obj_matches_reference(tmp_path, surf, (-0.5, 0.5), v_samples)
 
+    @pytest.mark.parametrize("digits", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "where, v_samples, block", [("inside", 33, None), ("first", 3, 6), ("last", 3, 4)], ids=["inside", "first", "last"]
+    )
+    def test_index_digit_counts_change_inside_and_on_the_edge_of_a_face_block(
+        self, tmp_path, monkeypatch, digits, where, v_samples, block
+    ):
+        # vertex index 10**digits gets one more digit than the index before it
+        if block is not None:
+            monkeypatch.setattr(minkruled.mesh, "_BLOCK", block)
+        new = 10**digits
+        n_rulings = new // v_samples + 3
+        # the first and last 1-based index each face block formats: rulings lo..hi of whole-ruling blocks
+        per = minkruled.mesh._BLOCK // (v_samples - 1)
+        spans = [(lo * v_samples + 1, min(lo + per + 1, n_rulings) * v_samples) for lo in range(0, n_rulings - 1, per)]
+        assert spans[-1][1] == n_rulings * v_samples and spans[-1][1] > new
+        first = {a for a, _ in spans}
+        last = {b for _, b in spans}
+        if where == "inside":
+            assert any(a < new - 1 and new < b for a, b in spans) and new not in first and new - 1 not in last
+        else:
+            assert new in first if where == "first" else new - 1 in last
+        obj_matches_reference(tmp_path, self.turning_surface(n_rulings), (-1.0, 2.0), v_samples)
+
     def test_blocks_match_reference_on_a_wide_two_row_lattice(self, tmp_path):
-        curve = hyperbolic_curve(2)
-        a = np.array([0.3, -1.1])
-        surf = RuledSurfaceGrid(directrix=curve, q=np.stack([np.cosh(a), 0.0 * a, np.sinh(a)], axis=1))
+        surf = self.turning_surface(2)
         block = minkruled.mesh._BLOCK
         # vertices filling one block exactly, one more, and two and a half blocks
         for v_samples in (block // 2, block // 2 + 1, block + 5):
@@ -414,9 +445,20 @@ class TestExportMesh:
             out.mkdir()
             obj_matches_reference(out, surf, (-1.0, 2.0), v_samples)
 
+    def test_memory_stays_a_few_blocks_whatever_the_lattice_size(self, tmp_path):
+        peaks = []
+        for blocks in (8, 32):
+            surf = self.turning_surface(blocks * minkruled.mesh._BLOCK // 33)
+            tracemalloc.start()
+            try:
+                export_mesh(surf, (-1.0, 2.0), 33, tmp_path / f"{blocks}.obj")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 1.5 * min(peaks), peaks
+
     def test_v_range_near_the_float_limit(self, tmp_path):
-        a = np.array([0.3, -1.1])  # the largest |q| component is cosh(1.1) = 1.67
-        surf = RuledSurfaceGrid(directrix=hyperbolic_curve(2), q=np.stack([np.cosh(a), 0.0 * a, np.sinh(a)], axis=1))
+        surf = self.turning_surface(2)  # the largest |q| component is cosh(1.1) = 1.67
         for v_range in ((-1e307, 1e307), (1e308, 1e308)):
             out = tmp_path / str(v_range[0])
             out.mkdir()
@@ -768,6 +810,31 @@ class TestCliEntry:
         assert code == 0
         assert (tmp_path / "cylinder.report.json").exists()
         assert main(["verify", "--config", str(CONFIG_DIR / "cylinder.json")]) == 0
+
+    def test_calls_in_one_process_parse_independently(self, tmp_path, capsys):
+        # main builds its parser once per process, so no flag of one call may reach the next
+        build_parser.cache_clear()
+        roundtrip, cylinder = str(CONFIG_DIR / "general_roundtrip.json"), str(CONFIG_DIR / "cylinder.json")
+        try:
+            assert main(["verify", "--config", roundtrip, "--tol-rel", "1e-12", "--tol-abs", "1e-13"]) == 1
+            assert main(["verify", "--config", roundtrip]) == 0
+            sweep = ["--step", "0.01", "--theta0", "1.5", "--phi0", "0.5", "--summary-name", "s.csv"]
+            assert main(["sweep", "--config", cylinder, "--out-dir", str(tmp_path / "a"), *sweep]) == 0
+            assert main(["synthesize", "--config", cylinder, "--out-dir", str(tmp_path / "b")]) == 0
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--theta0", "1.5"])  # no --config
+            assert exc.value.code == 2
+            assert "--config" in capsys.readouterr().err
+            assert main(["export-mesh", "--config", roundtrip, "--out-dir", str(tmp_path / "c")]) == 0
+        finally:
+            built = build_parser.cache_info().misses
+            build_parser.cache_clear()
+        assert built == 1
+        assert os.listdir(tmp_path / "a") == ["s.csv"]
+        # the config's own step, not the sweep's
+        assert len((tmp_path / "b" / "cylinder.csv").read_text().splitlines()) == 1002
+        assert os.listdir(tmp_path / "c") == ["general_roundtrip.obj"]
 
     @pytest.mark.parametrize(
         "drop, flags, field",

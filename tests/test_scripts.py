@@ -1,5 +1,6 @@
 """Smoke tests: the shipped scripts run end to end against the package."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -16,6 +17,13 @@ def run_script(name, *args, cwd):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args], cwd=cwd, env=env, capture_output=True, text=True
     )
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(Path(name).stem, ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_export_gallery_writes_every_config(tmp_path):
@@ -62,6 +70,27 @@ def test_bench_stages_writes_every_key_and_compares(tmp_path):
     labels = [line.split()[1] for line in drift]
     sample_csv = ["s", "theta", "phi", "d", "v0", "K", "mu", "n", "qprime_norm", "cylindrical"]
     sweep = ["theta0", "phi0", "verdict", "max_rel_error", "worst_defect", "failure_s", "detail"]
-    assert labels == sample_csv + sweep + ["x1", "x2", "x3", "values", "verdict"]
-    assert [line.split()[0] for line in drift] == ["csv"] * 10 + ["sweep"] * 7 + ["obj"] * 3 + ["report"] * 2
+    assert labels == sample_csv + sweep + ["x1", "x2", "x3", "lines", "values", "verdict"]
+    assert [line.split()[0] for line in drift] == ["csv"] * 10 + ["sweep"] * 7 + ["obj"] * 4 + ["report"] * 2
     assert all(float(line.split()[2]) == 0.0 for line in drift)
+
+
+def test_bench_stages_compare_counts_obj_lines_that_differ(tmp_path, capsys):
+    bench = load_script("bench_stages.py")
+    obj = "# c\nv 1 2 3\nv 1 2 4\nv 1 3 3\nv 1 3 4\nf 1 3 4 2\n"
+    changed = {
+        "same": (obj, 0.0),
+        # vertex text that parses to the same floats, and a changed face
+        "text": (obj.replace("v 1 2 3", "v 1.0 2 3").replace("f 1 3 4 2", "f 1 2 4 3"), 2.0),
+        "extra_face": (obj + "f 1 2 4 3\n", float("inf")),
+    }
+    for name, (new_text, lines) in changed.items():
+        old, new = tmp_path / name / "old", tmp_path / name / "new"
+        old.mkdir(parents=True)
+        new.mkdir()
+        (old / "m.obj").write_text(obj)
+        (new / "m.obj").write_text(new_text)
+        bench.compare(new, old)
+        rows = {" ".join(ln.split()[:2]): float(ln.split()[2]) for ln in capsys.readouterr().out.splitlines()[2:]}
+        assert rows["obj lines"] == lines, name
+        assert rows["obj x1"] == rows["obj x2"] == rows["obj x3"] == 0.0

@@ -144,6 +144,26 @@ def test_lines_interleave_columns_and_separators():
     assert got == want.encode()
 
 
+def test_cells_keep_the_shape_and_are_as_wide_as_the_widest_text():
+    ints = np.array([[9, 10], [99, 100]])
+    for values, width in ((ints, 3), (ints + 10**7, 8), (ints - 10, text._SLOT), (ints * 10**7, text._SLOT)):
+        got = text.cells(values)
+        assert got.shape == values.shape and got.dtype.itemsize == width
+        texts = [bytes(cell).replace(b"\0", b"") for cell in got.ravel()]
+        assert texts == [b"%d" % v for v in values.ravel().tolist()]
+    assert text.cells(np.array([0.5, -1e-300])).dtype.itemsize == text._SLOT
+    assert text.cells(np.array([True, False])).dtype.itemsize == 1
+
+
+def test_lines_take_columns_of_cells():
+    ints = np.array([9, 10, 11, 99, 100, 12345678])
+    at = text.cells(ints)
+    got = text.lines([at[1:], at[:-1], np.arange(5)], [b"f ", b" ", b" ", b"\n"])
+    assert got == b"".join(b"f %d %d %d\n" % row for row in zip(ints[1:].tolist(), ints[:-1].tolist(), range(5)))
+    # a block of one digit count has no NULs to drop
+    assert text.lines([text.cells(np.array([10, 20]))], [b"", b"\n"]) == b"10\n20\n"
+
+
 @pytest.mark.parametrize("n", [1, text._CHUNK - 1, text._CHUNK, 2 * text._CHUNK + 1])
 def test_chunk_boundaries(n):
     rng = np.random.default_rng(n)
