@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
 """Grid-refinement study: how every finite-difference quantity converges.
 
-Prints three tables:
+Prints four tables:
   1. frame integration error vs the closed-form hyperbolic curve (4th order),
   2. recovery error of prescribed (d, v0) through the raw-sample oracle (2nd order),
-  3. the line-of-curvature developability defect (2nd order).
+  3. the line-of-curvature developability defect (2nd order),
+  4. the angle RK4's error on a manufactured exact track (4th order).
 """
 
 import argparse
+from dataclasses import dataclass
 
 import numpy as np
 
 from minkruled import (
+    CurvatureFn,
+    Sinusoid,
     SynthesisParams,
     SystemKind,
     build_surface,
@@ -45,6 +49,41 @@ def loc_defect(step):
     return surface_defects(surf, "line_of_curvature")["line_of_curvature"]
 
 
+#: Directrix curvatures of the manufactured track on [0, 1]; its angles are _exact_angles.
+MANUFACTURED_K1 = Sinusoid(0.3, 2.0, offset=1.0)
+MANUFACTURED_K2 = Sinusoid(0.2, 3.0, phase=0.5, offset=0.1)
+
+
+def _exact_angles(s):
+    """(theta, phi, theta', phi') of the manufactured track."""
+    theta, theta_p = 1.0 + 0.2 * np.sin(3.0 * s), 0.6 * np.cos(3.0 * s)
+    phi, phi_p = 0.3 + 0.5 * s + 0.1 * np.cos(2.0 * s), 0.5 - 0.2 * np.sin(2.0 * s)
+    return theta, phi, theta_p, phi_p
+
+
+@dataclass(frozen=True)
+class Manufactured(CurvatureFn):
+    """d (``part`` 0) or v0 (``part`` 1) that makes the exact angles solve the general system."""
+
+    part: int
+
+    def _at(self, s):
+        theta, phi, theta_p, phi_p = _exact_angles(s)
+        k1 = MANUFACTURED_K1(s)
+        a = (theta_p - k1 * np.sin(phi)) / np.sinh(theta)
+        b = phi_p + MANUFACTURED_K2(s) - k1 * np.cos(phi) / np.tanh(theta)
+        return (-b, a)[self.part] / (a * a + b * b)
+
+
+def manufactured_error(step):
+    curve = integrate_frenet(MANUFACTURED_K1, MANUFACTURED_K2, s_range=(0.0, 1.0), step=step)
+    theta0, phi0, _, _ = _exact_angles(0.0)
+    params = SynthesisParams(theta0=float(theta0), phi0=float(phi0), d=Manufactured(0), v0=Manufactured(1))
+    track = integrate_system(SystemKind.GENERAL_DV0, params, curve)
+    theta, phi, _, _ = _exact_angles(curve.s)
+    return max(float(np.max(np.abs(track.theta - theta))), float(np.max(np.abs(track.phi - phi))))
+
+
 def table(title, steps, rows, headers):
     print(f"\n{title}")
     print(f"{'step':>10} " + " ".join(f"{h:>12} {'ratio':>7}" for h in headers))
@@ -72,6 +111,8 @@ def main():
           [roundtrip_errors(h) for h in steps], ["d_err", "v0_err"])
     table("line-of-curvature defect (expected ratio ~4)", steps,
           [(loc_defect(h),) for h in steps], ["defect"])
+    table("manufactured angle track (expected ratio ~16)", steps,
+          [(manufactured_error(h),) for h in steps], ["angle_err"])
 
 
 if __name__ == "__main__":

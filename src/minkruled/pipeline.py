@@ -201,11 +201,12 @@ def write_samples_csv(path, track: AngleTrack, report: InvariantReport) -> str:
 # ---------------------------------------------------------------------------
 
 #: Smallest sweep, in seeds times directrix samples, that two processes run.
-#: A seed costs about 1.2 to 1.8 us per sample on a 2-vCPU VM (the default
-#: grids of three sweep bases at h = 1e-3), and the fork about 5 ms more:
-#: the fork itself, the pages each process copies on its first writes, and
-#: the child's exit.  With a free second vCPU two processes have run sweeps
-#: of 3,000 slower than one and sweeps of 4,000 to 6,000 7 to 20 % faster,
+#: A seed costs about 1.0 to 1.8 us per sample on a 2-vCPU VM (the default
+#: grids of three sweep bases at h = 1e-3 in one process, scaled by the
+#: benchmark's reference loop), and the fork about 5 ms more: the fork
+#: itself, the pages each process copies on its first writes, and the
+#: child's exit.  With a free second vCPU two processes have run sweeps of
+#: 3,000 slower than one and sweeps of 4,000 to 6,000 7 to 20 % faster,
 #: when a seed cost more; whether that vCPU is free, ``fork.child_part``
 #: learns from the times of recent sweeps.
 _FORK_MIN_SEED_SAMPLES = 4000

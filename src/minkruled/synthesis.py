@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -244,8 +244,9 @@ def _rhs(theta: float, phi: float, s: float, c, pinned: bool) -> tuple[float, fl
     when |theta| > THETA_MAX or either angle is not finite, and
     ParamDomainError where a is NaN, which ``_coefficients`` makes it where
     d^2 + v0^2 = 0.  These are the only state guards of the integration:
-    they run on every stage value, so a diverging state cannot overflow
-    sinh mid-step.
+    ``integrate_system`` tests the theta range of every stage inline and
+    replays a step that trips through here (``_replay_step``), so every
+    error comes from here, at the first stage whose guard fails.
     """
     k1, k2, a, b = c
     if not (math.isfinite(theta) and math.isfinite(phi)) or abs(theta) > THETA_MAX:
@@ -266,6 +267,28 @@ def _rhs(theta: float, phi: float, s: float, c, pinned: bool) -> tuple[float, fl
     return a * sh + k1 * math.sin(phi), b - k2 + k1 * (math.cosh(theta) / sh) * math.cos(phi)
 
 
+def _replay_step(start, h: float, mid: tuple, end: tuple, pinned: bool) -> NoReturn:
+    """Rerun one RK4 step through ``_rhs`` and raise the error of its first failing stage.
+
+    ``start`` is (theta, phi, theta', phi') at the step's start, ``mid`` and
+    ``end`` are (s, (k1, k2, a, b)) at its midpoint and end sample.  A step
+    that passes every guard is still an IntegrationDivergedError.
+    """
+    t, p, a1, b1 = start
+    half, sixth = 0.5 * h, h / 6.0
+    a2, b2 = _rhs(t + half * a1, p + half * b1, *mid, pinned)
+    a3, b3 = _rhs(t + half * a2, p + half * b2, *mid, pinned)
+    a4, b4 = _rhs(t + h * a3, p + h * b3, *end, pinned)
+    x = t + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    y = p + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+    _rhs(x, y, *end, pinned)
+    raise IntegrationDivergedError(
+        f"the angle step leaving theta = {t:.6g}, phi = {p:.6g} tripped a guard that no stage "
+        f"of its replay trips, at s = {end[0]:.6g}",
+        s=end[0],
+    )
+
+
 def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: FrenetCurve) -> AngleTrack:
     """Solve the determining system along the directrix grid.
 
@@ -278,8 +301,13 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
 
     The four stages of each step evaluate ``_rhs`` inline, with its operands
     in the same order, so the track is bit-identical to calling it.  Each
-    stage value passes one combined test of every state guard; only when
-    that test trips is ``_rhs`` called, to raise its error there.
+    stage value tests only the theta range, and the step end also that phi
+    is finite.  The other guards need no test of their own: a phi of +-inf
+    makes ``math.sin`` raise ValueError, and a NaN phi or a NaN a makes
+    that stage's theta' NaN, so the next theta test of the step trips.  On
+    a trip or that ValueError the step is replayed from its start state
+    through ``_rhs`` (``_replay_step``), which raises the first failing
+    stage's error.
     """
     validate_params(kind, params)
     s = directrix.s
@@ -290,55 +318,66 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
         return _line_of_curvature_track(params, directrix)
 
     pinned = spec.pin is not None
-    # RK4 on the two angles as Python floats, fed memoryviews of (k1, k2, a, b)
-    # taken once at the samples and step midpoints (the same floats as tolist,
-    # without building the lists); the right-hand side at the end of a step
-    # is the first stage of the next.
+    # RK4 on the two angles as Python floats, fed memoryviews of k1, a and
+    # b - k2 taken once at the samples and step midpoints (the same floats
+    # as tolist, without building the lists; phi' adds its coth term to
+    # b - k2, as _rhs does); the right-hand side at the end of a step is the
+    # first stage of the next.
     mid = s[:-1] + 0.5 * h
     node = (directrix.k1, directrix.k2, *_coefficients(kind, params, s, directrix.k2).T)
     middle = (directrix.k1_mid, directrix.k2_mid, *_coefficients(kind, params, mid, directrix.k2_mid).T)
+    with np.errstate(over="ignore"):  # b - k2 overflows only for a k2 near the float limit
+        streams = (middle[0], middle[2], middle[3] - middle[1], node[0][1:], node[2][1:], (node[3] - node[1])[1:])
     n = len(s)
     theta, phi = [0.0] * n, [0.0] * n
     t, p = float(params.theta0), spec.pin if pinned else float(params.phi0)
     a1, b1 = _rhs(t, p, float(s[0]), [float(x[0]) for x in node], pinned)
     theta[0], phi[0] = t, p
     half, sixth = 0.5 * h, h / 6.0
+    lo, hi, nlo, nhi = THETA_MIN, THETA_MAX, -THETA_MIN, -THETA_MAX
     sinh, cosh, sin, cos = math.sinh, math.cosh, math.sin, math.cos
-    # A stage value (x, y) trips the test where _rhs raises: |x| outside
-    # [THETA_MIN, THETA_MAX] or NaN, y not finite (y - y is NaN for +-inf and
-    # NaN), or a NaN where d^2 + v0^2 = 0.  A pinned kind has phi = pi/2,
-    # where sin is exactly 1.0, so it gets _rhs's a sinh(theta) + k1 and
-    # phi' = 0.  Stage 3 reads stage 2's a and the step's end stage 4's, so
-    # only stages 2 and 4 test a.
-    streams = (*map(memoryview, middle), *(memoryview(x[1:]) for x in node))
-    for i, k1m, k2m, am, bm, k1, k2, a, b in zip(range(1, n), *streams):
-        x, y = t + half * a1, p + half * b1
-        if not (THETA_MIN <= abs(x) <= THETA_MAX) or y - y != 0.0 or am != am:
-            _rhs(x, y, float(mid[i - 1]), (k1m, k2m, am, bm), pinned)
-        sh = sinh(x)
-        a2 = am * sh + k1m * sin(y)
-        b2 = 0.0 if pinned else bm - k2m + k1m * (cosh(x) / sh) * cos(y)
-        x, y = t + half * a2, p + half * b2
-        if not (THETA_MIN <= abs(x) <= THETA_MAX) or y - y != 0.0:
-            _rhs(x, y, float(mid[i - 1]), (k1m, k2m, am, bm), pinned)
-        sh = sinh(x)
-        a3 = am * sh + k1m * sin(y)
-        b3 = 0.0 if pinned else bm - k2m + k1m * (cosh(x) / sh) * cos(y)
-        x, y = t + h * a3, p + h * b3
-        if not (THETA_MIN <= abs(x) <= THETA_MAX) or y - y != 0.0 or a != a:
-            _rhs(x, y, float(s[i]), (k1, k2, a, b), pinned)
-        sh = sinh(x)
-        a4 = a * sh + k1 * sin(y)
-        b4 = 0.0 if pinned else b - k2 + k1 * (cosh(x) / sh) * cos(y)
-        t = t + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        p = p + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        if not (THETA_MIN <= abs(t) <= THETA_MAX) or p - p != 0.0:
-            _rhs(t, p, float(s[i]), (k1, k2, a, b), pinned)
-        sh = sinh(t)
-        a1 = a * sh + k1 * sin(p)
-        b1 = 0.0 if pinned else b - k2 + k1 * (cosh(t) / sh) * cos(p)
-        theta[i], phi[i] = t, p
-    return AngleTrack(s.copy(), np.fromiter(theta, float, n), np.fromiter(phi, float, n))
+    # A stage's theta x trips where it is NaN or |x| is outside
+    # [THETA_MIN, THETA_MAX]; y - y is NaN for a phi of +-inf or NaN.  (t, p)
+    # take a step's values only after its last test, when nothing left can
+    # raise, so a trip leaves the step's start state for the replay.  A
+    # pinned kind has phi = pi/2, where sin is exactly 1.0, so it gets _rhs's
+    # a sinh(theta) + k1 and phi' = 0.
+    try:
+        for i, k1m, am, bkm, k1, a, bk in zip(range(1, n), *map(memoryview, streams)):
+            x, y = t + half * a1, p + half * b1
+            if not (lo <= x <= hi or nhi <= x <= nlo):
+                break
+            sh = sinh(x)
+            a2 = am * sh + k1m * sin(y)
+            b2 = 0.0 if pinned else bkm + k1m * (cosh(x) / sh) * cos(y)
+            x, y = t + half * a2, p + half * b2
+            if not (lo <= x <= hi or nhi <= x <= nlo):
+                break
+            sh = sinh(x)
+            a3 = am * sh + k1m * sin(y)
+            b3 = 0.0 if pinned else bkm + k1m * (cosh(x) / sh) * cos(y)
+            x, y = t + h * a3, p + h * b3
+            if not (lo <= x <= hi or nhi <= x <= nlo):
+                break
+            sh = sinh(x)
+            a4 = a * sh + k1 * sin(y)
+            b4 = 0.0 if pinned else bk + k1 * (cosh(x) / sh) * cos(y)
+            x = t + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            y = p + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            if not (lo <= x <= hi or nhi <= x <= nlo) or y - y != 0.0:
+                break
+            t, p = x, y
+            sh = sinh(t)
+            a1 = a * sh + k1 * sin(p)
+            b1 = 0.0 if pinned else bk + k1 * (cosh(t) / sh) * cos(p)
+            theta[i], phi[i] = t, p
+        else:
+            return AngleTrack(s.copy(), np.fromiter(theta, float, n), np.fromiter(phi, float, n))
+    except ValueError:  # math.sin or math.cos of a stage phi of +-inf
+        pass
+    at_mid = (float(mid[i - 1]), tuple(float(x[i - 1]) for x in middle))
+    at_end = (float(s[i]), tuple(float(x[i]) for x in node))
+    _replay_step((t, p, a1, b1), h, at_mid, at_end, pinned)
 
 
 def line_of_curvature_phi(directrix: FrenetCurve, C: float) -> np.ndarray:

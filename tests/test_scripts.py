@@ -39,14 +39,17 @@ def test_convergence_study_prints_three_tables(tmp_path):
     proc = run_script("convergence_study.py", "--steps", "4e-3,2e-3", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout
-    for title in ("frame integration", "prescribed-invariant recovery", "line-of-curvature defect"):
+    titles = ("frame integration", "prescribed-invariant recovery", "line-of-curvature defect", "manufactured angle")
+    for title in titles:
         assert title in out
     rows = [line.split() for line in out.splitlines() if line.strip().startswith(("4.0e-03", "2.0e-03"))]
-    assert len(rows) == 6
-    # finite-difference recovery and the line-of-curvature defect are second order
-    _, recovery, loc = rows[1::2]
+    assert len(rows) == 8
+    # finite-difference recovery and the line-of-curvature defect are second
+    # order, and the angle RK4 on the manufactured track fourth order
+    _, recovery, loc, manufactured = rows[1::2]
     assert 3.5 < float(recovery[2]) < 4.5 and 3.5 < float(recovery[4]) < 4.5
     assert 3.5 < float(loc[2]) < 4.5
+    assert 14.0 < float(manufactured[2]) < 18.0
 
 
 def test_bench_stages_writes_every_key_and_compares(tmp_path):

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from minkruled import (
+    AngleTrack,
     Constant,
     Polynomial,
     Sinusoid,
@@ -19,6 +22,7 @@ from minkruled import (
     lorentz_inner,
 )
 from minkruled.errors import (
+    GeometryError,
     GridMismatchError,
     IntegrationDivergedError,
     NoSolutionError,
@@ -27,7 +31,7 @@ from minkruled.errors import (
     ThetaSingularityError,
 )
 from minkruled.surface import finite_difference
-from minkruled.synthesis import KINDS
+from minkruled.synthesis import KINDS, _replay_step
 from reference import CylindricalRulingError, invariants_analytic, system_rhs
 
 
@@ -211,31 +215,85 @@ SEEDED_CASES = [
         SystemKind.DEVELOPABLE, _WAVY_TORSION, SynthesisParams(theta0=0.9, phi0=1.2, v0=Polynomial((-2.0, 0.5))),
         id="developable",
     ),
+    pytest.param(
+        SystemKind.GENERAL_DV0, _WAVY_TORSION,
+        SynthesisParams(theta0=-0.8, phi0=2.0, d=Polynomial((0.5, 0.2)), v0=0.3), id="general_dv0-negative-theta0",
+    ),
     pytest.param(SystemKind.CYLINDER, _WAVY_TORSION, SynthesisParams(theta0=0.8, phi0=0.4), id="cylinder"),
     pytest.param(SystemKind.ASYMPTOTIC_LINE, -0.5, SynthesisParams(theta0=0.6, mu=math.pi / 3), id="asymptotic_line"),
 ]
 
-#: (kind, k2, params, error, message, located s) of a state guard that trips
-#: at a stage, on k1 = 1 over [0, 1] at step 1e-3.  With k2 = 0 and phi at
-#: 3 pi/2 the cylinder's theta falls as theta0 - s and reaches 0 at the
-#: second stage of the step leaving s = 0.5; d = s - 0.0125 with v0 = 0
-#: vanishes at the midpoint 0.0125 of the step leaving s = 0.012, and
-#: d = s - 0.25 exactly at the sample 0.25, the fourth stage of the step
-#: leaving s = 0.249.
+#: (kind, directrix, params, error, message, located s) of a state guard
+#: that trips at a stage, on the directrix ``_trip_directrix(**directrix)``.
+#: With k2 = 0 and phi at 3 pi/2 the cylinder's theta falls as
+#: integral(k1) from theta0: on k1 = 1 it reaches 0 at the second stage of
+#: the step leaving s = 0.5 from theta0 = 0.5005 and at the fourth from
+#: 0.501; on k1 = 1 + 10 s the midpoint k1 exceeds the sample's, so the
+#: third stage falls below the guard where the second does not.  d = s -
+#: 0.0125 with v0 = 0 vanishes at the midpoint 0.0125 of the step leaving
+#: s = 0.012, and d = s - 0.25 exactly at the sample 0.25, the fourth stage
+#: of the step leaving s = 0.249.  The rest trip only by propagation: a k1
+#: of 1e308 at s = 0 makes the first phi' inf, so stage 2's phi is inf and
+#: math.sin raises; d = 1.0003e308 (1 + s) first overflows to inf at the
+#: midpoint 0.7975, where a = 0 and b = NaN, so stage 3's phi is NaN, and
+#: d = 1e308 (1 + s) first at the sample 0.798, so the phi of that step's
+#: end is NaN; and the developable's theta overshoots THETA_MAX at a stage 3.
 STAGE_TRIPS = [
     pytest.param(
-        SystemKind.CYLINDER, 0.0, SynthesisParams(theta0=0.5005, phi0=1.5 * math.pi), ThetaSingularityError,
+        SystemKind.CYLINDER, dict(k2=0.0), SynthesisParams(theta0=0.5005, phi0=1.5 * math.pi), ThetaSingularityError,
         "|theta| = 4.922e-16 below guard 1.0e-06 at s = 0.5005", 0.5005, id="theta-singularity",
     ),
     pytest.param(
-        SystemKind.STRICTION_LINE, 0.1, SynthesisParams(theta0=0.8, phi0=0.4, d=Polynomial((-0.0125, 1.0))),
+        SystemKind.STRICTION_LINE, dict(k2=0.1), SynthesisParams(theta0=0.8, phi0=0.4, d=Polynomial((-0.0125, 1.0))),
         ParamDomainError, "d^2 + v0^2 = 0 at s = 0.0125", None, id="vanishing-d-and-v0",
     ),
     pytest.param(
-        SystemKind.STRICTION_LINE, 0.1, SynthesisParams(theta0=0.8, phi0=0.4, d=Polynomial((-0.25, 1.0))),
+        SystemKind.STRICTION_LINE, dict(k2=0.1), SynthesisParams(theta0=0.8, phi0=0.4, d=Polynomial((-0.25, 1.0))),
         ParamDomainError, "d^2 + v0^2 = 0 at s = 0.25", None, id="vanishing-d-and-v0-at-sample",
     ),
+    pytest.param(
+        SystemKind.CYLINDER, dict(k1=Polynomial((1.0, 10.0)), k2=0.0),
+        SynthesisParams(theta0=0.151002, phi0=1.5 * math.pi), ThetaSingularityError,
+        "|theta| = 5.000e-07 below guard 1.0e-06 at s = 0.1005", 0.1005, id="theta-singularity-at-stage-3",
+    ),
+    pytest.param(
+        SystemKind.CYLINDER, dict(k2=0.0), SynthesisParams(theta0=0.501, phi0=1.5 * math.pi), ThetaSingularityError,
+        "|theta| = 4.372e-16 below guard 1.0e-06 at s = 0.501", 0.501, id="theta-singularity-at-stage-4",
+    ),
+    pytest.param(
+        SystemKind.CYLINDER, dict(k2=0.0, k1_first=1e308), SynthesisParams(theta0=0.5, phi0=0.0),
+        IntegrationDivergedError,
+        "theta = 0.5, phi = inf at s = 0.0005: the prescribed system blows up in finite arc length on this interval",
+        0.0005, id="phi-inf-at-stage-2",
+    ),
+    pytest.param(
+        SystemKind.STRICTION_LINE, dict(k2=0.0),
+        SynthesisParams(theta0=0.5, phi0=math.pi / 2, d=Polynomial((1.0003e308, 1.0003e308))),
+        IntegrationDivergedError,
+        "theta = 1.2975, phi = nan at s = 0.7975: the prescribed system blows up in finite arc length on this interval",
+        0.7975, id="phi-nan-at-stage-3",
+    ),
+    pytest.param(
+        SystemKind.STRICTION_LINE, dict(k2=0.0),
+        SynthesisParams(theta0=0.5, phi0=math.pi / 2, d=Polynomial((1e308, 1e308))),
+        IntegrationDivergedError,
+        "theta = 1.298, phi = nan at s = 0.798: the prescribed system blows up in finite arc length on this interval",
+        0.798, id="phi-nan-at-step-end",
+    ),
+    pytest.param(
+        SystemKind.DEVELOPABLE, dict(k2=0.0), SynthesisParams(theta0=1.0, phi0=0.2, v0=0.3), IntegrationDivergedError,
+        "theta = 7383.15, phi = 0.434175 at s = 0.2245: the prescribed system blows up in finite arc length on this "
+        "interval", 0.2245, id="theta-above-max-at-stage-3",
+    ),
 ]
+
+
+def _trip_directrix(k2, k1=1.0, k1_first=None):
+    """The directrix (k1, k2) on [0, 1] at step 1e-3, with k1 at s = 0 set to ``k1_first`` if given."""
+    curve = integrate_frenet(k1, k2, s_range=(0.0, 1.0), step=1e-3)
+    if k1_first is None:
+        return curve
+    return dataclasses.replace(curve, k1=np.concatenate([[k1_first], curve.k1[1:]]))
 
 
 def _stage_by_stage_rk4(kind, params, curve):
@@ -330,13 +388,51 @@ class TestGeneralMode:
         assert np.array_equal(track.theta, theta)
         assert np.array_equal(track.phi, phi)
 
-    @pytest.mark.parametrize("kind, k2, params, error, message, s", STAGE_TRIPS)
-    def test_guard_trips_at_its_stage(self, kind, k2, params, error, message, s):
-        curve = integrate_frenet(1.0, k2, s_range=(0.0, 1.0), step=1e-3)
+    @given(
+        case=st.sampled_from([case.id for case in SEEDED_CASES]),
+        theta0=st.floats(0.05, 3.0),
+        negative=st.booleans(),
+        phi0=st.floats(0.0, 2.0 * math.pi),
+        steps=st.integers(1, 300),
+    )
+    @example(case="cylinder", theta0=0.05, negative=False, phi0=1.5 * math.pi, steps=300)
+    @example(case="general_dv0", theta0=1.0, negative=False, phi0=0.2, steps=300)
+    @example(case="curvature_angle", theta0=1.0, negative=True, phi0=1.0, steps=300)
+    @example(case="asymptotic_line", theta0=3.0, negative=False, phi0=0.0, steps=300)
+    def test_track_or_error_equals_stage_by_stage_rk4(self, case, theta0, negative, phi0, steps):
+        # the examples fail: the cylinder's theta changes sign near s = 0.05,
+        # and the other three blow up, the curvature-angle one to -inf
+        kind, k2, params = next(c.values for c in SEEDED_CASES if c.id == case)
+        params = dataclasses.replace(params, theta0=-theta0 if negative else theta0, phi0=phi0)
+        curve = integrate_frenet(Polynomial((1.0, 0.5)), k2, s_range=(0.0, steps * 1e-2), step=1e-2)
+
+        def outcome(run):
+            try:
+                track = run()
+            except GeometryError as err:
+                return type(err), str(err), getattr(err, "s", None)
+            return track.theta.tobytes(), track.phi.tobytes()
+
+        assert outcome(lambda: integrate_system(kind, params, curve)) == outcome(
+            lambda: AngleTrack(curve.s.copy(), *_stage_by_stage_rk4(kind, params, curve))
+        )
+
+    @pytest.mark.parametrize("kind, directrix, params, error, message, s", STAGE_TRIPS)
+    def test_guard_trips_at_its_stage(self, kind, directrix, params, error, message, s):
+        curve = _trip_directrix(**directrix)
         with pytest.raises(error) as err:
             integrate_system(kind, params, curve)
         assert str(err.value) == message
         assert getattr(err.value, "s", None) == s
+        with pytest.raises(error) as ref:
+            _stage_by_stage_rk4(kind, params, curve)
+        assert (str(ref.value), getattr(ref.value, "s", None)) == (message, s)
+
+    def test_replay_of_a_step_that_trips_no_guard_raises_a_located_error(self):
+        c = (1.0, 0.1, 0.3 / 0.34, -0.5 / 0.34)  # k1, k2 and (a, b) of d = 0.5, v0 = 0.3
+        with pytest.raises(IntegrationDivergedError, match="no stage of its replay trips") as err:
+            _replay_step((0.8, 0.4, 0.0, 0.0), 1e-3, (0.0005, c), (0.001, c), False)
+        assert err.value.s == 0.001
 
     def test_seed_below_guard_rejected_at_start(self, unit_directrix):
         params = SynthesisParams(theta0=1e-9, phi0=0.2, d=0.5, v0=0.3)
