@@ -50,10 +50,9 @@ STAGES = (
 SWEEP_BASES = ("cylinder", "developable", "general_roundtrip")
 MESH_V_RANGE = (-0.75, 0.75)
 MESH_V_SAMPLES = 33
-#: Runs of each sweep per repeat.  A large sweep forks a second process when
-#: recent sweeps ran faster that way, and two processes on a 2-vCPU machine
-#: sometimes run at half speed each, so a sweep's time spreads far more than
-#: a stage's.
+#: Runs of each sweep per repeat.  A sweep whose first seed is slow enough
+#: forks a second process, which runs only as fast as the other load on the
+#: CPUs it gets, so a sweep's time spreads far more than a stage's.
 SWEEP_RUNS = 3
 #: Sweep summary columns compared as text, by the number of rows that differ.
 TEXT_COLUMNS = ("verdict", "detail")

@@ -1,129 +1,122 @@
-"""Part of a job done by a forked child while the calling process does the rest.
+"""A list of items run on this process and, when it pays, a forked child.
 
 The package's one fork, used by the seed sweep (``pipeline.sweep_grid``).
-The child writes its part into an unnamed temporary file and leaves
-through ``os._exit``, so it never flushes the stdio buffers it inherited
-or runs exit handlers.
-
-A child pays only while a second CPU runs it beside this process at full
-speed.  On a shared 2-vCPU VM that comes and goes: perfbench ``seed_sweep``
-has read 0.113 s forked against 0.130 s in one process, and, on the same
-VM at another time, 0.164 s forked against 0.118 to 0.127 s, when a pass
-took 321 ms raw forked against 250 ms alone although the child ran half of
-the seeds.  So each run that could fork is timed, and the path whose
-recent runs of the same key took less wall time per unit of work runs next.
+The first item runs here and is timed, and a child is forked only if half
+of the remaining items would take longer at that rate than the child's
+fixed cost.  Both processes then take indices from one queue, a pipe, so a
+child slowed by other load on the machine just takes fewer.  The child runs
+on the CPUs its parent is not on, writes its results into an unnamed
+temporary file and leaves through ``os._exit``, so it never flushes the
+stdio buffers it inherited or runs exit handlers.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
-import itertools
 import os
+import pickle
+import select
 import tempfile
 import threading
 import time
 
-#: Timed runs kept for each path, with a child and without.
-_KEEP = 8
-#: Every _PROBE_EVERY-th run takes the slower path, so that its times follow
-#: the machine.
-_PROBE_EVERY = 5
+#: The wall seconds a child adds to a sweep beyond taking half of its
+#: seeds: the fork, the pages both processes copy on their first writes
+#: after it, the pickled results, the child's exit and the wait for its
+#: last seed.  On a 2-vCPU Xeon VM, sweeps of 6 and 12 seeds of cylinder,
+#: developable and general_roundtrip at h = 1e-3 took 7.7 to 10.6 ms
+#: (median 9.2) longer forked than one process less half of the seeds after
+#: the first (medians of 30 runs each way); a child that ran no seed cost
+#: 3.8 to 6.5 ms.
+_FORK_COST_S = 0.009
 
 
-def _new_times():
-    return {True: collections.deque(maxlen=_KEEP), False: collections.deque(maxlen=_KEEP)}, itertools.count()
+def map_items(fn, items, *, tmp_dir: str) -> list:
+    """``[fn(x) for x in items]``, in order; part of it may run in a forked child.
 
-
-#: Keys timed at once; a new key past this many starts the table afresh.
-_MAX_KEYS = 64
-#: For each key, the wall seconds per unit of work of the last runs with a
-#: child (True) and without one (False), and a count of the runs decided on
-#: them.  It is shared by the whole process on purpose: what it measures is
-#: the machine.
-_recent = collections.defaultdict(_new_times)
-
-
-def _median(xs) -> float:
-    return sorted(xs)[len(xs) // 2]
-
-
-def _use_child(key) -> bool:
-    """Whether the next run of ``key`` forks.
-
-    Each path runs once, then the one whose recent times have the lower
-    median, except that every _PROBE_EVERY-th run takes the other.
+    ``fn(items[0])`` runs here first and is timed.  A child is forked only
+    if half of the remaining items would take longer than ``_FORK_COST_S``
+    at that rate, this process may run on 2 or more CPUs and runs no other
+    thread (a fork copies only the calling thread), an unnamed temporary
+    file can be made in ``tmp_dir`` and the fork succeeds.  This process
+    then runs every index whose result the child did not return, so an
+    error, the child's too, is raised here with its usual class.  The child
+    is reaped before this returns or raises.
     """
-    if key not in _recent and len(_recent) >= _MAX_KEYS:
-        _recent.clear()
-    times, runs = _recent[key]
-    if not times[True] or not times[False]:
-        return not times[True]
-    faster = _median(times[True]) <= _median(times[False])
-    return faster != (next(runs) % _PROBE_EVERY == _PROBE_EVERY - 1)
-
-
-@contextlib.contextmanager
-def child_part(run, *, work: int, min_work: int, tmp_dir: str, key):
-    """Run ``run(out)`` in a forked child while the ``with`` body runs here.
-
-    ``out`` is a binary unnamed temporary file in ``tmp_dir``.  The body
-    gets ``join``, which waits for the child and returns ``out``, rewound,
-    if the child exited cleanly, else None: then the caller does the
-    child's part itself, so every error is raised here with its usual
-    class.  There is no child, and ``join`` returns None at once, unless
-    ``work >= min_work``, this process may run on 2 or more CPUs and runs
-    no other thread (a fork copies only the calling thread), recent runs of
-    the same ``key`` favour a child (``_use_child``), the temporary file can
-    be made and the fork succeeds.  Leaving the ``with`` reaps the child,
-    also on an error.  Runs share a ``key`` when their costs per unit of
-    work are alike, so that their times can be compared.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if work < min_work or cpus < 2 or threading.active_count() != 1:
-        yield lambda: None
-        return
-    forked = _use_child(key)
+    items = list(items)
+    if not items:
+        return []
     start = time.perf_counter()
-    if forked:
-        with _child(run, tmp_dir) as join:
-            yield join
-    else:
-        yield lambda: None
-    _recent[key][0][forked].append((time.perf_counter() - start) / work)
+    results = {0: fn(items[0])}
+    t0 = time.perf_counter() - start
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    if (len(items) - 1) * t0 / 2 > _FORK_COST_S and len(cpus) >= 2 and threading.active_count() == 1:
+        _run_with_child(fn, items, results, tmp_dir, cpus)
+    return [results[i] if i in results else fn(items[i]) for i in range(len(items))]
 
 
-@contextlib.contextmanager
-def _child(run, tmp_dir: str):
+def _run_with_child(fn, items, results, tmp_dir: str, cpus) -> None:
+    """Run the items after the first here and in a forked child; put into ``results`` what finished.
+
+    The indices are queued before the fork in one write of at most
+    PIPE_BUF bytes, which never blocks: 4-byte records, each naming a run
+    of ``chunk`` consecutive indices.  Each process reads one record at a
+    time until the queue is empty.  The child runs on ``cpus`` other than
+    the one this process last ran on: where the kernel does not balance
+    load across CPUs (a cpuset with load balancing off), a child otherwise
+    stays on its parent's CPU and each runs at half speed.
+    """
     try:
         out = tempfile.TemporaryFile(dir=tmp_dir)
     except OSError:  # a directory that takes no new file
-        yield lambda: None
         return
+    n = len(items)
+    others = cpus - {_last_cpu()}
+    chunk = -(-(n - 1) // (select.PIPE_BUF // 4))
     with out:
+        queue, end = os.pipe()
         try:
-            pid = os.fork()
-        except OSError:  # out of processes or memory
-            pid = None
-        if pid == 0:
-            code = 1
             try:
-                run(out)
-                out.flush()
-                code = 0
+                os.write(end, b"".join(i.to_bytes(4, "little") for i in range(1, n, chunk)))
             finally:
-                os._exit(code)
-        status = []
-
-        def join():
-            if pid is not None and not status:
-                status.append(os.waitpid(pid, 0)[1])
-            if status != [0]:
-                return None
-            out.seek(0)
-            return out
-
-        try:
-            yield join
+                os.close(end)
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes or memory
+                pid = None
+            if pid == 0:
+                code = 1
+                try:
+                    with contextlib.suppress(OSError):  # else the child runs where the kernel put it
+                        os.sched_setaffinity(0, others)
+                    pickle.dump([(i, fn(items[i])) for i in _taken(queue, chunk, n)], out)
+                    out.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            try:
+                for i in _taken(queue, chunk, n):
+                    results[i] = fn(items[i])
+            finally:
+                status = None if pid is None else os.waitpid(pid, 0)[1]
+            if status == 0:
+                out.seek(0)
+                results.update(pickle.load(out))
         finally:
-            join()
+            os.close(queue)
+
+
+def _last_cpu() -> int | None:
+    """The CPU this process last ran on (Linux), or None."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _taken(queue: int, chunk: int, n: int):
+    """The indices this process takes from ``queue``, a record at a time, until it is empty."""
+    while record := os.read(queue, 4):
+        first = int.from_bytes(record, "little")
+        yield from range(first, min(first + chunk, n))

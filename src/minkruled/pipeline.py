@@ -14,13 +14,12 @@ import errno
 import json
 import math
 import os
-import pickle
 from dataclasses import dataclass
 
 from . import text
 from .config import RunConfig
 from .errors import ConfigError, FarPositionError, GeometryError
-from .fork import child_part
+from .fork import map_items
 from .frenet import FrenetCurve, integrate_frenet
 from .mesh import export_mesh
 from .surface import AngleTrack, RuledSurfaceGrid
@@ -200,18 +199,6 @@ def write_samples_csv(path, track: AngleTrack, report: InvariantReport) -> str:
 # seed sweeps
 # ---------------------------------------------------------------------------
 
-#: Smallest sweep, in seeds times directrix samples, that two processes run.
-#: A seed costs about 1.0 to 1.8 us per sample on a 2-vCPU VM (the default
-#: grids of three sweep bases at h = 1e-3 in one process, scaled by the
-#: benchmark's reference loop), and the fork about 5 ms more: the fork
-#: itself, the pages each process copies on its first writes, and the
-#: child's exit.  With a free second vCPU two processes have run sweeps of
-#: 3,000 slower than one and sweeps of 4,000 to 6,000 7 to 20 % faster,
-#: when a seed cost more; whether that vCPU is free, ``fork.child_part``
-#: learns from the times of recent sweeps.
-_FORK_MIN_SEED_SAMPLES = 4000
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One seed of a sweep; the fields are the summary CSV's columns, in order."""
@@ -251,12 +238,11 @@ def sweep_grid(
     suppressed (only the summary is written); ``out_dir`` is created before
     the first seed runs.
 
-    A sweep of at least ``_FORK_MIN_SEED_SAMPLES`` seeds times directrix
-    samples runs on two processes where ``fork.child_part`` allows, which
-    includes recent sweeps of the same shape having run faster that way: a
-    forked child runs the odd grid indices and hands its rows back pickled
-    in a temporary file in ``out_dir``.  If it cannot, this process runs
-    them itself.  The rows and the summary are the same either way.
+    The seeds run through ``fork.map_items``: a sweep whose first seed shows
+    that half of the others would take longer than a child's fixed cost
+    shares them with a forked child, which hands its rows back pickled in a
+    temporary file in ``out_dir``.  The rows and the summary are the same
+    either way.
     """
     theta0_list = list(DEFAULT_THETA0_GRID if theta0_list is None else theta0_list)
     phi0_list = list(DEFAULT_PHI0_GRID if phi0_list is None else phi0_list)
@@ -272,34 +258,20 @@ def sweep_grid(
     except GeometryError as exc:
         curve, error = None, exc
 
-    def rows_of(seeds) -> list[SweepRow]:
-        rows = []
-        for theta0, phi0 in seeds:
-            outcome = error
-            if curve is not None:
-                try:
-                    outcome = run_seed(base.with_seed(theta0, phi0), curve).report
-                except GeometryError as exc:
-                    outcome = exc
-            rows.append(SweepRow.of(theta0, phi0, outcome))
-        return rows
+    def row(seed) -> SweepRow:
+        theta0, phi0 = seed
+        outcome = error
+        if curve is not None:
+            try:
+                outcome = run_seed(base.with_seed(theta0, phi0), curve).report
+            except GeometryError as exc:
+                # returned at once: a local holding it would keep the failed
+                # seed's frames, and their arrays, alive until a collection
+                return SweepRow.of(theta0, phi0, exc)
+        return SweepRow.of(theta0, phi0, outcome)
 
-    # a forked child runs the odd grid indices: alternate seeds spread the
-    # rows that end early (errors at phi0 = 3 pi / 2) over both processes
     seeds = [(theta0, phi0) for theta0 in map(float, theta0_list) for phi0 in map(float, phi0_list)]
-    work = 0 if curve is None else len(seeds) * curve.n_samples
-    rows = [None] * len(seeds)
-
-    def child(out):
-        pickle.dump(rows_of(seeds[1::2]), out)
-
-    # a seed's cost per sample depends on the system and, through its fixed
-    # part, on the grid: sweeps are timed against sweeps of the same shape
-    key = (base.system, len(seeds), work)
-    with child_part(child, work=work, min_work=_FORK_MIN_SEED_SAMPLES, tmp_dir=out_dir, key=key) as join:
-        rows[0::2] = rows_of(seeds[0::2])
-        out = join()
-        rows[1::2] = rows_of(seeds[1::2]) if out is None else pickle.load(out)
+    rows = map_items(row, seeds, tmp_dir=out_dir)
 
     summary_path = os.path.join(out_dir, summary_name)
     with open(summary_path, "w", newline="") as fh:

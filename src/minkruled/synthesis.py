@@ -219,19 +219,24 @@ def validate_params(kind: SystemKind, params: SynthesisParams) -> None:
 def _coefficients(kind: SystemKind, params: SynthesisParams, s, k2) -> np.ndarray:
     """Columns (a, b) of the general system at the arc lengths ``s``.
 
-    A kind that prescribes no (d, v0), the cylinder, has a = b = 0, and so
-    does a (d, v0) whose d^2 + v0^2 overflows.  Both are NaN where
-    d^2 + v0^2 = 0; the right-hand side reports that at the stage that
-    reaches it.
+    A kind that prescribes no (d, v0), the cylinder, has a = b = 0.  Both
+    are NaN where d^2 + v0^2 = 0; the right-hand side reports that at the
+    stage that reaches it.  d and v0 are scaled by the power of two 2^-e
+    that brings the larger of them into [0.5, 1) before they are squared,
+    and a and b are scaled back by 2^-e, so d^2 + v0^2 neither overflows
+    nor underflows.  Where the unscaled quotients and their denominator are
+    normal floats, a and b are bit-identical to them.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         fixed = KINDS[kind].prescribe(params, s, k2)
         if "d" not in fixed:
             return np.zeros((np.size(s), 2))
         d, v0 = fixed["d"], fixed["v0"]
+        e = np.frexp(np.maximum(np.abs(d), np.abs(v0)))[1]
+        d, v0 = np.ldexp(d, -e), np.ldexp(v0, -e)
         denom = d * d + v0 * v0
         denom = np.where(denom > 0.0, denom, np.nan)
-        return np.column_stack([v0 / denom, -d / denom])
+        return np.column_stack([np.ldexp(v0 / denom, -e), np.ldexp(-d / denom, -e)])
 
 
 def _rhs(theta: float, phi: float, s: float, c, pinned: bool) -> tuple[float, float]:

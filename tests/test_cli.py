@@ -1,4 +1,3 @@
-import collections
 import contextlib
 import csv
 import dataclasses
@@ -8,11 +7,13 @@ import itertools
 import json
 import math
 import os
+import select
 import subprocess
 import sys
 import tempfile
 import threading
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -289,35 +290,23 @@ class TestConfigValidation:
             RunConfig.from_file(path)
 
 
-@pytest.fixture(autouse=True)
-def untimed_fork_paths(monkeypatch):
-    """Each test starts with no timed sweep, so its first sweep that can fork does."""
-    monkeypatch.setattr(minkruled.fork, "_recent", collections.defaultdict(minkruled.fork._new_times))
+def count_forks(monkeypatch, cpus, cost=0.0):
+    """Let this process run on ``cpus`` with a child costing ``cost`` seconds; returns the list of forks attempted from now on.
 
-
-def test_fork_path_follows_recent_timings():
-    fork = minkruled.fork
-    assert fork._use_child("a")  # nothing timed: fork first
-    fork._recent["a"][0][True].append(2.0)
-    assert not fork._use_child("a")  # then once alone
-    fork._recent["a"][0][False].append(1.0)
-    # the faster path, and every fifth run the other one
-    assert [fork._use_child("a") for _ in range(10)] == ([False] * 4 + [True]) * 2
-    assert fork._use_child("b")  # another key is timed apart
-    fork._recent["a"][0][True].extend([0.5, 0.5])  # median 0.5: now forking is faster
-    assert [fork._use_child("a") for _ in range(5)] == [True] * 4 + [False]
-    for key in range(fork._MAX_KEYS):  # "a", "b" and keys 0 to 61 fill the table
-        fork._use_child(key)
-    assert list(fork._recent) == [fork._MAX_KEYS - 2, fork._MAX_KEYS - 1]  # key 62 started it afresh
-
-
-def count_forks(monkeypatch, cpus):
-    """Let this process run on ``cpus``; every fork attempted from now on is appended to the returned list."""
+    At the default cost of 0 every sweep of two or more seeds that may fork
+    does.
+    """
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    monkeypatch.setattr(minkruled.fork, "_FORK_COST_S", cost)
     return forks
+
+
+def one_second_seeds(monkeypatch):
+    """Make every item of ``fork.map_items``, the first seed of a sweep too, take exactly one second on its clock."""
+    monkeypatch.setattr(minkruled.fork, "time", types.SimpleNamespace(perf_counter=itertools.count().__next__))
 
 
 def assert_no_child_left():
@@ -341,14 +330,14 @@ def one_process_sweep(cfg, out_dir, **grid):
     return rows, Path(summary).read_bytes()
 
 
-def sweep_matches_reference(monkeypatch, tmp_path, cfg, cpus=frozenset({0, 1}), **grid):
-    """Sweep through ``sweep_grid`` on ``cpus`` and compare with the one-process rows and summary.
+def sweep_matches_reference(monkeypatch, tmp_path, cfg, cpus=frozenset({0, 1}), cost=0.0, **grid):
+    """Sweep through ``sweep_grid`` on ``cpus`` with a child costing ``cost`` and compare with the one-process rows and summary.
 
     Also checks that no child is left unreaped and that the summary is the
     only file written; returns the number of forks attempted.
     """
     rows, summary = one_process_sweep(cfg, tmp_path / "one", **grid)
-    forks = count_forks(monkeypatch, cpus)
+    forks = count_forks(monkeypatch, cpus, cost)
     got, path = sweep_grid(cfg, out_dir=tmp_path / "two", **grid)
     assert got == rows
     assert Path(path).read_bytes() == summary
@@ -493,8 +482,33 @@ def test_shipped_outputs_match_the_line_by_line_writers(tmp_path, name):
     obj_matches_reference(tmp_path / "obj", result.surface, v_range, v_samples)
 
 
+@pytest.fixture
+def signal_pipe():
+    """A pipe whose read end becomes readable once either process writes to it."""
+    r, w = os.pipe()
+    yield r, w
+    os.close(r)
+    os.close(w)
+
+
 class TestForkedPart:
-    """The sweep runs on ``fork.child_part``; every path gives the one-process output."""
+    """The sweep runs on ``fork.map_items``; every path gives the one-process output."""
+
+    @pytest.mark.parametrize("cost, forks", [(5.4, 1), (5.5, 0)], ids=["forks", "alone"])
+    def test_first_seed_decides_the_fork(self, monkeypatch, tmp_path, cost, forks):
+        # 12 seeds of 1 s each: the 11 after the first save 5.5 s on two processes
+        one_second_seeds(monkeypatch)
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        assert sweep_matches_reference(monkeypatch, tmp_path, cfg, cost=cost) == forks
+
+    @pytest.mark.parametrize("cost", [0.0, math.inf], ids=["forking", "alone"])
+    def test_identical_sweeps_take_the_same_path(self, monkeypatch, tmp_path, cost):
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        forks = count_forks(monkeypatch, {0, 1}, cost)
+        rows = [sweep_grid(cfg, out_dir=tmp_path)[0] for _ in range(3)]
+        assert rows[0] == rows[1] == rows[2]
+        assert len(forks) == (3 if cost == 0.0 else 0)
+        assert_no_child_left()
 
     def test_failed_child_is_replaced_by_the_parent(self, monkeypatch, tmp_path):
         parent, work, calls = os.getpid(), minkruled.pipeline.run_seed, []
@@ -506,7 +520,7 @@ class TestForkedPart:
             return work(*args)
 
         monkeypatch.setattr(minkruled.pipeline, "run_seed", failing_in_child)
-        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")  # its default sweep forks
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
         assert sweep_matches_reference(monkeypatch, tmp_path, cfg) == 1
         # the parent did the child's part: the 12 seeds once for the reference and once more
         assert len(calls) == 24
@@ -530,33 +544,29 @@ class TestForkedPart:
             cfg, grid = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json"), {"theta0_list": [0.0, 0.5, 1.0]}
         else:
             cfg = RunConfig.from_file(CONFIG_DIR / name)
-        assert 12 * build_directrix(cfg).n_samples >= minkruled.pipeline._FORK_MIN_SEED_SAMPLES
         assert sweep_matches_reference(monkeypatch, tmp_path, cfg, **grid) == 1
         if name == "error-rows":
             rows, _ = one_process_sweep(cfg, tmp_path / "rows", **grid)
             assert [r.verdict for r in rows] == ["error"] * 4 + ["pass"] * 8
 
-    def test_sweep_runs_alone_while_forking_is_slower(self, monkeypatch, tmp_path):
-        def timed():
-            times, runs = minkruled.fork._new_times()
-            times[True].append(2.0)
-            times[False].append(1.0)
-            return times, runs
-
-        recent = collections.defaultdict(timed)
-        monkeypatch.setattr(minkruled.fork, "_recent", recent)
+    def test_queue_of_more_than_a_pipe_buffer_of_seeds_does_not_block(self, monkeypatch, tmp_path):
+        # 1,109 seeds after the first on a 3-sample grid: the queue holds runs of 2 indices
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
-        assert sweep_matches_reference(monkeypatch, tmp_path, cfg) == 0
-        [(times, _)] = recent.values()  # the sweep's run was timed alone
-        assert list(times[True]) == [2.0] and len(times[False]) == 2
+        cfg = dataclasses.replace(cfg, directrix=dataclasses.replace(cfg.directrix, s_range=(0.0, 2e-3), step=1e-3))
+        assert build_directrix(cfg).n_samples == 3
+        grid = {"theta0_list": np.linspace(0.2, 1.2, 37).tolist(), "phi0_list": np.linspace(0.0, 6.0, 30).tolist()}
+        writes, write = [], os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: writes.append(len(data)) or write(fd, data))
+        assert sweep_matches_reference(monkeypatch, tmp_path, cfg, **grid) == 1
+        assert writes == [4 * 555] and writes[0] <= select.PIPE_BUF
 
-    @pytest.mark.parametrize("index", [0, 1], ids=["parent-seed", "child-seed"])
+    @pytest.mark.parametrize("index", [0, 1, 11], ids=["first-seed", "second-seed", "last-seed"])
     def test_other_errors_in_a_seed_propagate_with_their_class(self, monkeypatch, tmp_path, index):
         class SeedBug(Exception):
             pass
 
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
-        bad = (DEFAULT_THETA0_GRID[0], DEFAULT_PHI0_GRID[index])
+        bad = (DEFAULT_THETA0_GRID[index // 4], DEFAULT_PHI0_GRID[index % 4])
         run_seed = minkruled.pipeline.run_seed
 
         def buggy(seed_cfg, curve):
@@ -568,19 +578,88 @@ class TestForkedPart:
         forks = count_forks(monkeypatch, {0, 1})
         with pytest.raises(SeedBug):
             sweep_grid(cfg, out_dir=tmp_path)
-        assert len(forks) == 1
+        assert len(forks) == (index > 0)  # the first seed runs before the fork is decided
         assert_no_child_left()
         assert os.listdir(tmp_path) == []
 
     def test_sweep_without_a_directrix_never_forks(self, monkeypatch, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
         cfg = dataclasses.replace(cfg, directrix=dataclasses.replace(cfg.directrix, k1=Constant(1e308)))
-        # had the directrix been built, its 501 samples would make this sweep fork
-        assert 12 * 501 >= minkruled.pipeline._FORK_MIN_SEED_SAMPLES
+        # each row only formats the directrix error, far faster than a fork
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "fork", lambda: raise_(AssertionError("forked")))
         rows, _ = sweep_grid(cfg, out_dir=tmp_path)
         assert len(rows) == 12 and all(r.verdict == "error" and "StepTooLarge" in r.detail for r in rows)
+
+
+class TestMapItems:
+    """``fork.map_items`` on its own: the queue shared by the two processes."""
+
+    def test_every_index_runs_once_across_both_processes(self, monkeypatch, tmp_path, signal_pipe):
+        parent, (r, w), ran_here = os.getpid(), signal_pipe, []
+
+        def fn(x):
+            if os.getpid() != parent:
+                os.write(w, b"1")
+            elif x > 0:  # each process takes at least one queued index
+                assert select.select([r], [], [], 30.0)[0]
+                ran_here.append(x)
+            return os.getpid(), x
+
+        forks = count_forks(monkeypatch, {0, 1})
+        items = list(range(40))
+        results = minkruled.fork.map_items(fn, items, tmp_dir=tmp_path)
+        assert [x for _, x in results] == items
+        in_child = [x for pid, x in results if pid != parent]
+        assert len(forks) == 1 and in_child and ran_here
+        assert sorted(ran_here + in_child) == items[1:]
+        assert_no_child_left()
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("how", ["exit", "exception"])
+    def test_indices_a_dead_child_took_are_rerun(self, monkeypatch, tmp_path, signal_pipe, how):
+        parent, (r, w), ran_here = os.getpid(), signal_pipe, []
+
+        def fn(x):
+            if os.getpid() != parent:
+                os.write(w, x.to_bytes(4, "little"))  # the child took x and dies
+                if how == "exit":
+                    os._exit(3)
+                raise ValueError("child fails")
+            if x > 0:  # the child takes at least one queued index
+                assert select.select([r], [], [], 30.0)[0]
+            ran_here.append(x)
+            return x * x
+
+        count_forks(monkeypatch, {0, 1})
+        items = list(range(12))
+        assert minkruled.fork.map_items(fn, items, tmp_dir=tmp_path) == [x * x for x in items]
+        lost = int.from_bytes(os.read(r, 4), "little")
+        assert sorted(ran_here) == items and ran_here[-1] == lost  # rerun once, after the queue ran dry
+        assert_no_child_left()
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs 2 CPUs")
+    def test_child_runs_off_the_cpu_of_its_parent(self, monkeypatch, tmp_path, signal_pipe):
+        parent, (r, w), cpus, affinity = os.getpid(), signal_pipe, os.sched_getaffinity(0), os.sched_getaffinity
+        monkeypatch.setattr(minkruled.fork, "_last_cpu", lambda: min(cpus))
+
+        def fn(x):
+            if os.getpid() != parent:
+                os.write(w, b"1")
+            elif x > 0:  # the child takes at least one queued index
+                assert select.select([r], [], [], 30.0)[0]
+            return os.getpid(), affinity(0)
+
+        count_forks(monkeypatch, cpus)
+        results = minkruled.fork.map_items(fn, range(8), tmp_dir=tmp_path)
+        assert {frozenset(cpu_set) for pid, cpu_set in results if pid != parent} == {frozenset(cpus - {min(cpus)})}
+        assert all(cpu_set == cpus for pid, cpu_set in results if pid == parent)
+
+    def test_no_items_and_one_item_never_fork(self, monkeypatch, tmp_path):
+        forks = count_forks(monkeypatch, {0, 1})
+        assert minkruled.fork.map_items(str, [], tmp_dir=tmp_path) == []
+        assert minkruled.fork.map_items(str, (7,), tmp_dir=tmp_path) == ["7"]
+        assert forks == []
 
 
 def test_forked_children_never_flush_inherited_stdio(tmp_path):
@@ -596,6 +675,8 @@ def test_forked_children_never_flush_inherited_stdio(tmp_path):
         "forks, fork = [], os.fork\n"
         "os.fork = lambda: forks.append(1) or fork()\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "import minkruled.fork\n"
+        "minkruled.fork._FORK_COST_S = 0.0\n"
         "print('printed once')\n"
         f"cfg = RunConfig.from_file({config!r})\n"
         f"sweep_grid(cfg, out_dir={str(tmp_path)!r})\n"
@@ -738,6 +819,14 @@ class TestSweep:
         rows, _ = sweep_grid(cfg, **seeds)
         arrays = {k: np.array(v) if k.endswith("_list") else v for k, v in seeds.items()}
         assert sweep_grid(cfg, **arrays)[0] == rows
+
+    def test_numpy_seed_arrays_match_lists_on_two_processes(self, monkeypatch, tmp_path):
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        grid = {"theta0_list": np.array(DEFAULT_THETA0_GRID), "phi0_list": np.array(DEFAULT_PHI0_GRID)}
+        rows, summary = one_process_sweep(cfg, tmp_path / "lists")
+        forks = count_forks(monkeypatch, {0, 1})
+        got, path = sweep_grid(cfg, out_dir=tmp_path / "arrays", **grid)
+        assert len(forks) == 1 and got == rows and Path(path).read_bytes() == summary
 
     def test_empty_seed_list_rejected(self, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")

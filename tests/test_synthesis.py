@@ -31,7 +31,7 @@ from minkruled.errors import (
     ThetaSingularityError,
 )
 from minkruled.surface import finite_difference
-from minkruled.synthesis import KINDS, _replay_step
+from minkruled.synthesis import KINDS, _coefficients, _replay_step
 from reference import CylindricalRulingError, invariants_analytic, system_rhs
 
 
@@ -481,6 +481,45 @@ class TestStrictionAndDevelopable:
         assert float(np.max(np.abs(inv.d[sl]))) < 1e-6
         assert np.max(np.abs(inv.v0[sl] + 2.0) / 2.0) <= 1e-4
 
+
+
+class TestCoefficients:
+    """``_coefficients``: a = v0 / (d^2 + v0^2) and b = -d / (d^2 + v0^2), whatever the size of (d, v0)."""
+
+    @staticmethod
+    def coefficients(kind, **params):
+        s = np.linspace(0.0, 1.0, 3)
+        a, b = _coefficients(kind, SynthesisParams(theta0=0.5, **params), s, np.zeros(3)).T
+        return a, b
+
+    # d^2 underflows into the subnormals (the first two) or to zero, or overflows
+    @pytest.mark.parametrize("d", [1e-158, 2.3e-162, -1e-300, 1e200, 1e308])
+    def test_striction_line_b_is_minus_one_over_d(self, d):
+        a, b = self.coefficients(SystemKind.STRICTION_LINE, d=d)
+        assert np.all(a == 0.0)
+        np.testing.assert_allclose(b, -1.0 / d, rtol=4e-16, atol=0.0)
+
+    @pytest.mark.parametrize("v0", [1e-158, -2.3e-162, 1e-300])
+    def test_developable_a_is_one_over_v0(self, v0):
+        a, b = self.coefficients(SystemKind.DEVELOPABLE, v0=v0)
+        assert np.all(b == 0.0)
+        np.testing.assert_allclose(a, 1.0 / v0, rtol=4e-16, atol=0.0)
+
+    def test_unscaled_quotients_kept_where_they_are_normal(self):
+        rng = np.random.default_rng(11)
+        tiny, checked = np.finfo(float).tiny, 0
+        for d, v0 in rng.choice([-1.0, 1.0], (300, 2)) * 10.0 ** rng.uniform(-150.0, 150.0, (300, 2)):
+            denom = d * d + v0 * v0
+            want = np.array([v0 / denom, -d / denom])
+            if tiny <= denom < math.inf and np.all(np.abs(want) >= tiny):
+                a, b = self.coefficients(SystemKind.GENERAL_DV0, d=float(d), v0=float(v0))
+                assert np.all(a == want[0]) and np.all(b == want[1])
+                checked += 1
+        assert checked > 200
+
+    def test_zero_d_and_v0_give_nan(self):
+        a, b = self.coefficients(SystemKind.GENERAL_DV0, d=0.0, v0=0.0)
+        assert np.all(np.isnan(a)) and np.all(np.isnan(b))
 
 class TestBuildSurface:
     def test_constant_track_example(self, flat_directrix):
