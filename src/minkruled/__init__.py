@@ -25,20 +25,20 @@ from .lorentz import (
 from .mesh import export_mesh
 from .pipeline import RunResult, run_config, sweep_grid
 from .surface import (
-    AngleTrack,
     RuledSurfaceGrid,
     SurfaceInvariants,
     curvature_relations,
     dv0_from_n_mu,
     invariants_numeric,
-    ruling_from_angles,
 )
 from .synthesis import (
+    AngleTrack,
     SynthesisParams,
     SystemKind,
     build_surface,
     integrate_system,
     line_of_curvature_phi,
+    ruling_from_angles,
 )
 from .verify import (
     InvariantReport,

@@ -101,7 +101,7 @@ def main(argv=None) -> int:
             if cfg.outputs.mesh is None:
                 raise ConfigError("outputs.mesh", "required by export-mesh")
             os.makedirs(args.out_dir, exist_ok=True)
-            surface = synthesize_surface(cfg, build_directrix(cfg))
+            _, surface = synthesize_surface(cfg, build_directrix(cfg))
             mesh = (cfg.outputs.mesh.path, lambda path: write_mesh(cfg, surface, path))
             print(f"wrote mesh: {write_all(args.out_dir, {'mesh': mesh})['mesh']}")
             return 0

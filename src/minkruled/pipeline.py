@@ -22,8 +22,8 @@ from .errors import ConfigError, FarPositionError, GeometryError
 from .fork import map_items
 from .frenet import FrenetCurve, integrate_frenet
 from .mesh import export_mesh
-from .surface import AngleTrack, RuledSurfaceGrid
-from .synthesis import DEFAULT_PHI0_GRID, DEFAULT_THETA0_GRID, KINDS, build_surface, integrate_system
+from .surface import RuledSurfaceGrid
+from .synthesis import DEFAULT_PHI0_GRID, DEFAULT_THETA0_GRID, KINDS, AngleTrack, build_surface, integrate_system
 from .verify import InvariantReport, recompute_report
 
 
@@ -33,9 +33,10 @@ def _fmt(x) -> str:
 
 @dataclass(frozen=True)
 class RunResult:
-    """One synthesized and verified config; the angle track is ``surface.track``."""
+    """One synthesized and verified config: the angle track, the surface built from it, and its report."""
 
     config: RunConfig
+    track: AngleTrack
     surface: RuledSurfaceGrid
     report: InvariantReport
     written: dict[str, str]
@@ -75,12 +76,12 @@ def run_config(cfg: RunConfig, out_dir=".", *, write_outputs: bool = True) -> Ru
         os.makedirs(out_dir, exist_ok=True)
     result = run_seed(cfg, build_directrix(cfg))
     if write_outputs:
-        o, surface, report = cfg.outputs, result.surface, result.report
+        o, track, surface, report = cfg.outputs, result.track, result.surface, result.report
         writers = {}
         if o.mesh is not None:
             writers["mesh"] = (o.mesh.path, lambda path: write_mesh(cfg, surface, path))
         if o.csv_path is not None:
-            writers["csv"] = (o.csv_path, lambda path: write_samples_csv(path, surface.track, report))
+            writers["csv"] = (o.csv_path, lambda path: write_samples_csv(path, track, report))
         if o.report_path is not None:
             writers["report"] = (o.report_path, lambda path: write_report_json(path, report))
         result.written.update(write_all(out_dir, writers))
@@ -120,14 +121,15 @@ def run_seed(cfg: RunConfig, curve: FrenetCurve) -> RunResult:
 
     The one per-seed path of ``run_config`` and ``sweep_grid``.
     """
-    surface = synthesize_surface(cfg, curve)
+    track, surface = synthesize_surface(cfg, curve)
     report = recompute_report(surface, cfg.params, cfg.system, cfg.tolerances)
-    return RunResult(config=cfg, surface=surface, report=report, written={})
+    return RunResult(config=cfg, track=track, surface=surface, report=report, written={})
 
 
-def synthesize_surface(cfg: RunConfig, curve: FrenetCurve) -> RuledSurfaceGrid:
-    """The ruling field of one config on its directrix ``curve``, with its angle track; unverified."""
-    return build_surface(integrate_system(cfg.system, cfg.params, curve), curve)
+def synthesize_surface(cfg: RunConfig, curve: FrenetCurve) -> tuple[AngleTrack, RuledSurfaceGrid]:
+    """The angle track of one config on its directrix ``curve`` and the ruling field built from it; unverified."""
+    track = integrate_system(cfg.system, cfg.params, curve)
+    return track, build_surface(track, curve)
 
 
 def write_mesh(cfg: RunConfig, surface: RuledSurfaceGrid, path) -> str:

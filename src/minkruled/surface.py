@@ -1,35 +1,24 @@
 """Timelike ruled surfaces r(s, v) = k(s) + v q(s) and their invariants.
 
 A surface is a directrix plus a unit timelike ruling field q(s) on the same
-arc-length grid.  The angle pair (theta, phi) places the ruling in the
-moving frame; the invariants are recomputed from nothing but the raw
-(k_i, q_i) samples, using central finite differences, so they never look at
-the angles the surface was synthesized from.
+arc-length grid, and nothing else: how the rulings were made is not part of
+it.  The invariants are recomputed from nothing but the raw (k_i, q_i)
+samples, using central finite differences.
 
-Conventions: theta is the hyperbolic angle between q and T, phi the spacelike
-angle between the surface normal m and N.  The mixed product used for the
-distribution parameter is <x cross y, z> (see ``lorentz.mixed_product``).
+The mixed product used for the distribution parameter is <x cross y, z>
+(see ``lorentz.mixed_product``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllCylindricalError,
-    GridMismatchError,
-    NotUnitTimelikeError,
-    ThetaSingularityError,
-)
+from .errors import AllCylindricalError, GridMismatchError, NotUnitTimelikeError
 from .frenet import FrenetCurve
 from .lorentz import lorentz_inner, mixed_product
-
-#: Guard against the coth(theta) singularity; tracks with |theta| below this
-#: are rejected outright rather than clamped.
-THETA_MIN = 1e-6
 
 #: Cylindrical threshold on <q',q'>; ``invariants_numeric`` scales it by max|q|^2.
 CYL_TOL = 1e-12
@@ -62,66 +51,11 @@ def finite_difference(values: np.ndarray, h: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AngleTrack:
-    """Sampled solution (theta(s), phi(s)) of a determining system.
-
-    theta must stay clear of 0, where the ruling is the tangent T and the
-    surface is singular along the directrix: every sample needs
-    |theta| >= THETA_MIN, and all samples need one sign of theta, so a
-    track that steps over zero between two samples is rejected at the
-    first sample past the crossing.  A track that only touches zero
-    between two samples and turns back keeps its sign at every sample, so
-    it can still escape both checks.
-    """
-
-    s: np.ndarray
-    theta: np.ndarray
-    phi: np.ndarray
-
-    def __post_init__(self):
-        for name in ("s", "theta", "phi"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if not all(np.all(np.isfinite(getattr(self, name))) for name in ("s", "theta", "phi")):
-            raise ValueError("angle track contains non-finite samples")
-        worst = float(np.min(np.abs(self.theta)))
-        if worst < THETA_MIN:
-            i = int(np.argmin(np.abs(self.theta)))
-            raise ThetaSingularityError(
-                f"|theta| = {worst:.3e} below guard {THETA_MIN:.1e} at s = {self.s[i]:.6g}",
-                s=float(self.s[i]),
-            )
-        flips = np.flatnonzero((self.theta[1:] < 0.0) != (self.theta[0] < 0.0))
-        if flips.size:
-            i = int(flips[0]) + 1
-            raise ThetaSingularityError(
-                f"theta changes sign between s = {self.s[i - 1]:.6g} and s = {self.s[i]:.6g}",
-                s=float(self.s[i]),
-            )
-
-    @property
-    def n_samples(self) -> int:
-        return self.s.shape[0]
-
-
-def require_same_grid(track: AngleTrack, directrix: FrenetCurve) -> None:
-    """Raise GridMismatchError unless the track samples the directrix grid.
-
-    An equal grid, the usual case (a track carries a copy of its directrix's),
-    skips the tolerance comparison.
-    """
-    if track.n_samples != directrix.n_samples or not (
-        np.array_equal(track.s, directrix.s) or np.allclose(track.s, directrix.s, atol=1e-12)
-    ):
-        raise GridMismatchError("angle track and directrix grids differ")
-
-
-@dataclass(frozen=True)
 class RuledSurfaceGrid:
     """Directrix samples plus a unit timelike ruling q at each sample."""
 
     directrix: FrenetCurve
     q: np.ndarray
-    track: AngleTrack | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
@@ -131,8 +65,6 @@ class RuledSurfaceGrid:
         worst = float(np.max(np.abs(lorentz_inner(self.q, self.q) + 1.0)))
         if worst > 1e-9:
             raise NotUnitTimelikeError(f"|<q,q> + 1| up to {worst:.3e} exceeds 1e-9")
-        if self.track is not None:
-            require_same_grid(self.track, self.directrix)
 
     @property
     def s(self) -> np.ndarray:
@@ -194,37 +126,13 @@ def curvature_relations(d, v0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def dv0_from_n_mu(n, mu: float) -> tuple[np.ndarray, np.ndarray]:
     """(d, v0) = (n sin^2(mu), n sin(mu) cos(mu)), the curvature-angle map.
 
-    Broadcasts over ``n``; ``mu`` is one angle, with tan(mu) = d/v0, the
-    complement of the Chasles angle of ``curvature_relations``.  The domain
+    Broadcasts over ``n``; ``mu`` is one angle, counted modulo pi, with
+    tan(mu) = d/v0, the complement of the Chasles angle of
+    ``curvature_relations``.  The domain
     (n > 0, sin(mu) != 0) is checked where a run's parameters enter.
     """
     n = np.asarray(n, dtype=float)
     return n * math.sin(mu) ** 2, n * math.sin(mu) * math.cos(mu)
-
-
-# ---------------------------------------------------------------------------
-# rulings and angles
-# ---------------------------------------------------------------------------
-
-
-def ruling_from_angles(T, N, B, theta, phi):
-    """Place a unit timelike ruling in the frame.
-
-    Returns (q, A, m) with A = -sin(phi) N + cos(phi) B lying in the tangent
-    plane, q = cosh(theta) T + sinh(theta) A, and the unit surface normal
-    m = cos(phi) N + sin(phi) B.  Broadcasts over leading axes.
-    """
-    T = np.asarray(T, dtype=float)
-    N = np.asarray(N, dtype=float)
-    B = np.asarray(B, dtype=float)
-    sp = np.sin(np.asarray(phi, dtype=float))[..., None]
-    cp = np.cos(np.asarray(phi, dtype=float))[..., None]
-    sh = np.sinh(np.asarray(theta, dtype=float))[..., None]
-    ch = np.cosh(np.asarray(theta, dtype=float))[..., None]
-    A = -sp * N + cp * B
-    q = ch * T + sh * A
-    m = cp * N + sp * B
-    return q, A, m
 
 
 # ---------------------------------------------------------------------------

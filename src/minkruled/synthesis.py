@@ -14,12 +14,18 @@ and every other prescription is that system with (d, v0) specialised
 * GENERAL_DV0        d and v0 as given
 * STRICTION_LINE     v0 = 0
 * DEVELOPABLE        d = 0
-* CURVATURE_ANGLE    (d, v0) = n (sin^2(mu), sin(mu) cos(mu)) from prescribed (n, mu)
+* CURVATURE_ANGLE    (d, v0) = n (sin^2(mu), sin(mu) cos(mu)) from prescribed (n, mu),
+                     so mu counts modulo pi
 * ASYMPTOTIC_LINE    the same with n forced to -1/k2 (constant k2 != 0) and
                      phi pinned at pi/2, so only theta is integrated
 * CYLINDER           q' = 0: no (d, v0), a = b = 0
 * LINE_OF_CURVATURE  no ODE: phi(s) = -integral(k2) + C by quadrature and
                      theta(s) = artanh(n k1 cos(phi)) pointwise.
+
+Conventions: the ruling is q = cosh(theta) T + sinh(theta) (-sin(phi) N +
+cos(phi) B) (``ruling_from_angles``), so theta is the hyperbolic angle
+between q and T, and phi the spacelike angle between N and the surface
+normal cos(phi) N + sin(phi) B along the directrix.
 
 The seed (theta0, phi0) is the two-parameter freedom of the solution family.
 Integration is fixed-step classical 4th order on the directrix grid.  These
@@ -38,6 +44,7 @@ from typing import Callable, NoReturn
 import numpy as np
 
 from .errors import (
+    GridMismatchError,
     IntegrationDivergedError,
     NoSolutionError,
     ParamDomainError,
@@ -45,14 +52,11 @@ from .errors import (
     ThetaSingularityError,
 )
 from .frenet import Constant, CurvatureFn, FrenetCurve, as_curvature_fn
-from .surface import (
-    THETA_MIN,
-    AngleTrack,
-    RuledSurfaceGrid,
-    dv0_from_n_mu,
-    require_same_grid,
-    ruling_from_angles,
-)
+from .surface import RuledSurfaceGrid, dv0_from_n_mu
+
+#: Guard against the coth(theta) singularity; tracks with |theta| below this
+#: are rejected outright rather than clamped.
+THETA_MIN = 1e-6
 
 #: Abort threshold for |theta|; the determining systems blow up in finite s
 #: once sinh(theta) dominates, and past this value the surface is numerically
@@ -64,6 +68,60 @@ HALF_PI = 0.5 * math.pi
 #: Documented default seed grid for sweeps over the solution family.
 DEFAULT_THETA0_GRID = (0.25, 0.5, 1.0)
 DEFAULT_PHI0_GRID = (0.0, HALF_PI, math.pi, 1.5 * math.pi)
+
+
+@dataclass(frozen=True)
+class AngleTrack:
+    """Sampled solution (theta(s), phi(s)) of a determining system.
+
+    theta must stay clear of 0, where the ruling is the tangent T and the
+    surface is singular along the directrix: every sample needs
+    |theta| >= THETA_MIN, and all samples need one sign of theta, so a
+    track that steps over zero between two samples is rejected at the
+    first sample past the crossing.  A track that only touches zero
+    between two samples and turns back keeps its sign at every sample, so
+    it can still escape both checks.
+    """
+
+    s: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
+
+    def __post_init__(self):
+        for name in ("s", "theta", "phi"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if not all(np.all(np.isfinite(getattr(self, name))) for name in ("s", "theta", "phi")):
+            raise ValueError("angle track contains non-finite samples")
+        worst = float(np.min(np.abs(self.theta)))
+        if worst < THETA_MIN:
+            i = int(np.argmin(np.abs(self.theta)))
+            raise ThetaSingularityError(
+                f"|theta| = {worst:.3e} below guard {THETA_MIN:.1e} at s = {self.s[i]:.6g}",
+                s=float(self.s[i]),
+            )
+        flips = np.flatnonzero((self.theta[1:] < 0.0) != (self.theta[0] < 0.0))
+        if flips.size:
+            i = int(flips[0]) + 1
+            raise ThetaSingularityError(
+                f"theta changes sign between s = {self.s[i - 1]:.6g} and s = {self.s[i]:.6g}",
+                s=float(self.s[i]),
+            )
+
+    @property
+    def n_samples(self) -> int:
+        return self.s.shape[0]
+
+
+def require_same_grid(track: AngleTrack, directrix: FrenetCurve) -> None:
+    """Raise GridMismatchError unless the track samples the directrix grid.
+
+    An equal grid, the usual case (a track carries a copy of its directrix's),
+    skips the tolerance comparison.
+    """
+    if track.n_samples != directrix.n_samples or not (
+        np.array_equal(track.s, directrix.s) or np.allclose(track.s, directrix.s, atol=1e-12)
+    ):
+        raise GridMismatchError("angle track and directrix grids differ")
 
 
 class SystemKind(enum.Enum):
@@ -127,7 +185,12 @@ def _curvature_angle(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
     if off.size:
         i = int(off[0])
         raise ParamDomainError(f"curvature_angle requires n > 0; n = {float(n[i]):.6g} at s = {float(s[i]):.6g}")
-    return {**_from_n_mu(n, p.mu), "mu": np.full(np.shape(s), HALF_PI - p.mu)}
+    # (d, v0) depends on mu modulo pi only.  Its Chasles angle atan(v0/d) =
+    # atan(cot(mu)) is pi/2 - mu on 0 < mu < pi; elsewhere math.sin and
+    # math.cos reduce mu exactly, where mu % pi would not (its float pi is off
+    # by about 1.2e-16 per turn)
+    chasles = HALF_PI - p.mu if 0.0 < p.mu < math.pi else math.atan(math.cos(p.mu) / math.sin(p.mu))
+    return {**_from_n_mu(n, p.mu), "mu": np.full(np.shape(s), chasles)}
 
 
 def _asymptotic(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
@@ -414,8 +477,23 @@ def _line_of_curvature_track(params: SynthesisParams, directrix: FrenetCurve) ->
     return AngleTrack(s=s.copy(), theta=np.arctanh(arg), phi=phi)
 
 
+def ruling_from_angles(T, N, B, theta, phi) -> np.ndarray:
+    """The unit timelike ruling q = cosh(theta) T + sinh(theta) (-sin(phi) N + cos(phi) B).
+
+    Broadcasts over leading axes.
+    """
+    T = np.asarray(T, dtype=float)
+    N = np.asarray(N, dtype=float)
+    B = np.asarray(B, dtype=float)
+    sp = np.sin(np.asarray(phi, dtype=float))[..., None]
+    cp = np.cos(np.asarray(phi, dtype=float))[..., None]
+    sh = np.sinh(np.asarray(theta, dtype=float))[..., None]
+    ch = np.cosh(np.asarray(theta, dtype=float))[..., None]
+    return ch * T + sh * (-sp * N + cp * B)
+
+
 def build_surface(track: AngleTrack, directrix: FrenetCurve) -> RuledSurfaceGrid:
-    """Realize the track as a ruling field q_i on the directrix grid."""
+    """Realize the track as a ruling field q_i on the directrix grid; the surface keeps no angles."""
     require_same_grid(track, directrix)
-    q, _, _ = ruling_from_angles(directrix.T, directrix.N, directrix.B, track.theta, track.phi)
-    return RuledSurfaceGrid(directrix=directrix, q=q, track=track)
+    q = ruling_from_angles(directrix.T, directrix.N, directrix.B, track.theta, track.phi)
+    return RuledSurfaceGrid(directrix=directrix, q=q)

@@ -1,8 +1,8 @@
 """Independent verification: recompute prescribed invariants from raw samples.
 
-Nothing in this module reads an angle track.  Every check starts from the
-(k_i, q_i) samples of a surface and finite differences, so a synthesis bug
-cannot certify itself.  Headline errors cover interior samples; endpoint
+A surface holds no angle track, and every check starts from the (k_i, q_i)
+samples of a surface and finite differences, so a synthesis bug cannot
+certify itself.  Headline errors cover interior samples; endpoint
 samples use one-sided stencils with a larger error constant and are reported
 separately.
 """
@@ -159,8 +159,8 @@ def recompute_report(
     propagates AllCylindricalError, and a prescription the kind rejects (see
     ``KindSpec.prescribe``) raises ParamDomainError.  The Chasles angle
     recomputed from (d, v0) is compared against the complement of a
-    prescribed mu (the two angle conventions are complementary; the report
-    uses absolute radians there).
+    prescribed mu, taken modulo pi into (-pi/2, pi/2) (the two angle
+    conventions are complementary; the report uses absolute radians there).
     """
     tol = tolerances if tolerances is not None else Tolerances()
     errors: dict[str, ErrorStats] = {}

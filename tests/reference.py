@@ -10,8 +10,8 @@ import numpy as np
 
 from minkruled import AngleTrack, FrenetCurve, SurfaceInvariants, SynthesisParams, SystemKind, curvature_relations
 from minkruled.errors import GeometryError
-from minkruled.surface import CYL_TOL, require_same_grid
-from minkruled.synthesis import KINDS, _coefficients, _rhs
+from minkruled.surface import CYL_TOL
+from minkruled.synthesis import KINDS, _coefficients, _rhs, require_same_grid
 
 
 class CylindricalRulingError(GeometryError):

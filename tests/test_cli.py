@@ -390,7 +390,7 @@ class TestExportMesh:
 
     def test_blocks_match_reference_on_a_ragged_lattice(self, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
-        surf = synthesize_surface(cfg, build_directrix(cfg))
+        _, surf = synthesize_surface(cfg, build_directrix(cfg))
         block = minkruled.mesh._BLOCK
 
         def ragged(rows, cols):
@@ -459,7 +459,7 @@ class TestExportMesh:
 
     def test_two_v_samples_and_negative_range_match_reference(self, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "asymptotic_line.json")
-        surf = synthesize_surface(cfg, build_directrix(cfg))
+        _, surf = synthesize_surface(cfg, build_directrix(cfg))
         obj_matches_reference(tmp_path, surf, (-1.5, -0.25), 2)
 
 
@@ -474,8 +474,8 @@ def test_shipped_outputs_match_the_line_by_line_writers(tmp_path, name):
     roundoff-sized cells formatted in exponent notation.
     """
     result = run_config(RunConfig.from_file(CONFIG_DIR / name), write_outputs=False)
-    csv_path = write_samples_csv(tmp_path / "c.csv", result.surface.track, result.report)
-    assert Path(csv_path).read_bytes() == reference_csv(result.surface.track, result.report).encode()
+    csv_path = write_samples_csv(tmp_path / "c.csv", result.track, result.report)
+    assert Path(csv_path).read_bytes() == reference_csv(result.track, result.report).encode()
     mesh = result.config.outputs.mesh
     v_range, v_samples = (mesh.v_range, mesh.v_samples) if mesh is not None else ((-0.5, 0.5), 33)
     (tmp_path / "obj").mkdir()
@@ -680,7 +680,7 @@ def test_forked_children_never_flush_inherited_stdio(tmp_path):
         "print('printed once')\n"
         f"cfg = RunConfig.from_file({config!r})\n"
         f"sweep_grid(cfg, out_dir={str(tmp_path)!r})\n"
-        f"export_mesh(synthesize_surface(cfg, build_directrix(cfg)), (-0.5, 0.5), 33, {str(tmp_path / 'm.obj')!r})\n"
+        f"export_mesh(synthesize_surface(cfg, build_directrix(cfg))[1], (-0.5, 0.5), 33, {str(tmp_path / 'm.obj')!r})\n"
         "sys.stderr.write(f'forks={len(forks)}')\n"
     )
     proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
@@ -720,29 +720,29 @@ class TestPipeline:
     def test_csv_without_recomputed_invariants_matches_reference(self, tmp_path):
         result = run_config(RunConfig.from_file(CONFIG_DIR / "cylinder.json"), write_outputs=False)
         assert result.report.recomputed is None
-        path = write_samples_csv(tmp_path / "c.csv", result.surface.track, result.report)
-        assert Path(path).read_bytes() == reference_csv(result.surface.track, result.report).encode()
+        path = write_samples_csv(tmp_path / "c.csv", result.track, result.report)
+        assert Path(path).read_bytes() == reference_csv(result.track, result.report).encode()
 
     def test_csv_with_cylindrical_samples_matches_reference(self, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json").with_overrides(step=1e-4)
         result = run_config(cfg, write_outputs=False)
         inv = result.report.recomputed
-        cylindrical = np.zeros(result.surface.track.n_samples, dtype=bool)
+        cylindrical = np.zeros(result.track.n_samples, dtype=bool)
         cylindrical[[0, 7, -1]] = True
         d = np.where(cylindrical, np.nan, inv.d)
         report = dataclasses.replace(result.report, recomputed=dataclasses.replace(inv, cylindrical=cylindrical, d=d))
-        path = write_samples_csv(tmp_path / "c.csv", result.surface.track, report)
-        text = reference_csv(result.surface.track, report)
+        path = write_samples_csv(tmp_path / "c.csv", result.track, report)
+        text = reference_csv(result.track, report)
         assert {line[-1] for line in text.splitlines()[1:]} == {"0", "1"}
-        assert result.surface.track.n_samples > minkruled.pipeline._CSV_BLOCK
+        assert result.track.n_samples > minkruled.pipeline._CSV_BLOCK
         assert Path(path).read_bytes() == text.encode()
 
     def test_csv_leaves_n_and_mu_empty_where_d_vanishes(self, tmp_path):
         result = run_config(RunConfig.from_file(CONFIG_DIR / "developable.json"), tmp_path)
         text = Path(result.written["csv"]).read_text()
-        assert text == reference_csv(result.surface.track, result.report)
+        assert text == reference_csv(result.track, result.report)
         rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == result.surface.track.n_samples
+        assert len(rows) == result.track.n_samples
         assert all(r["mu"] == r["n"] == "" and r["d"] and r["K"] for r in rows)
 
 
@@ -1041,14 +1041,20 @@ class TestCliEntry:
 
     @pytest.mark.parametrize(
         "name, param",
-        [("general_roundtrip.json", "d"), ("developable.json", "v0"), ("geodesic.json", "n"), ("geodesic.json", "mu")],
+        [("general_roundtrip.json", "d"), ("developable.json", "v0"), ("geodesic.json", "n")],
     )
     def test_parameter_near_float_limit_fails_without_warning(self, tmp_path, capsys, name, param):
-        # d^2 + v0^2, 1 / n^2 and the errors of mu overflow; the run still ends in a verdict or an error
+        # d^2 + v0^2 and 1 / n^2 overflow; the run still ends in a verdict or an error
         doc = load_doc(name)
         doc["params"][param] = 1e308
         assert main(["verify", "--config", write_doc(tmp_path, doc)]) == 1
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_mu_near_float_limit_counts_modulo_pi(self, tmp_path, capsys):
+        doc = load_doc("geodesic.json")
+        doc["params"]["mu"] = 1e308
+        assert main(["verify", "--config", write_doc(tmp_path, doc)]) == 0
+        assert "failed checks" not in capsys.readouterr().out
 
     def test_function_valued_negative_n_exits_one(self, tmp_path, capsys):
         doc = load_doc("geodesic.json")

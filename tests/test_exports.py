@@ -96,3 +96,18 @@ def test_every_error_class_is_raised():
     classes = {name: cls for name, cls in vars(errors).items() if inspect.isclass(cls) and cls.__module__ == errors.__name__}
     raised_classes = [cls for name, cls in classes.items() if name in raised]
     assert [name for name, cls in classes.items() if not any(issubclass(r, cls) for r in raised_classes)] == []
+
+
+#: What the oracle must not see: the angle track, its angles and the seed angles.
+ANGLE_NAMES = {"track", "theta", "phi", "theta0", "phi0", "AngleTrack", "ruling_from_angles"}
+
+
+def test_the_surface_and_its_oracle_name_no_angle():
+    """``surface.py`` and ``verify.py`` name no angle, as an identifier, attribute, argument or string."""
+    found = []
+    for name in ("surface.py", "verify.py"):
+        path = SRC / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            words = [getattr(node, attr, None) for attr in ("id", "attr", "arg", "name", "asname", "value")]
+            found += [f"{name}:{node.lineno}:{w}" for w in words if isinstance(w, str) and w in ANGLE_NAMES]
+    assert found == []

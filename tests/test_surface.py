@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from minkruled import (
     AngleTrack,
     RuledSurfaceGrid,
+    RunConfig,
     build_surface,
     curvature_relations,
     dv0_from_n_mu,
@@ -20,11 +22,14 @@ from minkruled.errors import (
     NotUnitTimelikeError,
     ThetaSingularityError,
 )
+from minkruled.pipeline import build_directrix, synthesize_surface
 from minkruled.surface import finite_difference
+from minkruled.verify import _normals_along_directrix
 from conftest import random_boosted_frame
 from reference import CylindricalRulingError, invariants_analytic, q_prime_analytic
 
 E1, E2, E3 = np.eye(3)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def planar_surface(step=1e-3):
@@ -34,59 +39,75 @@ def planar_surface(step=1e-3):
     return RuledSurfaceGrid(directrix=curve, q=q)
 
 
+def assert_frame_components(q, T, N, B, theta, phi):
+    """-<q,T> = cosh(theta), <q,N> = -sinh(theta) sin(phi), <q,B> = sinh(theta) cos(phi)."""
+    assert -lorentz_inner(q, T) == pytest.approx(math.cosh(theta), abs=1e-12)
+    assert lorentz_inner(q, N) == pytest.approx(-math.sinh(theta) * math.sin(phi), abs=1e-12)
+    assert lorentz_inner(q, B) == pytest.approx(math.sinh(theta) * math.cos(phi), abs=1e-12)
+
+
 class TestRulingFromAngles:
     def test_theta_zero_gives_tangent(self):
         for phi in (0.0, 1.0, 4.0):
-            q, _, _ = ruling_from_angles(E1, E2, E3, 0.0, phi)
+            q = ruling_from_angles(E1, E2, E3, 0.0, phi)
             assert np.allclose(q, E1)
 
     def test_phi_zero(self):
         a = 0.8
-        q, A, m = ruling_from_angles(E1, E2, E3, a, 0.0)
+        q = ruling_from_angles(E1, E2, E3, a, 0.0)
         assert np.allclose(q, math.cosh(a) * E1 + math.sinh(a) * E3)
-        assert np.allclose(m, E2)
-        assert np.allclose(A, E3)
+        assert_frame_components(q, E1, E2, E3, a, 0.0)
 
     def test_theta_one_phi_half_pi(self):
-        q, A, m = ruling_from_angles(E1, E2, E3, 1.0, math.pi / 2)
-        assert np.allclose(A, -E2)
+        q = ruling_from_angles(E1, E2, E3, 1.0, math.pi / 2)
         assert np.allclose(q, math.cosh(1) * E1 - math.sinh(1) * E2)
-        assert np.allclose(m, E3)
+        assert_frame_components(q, E1, E2, E3, 1.0, math.pi / 2)
 
-    def test_unit_and_orthogonality(self):
+    def test_unit_and_frame_components(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             T, N, B = random_boosted_frame(rng)
             theta = rng.uniform(-2, 2)
             phi = rng.uniform(0, 2 * math.pi)
-            q, A, m = ruling_from_angles(T, N, B, theta, phi)
+            q = ruling_from_angles(T, N, B, theta, phi)
+            assert q.shape == (3,)
             assert lorentz_inner(q, q) == pytest.approx(-1.0, abs=1e-12)
-            assert lorentz_inner(m, m) == pytest.approx(1.0, abs=1e-12)
-            assert lorentz_inner(A, A) == pytest.approx(1.0, abs=1e-12)
-            assert abs(lorentz_inner(q, m)) < 1e-12
+            assert_frame_components(q, T, N, B, theta, phi)
 
     def test_vectorized_over_grid(self):
         T = np.tile(E1, (5, 1))
         N = np.tile(E2, (5, 1))
         B = np.tile(E3, (5, 1))
         theta = np.linspace(0.2, 1.0, 5)
-        q, _, _ = ruling_from_angles(T, N, B, theta, np.zeros(5))
+        q = ruling_from_angles(T, N, B, theta, np.zeros(5))
         assert q.shape == (5, 3)
         assert np.allclose(lorentz_inner(q, q), -1.0)
 
 
 class TestAnglesFromRuling:
     def test_round_trip(self):
-        # the frame components of q and A give back cosh(theta), sin(phi), cos(phi)
+        # the frame components of q give back cosh(theta), sinh(theta) sin(phi) and sinh(theta) cos(phi)
         rng = np.random.default_rng(9)
         for _ in range(200):
             T, N, B = random_boosted_frame(rng)
             theta = rng.uniform(1e-3, 2.0)
             phi = rng.uniform(0, 2 * math.pi)
-            q, A, _ = ruling_from_angles(T, N, B, theta, phi)
-            assert -lorentz_inner(q, T) == pytest.approx(math.cosh(theta), abs=1e-12)
-            assert lorentz_inner(A, N) == pytest.approx(-math.sin(phi), abs=1e-12)
-            assert lorentz_inner(A, B) == pytest.approx(math.cos(phi), abs=1e-12)
+            assert_frame_components(ruling_from_angles(T, N, B, theta, phi), T, N, B, theta, phi)
+
+    def test_phi_places_the_oracles_normal(self):
+        # the oracle's normal along the directrix, from the raw samples, is
+        # +-(cos(phi) N + sin(phi) B) up to its O(h^2) difference stencil;
+        # that error enters 1 - |<., .>| squared, so it reads about 5e-14,
+        # and a phi of the opposite sign reads 0.079 here
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        curve = build_directrix(cfg)
+        track, surface = synthesize_surface(cfg, curve)
+        m = _normals_along_directrix(surface)
+        cp, sp = np.cos(track.phi)[:, None], np.sin(track.phi)[:, None]
+        off = np.abs(np.abs(lorentz_inner(m, cp * curve.N + sp * curve.B)) - 1.0)
+        h = curve.step
+        assert h == 1e-3
+        assert np.max(off) < h * h
 
 
 class TestQPrimeAnalytic:
@@ -250,19 +271,18 @@ class TestTrackAndGridValidation:
         with pytest.raises(GridMismatchError):
             RuledSurfaceGrid(directrix=curve, q=q)
 
-    def test_track_on_other_grid_rejected_by_surface(self):
+    def test_track_on_other_grid_rejected_by_build_surface(self):
         curve = integrate_frenet(1.0, 0.0, s_range=(0.0, 0.1), step=1e-2)
-        q = np.tile(E1, (curve.n_samples, 1))
         track, _ = linear_theta_track(curve.s[:-1], 1.0, 0.0, 0.0)
         with pytest.raises(GridMismatchError):
-            RuledSurfaceGrid(directrix=curve, q=q, track=track)
+            build_surface(track, curve)
 
-    def test_track_within_tolerance_of_the_grid_accepted(self):
+    def test_track_within_tolerance_of_the_grid_accepted_by_build_surface(self):
         curve = integrate_frenet(1.0, 0.0, s_range=(0.0, 0.1), step=1e-2)
-        q = np.tile(E1, (curve.n_samples, 1))
         track, _ = linear_theta_track(curve.s + 1e-14, 1.0, 0.0, 0.0)
         assert not np.array_equal(track.s, curve.s)
-        assert RuledSurfaceGrid(directrix=curve, q=q, track=track).track is track
+        exact, _ = linear_theta_track(curve.s, 1.0, 0.0, 0.0)
+        assert np.array_equal(build_surface(track, curve).q, build_surface(exact, curve).q)
 
     def test_track_on_other_grid_rejected_by_analytic_invariants(self):
         curve = integrate_frenet(1.0, 1.0, s_range=(0.0, 0.4), step=1e-3)

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from minkruled import (
     RuledSurfaceGrid,
+    RunConfig,
     SynthesisParams,
     SystemKind,
     Tolerances,
@@ -17,8 +20,12 @@ from minkruled import (
     surface_defects,
 )
 from minkruled.errors import AllCylindricalError, ConfigError
-from minkruled.synthesis import KINDS
+from minkruled.pipeline import build_directrix, run_config, run_seed
+from minkruled.synthesis import HALF_PI, KINDS
 from minkruled.verify import DEFAULT_DEFECT_TOLS, SURFACE_DEFECTS, VANISHING_DEFECTS
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = sorted(p.name for p in CONFIG_DIR.glob("*.json"))
 
 
 def general_surface(directrix, theta0=1.0, phi0=0.2, d=0.5, v0=0.3):
@@ -44,12 +51,6 @@ class TestRecomputeReport:
             assert 0.0 < st.margin <= 1.0
             assert report.to_dict()["errors"][name]["margin"] == st.margin
             assert (strict.errors[name].margin > 1.0) == (name in strict.failures)
-
-    def test_oracle_ignores_track_provenance(self, unit_directrix):
-        surf, params = general_surface(unit_directrix)
-        bare = RuledSurfaceGrid(directrix=surf.directrix, q=surf.q.copy())  # no track
-        report = recompute_report(bare, params, SystemKind.GENERAL_DV0)
-        assert report.passed
 
     def test_noisy_rulings_fail(self, unit_directrix):
         surf, params = general_surface(unit_directrix)
@@ -120,6 +121,56 @@ class TestRecomputeReport:
             report = recompute_report(surf, params, SystemKind.GENERAL_DV0)
             errs.append(report.errors["d"].max_abs)
         assert 3.5 <= errs[0] / errs[1] <= 4.5
+
+
+@pytest.mark.parametrize("step", [1e-3, 1e-4])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_report_from_positions_and_rulings_alone(name, step):
+    """The oracle gives a run's report from the directrix positions and the rulings alone.
+
+    The surface it reads has a directrix whose frame T = N = B is zero, and
+    a surface holds no angle track, so neither can reach the verdict.
+    """
+    cfg = RunConfig.from_file(CONFIG_DIR / name).with_overrides(step=step)
+    result = run_seed(cfg, build_directrix(cfg))
+    zero = np.zeros_like(result.surface.directrix.T)
+    frameless = dataclasses.replace(result.surface.directrix, T=zero, N=zero, B=zero)
+    report = recompute_report(RuledSurfaceGrid(frameless, result.surface.q.copy()), cfg.params, cfg.system, cfg.tolerances)
+    assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(result.report.to_dict(), sort_keys=True)
+
+
+#: Curvature angles off (0, pi): (d, v0) depends on mu modulo pi only.
+#: 1e14 mod pi is 0.21096981170701126 (50-digit arithmetic).
+MU_MODULO_PI = [math.pi / 3, math.pi - 1.0, math.pi / 3 + math.pi, math.pi / 3 - math.pi, -1.0, 1e14]
+
+
+class TestCurvatureAngleModuloPi:
+    def prescribed(self, mu):
+        s = np.zeros(1)
+        return KINDS[SystemKind.CURVATURE_ANGLE].prescribe(SynthesisParams(n=1.0, mu=mu), s, s)
+
+    @pytest.mark.parametrize("mu", MU_MODULO_PI)
+    def test_geodesic_config_passes(self, mu):
+        cfg = RunConfig.from_file(CONFIG_DIR / "geodesic.json")
+        cfg = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, mu=mu))
+        if mu == 1e14:  # the seed is off this angle's fixed point, and theta blows up past s = 0.28
+            cfg = dataclasses.replace(cfg, directrix=dataclasses.replace(cfg.directrix, s_range=(0.0, 0.25)))
+        report = run_config(cfg, write_outputs=False).report
+        assert report.passed, report.failures
+        assert report.errors["mu"].max_abs < 1e-5
+
+    @pytest.mark.parametrize("mu", MU_MODULO_PI)
+    def test_prescribed_angle_is_the_chasles_angle_of_the_prescribed_pair(self, mu):
+        fixed = self.prescribed(mu)
+        assert -HALF_PI < fixed["mu"][0] < HALF_PI
+        assert fixed["mu"][0] == pytest.approx(math.atan(fixed["v0"][0] / fixed["d"][0]), abs=1e-15)
+
+    def test_exact_reduction_of_a_far_angle(self):
+        assert self.prescribed(1e14)["mu"][0] == pytest.approx(HALF_PI - 0.21096981170701126, abs=1e-15)
+
+    @pytest.mark.parametrize("mu", [1e-3, math.pi / 3, HALF_PI, math.pi - 1.0, math.pi - 1e-3])
+    def test_angle_in_range_keeps_its_complement(self, mu):
+        assert self.prescribed(mu)["mu"][0] == HALF_PI - mu
 
 
 def test_every_checked_defect_has_a_definition_and_a_tolerance():
