@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-stage wall times of every shipped config, written to BENCH_stages.json.
+"""Per-stage wall times and minor page faults of every shipped config, written to BENCH_stages.json.
 
 For each shipped config and step, times the six stages of a run by calling
 their public functions directly: build_directrix, integrate_system,
@@ -9,6 +9,9 @@ sweep base the benchmark uses, SWEEP_RUNS times per repeat, and prints each
 sweep's median beside its quartiles.  Each time is a median over its runs in
 ms, scaled to the machine's uncontended speed by the benchmark's reference
 loop (perfbench/refloop.py) run beside it, as perfbench scales its timings.
+Beside each stage's ms it records the median of the minor page faults the
+stage took (the ru_minflt growth of getrusage(RUSAGE_SELF) across the call),
+the pages the kernel mapped and zeroed for it.
 
 --save DIR keeps every run's CSV, report, OBJ and sweep summary; --compare
 DIR prints, against an earlier --save, the largest absolute drift per CSV
@@ -26,6 +29,7 @@ import importlib.util
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import tempfile
@@ -88,30 +92,44 @@ def _commit() -> str:
     return out.stdout.strip()
 
 
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 class Timer:
-    """Stage times scaled by the reference loop run before and after each one."""
+    """Stage times scaled by the reference loop run before and after each one, and each stage's minor faults.
+
+    A sweep's faults are not kept: those of a forked child count apart.
+    """
 
     def __init__(self, refloop):
         self.refloop = refloop
         self.times: dict[tuple, list[float]] = {}
+        self.faults: dict[tuple, list[int]] = {}
         self.before = refloop.loop_s()
 
     def __call__(self, key, fn, *args, **kwargs):
+        f0 = _minflt()
         t0 = time.perf_counter()
         result = fn(*args, **kwargs)
         dt = time.perf_counter() - t0
+        faults = _minflt() - f0
         after = self.refloop.loop_s()
         self.times.setdefault(key, []).append(dt * self.refloop.REF_S / (0.5 * (self.before + after)))
+        if key[0] == "stages_ms":
+            self.faults.setdefault(("stages_minflt",) + key[1:], []).append(faults)
         self.before = after
         return result
 
-    def medians_ms(self) -> dict:
+    def medians(self) -> dict:
+        """Median ms under the ``*_ms`` keys and median minor faults under ``stages_minflt``, nested by key."""
         out: dict = {}
-        for key, xs in self.times.items():
+        ms = {key: [1e3 * x for x in xs] for key, xs in self.times.items()}
+        for key, xs in {**ms, **self.faults}.items():
             node = out
             for part in key[:-1]:
                 node = node.setdefault(part, {})
-            node[key[-1]] = round(1e3 * statistics.median(xs), 4)
+            node[key[-1]] = round(statistics.median(xs), 4)
         return out
 
 
@@ -239,13 +257,15 @@ def main():
                 for _ in range(SWEEP_RUNS):
                     for name in SWEEP_BASES:
                         run_sweep(timer, name, step, out_dir)
-        doc = {"commit": _commit(), "machine": _machine(), "repeats": args.repeats, **timer.medians_ms()}
+        doc = {"commit": _commit(), "machine": _machine(), "repeats": args.repeats, **timer.medians()}
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
         for step in steps:
             totals = {st: sum(doc["stages_ms"][n][f"{step:g}"][st] for n in configs) for st in STAGES}
             print(f"step {step:g}, sum over {len(configs)} configs (ms): " + ", ".join(f"{k} {v:.1f}" for k, v in totals.items()))
+            faults = {st: sum(doc["stages_minflt"][n][f"{step:g}"][st] for n in configs) for st in STAGES}
+            print("  minor faults: " + ", ".join(f"{k} {v:g}" for k, v in faults.items()))
             for name in SWEEP_BASES:
                 q1, _, q3 = statistics.quantiles(timer.times[("sweep_ms", name, f"{step:g}")], n=4)
                 print(f"  sweep {name} (ms): median {doc['sweep_ms'][name][f'{step:g}']:.1f}, quartiles {1e3 * q1:.1f}-{1e3 * q3:.1f}")

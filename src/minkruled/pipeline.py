@@ -168,8 +168,8 @@ def write_samples_csv(path, track: AngleTrack, report: InvariantReport) -> str:
     Without recomputed invariants the six invariant cells are empty and the
     flag is 1.  When the kind prescribes ``d = 0`` the ``mu`` and ``n`` cells
     are empty: both are functions of ``d``, so the recomputed values would be
-    its roundoff.  Rows are formatted ``_CSV_BLOCK`` at a time by
-    ``text.lines``.
+    its roundoff.  Rows are formatted ``_CSV_BLOCK`` at a time by one
+    ``text.LineWriter`` made per file.
     """
     path = os.fspath(path)
     inv = report.recomputed
@@ -190,10 +190,12 @@ def write_samples_csv(path, track: AngleTrack, report: InvariantReport) -> str:
             seps.append(b"")
         seps[-1] += b"\n" if c == _CSV_COLUMNS[-1] else b","
     n = track.n_samples
+    widths = [1 if col.dtype.kind == "b" else text.FLOAT_WIDTH for col in cols]  # the flag, or a float
+    lines = text.LineWriter(seps, widths, min(n, _CSV_BLOCK))
     with open(path, "wb") as fh:
         fh.write(",".join(_CSV_COLUMNS).encode() + b"\n")
         for lo in range(0, n, _CSV_BLOCK):
-            fh.write(text.lines([col[lo : lo + _CSV_BLOCK] for col in cols], seps))
+            fh.write(lines.fill([col[lo : lo + _CSV_BLOCK] for col in cols]))
     return path
 
 

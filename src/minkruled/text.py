@@ -1,16 +1,18 @@
 """Exact ``%.17g`` and ``%d`` text of numpy blocks, formatted a whole array at a time.
 
-``lines(columns, seps)`` gives the bytes of one text line per row:
-``seps[0]``, then each cell followed by its separator.  A float cell reads
-exactly as ``'%.17g' % x`` and an integer or bool cell exactly as
-``'%d' % i``; the writers of the OBJ mesh and the sample CSV build every
-line through it.  ``cells(values)`` formats values once, for a caller that
-puts the same cell on several lines.
+A ``LineWriter`` is made once per output file, for lines of ``seps[0]``
+followed by each cell and its separator.  It holds a line buffer for one
+block of rows, with every separator written once, and the slots floats
+are formatted in; each ``fill(columns)`` writes one block's cells into the
+buffer and returns its lines.  A float cell reads exactly as
+``'%.17g' % x`` and an integer or bool cell exactly as ``'%d' % i``; the
+writers of the OBJ mesh and the sample CSV build every line through it.
+``cells(values)`` formats values once, for a caller that puts the same cell
+on several lines.
 
 Each value is formatted into a fixed slot of bytes padded with NULs, and
-the NULs are dropped once per block.  An integer slot is as wide as the
-longest text of its block, so a block of integers of one digit count has
-no NULs to drop.  A float takes the fast path when
+the NULs are dropped once per block, by one ``bytearray.translate`` of the
+line buffer.  A float takes the fast path when
 ``1e-4 <= |x| < 1e15`` or ``x == 0``, where ``%g`` writes fixed notation:
 ``x * 10**k`` for ``k = 16 - floor(log10|x|)`` (an exact power of ten,
 at most ``10**22``) is formed exactly as ``p + e`` by Dekker's product,
@@ -30,6 +32,8 @@ import numpy as np
 
 #: Bytes per value: the widest ``%.17g`` text is ``-2.2250738585072014e-308``.
 _SLOT = 24
+#: The slot of a float cell in a ``LineWriter`` line.
+FLOAT_WIDTH = _SLOT
 
 #: The fast path's range: ``%g`` writes fixed notation from decimal exponent
 #: -4 on, and below ``1e15`` the exponent is at most 14, so ``x * 10**(16 - exp)``
@@ -210,27 +214,70 @@ def cells(values) -> np.ndarray:
     return slots.view(f"V{slots.shape[1]}").reshape(values.shape)
 
 
-def lines(columns, seps) -> bytes:
-    """The text of ``len(columns[0])`` lines: ``seps[0]``, then each cell's value and the next separator.
+class LineWriter:
+    """Text lines of cells, formatted a block of rows at a time into buffers made once.
 
-    A column is a 1-d array of one value per line or a 2-d array of several,
-    of numbers or of ``cells``; floats are written as ``%.17g``, integers and
-    bools as ``%d``.  ``seps`` holds one separator (bytes without NULs)
-    before the first cell and one after each cell.
+    Each line is ``seps[0]``, then each cell's text followed by the next
+    separator (bytes without NULs).  ``widths[c]`` is the slot of cell
+    ``c`` in bytes: ``FLOAT_WIDTH`` for a float, and for an integer or
+    bool at least the digit count of its largest value, or ``FLOAT_WIDTH``
+    when a value may be outside ``[0, 10**8)``.  The line buffer holds
+    ``rows`` lines with every separator written once; ``fill`` writes only
+    the cells.
     """
-    texts = []
-    for column in map(np.asarray, columns):
-        column = column if column.dtype.kind == "V" else cells(column)
-        texts += list(column.reshape(len(column), -1).T)
-    parts = [seps[0]] + [part for text_sep in zip(texts, seps[1:]) for part in text_sep]
-    widths = [len(part) if isinstance(part, bytes) else part.itemsize for part in parts]
-    buf = np.empty((len(texts[0]), sum(widths)), dtype=np.uint8)
-    at = 0
-    for part, width in zip(parts, widths):
-        if isinstance(part, bytes):
-            buf[:, at : at + width] = np.frombuffer(part, dtype=np.uint8)
-        else:
-            buf[:, at : at + width].view(part.dtype)[:, 0] = part
-        at += width
-    data = buf.tobytes()
-    return data.translate(None, b"\0") if b"\0" in data else data
+
+    def __init__(self, seps, widths, rows: int):
+        if len(seps) != len(widths) + 1:
+            raise ValueError("a line writer takes one separator more than it has cells")
+        self._rows = rows
+        self._width = sum(map(len, seps)) + sum(widths)
+        self._buf = bytearray(rows * self._width)
+        self._lines = np.frombuffer(self._buf, dtype=np.uint8).reshape(rows, self._width)
+        self._cells = []  # (first byte, width) of each cell's slot in a line
+        at = 0
+        for sep, width in zip(seps, [*widths, 0]):
+            self._lines[:, at : at + len(sep)] = np.frombuffer(sep, dtype=np.uint8)
+            self._cells.append((at + len(sep), width))
+            at += len(sep) + width
+        self._cells.pop()
+        self._slots = np.empty((min(rows, _CHUNK), _SLOT), dtype=np.uint8)
+
+    def fill(self, columns) -> bytearray:
+        """The text of one block of lines, each row of ``columns`` giving one line's cells.
+
+        A column is a 1-d array of one value per line or a 2-d array of
+        several, of numbers or of ``cells``; floats are written as
+        ``%.17g``, integers and bools as ``%d``.  The columns hold at most
+        ``rows`` rows and exactly ``len(widths)`` cells per row.  The cells
+        go into the line buffer, and its first ``n`` lines come back as a
+        new ``bytearray`` with the NULs of the slots dropped.
+        """
+        columns = [np.asarray(column) for column in columns]
+        n = len(columns[0])
+        cells = [values for column in columns for values in column.reshape(n, -1).T]
+        if n > self._rows or len(cells) != len(self._cells):
+            raise ValueError(
+                f"{n} lines of {len(cells)} cells do not fit a writer of {self._rows} lines of {len(self._cells)}"
+            )
+        for values, (at, width) in zip(cells, self._cells):
+            self._place(values, self._lines[:n, at : at + width])
+        return (self._buf if n == self._rows else self._buf[: n * self._width]).translate(None, b"\0")
+
+    def _place(self, values: np.ndarray, out: np.ndarray) -> None:
+        """Write the text of ``values`` into ``out``, one row of slot bytes per value."""
+        if values.dtype.kind == "f":
+            if out.shape[1] != _SLOT:
+                raise ValueError(f"a float cell takes {_SLOT} bytes, not {out.shape[1]}")
+            for lo in range(0, len(values), _CHUNK):
+                slots = self._slots[: len(values) - lo]
+                _float_chunk(values[lo : lo + _CHUNK], slots)
+                out[lo : lo + len(slots)] = slots
+            return
+        if values.dtype.kind != "V":
+            values = _ints(values)
+            values = values.view(f"V{values.shape[1]}")[:, 0]
+        pad = out.shape[1] - values.itemsize
+        if pad < 0:
+            raise ValueError(f"a cell of {values.itemsize} bytes does not fit a slot of {out.shape[1]}")
+        out[:, :pad] = 0
+        out[:, pad:].view(values.dtype)[:, 0] = values

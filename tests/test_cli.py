@@ -1110,11 +1110,11 @@ class TestCliEntry:
         obj.write_bytes(b"an earlier mesh\n")
         seen = []
 
-        def failing(*args):  # the first block, after the header went to a temporary beside the OBJ
+        def failing(*args):  # the writer's first fill, after the header went to a temporary beside the OBJ
             seen.append((sorted(os.listdir(out)), obj.read_bytes()))
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        monkeypatch.setattr(minkruled.text, "lines", failing)
+        monkeypatch.setattr(minkruled.text.LineWriter, "fill", failing)
         code = main(["export-mesh", "--config", str(CONFIG_DIR / "general_roundtrip.json"), "--out-dir", str(out)])
         assert code == 2
         err = capsys.readouterr().err

@@ -35,7 +35,7 @@ def test_export_gallery_writes_every_config(tmp_path):
     assert all("verdict=pass" in line for line in lines)
 
 
-def test_convergence_study_prints_three_tables(tmp_path):
+def test_convergence_study_prints_four_tables(tmp_path):
     proc = run_script("convergence_study.py", "--steps", "4e-3,2e-3", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout
@@ -59,9 +59,12 @@ def test_bench_stages_writes_every_key_and_compares(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     stages = {"build_directrix", "integrate_system", "build_surface", "recompute_report", "write_samples_csv", "export_mesh"}
-    assert set(doc) == {"commit", "machine", "repeats", "stages_ms", "sweep_ms"}
-    assert sorted(doc["stages_ms"]) == CONFIG_NAMES
-    assert all(set(per_step) == {"0.01"} and set(per_step["0.01"]) == stages for per_step in doc["stages_ms"].values())
+    assert set(doc) == {"commit", "machine", "repeats", "stages_ms", "stages_minflt", "sweep_ms"}
+    for key in ("stages_ms", "stages_minflt"):
+        assert sorted(doc[key]) == CONFIG_NAMES
+        assert all(set(per_step) == {"0.01"} and set(per_step["0.01"]) == stages for per_step in doc[key].values())
+    assert all(n >= 0 for per_step in doc["stages_minflt"].values() for n in per_step["0.01"].values())
+    assert "  minor faults: build_directrix " in proc.stdout
     assert doc["sweep_ms"].keys() == {"cylinder", "developable", "general_roundtrip"}
     assert all(f"sweep {name} (ms): median " in proc.stdout for name in doc["sweep_ms"])
     assert all(t > 0 for per_step in doc["sweep_ms"].values() for t in per_step.values())

@@ -1,4 +1,4 @@
-"""``text.lines`` writes exactly the bytes of ``'%.17g' % x`` and ``'%d' % i``."""
+"""``text.LineWriter`` writes exactly the bytes of ``'%.17g' % x`` and ``'%d' % i``."""
 
 from decimal import Decimal
 
@@ -10,12 +10,13 @@ from minkruled.config import MAX_MESH_POINTS
 
 
 def formatted(values) -> list[bytes]:
-    """One ``text.lines`` line per value, without its newline."""
-    return text.lines([np.asarray(values)], [b"", b"\n"]).split(b"\n")[:-1]
+    """One line per value from a ``text.LineWriter``, without its newline."""
+    writer = text.LineWriter([b"", b"\n"], [text.FLOAT_WIDTH], len(values))
+    return writer.fill([np.asarray(values)]).split(b"\n")[:-1]
 
 
 def mismatches(values, template="%.17g") -> list:
-    """The values whose ``text.lines`` bytes differ from ``template % v``, with both texts."""
+    """The values whose ``text.LineWriter`` bytes differ from ``template % v``, with both texts."""
     got = formatted(values)
     want = [(template % v).encode() for v in np.asarray(values).tolist()]
     assert len(got) == len(want)
@@ -131,17 +132,52 @@ class TestInts:
         assert formatted(np.array([True, False, True])) == [b"1", b"0", b"1"]
 
 
-def test_lines_interleave_columns_and_separators():
+def reference_lines(floats, ints, flags) -> bytes:
+    return "".join(
+        f"<{'%.17g' % a},{'%d' % i},,{'%.17g' % b} {'%.17g' % c};{'%d' % f}\n"
+        for (a, b, c), i, f in zip(floats.tolist(), ints.tolist(), flags.tolist())
+    ).encode()
+
+
+def interleaving_writer(rows):
+    widths = [text.FLOAT_WIDTH, len(str(MAX_MESH_POINTS)), text.FLOAT_WIDTH, text.FLOAT_WIDTH, 1]
+    return text.LineWriter([b"<", b",", b",,", b" ", b";", b"\n"], widths, rows)
+
+
+def test_a_writer_interleaves_columns_and_separators():
     rng = np.random.default_rng(6)
     floats = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-6, 3, (300, 3))
     flags = rng.integers(0, 2, 300).astype(bool)
     ints = rng.integers(0, MAX_MESH_POINTS, 300)
-    got = text.lines([floats[:, 0], ints, floats[:, 1:], flags], [b"<", b",", b",,", b" ", b";", b"\n"])
-    want = "".join(
-        f"<{'%.17g' % a},{'%d' % i},,{'%.17g' % b} {'%.17g' % c};{'%d' % f}\n"
-        for (a, b, c), i, f in zip(floats.tolist(), ints.tolist(), flags.tolist())
-    )
-    assert got == want.encode()
+    got = interleaving_writer(300).fill([floats[:, 0], ints, floats[:, 1:], flags])
+    assert got == reference_lines(floats, ints, flags)
+
+
+def test_a_refilled_writer_keeps_no_bytes_of_an_earlier_fill():
+    rng = np.random.default_rng(9)
+    writer = interleaving_writer(200)
+    # a full block of the widest texts: 24-byte floats and 7-digit ints
+    floats = -rng.uniform(1.0, 2.0, (200, 3)) * 1e-300
+    ints = rng.integers(10**6, MAX_MESH_POINTS, 200)
+    flags = np.ones(200, dtype=bool)
+    assert writer.fill([floats[:, 0], ints, floats[:, 1:], flags]) == reference_lines(floats, ints, flags)
+    # then fewer rows of shorter texts, the %-fallback values among them
+    short = np.array([[0.5, 1e-300, np.nan], [-np.inf, 2.0, 0.0], [1e-7, -0.25, 3.0], [12.5, np.inf, -0.0]])
+    ints, flags = np.array([7, 42, 0, 123]), np.array([False, True, False, False])
+    assert writer.fill([short[:, 0], ints, short[:, 1:], flags]) == reference_lines(short, ints, flags)
+
+
+def test_a_writer_refuses_what_its_slots_cannot_hold():
+    writer = text.LineWriter([b"", b" ", b"\n"], [text.FLOAT_WIDTH, 2], 2)
+    for columns in ([np.zeros(3), np.zeros(3, dtype=int)], [np.zeros(2)], [np.zeros((2, 2)), np.zeros(2, dtype=int)]):
+        with pytest.raises(ValueError, match="do not fit a writer of 2 lines of 2"):
+            writer.fill(columns)
+    with pytest.raises(ValueError, match="a cell of 3 bytes does not fit a slot of 2"):
+        writer.fill([np.zeros(2), np.array([5, 100])])
+    with pytest.raises(ValueError, match="a float cell takes 24 bytes"):
+        writer.fill([np.zeros(2), np.zeros(2)])
+    with pytest.raises(ValueError, match="separator"):
+        text.LineWriter([b"", b"\n"], [1, 1], 2)
 
 
 def test_cells_keep_the_shape_and_are_as_wide_as_the_widest_text():
@@ -155,13 +191,14 @@ def test_cells_keep_the_shape_and_are_as_wide_as_the_widest_text():
     assert text.cells(np.array([True, False])).dtype.itemsize == 1
 
 
-def test_lines_take_columns_of_cells():
+def test_a_writer_takes_columns_of_cells():
     ints = np.array([9, 10, 11, 99, 100, 12345678])
     at = text.cells(ints)
-    got = text.lines([at[1:], at[:-1], np.arange(5)], [b"f ", b" ", b" ", b"\n"])
+    writer = text.LineWriter([b"f ", b" ", b" ", b"\n"], [8, 8, 1], 5)
+    got = writer.fill([at[1:], at[:-1], np.arange(5)])
     assert got == b"".join(b"f %d %d %d\n" % row for row in zip(ints[1:].tolist(), ints[:-1].tolist(), range(5)))
-    # a block of one digit count has no NULs to drop
-    assert text.lines([text.cells(np.array([10, 20]))], [b"", b"\n"]) == b"10\n20\n"
+    # cells narrower than their slot
+    assert writer.fill([text.cells(np.array([10, 20]))] * 2 + [np.arange(2)]) == b"f 10 10 0\nf 20 20 1\n"
 
 
 @pytest.mark.parametrize("n", [1, text._CHUNK - 1, text._CHUNK, 2 * text._CHUNK + 1])
