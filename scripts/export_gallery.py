@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Render every shipped config to an OBJ mesh (plus its verification report).
+"""Render every shipped config to an OBJ mesh and print its verification verdict.
 
 Useful for eyeballing the synthesized families in any mesh viewer.  Remember
 the viewer measures Euclidean distances; the geometry is Lorentzian.

@@ -2,17 +2,14 @@
 
 Every failure mode of the numerical pipeline gets its own class so callers
 (and the CLI) can react to specific conditions instead of parsing messages.
+A geometry error whose message names an arc length carries it as ``s``.
 """
 
 from __future__ import annotations
 
 
 class GeometryError(Exception):
-    """Base class for all geometric / numerical domain failures."""
-
-
-class LocatedError(GeometryError):
-    """A failure detected at a known sample; carries its arc length ``s``."""
+    """Base class for all geometric / numerical domain failures; ``s`` is the arc length of the failure, if known."""
 
     def __init__(self, message: str, s: float | None = None):
         super().__init__(message)
@@ -27,11 +24,11 @@ class NonPositiveCurvatureError(GeometryError):
     """Prescribed curvature k1 is not strictly positive on the grid."""
 
 
-class StepTooLargeError(LocatedError):
+class StepTooLargeError(GeometryError):
     """Frame orthonormality defect exceeded tolerance during integration."""
 
 
-class FarPositionError(LocatedError):
+class FarPositionError(GeometryError):
     """A curve position passed |x| = ``limit`` = h / eps, where the float spacing can exceed the step h."""
 
     def __init__(self, message: str, s: float | None = None, limit: float | None = None):
@@ -51,11 +48,11 @@ class AllCylindricalError(GeometryError):
     """Every sample of the surface is cylindrical; no invariants to report."""
 
 
-class ThetaSingularityError(LocatedError):
+class ThetaSingularityError(GeometryError):
     """|theta| fell below the singularity guard (coth theta blows up)."""
 
 
-class IntegrationDivergedError(LocatedError):
+class IntegrationDivergedError(GeometryError):
     """State left the representable range (finite-s blowup of a determining system)."""
 
 

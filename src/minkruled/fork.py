@@ -6,8 +6,9 @@ of the remaining items would take longer at that rate than the child's
 fixed cost.  Both processes then take indices from one queue, a pipe, so a
 child slowed by other load on the machine just takes fewer.  The child runs
 on the CPUs its parent is not on, writes its results into an unnamed
-temporary file and leaves through ``os._exit``, so it never flushes the
-stdio buffers it inherited or runs exit handlers.
+temporary file in the system temp directory and leaves through
+``os._exit``, so it never flushes the stdio buffers it inherited or runs
+exit handlers.
 """
 
 from __future__ import annotations
@@ -31,17 +32,17 @@ import time
 _FORK_COST_S = 0.009
 
 
-def map_items(fn, items, *, tmp_dir: str) -> list:
+def map_items(fn, items) -> list:
     """``[fn(x) for x in items]``, in order; part of it may run in a forked child.
 
     ``fn(items[0])`` runs here first and is timed.  A child is forked only
     if half of the remaining items would take longer than ``_FORK_COST_S``
     at that rate, this process may run on 2 or more CPUs and runs no other
     thread (a fork copies only the calling thread), an unnamed temporary
-    file can be made in ``tmp_dir`` and the fork succeeds.  This process
-    then runs every index whose result the child did not return, so an
-    error, the child's too, is raised here with its usual class.  The child
-    is reaped before this returns or raises.
+    file can be made and the fork succeeds.  This process then runs every
+    index whose result the child did not return, so an error, the child's
+    too, is raised here with its usual class.  The child is reaped before
+    this returns or raises.
     """
     items = list(items)
     if not items:
@@ -51,11 +52,11 @@ def map_items(fn, items, *, tmp_dir: str) -> list:
     t0 = time.perf_counter() - start
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
     if (len(items) - 1) * t0 / 2 > _FORK_COST_S and len(cpus) >= 2 and threading.active_count() == 1:
-        _run_with_child(fn, items, results, tmp_dir, cpus)
+        _run_with_child(fn, items, results, cpus)
     return [results[i] if i in results else fn(items[i]) for i in range(len(items))]
 
 
-def _run_with_child(fn, items, results, tmp_dir: str, cpus) -> None:
+def _run_with_child(fn, items, results, cpus) -> None:
     """Run the items after the first here and in a forked child; put into ``results`` what finished.
 
     The indices are queued before the fork in one write of at most
@@ -67,8 +68,8 @@ def _run_with_child(fn, items, results, tmp_dir: str, cpus) -> None:
     stays on its parent's CPU and each runs at half speed.
     """
     try:
-        out = tempfile.TemporaryFile(dir=tmp_dir)
-    except OSError:  # a directory that takes no new file
+        out = tempfile.TemporaryFile()
+    except OSError:  # a temp directory that takes no new file
         return
     n = len(items)
     others = cpus - {_last_cpu()}

@@ -418,7 +418,7 @@ def integrate_frenet(
             raise IntegrationDivergedError(f"{name}(s={at:.6g}) is not finite", s=float(at))
         if np.min(k1_grid) <= 0.0:
             i = int(np.argmin(k1_grid))
-            raise NonPositiveCurvatureError(f"k1(s={s[i]:.6g}) = {k1_grid[i]:.6g} is not positive")
+            raise NonPositiveCurvatureError(f"k1(s={s[i]:.6g}) = {k1_grid[i]:.6g} is not positive", s=float(s[i]))
         y = _rk4_frames(frame, h, k1_grid, k2_grid, k1_mid, k2_mid)
         defect = _frame_gram_defect(y[1, 1:], y[2, 1:], y[3, 1:])
     over = np.flatnonzero(~(defect <= DEFAULT_FRAME_TOL))  # a NaN frame fails too

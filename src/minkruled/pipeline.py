@@ -1,8 +1,9 @@
 """End-to-end runs: directrix, synthesis, surface, verification, file outputs.
 
-All emitted files are deterministic for identical configs: floats are
-written with 17 significant digits, JSON keys are sorted, and nothing
-records timestamps.
+All emitted files are deterministic for identical configs: the CSV and
+OBJ write floats with 17 significant digits, the report JSON with
+``json``'s shortest round-trip repr and sorted keys, and nothing records
+timestamps.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ class SweepRow:
         """The row of a seed from its report, or from the error that stopped it."""
         if isinstance(outcome, GeometryError):
             detail = f"{type(outcome).__name__}: {outcome}"
-            return cls(theta0, phi0, "error", None, None, getattr(outcome, "s", None), detail)
+            return cls(theta0, phi0, "error", None, None, outcome.s, detail)
         rels = [st.max_rel for st in outcome.errors.values() if math.isfinite(st.max_rel)]
         defects = [v for k, v in outcome.defects.items() if not k.endswith("_endpoints")]
         detail = "" if outcome.passed else "failed: " + ",".join(outcome.failures)
@@ -244,9 +245,9 @@ def sweep_grid(
 
     The seeds run through ``fork.map_items``: a sweep whose first seed shows
     that half of the others would take longer than a child's fixed cost
-    shares them with a forked child, which hands its rows back pickled in a
-    temporary file in ``out_dir``.  The rows and the summary are the same
-    either way.
+    shares them with a forked child, which hands its rows back pickled in an
+    unnamed temporary file.  The rows and the summary are the same either
+    way.
     """
     theta0_list = list(DEFAULT_THETA0_GRID if theta0_list is None else theta0_list)
     phi0_list = list(DEFAULT_PHI0_GRID if phi0_list is None else phi0_list)
@@ -275,7 +276,7 @@ def sweep_grid(
         return SweepRow.of(theta0, phi0, outcome)
 
     seeds = [(theta0, phi0) for theta0 in map(float, theta0_list) for phi0 in map(float, phi0_list)]
-    rows = map_items(row, seeds, tmp_dir=out_dir)
+    rows = map_items(row, seeds)
 
     summary_path = os.path.join(out_dir, summary_name)
     with open(summary_path, "w", newline="") as fh:

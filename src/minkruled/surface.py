@@ -62,9 +62,11 @@ class RuledSurfaceGrid:
         n = self.directrix.n_samples
         if self.q.shape != (n, 3):
             raise GridMismatchError(f"q has shape {self.q.shape}, directrix has {n} samples")
-        worst = float(np.max(np.abs(lorentz_inner(self.q, self.q) + 1.0)))
-        if worst > 1e-9:
-            raise NotUnitTimelikeError(f"|<q,q> + 1| up to {worst:.3e} exceeds 1e-9")
+        defect = np.abs(lorentz_inner(self.q, self.q) + 1.0)
+        over = np.flatnonzero(defect > 1e-9)
+        if over.size:
+            i, s = int(over[0]), float(self.s[over[0]])
+            raise NotUnitTimelikeError(f"|<q,q> + 1| = {defect[i]:.3e} exceeds 1e-9 at s = {s:.6g}", s=s)
 
     @property
     def s(self) -> np.ndarray:
@@ -88,7 +90,6 @@ class SurfaceInvariants:
     where d = 0 (developable samples).
     """
 
-    s: np.ndarray
     d: np.ndarray
     v0: np.ndarray
     K: np.ndarray
@@ -162,7 +163,6 @@ def invariants_numeric(surface: RuledSurfaceGrid) -> SurfaceInvariants:
         v0 = np.where(cylindrical, np.nan, -lorentz_inner(kp, qp) / qq)
     K, mu, n = curvature_relations(d, v0)
     return SurfaceInvariants(
-        s=surface.s.copy(),
         d=d,
         v0=v0,
         K=K,

@@ -115,8 +115,8 @@ class AngleTrack:
 def require_same_grid(track: AngleTrack, directrix: FrenetCurve) -> None:
     """Raise GridMismatchError unless the track samples the directrix grid.
 
-    An equal grid, the usual case (a track carries a copy of its directrix's),
-    skips the tolerance comparison.
+    An equal grid, the usual case (a synthesized track holds its directrix's
+    own ``s``), skips the tolerance comparison.
     """
     if track.n_samples != directrix.n_samples or not (
         np.array_equal(track.s, directrix.s) or np.allclose(track.s, directrix.s, atol=1e-12)
@@ -184,7 +184,9 @@ def _curvature_angle(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
     off = np.flatnonzero(~(n > 0.0))
     if off.size:
         i = int(off[0])
-        raise ParamDomainError(f"curvature_angle requires n > 0; n = {float(n[i]):.6g} at s = {float(s[i]):.6g}")
+        raise ParamDomainError(
+            f"curvature_angle requires n > 0; n = {float(n[i]):.6g} at s = {float(s[i]):.6g}", s=float(s[i])
+        )
     # (d, v0) depends on mu modulo pi only.  Its Chasles angle atan(v0/d) =
     # atan(cot(mu)) is pi/2 - mu on 0 < mu < pi; elsewhere math.sin and
     # math.cos reduce mu exactly, where mu % pi would not (its float pi is off
@@ -205,7 +207,8 @@ def _asymptotic(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
         if off.size:
             i = int(off[0])
             raise ParamDomainError(
-                f"params.n = {float(n_given[i])} conflicts with -1/k2 = {float(n_k2[i])} at s = {s[i]:.6g}"
+                f"params.n = {float(n_given[i])} conflicts with -1/k2 = {float(n_k2[i])} at s = {s[i]:.6g}",
+                s=float(s[i]),
             )
     return _from_n_mu(n_k2, p.mu)
 
@@ -328,7 +331,7 @@ def _rhs(theta: float, phi: float, s: float, c, pinned: bool) -> tuple[float, fl
             f"|theta| = {abs(theta):.3e} below guard {THETA_MIN:.1e} at s = {s:.6g}", s=s
         )
     if math.isnan(a):
-        raise ParamDomainError(f"d^2 + v0^2 = 0 at s = {s:.6g}")
+        raise ParamDomainError(f"d^2 + v0^2 = 0 at s = {s:.6g}", s=s)
     sh = math.sinh(theta)
     if pinned:
         return a * sh + k1, 0.0
@@ -440,7 +443,7 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
             b1 = 0.0 if pinned else bk + k1 * (cosh(t) / sh) * cos(p)
             theta[i], phi[i] = t, p
         else:
-            return AngleTrack(s.copy(), np.fromiter(theta, float, n), np.fromiter(phi, float, n))
+            return AngleTrack(s, np.fromiter(theta, float, n), np.fromiter(phi, float, n))
     except ValueError:  # math.sin or math.cos of a stage phi of +-inf
         pass
     at_mid = (float(mid[i - 1]), tuple(float(x[i - 1]) for x in middle))
@@ -469,12 +472,12 @@ def _line_of_curvature_track(params: SynthesisParams, directrix: FrenetCurve) ->
     cos_phi = np.cos(phi)
     if float(np.min(np.abs(cos_phi))) < 1e-12:
         i = int(np.argmin(np.abs(cos_phi)))
-        raise PhiSingularError(f"cos(phi) = 0 at s = {s[i]:.6g}")
+        raise PhiSingularError(f"cos(phi) = 0 at s = {s[i]:.6g}", s=float(s[i]))
     arg = n * directrix.k1 * cos_phi
     if float(np.max(np.abs(arg))) >= 1.0:
         i = int(np.argmax(np.abs(arg)))
-        raise NoSolutionError(f"|n k1 cos(phi)| = {abs(arg[i]):.6g} >= 1 at s = {s[i]:.6g}")
-    return AngleTrack(s=s.copy(), theta=np.arctanh(arg), phi=phi)
+        raise NoSolutionError(f"|n k1 cos(phi)| = {abs(arg[i]):.6g} >= 1 at s = {s[i]:.6g}", s=float(s[i]))
+    return AngleTrack(s=s, theta=np.arctanh(arg), phi=phi)
 
 
 def ruling_from_angles(T, N, B, theta, phi) -> np.ndarray:

@@ -7,8 +7,8 @@ are formatted in; each ``fill(columns)`` writes one block's cells into the
 buffer and returns its lines.  A float cell reads exactly as
 ``'%.17g' % x`` and an integer or bool cell exactly as ``'%d' % i``; the
 writers of the OBJ mesh and the sample CSV build every line through it.
-``cells(values)`` formats values once, for a caller that puts the same cell
-on several lines.
+``cells(values)`` formats integers or bools once, for a caller that puts
+the same cell on several lines.
 
 Each value is formatted into a fixed slot of bytes padded with NULs, and
 the NULs are dropped once per block, by one ``bytearray.translate`` of the
@@ -120,15 +120,6 @@ def _significand(a: np.ndarray, exp: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return q, (q < 10**16) | (q >= 10**17)
 
 
-def _floats(x: np.ndarray) -> np.ndarray:
-    """``(len(x), _SLOT)`` uint8 slots holding ``'%.17g' % v`` of each value, NUL padded."""
-    x = np.asarray(x, dtype=np.float64)
-    slots = np.empty((len(x), _SLOT), dtype=np.uint8)
-    for lo in range(0, len(x), _CHUNK):
-        _float_chunk(x[lo : lo + _CHUNK], slots[lo : lo + _CHUNK])
-    return slots
-
-
 def _float_chunk(x: np.ndarray, slots: np.ndarray) -> None:
     """Fill ``slots`` with the text of ``x``, at most ``_CHUNK`` values."""
     a = np.abs(x)
@@ -201,16 +192,17 @@ def _ints(i: np.ndarray) -> np.ndarray:
 
 
 def cells(values) -> np.ndarray:
-    """Each value's text as one cell: an array of ``values``' shape whose items are NUL-padded bytes.
+    """Each integer's or bool's text as one cell: an array of ``values``' shape whose items are NUL-padded bytes.
 
-    Once its NULs are dropped, a float cell reads ``'%.17g' % x`` and an
-    integer or bool cell ``'%d' % i``.  The items have a ``V`` dtype as wide
-    as the widest text the values can have: ``_SLOT`` bytes for floats, the
-    digit count of the largest integer, or ``_SLOT`` when an integer is
-    outside ``[0, 10**8)``.
+    Once its NULs are dropped, a cell reads ``'%d' % i``.  The items have a
+    ``V`` dtype as wide as the digit count of the largest value, or
+    ``_SLOT`` when a value is outside ``[0, 10**8)``.  Any other dtype is a
+    TypeError; floats are formatted by a ``LineWriter``.
     """
     values = np.asarray(values)
-    slots = (_ints if values.dtype.kind in "biu" else _floats)(values.ravel())
+    if values.dtype.kind not in "biu":
+        raise TypeError(f"cells formats integers and bools, not {values.dtype}")
+    slots = _ints(values.ravel())
     return slots.view(f"V{slots.shape[1]}").reshape(values.shape)
 
 

@@ -1,8 +1,11 @@
 """Independent verification: recompute prescribed invariants from raw samples.
 
-A surface holds no angle track, and every check starts from the (k_i, q_i)
-samples of a surface and finite differences, so a synthesis bug cannot
-certify itself.  Headline errors cover interior samples; endpoint
+A surface holds no angle track, so a synthesis bug cannot certify itself.
+The invariants are recomputed from the (k_i, q_i) samples of a surface and
+finite differences.  Two checks read more of the directrix than its
+positions: the ``geodesic`` and ``asymptotic_line`` defects read its
+integrated normal ``N``, and the asymptotic prescription n = -1/k2 reads
+its stored torsion ``k2``.  Headline errors cover interior samples; endpoint
 samples use one-sided stencils with a larger error constant and are reported
 separately.
 """
@@ -206,9 +209,10 @@ def _normals_along_directrix(surface: RuledSurfaceGrid) -> np.ndarray:
     r_s = finite_difference(surface.directrix.k, h)
     c = lorentz_cross(r_s, surface.q)
     nrm = lorentz_norm(c)
-    if float(np.min(nrm)) < 1e-9:
-        i = int(np.argmin(nrm))
-        raise SingularPointError(f"singular surface point along the directrix at sample {i}")
+    singular = np.flatnonzero(nrm < 1e-9)
+    if singular.size:
+        s = float(surface.s[singular[0]])
+        raise SingularPointError(f"singular surface point along the directrix at s = {s:.6g}", s=s)
     return c / nrm[:, None]
 
 

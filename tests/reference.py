@@ -112,7 +112,6 @@ def invariants_analytic(track: AngleTrack, directrix: FrenetCurve, theta_prime, 
     d = sh * (k1 * ch * np.cos(track.phi) - p * sh) / norm_sq
     K, mu, n = curvature_relations(d, v0)
     return SurfaceInvariants(
-        s=track.s.copy(),
         d=d,
         v0=v0,
         K=K,

@@ -597,6 +597,7 @@ class TestMapItems:
 
     def test_every_index_runs_once_across_both_processes(self, monkeypatch, tmp_path, signal_pipe):
         parent, (r, w), ran_here = os.getpid(), signal_pipe, []
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # where the child's file is made
 
         def fn(x):
             if os.getpid() != parent:
@@ -608,7 +609,7 @@ class TestMapItems:
 
         forks = count_forks(monkeypatch, {0, 1})
         items = list(range(40))
-        results = minkruled.fork.map_items(fn, items, tmp_dir=tmp_path)
+        results = minkruled.fork.map_items(fn, items)
         assert [x for _, x in results] == items
         in_child = [x for pid, x in results if pid != parent]
         assert len(forks) == 1 and in_child and ran_here
@@ -617,7 +618,7 @@ class TestMapItems:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("how", ["exit", "exception"])
-    def test_indices_a_dead_child_took_are_rerun(self, monkeypatch, tmp_path, signal_pipe, how):
+    def test_indices_a_dead_child_took_are_rerun(self, monkeypatch, signal_pipe, how):
         parent, (r, w), ran_here = os.getpid(), signal_pipe, []
 
         def fn(x):
@@ -633,13 +634,13 @@ class TestMapItems:
 
         count_forks(monkeypatch, {0, 1})
         items = list(range(12))
-        assert minkruled.fork.map_items(fn, items, tmp_dir=tmp_path) == [x * x for x in items]
+        assert minkruled.fork.map_items(fn, items) == [x * x for x in items]
         lost = int.from_bytes(os.read(r, 4), "little")
         assert sorted(ran_here) == items and ran_here[-1] == lost  # rerun once, after the queue ran dry
         assert_no_child_left()
 
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs 2 CPUs")
-    def test_child_runs_off_the_cpu_of_its_parent(self, monkeypatch, tmp_path, signal_pipe):
+    def test_child_runs_off_the_cpu_of_its_parent(self, monkeypatch, signal_pipe):
         parent, (r, w), cpus, affinity = os.getpid(), signal_pipe, os.sched_getaffinity(0), os.sched_getaffinity
         monkeypatch.setattr(minkruled.fork, "_last_cpu", lambda: min(cpus))
 
@@ -651,14 +652,14 @@ class TestMapItems:
             return os.getpid(), affinity(0)
 
         count_forks(monkeypatch, cpus)
-        results = minkruled.fork.map_items(fn, range(8), tmp_dir=tmp_path)
+        results = minkruled.fork.map_items(fn, range(8))
         assert {frozenset(cpu_set) for pid, cpu_set in results if pid != parent} == {frozenset(cpus - {min(cpus)})}
         assert all(cpu_set == cpus for pid, cpu_set in results if pid == parent)
 
-    def test_no_items_and_one_item_never_fork(self, monkeypatch, tmp_path):
+    def test_no_items_and_one_item_never_fork(self, monkeypatch):
         forks = count_forks(monkeypatch, {0, 1})
-        assert minkruled.fork.map_items(str, [], tmp_dir=tmp_path) == []
-        assert minkruled.fork.map_items(str, (7,), tmp_dir=tmp_path) == ["7"]
+        assert minkruled.fork.map_items(str, []) == []
+        assert minkruled.fork.map_items(str, (7,)) == ["7"]
         assert forks == []
 
 
@@ -827,6 +828,17 @@ class TestSweep:
         forks = count_forks(monkeypatch, {0, 1})
         got, path = sweep_grid(cfg, out_dir=tmp_path / "arrays", **grid)
         assert len(forks) == 1 and got == rows and Path(path).read_bytes() == summary
+
+    def test_nonpositive_curvature_locates_every_row(self, tmp_path, capsys):
+        doc = load_doc("general_roundtrip.json")
+        doc["directrix"]["k1"] = {"type": "polynomial", "coefficients": [0.25, -1.0]}  # k1 <= 0 from s = 0.25
+        code = main(["sweep", "--config", write_doc(tmp_path, doc), "--out-dir", str(tmp_path / "out")])
+        out = capsys.readouterr().out.splitlines()
+        error = " at s=0.5 NonPositiveCurvatureError: k1(s=0.5) = -0.25 is not positive"
+        assert code == 1 and len(out) == 13 and all(line.endswith(error) for line in out[:12])
+        with open(tmp_path / "out" / "sweep_summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 12 and {row["failure_s"] for row in rows} == {"0.5"}
 
     def test_empty_seed_list_rejected(self, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")

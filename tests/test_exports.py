@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import minkruled
@@ -110,4 +111,26 @@ def test_the_surface_and_its_oracle_name_no_angle():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             words = [getattr(node, attr, None) for attr in ("id", "attr", "arg", "name", "asname", "value")]
             found += [f"{name}:{node.lineno}:{w}" for w in words if isinstance(w, str) and w in ANGLE_NAMES]
+    assert found == []
+
+
+def test_every_error_naming_an_arc_length_carries_it():
+    """A ``raise`` whose f-string message formats an arc length (``s = {...}`` or ``s={...}``) passes ``s=``."""
+    names_s = re.compile(r"(?<!\w)s ?= ?$")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            call = node.exc
+            messages = [arg for arg in call.args if isinstance(arg, ast.JoinedStr)]
+            located = any(
+                isinstance(part, ast.FormattedValue)
+                and isinstance(before, ast.Constant)
+                and names_s.search(before.value)
+                for message in messages
+                for before, part in zip(message.values, message.values[1:])
+            )
+            if located and "s" not in [kw.arg for kw in call.keywords]:
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []

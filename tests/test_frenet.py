@@ -288,8 +288,9 @@ class TestIntegrateFrenet:
             integrate_frenet(1.0, 0.0, s_range=(0.0, 0.1), step=1e-3, initial_frame=frame)
 
     def test_nonpositive_curvature_rejected(self):
-        with pytest.raises(NonPositiveCurvatureError):
+        with pytest.raises(NonPositiveCurvatureError) as err:
             integrate_frenet(Polynomial((0.5, -1.0)), 0.0, s_range=(0.0, 1.0), step=1e-2)
+        assert (str(err.value), err.value.s) == ("k1(s=1) = -0.5 is not positive", 1.0)
 
     def test_step_too_large(self):
         with pytest.raises(StepTooLargeError) as err:

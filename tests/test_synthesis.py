@@ -168,6 +168,36 @@ class TestDomainRules:
             system_rhs(kind, 0.6, 0.0, 0.0, params, 1.0, -0.5)
 
 
+#: (kind, directrix (k1, k2), params, error, message, s) of a domain error that names an arc length
+LOCATED_DOMAIN_ERRORS = [
+    pytest.param(
+        SystemKind.CURVATURE_ANGLE, (1.0, 0.1), SynthesisParams(theta0=0.6, mu=math.pi / 3, n=Polynomial((0.5, -1.0))),
+        ParamDomainError, "curvature_angle requires n > 0; n = 0 at s = 0.5", 0.5, id="curvature-angle-n-not-positive",
+    ),
+    pytest.param(
+        SystemKind.ASYMPTOTIC_LINE, (1.0, -0.5),
+        SynthesisParams(theta0=0.6, mu=math.pi / 3, n=Polynomial((2.0, 0.0, 1.0))), ParamDomainError,
+        "params.n = 2.000001 conflicts with -1/k2 = 2.0 at s = 0.001", 0.001, id="asymptotic-n-conflicts",
+    ),
+    pytest.param(
+        SystemKind.LINE_OF_CURVATURE, (1.0, -1.0), SynthesisParams(n=1.0, C=math.pi / 2 - 0.5), PhiSingularError,
+        "cos(phi) = 0 at s = 0.5", 0.5, id="phi-singular",
+    ),
+    pytest.param(
+        SystemKind.LINE_OF_CURVATURE, (Polynomial((0.5, 1.0)), 0.0), SynthesisParams(n=1.0, C=0.0), NoSolutionError,
+        "|n k1 cos(phi)| = 1.5 >= 1 at s = 1", 1.0, id="no-solution",
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, directrix, params, error, message, s", LOCATED_DOMAIN_ERRORS)
+def test_domain_error_carries_the_arc_length_it_names(kind, directrix, params, error, message, s):
+    curve = integrate_frenet(*directrix, s_range=(0.0, 1.0), step=1e-3)
+    with pytest.raises(error) as err:
+        integrate_system(kind, params, curve)
+    assert (str(err.value), err.value.s) == (message, s)
+
+
 class TestCylinderMode:
     def test_ruling_field_is_constant(self, flat_directrix):
         params = SynthesisParams(theta0=1.0, phi0=0.5)
@@ -245,11 +275,11 @@ STAGE_TRIPS = [
     ),
     pytest.param(
         SystemKind.STRICTION_LINE, dict(k2=0.1), SynthesisParams(theta0=0.8, phi0=0.4, d=Polynomial((-0.0125, 1.0))),
-        ParamDomainError, "d^2 + v0^2 = 0 at s = 0.0125", None, id="vanishing-d-and-v0",
+        ParamDomainError, "d^2 + v0^2 = 0 at s = 0.0125", 0.0125, id="vanishing-d-and-v0",
     ),
     pytest.param(
         SystemKind.STRICTION_LINE, dict(k2=0.1), SynthesisParams(theta0=0.8, phi0=0.4, d=Polynomial((-0.25, 1.0))),
-        ParamDomainError, "d^2 + v0^2 = 0 at s = 0.25", None, id="vanishing-d-and-v0-at-sample",
+        ParamDomainError, "d^2 + v0^2 = 0 at s = 0.25", 0.25, id="vanishing-d-and-v0-at-sample",
     ),
     pytest.param(
         SystemKind.CYLINDER, dict(k1=Polynomial((1.0, 10.0)), k2=0.0),
@@ -422,11 +452,10 @@ class TestGeneralMode:
         curve = _trip_directrix(**directrix)
         with pytest.raises(error) as err:
             integrate_system(kind, params, curve)
-        assert str(err.value) == message
-        assert getattr(err.value, "s", None) == s
+        assert (str(err.value), err.value.s) == (message, s)
         with pytest.raises(error) as ref:
             _stage_by_stage_rk4(kind, params, curve)
-        assert (str(ref.value), getattr(ref.value, "s", None)) == (message, s)
+        assert (str(ref.value), ref.value.s) == (message, s)
 
     def test_replay_of_a_step_that_trips_no_guard_raises_a_located_error(self):
         c = (1.0, 0.1, 0.3 / 0.34, -0.5 / 0.34)  # k1, k2 and (a, b) of d = 0.5, v0 = 0.3

@@ -16,11 +16,13 @@ from minkruled import (
     integrate_frenet,
     integrate_system,
     lorentz_inner,
+    lorentz_norm,
     recompute_report,
     surface_defects,
 )
-from minkruled.errors import AllCylindricalError, ConfigError
+from minkruled.errors import AllCylindricalError, ConfigError, SingularPointError
 from minkruled.pipeline import build_directrix, run_config, run_seed
+from minkruled.surface import finite_difference
 from minkruled.synthesis import HALF_PI, KINDS
 from minkruled.verify import DEFAULT_DEFECT_TOLS, SURFACE_DEFECTS, VANISHING_DEFECTS
 
@@ -255,6 +257,16 @@ class TestSpecialCaseDefects:
         with pytest.raises(ValueError, match=message):
             surface_defects(small, name)
         assert set(surface_defects(self.surface_on(2 * layer + 1), name)) == {name, f"{name}_endpoints"}
+
+    def test_singular_point_carries_the_arc_length_of_its_first_sample(self):
+        curve = integrate_frenet(1.0, 0.1, s_range=(0.0, 0.1), step=1e-3)
+        q = general_surface(curve)[0].q.copy()
+        kp = finite_difference(curve.k, curve.step)
+        for i in (40, 70):  # the ruling along the directrix's tangent: no normal there
+            q[i] = kp[i] / lorentz_norm(kp[i])
+        with pytest.raises(SingularPointError) as err:
+            surface_defects(RuledSurfaceGrid(directrix=curve, q=q), "geodesic")
+        assert (str(err.value), err.value.s) == ("singular surface point along the directrix at s = 0.04", curve.s[40])
 
     def surface_on(self, n_samples):
         return general_surface(integrate_frenet(0.6, 0.2, s_range=(0.0, 1e-2 * (n_samples - 1)), step=1e-2))[0]
