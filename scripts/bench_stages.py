@@ -6,12 +6,15 @@ their public functions directly: build_directrix, integrate_system,
 build_surface, recompute_report, write_samples_csv and export_mesh (a fixed
 33-ruling mesh).  Also times sweep_grid on the default seed grid of each
 sweep base the benchmark uses, SWEEP_RUNS times per repeat, and prints each
-sweep's median beside its quartiles.  Each time is a median over its runs in
-ms, scaled to the machine's uncontended speed by the benchmark's reference
-loop (perfbench/refloop.py) run beside it, as perfbench scales its timings.
-Beside each stage's ms it records the median of the minor page faults the
-stage took (the ru_minflt growth of getrusage(RUSAGE_SELF) across the call),
-the pages the kernel mapped and zeroed for it.
+sweep's median beside its quartiles: ``sweep_ms`` cycles the bases, so each
+sweep builds its directrix, and ``sweep_warm_ms`` sweeps one base twice and
+times the second sweep, which reuses the directrix of the first.  Each time
+is a median over its runs in ms, scaled to the machine's uncontended speed
+by the benchmark's reference loop (perfbench/refloop.py) run beside it, as
+perfbench scales its timings.  Beside each stage's ms it records the median
+of the minor page faults the stage took (the ru_minflt growth of
+getrusage(RUSAGE_SELF) across the call), the pages the kernel mapped and
+zeroed for it.
 
 --save DIR keeps every run's CSV, report, OBJ and sweep summary; --compare
 DIR prints, against an earlier --save, the largest absolute drift per CSV
@@ -146,9 +149,14 @@ def run_stages(timer, name: str, step: float, out_dir: Path) -> None:
     write_report_json(f"{stem}.json", report)
 
 
-def run_sweep(timer, name: str, step: float, out_dir: Path) -> None:
+def run_sweep(timer, name: str, step: float, out_dir: Path, warm: bool = False) -> None:
+    """Time one sweep of ``name``; a ``warm`` one runs the same sweep untimed first."""
     cfg = RunConfig.from_file(ROOT / "configs" / f"{name}.json").with_overrides(step=step)
-    timer(("sweep_ms", name, f"{step:g}"), sweep_grid, cfg, None, None, out_dir, summary_name=f"sweep_{name}_{step:g}.csv")
+    args = (cfg, None, None, out_dir)
+    summary_name = f"sweep_{name}_{step:g}.csv"
+    if warm:
+        sweep_grid(*args, summary_name=summary_name)
+    timer(("sweep_warm_ms" if warm else "sweep_ms", name, f"{step:g}"), sweep_grid, *args, summary_name=summary_name)
 
 
 def _csv_columns(path: Path) -> dict[str, list[str]]:
@@ -257,6 +265,8 @@ def main():
                 for _ in range(SWEEP_RUNS):
                     for name in SWEEP_BASES:
                         run_sweep(timer, name, step, out_dir)
+                    for name in SWEEP_BASES:
+                        run_sweep(timer, name, step, out_dir, warm=True)
         doc = {"commit": _commit(), "machine": _machine(), "repeats": args.repeats, **timer.medians()}
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
@@ -267,8 +277,10 @@ def main():
             faults = {st: sum(doc["stages_minflt"][n][f"{step:g}"][st] for n in configs) for st in STAGES}
             print("  minor faults: " + ", ".join(f"{k} {v:g}" for k, v in faults.items()))
             for name in SWEEP_BASES:
-                q1, _, q3 = statistics.quantiles(timer.times[("sweep_ms", name, f"{step:g}")], n=4)
-                print(f"  sweep {name} (ms): median {doc['sweep_ms'][name][f'{step:g}']:.1f}, quartiles {1e3 * q1:.1f}-{1e3 * q3:.1f}")
+                for label, key in (("sweep", "sweep_ms"), ("warm sweep", "sweep_warm_ms")):
+                    q1, _, q3 = statistics.quantiles(timer.times[(key, name, f"{step:g}")], n=4)
+                    median = doc[key][name][f"{step:g}"]
+                    print(f"  {label} {name} (ms): median {median:.1f}, quartiles {1e3 * q1:.1f}-{1e3 * q3:.1f}")
         print(f"wrote {args.out}")
         if args.compare:
             compare(out_dir, Path(args.compare))

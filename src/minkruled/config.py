@@ -230,7 +230,7 @@ _DOCUMENT = {
 }
 
 
-def _to_json(value):
+def to_json(value):
     """The normalized JSON form of a config value; unset entries (``is_unset``) are dropped."""
     if isinstance(value, CurvatureFn):
         return value.to_spec()
@@ -241,9 +241,9 @@ def _to_json(value):
     if dataclasses.is_dataclass(value):
         value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
-        return {key: _to_json(v) for key, v in value.items() if not is_unset(v)}
+        return {key: to_json(v) for key, v in value.items() if not is_unset(v)}
     if isinstance(value, tuple):
-        return [_to_json(v) for v in value]
+        return [to_json(v) for v in value]
     return value
 
 
@@ -292,7 +292,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """The normalized form: ``from_dict(cfg.to_dict())`` gives the same config."""
-        return {"version": SCHEMA_VERSION, **_to_json(self)}
+        return {"version": SCHEMA_VERSION, **to_json(self)}
 
     def with_overrides(self, *, step: float | None = None, tol_rel: float | None = None, tol_abs: float | None = None) -> "RunConfig":
         """This config with the given step and tolerances; None keeps a value.

@@ -18,13 +18,22 @@ import os
 from dataclasses import dataclass
 
 from . import text
-from .config import RunConfig
+from .config import RunConfig, to_json
 from .errors import ConfigError, FarPositionError, GeometryError
 from .fork import map_items
 from .frenet import FrenetCurve, integrate_frenet
 from .mesh import export_mesh
 from .surface import RuledSurfaceGrid
-from .synthesis import DEFAULT_PHI0_GRID, DEFAULT_THETA0_GRID, KINDS, AngleTrack, build_surface, integrate_system
+from .synthesis import (
+    DEFAULT_PHI0_GRID,
+    DEFAULT_THETA0_GRID,
+    KINDS,
+    AngleOperands,
+    AngleTrack,
+    angle_operands,
+    build_surface,
+    integrate_system,
+)
 from .verify import InvariantReport, recompute_report
 
 
@@ -117,19 +126,22 @@ def write_all(out_dir: str, writers: dict) -> dict[str, str]:
     return paths
 
 
-def run_seed(cfg: RunConfig, curve: FrenetCurve) -> RunResult:
+def run_seed(cfg: RunConfig, curve: FrenetCurve, operands: AngleOperands | None = None) -> RunResult:
     """Synthesize and verify one config on its directrix ``curve``; writes nothing.
 
-    The one per-seed path of ``run_config`` and ``sweep_grid``.
+    The one per-seed path of ``run_config`` and ``sweep_grid``; ``operands``
+    are passed to ``integrate_system``.
     """
-    track, surface = synthesize_surface(cfg, curve)
+    track, surface = synthesize_surface(cfg, curve, operands)
     report = recompute_report(surface, cfg.params, cfg.system, cfg.tolerances)
     return RunResult(config=cfg, track=track, surface=surface, report=report, written={})
 
 
-def synthesize_surface(cfg: RunConfig, curve: FrenetCurve) -> tuple[AngleTrack, RuledSurfaceGrid]:
+def synthesize_surface(
+    cfg: RunConfig, curve: FrenetCurve, operands: AngleOperands | None = None
+) -> tuple[AngleTrack, RuledSurfaceGrid]:
     """The angle track of one config on its directrix ``curve`` and the ruling field built from it; unverified."""
-    track = integrate_system(cfg.system, cfg.params, curve)
+    track = integrate_system(cfg.system, cfg.params, curve, operands)
     return track, build_surface(track, curve)
 
 
@@ -228,6 +240,29 @@ class SweepRow:
         return cls(theta0, phi0, outcome.verdict, max(rels, default=None), max(defects, default=None), None, detail)
 
 
+#: The directrix the last sweep built, as (its normalized spec, the curve),
+#: or None; see ``sweep_directrix``.
+_swept_directrix: tuple[str, FrenetCurve] | None = None
+
+
+def sweep_directrix(base: RunConfig) -> FrenetCurve:
+    """``build_directrix(base)``, or the curve the last call built if its directrix spec was equal.
+
+    One curve is kept, keyed by the whole normalized directrix spec
+    (``config.to_json`` of k1, k2, s_range, step and initial_frame).  A
+    spec that differs drops it before its own build, and a build that fails
+    keeps nothing, so the next call tries again.  Each call returns the
+    curve it compared or built, never one another thread put in its place.
+    ``run_config`` neither reads nor fills it.
+    """
+    global _swept_directrix
+    key, kept = json.dumps(to_json(base.directrix)), _swept_directrix
+    if kept is None or kept[0] != key:
+        kept = _swept_directrix = None
+        kept = _swept_directrix = (key, build_directrix(base))
+    return kept[1]
+
+
 def sweep_grid(
     base: RunConfig,
     theta0_list=None,
@@ -238,10 +273,14 @@ def sweep_grid(
 ) -> tuple[list[SweepRow], str]:
     """Synthesize and verify once per seed on the grid; one CSV row per seed.
 
-    The directrix is built once and shared by every seed.  Errors are
-    recorded per row and never abort the sweep.  Per-seed file outputs are
-    suppressed (only the summary is written); ``out_dir`` is created before
-    the first seed runs.
+    The seed-independent work is done once per sweep: the directrix, which
+    the next sweep of an equal directrix spec reuses (``sweep_directrix``;
+    one curve stays alive after the sweep, 17 doubles per sample), and the
+    angle operands (``synthesis.angle_operands``), which every seed's
+    ``integrate_system`` reads and which die when the sweep returns.
+    Errors are recorded per row and never abort the sweep.  Per-seed file
+    outputs are suppressed (only the summary is written); ``out_dir`` is
+    created before the first seed runs.
 
     The seeds run through ``fork.map_items``: a sweep whose first seed shows
     that half of the others would take longer than a child's fixed cost
@@ -255,27 +294,31 @@ def sweep_grid(
         raise ValueError("seed lists must be nonempty")
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
+    seeds = [(theta0, phi0) for theta0 in map(float, theta0_list) for phi0 in map(float, phi0_list)]
 
-    # the directrix does not depend on the seed: build it once; if it cannot
-    # be built, every row carries that error
+    # a directrix that cannot be built puts its error in every row; operands
+    # that cannot be built leave each seed to meet their error on its own path
     try:
-        curve, error = build_directrix(base), None
+        curve, error = sweep_directrix(base), None
     except GeometryError as exc:
         curve, error = None, exc
+    operands = None
+    if curve is not None:
+        with contextlib.suppress(GeometryError):
+            operands = angle_operands(base.system, base.with_seed(*seeds[0]).params, curve)
 
     def row(seed) -> SweepRow:
         theta0, phi0 = seed
         outcome = error
         if curve is not None:
             try:
-                outcome = run_seed(base.with_seed(theta0, phi0), curve).report
+                outcome = run_seed(base.with_seed(theta0, phi0), curve, operands).report
             except GeometryError as exc:
                 # returned at once: a local holding it would keep the failed
                 # seed's frames, and their arrays, alive until a collection
                 return SweepRow.of(theta0, phi0, exc)
         return SweepRow.of(theta0, phi0, outcome)
 
-    seeds = [(theta0, phi0) for theta0 in map(float, theta0_list) for phi0 in map(float, phi0_list)]
     rows = map_items(row, seeds)
 
     summary_path = os.path.join(out_dir, summary_name)

@@ -63,7 +63,7 @@ class RuledSurfaceGrid:
         if self.q.shape != (n, 3):
             raise GridMismatchError(f"q has shape {self.q.shape}, directrix has {n} samples")
         defect = np.abs(lorentz_inner(self.q, self.q) + 1.0)
-        over = np.flatnonzero(defect > 1e-9)
+        over = np.flatnonzero(~(defect <= 1e-9))  # a NaN defect fails too
         if over.size:
             i, s = int(over[0]), float(self.s[over[0]])
             raise NotUnitTimelikeError(f"|<q,q> + 1| = {defect[i]:.3e} exceeds 1e-9 at s = {s:.6g}", s=s)

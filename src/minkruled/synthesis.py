@@ -360,7 +360,44 @@ def _replay_step(start, h: float, mid: tuple, end: tuple, pinned: bool) -> NoRet
     )
 
 
-def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: FrenetCurve) -> AngleTrack:
+@dataclass(frozen=True)
+class AngleOperands:
+    """What the integration of a seeded kind reads besides the seed: one kind, prescription and directrix.
+
+    ``node`` and ``middle`` are (k1, k2, a, b) at the samples and at the
+    step midpoints, what a replayed step reads (``_replay_step``).
+    ``streams`` are the six arrays the RK4 loop reads per step: k1, a and
+    b - k2 at the step's midpoint, then at its end sample (phi' adds its
+    coth term to b - k2, as ``_rhs`` does).
+    """
+
+    node: tuple[np.ndarray, ...]
+    middle: tuple[np.ndarray, ...]
+    streams: tuple[np.ndarray, ...]
+
+
+def angle_operands(kind: SystemKind, params: SynthesisParams, directrix: FrenetCurve) -> AngleOperands | None:
+    """The operands ``integrate_system`` reads on ``directrix``, or None for a kind that is not seeded.
+
+    Checks ``params`` with ``validate_params`` and evaluates both
+    ``_coefficients``, so it raises ParamDomainError where those do.  The
+    seed angles are read only by that check, so the operands serve every
+    seed of a sweep.
+    """
+    validate_params(kind, params)
+    if not KINDS[kind].seeded:
+        return None
+    s, mid = directrix.s, directrix.s[:-1] + 0.5 * directrix.step
+    node = (directrix.k1, directrix.k2, *_coefficients(kind, params, s, directrix.k2).T)
+    middle = (directrix.k1_mid, directrix.k2_mid, *_coefficients(kind, params, mid, directrix.k2_mid).T)
+    with np.errstate(over="ignore"):  # b - k2 overflows only for a k2 near the float limit
+        streams = (middle[0], middle[2], middle[3] - middle[1], node[0][1:], node[2][1:], (node[3] - node[1])[1:])
+    return AngleOperands(node, middle, streams)
+
+
+def integrate_system(
+    kind: SystemKind, params: SynthesisParams, directrix: FrenetCurve, operands: AngleOperands | None = None
+) -> AngleTrack:
     """Solve the determining system along the directrix grid.
 
     Seeded kinds run fixed-step 4th-order integration of the general system,
@@ -369,6 +406,10 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
     with a ``pin`` integrates theta alone with phi held there; the
     line-of-curvature mode is assembled in closed form.  A track aborts
     where |theta| leaves [THETA_MIN, THETA_MAX] (see ``_rhs``).
+
+    ``operands`` are ``angle_operands`` of this kind and directrix for
+    params that differ from ``params`` in the seed angles at most, as a
+    sweep shares them among its seeds; None builds them here.
 
     The four stages of each step evaluate ``_rhs`` inline, with its operands
     in the same order, so the track is bit-identical to calling it.  Each
@@ -381,24 +422,19 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
     stage's error.
     """
     validate_params(kind, params)
-    s = directrix.s
-    h = directrix.step
     spec = KINDS[kind]
-
     if not spec.seeded:
         return _line_of_curvature_track(params, directrix)
+    if operands is None:
+        operands = angle_operands(kind, params, directrix)
 
+    s = directrix.s
+    h = directrix.step
     pinned = spec.pin is not None
-    # RK4 on the two angles as Python floats, fed memoryviews of k1, a and
-    # b - k2 taken once at the samples and step midpoints (the same floats
-    # as tolist, without building the lists; phi' adds its coth term to
-    # b - k2, as _rhs does); the right-hand side at the end of a step is the
-    # first stage of the next.
-    mid = s[:-1] + 0.5 * h
-    node = (directrix.k1, directrix.k2, *_coefficients(kind, params, s, directrix.k2).T)
-    middle = (directrix.k1_mid, directrix.k2_mid, *_coefficients(kind, params, mid, directrix.k2_mid).T)
-    with np.errstate(over="ignore"):  # b - k2 overflows only for a k2 near the float limit
-        streams = (middle[0], middle[2], middle[3] - middle[1], node[0][1:], node[2][1:], (node[3] - node[1])[1:])
+    # RK4 on the two angles as Python floats, fed memoryviews of the operand
+    # streams (the same floats as tolist, without building the lists); the
+    # right-hand side at the end of a step is the first stage of the next.
+    node, middle = operands.node, operands.middle
     n = len(s)
     theta, phi = [0.0] * n, [0.0] * n
     t, p = float(params.theta0), spec.pin if pinned else float(params.phi0)
@@ -414,7 +450,7 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
     # pinned kind has phi = pi/2, where sin is exactly 1.0, so it gets _rhs's
     # a sinh(theta) + k1 and phi' = 0.
     try:
-        for i, k1m, am, bkm, k1, a, bk in zip(range(1, n), *map(memoryview, streams)):
+        for i, k1m, am, bkm, k1, a, bk in zip(range(1, n), *map(memoryview, operands.streams)):
             x, y = t + half * a1, p + half * b1
             if not (lo <= x <= hi or nhi <= x <= nlo):
                 break
@@ -446,7 +482,7 @@ def integrate_system(kind: SystemKind, params: SynthesisParams, directrix: Frene
             return AngleTrack(s, np.fromiter(theta, float, n), np.fromiter(phi, float, n))
     except ValueError:  # math.sin or math.cos of a stage phi of +-inf
         pass
-    at_mid = (float(mid[i - 1]), tuple(float(x[i - 1]) for x in middle))
+    at_mid = (float(s[i - 1]) + half, tuple(float(x[i - 1]) for x in middle))
     at_end = (float(s[i]), tuple(float(x[i]) for x in node))
     _replay_step((t, p, a1, b1), h, at_mid, at_end, pinned)
 

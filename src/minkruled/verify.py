@@ -188,7 +188,7 @@ def recompute_report(
         defects.update(surface_defects(surface, name))
 
     for name in (*(VANISHING_DEFECTS[v] for v in spec.vanishing), *spec.defects):
-        if defects[name] > tol.defect_tol(name):
+        if not defects[name] <= tol.defect_tol(name):  # a NaN defect fails too
             failures.append(name)
 
     return InvariantReport(

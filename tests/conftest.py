@@ -2,10 +2,17 @@ import hypothesis
 import numpy as np
 import pytest
 
+import minkruled.pipeline
 from minkruled import integrate_frenet
 
 hypothesis.settings.register_profile("ci", deadline=None)
 hypothesis.settings.load_profile("ci")
+
+
+@pytest.fixture(autouse=True)
+def no_swept_directrix(monkeypatch):
+    """Start each test with no directrix kept by an earlier sweep, so counts of builds do not depend on test order."""
+    monkeypatch.setattr(minkruled.pipeline, "_swept_directrix", None)
 
 
 @pytest.fixture(scope="session")

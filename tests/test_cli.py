@@ -15,6 +15,7 @@ import threading
 import tracemalloc
 import types
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,16 @@ from minkruled import (
 from minkruled.cli import build_parser, main
 from minkruled.config import MAX_MESH_POINTS
 from minkruled.errors import ConfigError, FarPositionError, GeometryError
-from minkruled.pipeline import build_directrix, run_config, run_seed, sweep_grid, synthesize_surface, write_samples_csv
+from minkruled.frenet import default_initial_frame
+from minkruled.pipeline import (
+    SweepRow,
+    build_directrix,
+    run_config,
+    run_seed,
+    sweep_grid,
+    synthesize_surface,
+    write_samples_csv,
+)
 from minkruled.synthesis import DEFAULT_PHI0_GRID, DEFAULT_THETA0_GRID
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -569,10 +579,10 @@ class TestForkedPart:
         bad = (DEFAULT_THETA0_GRID[index // 4], DEFAULT_PHI0_GRID[index % 4])
         run_seed = minkruled.pipeline.run_seed
 
-        def buggy(seed_cfg, curve):
+        def buggy(seed_cfg, *args):
             if (seed_cfg.params.theta0, seed_cfg.params.phi0) == bad:
                 raise SeedBug("not a geometry error")
-            return run_seed(seed_cfg, curve)
+            return run_seed(seed_cfg, *args)
 
         monkeypatch.setattr(minkruled.pipeline, "run_seed", buggy)
         forks = count_forks(monkeypatch, {0, 1})
@@ -785,6 +795,19 @@ def count_directrix_evaluations(monkeypatch, cfg) -> dict:
     return calls
 
 
+def count_directrix_builds(monkeypatch) -> list:
+    """The directrix builds of ``pipeline`` from now on, one entry each."""
+    calls, integrate = [], minkruled.pipeline.integrate_frenet
+    monkeypatch.setattr(minkruled.pipeline, "integrate_frenet", lambda *a, **kw: calls.append(1) or integrate(*a, **kw))
+    return calls
+
+
+def step_too_large_config() -> RunConfig:
+    """The cylinder config on a directrix whose frame drifts past its tolerance: StepTooLargeError."""
+    cfg = RunConfig.from_file(CONFIG_DIR / "cylinder.json")
+    return dataclasses.replace(cfg, directrix=dataclasses.replace(cfg.directrix, k1=Constant(5.0), step=0.25))
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
 def test_directrix_curvatures_are_evaluated_at_samples_and_midpoints_only(monkeypatch, tmp_path, name):
     cfg = RunConfig.from_file(CONFIG_DIR / name)
@@ -795,6 +818,8 @@ def test_directrix_curvatures_are_evaluated_at_samples_and_midpoints_only(monkey
     rows, _ = sweep_grid(cfg, out_dir=tmp_path)
     assert len(rows) == 12
     assert calls == {"k1": 2, "k2": 2}  # one directrix shared by every seed
+    sweep_grid(cfg, out_dir=tmp_path)
+    assert calls == {"k1": 2, "k2": 2}  # and by the next sweep of the same directrix
 
 
 class TestSweep:
@@ -846,20 +871,60 @@ class TestSweep:
             sweep_grid(cfg, theta0_list=[], out_dir=tmp_path)
 
     def test_directrix_built_once_per_sweep(self, monkeypatch, tmp_path):
-        calls = []
-        integrate = minkruled.pipeline.integrate_frenet
-        monkeypatch.setattr(minkruled.pipeline, "integrate_frenet", lambda *a, **kw: calls.append(1) or integrate(*a, **kw))
+        calls = count_directrix_builds(monkeypatch)
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
-        rows, _ = sweep_grid(cfg, out_dir=tmp_path)
+        rows, summary = one_process_sweep(cfg, tmp_path / "first")
         assert len(rows) == 12 and len(calls) == 1
+        # the next sweep of an equal spec, in other objects and with other tolerances, builds none
+        again = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json").with_overrides(tol_rel=1e-3)
+        assert one_process_sweep(again, tmp_path / "second") == (rows, summary)
+        assert len(calls) == 1
 
-    @pytest.mark.parametrize("name", ["general_roundtrip.json", "cylinder.json", "step-too-large"])
-    def test_rows_match_per_seed_runs(self, tmp_path, name):
-        if name == "step-too-large":  # the directrix itself fails: every row carries its error
-            cfg = RunConfig.from_file(CONFIG_DIR / "cylinder.json")
-            cfg = dataclasses.replace(cfg, directrix=dataclasses.replace(cfg.directrix, k1=Constant(5.0), step=0.25))
+    @pytest.mark.parametrize("change", ["step", "k1", "initial_frame"])
+    def test_changed_directrix_is_rebuilt(self, monkeypatch, tmp_path, change):
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        if change == "step":
+            changed = cfg.with_overrides(step=5e-4)
         else:
-            cfg = RunConfig.from_file(CONFIG_DIR / name)
+            value = Constant(1.1)
+            if change == "initial_frame":
+                value = default_initial_frame()
+                value[0] = (0.5, 0.0, 0.0)  # the position only
+            changed = dataclasses.replace(cfg, directrix=dataclasses.replace(cfg.directrix, **{change: value}))
+        calls = count_directrix_builds(monkeypatch)
+        sweep_grid(cfg, out_dir=tmp_path)
+        kept = weakref.ref(minkruled.pipeline._swept_directrix[1])
+        rows, _ = sweep_grid(changed, out_dir=tmp_path)
+        assert len(calls) == 2
+        assert kept() is None  # the first curve was dropped, not kept beside the second
+        assert rows == [
+            SweepRow.of(r.theta0, r.phi0, run_config(changed.with_seed(r.theta0, r.phi0), write_outputs=False).report)
+            for r in rows
+        ]
+
+    def test_directrix_that_failed_is_built_again_by_the_next_sweep(self, monkeypatch, tmp_path):
+        cfg = step_too_large_config()
+        calls = count_directrix_builds(monkeypatch)
+        for _ in range(2):
+            rows, _ = sweep_grid(cfg, out_dir=tmp_path)
+            assert all(r.verdict == "error" and r.detail.startswith("StepTooLargeError") for r in rows)
+        assert len(calls) == 2 and minkruled.pipeline._swept_directrix is None
+
+    def test_run_config_keeps_no_directrix(self, tmp_path):
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        result = run_config(cfg, write_outputs=False)
+        curve = weakref.ref(result.surface.directrix)
+        del result
+        assert curve() is None
+        assert minkruled.pipeline._swept_directrix is None
+        # nor does it read the sweep's curve
+        sweep_grid(cfg, out_dir=tmp_path)
+        swept = minkruled.pipeline._swept_directrix[1]
+        assert run_config(cfg, write_outputs=False).surface.directrix is not swept
+
+    @pytest.mark.parametrize("name", SHIPPED + ["step-too-large"])
+    def test_rows_match_per_seed_runs(self, tmp_path, name):
+        cfg = step_too_large_config() if name == "step-too-large" else RunConfig.from_file(CONFIG_DIR / name)
         rows, summary = sweep_grid(cfg, out_dir=tmp_path)
         expected = []
         for row in rows:
@@ -874,7 +939,7 @@ class TestSweep:
             expected.append((report.verdict, max(rels, default=None), max(defects, default=None), None, detail))
         got = [(r.verdict, r.max_rel_error, r.worst_defect, r.failure_s, r.detail) for r in rows]
         assert got == expected
-        if name != "general_roundtrip.json":
+        if name in ("cylinder.json", "step-too-large"):
             assert any(r.verdict == "error" for r in rows)
 
         def cell(x):

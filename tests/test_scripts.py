@@ -59,15 +59,16 @@ def test_bench_stages_writes_every_key_and_compares(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     stages = {"build_directrix", "integrate_system", "build_surface", "recompute_report", "write_samples_csv", "export_mesh"}
-    assert set(doc) == {"commit", "machine", "repeats", "stages_ms", "stages_minflt", "sweep_ms"}
+    assert set(doc) == {"commit", "machine", "repeats", "stages_ms", "stages_minflt", "sweep_ms", "sweep_warm_ms"}
     for key in ("stages_ms", "stages_minflt"):
         assert sorted(doc[key]) == CONFIG_NAMES
         assert all(set(per_step) == {"0.01"} and set(per_step["0.01"]) == stages for per_step in doc[key].values())
     assert all(n >= 0 for per_step in doc["stages_minflt"].values() for n in per_step["0.01"].values())
     assert "  minor faults: build_directrix " in proc.stdout
-    assert doc["sweep_ms"].keys() == {"cylinder", "developable", "general_roundtrip"}
-    assert all(f"sweep {name} (ms): median " in proc.stdout for name in doc["sweep_ms"])
-    assert all(t > 0 for per_step in doc["sweep_ms"].values() for t in per_step.values())
+    for key, label in (("sweep_ms", "sweep"), ("sweep_warm_ms", "warm sweep")):
+        assert doc[key].keys() == {"cylinder", "developable", "general_roundtrip"}
+        assert all(f"  {label} {name} (ms): median " in proc.stdout for name in doc[key])
+        assert all(set(per_step) == {"0.01"} and per_step["0.01"] > 0 for per_step in doc[key].values())
     assert list(doc) == sorted(doc)
 
     proc = run_script("bench_stages.py", *args, "--compare", str(tmp_path / "a"), cwd=tmp_path)

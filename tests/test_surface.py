@@ -268,6 +268,14 @@ class TestTrackAndGridValidation:
             RuledSurfaceGrid(directrix=curve, q=q)
         assert (str(err.value), err.value.s) == ("|<q,q> + 1| = 2.001e-03 exceeds 1e-9 at s = 0.03", curve.s[3])
 
+    def test_nan_ruling_rejected(self):
+        curve = integrate_frenet(1.0, 0.1, s_range=(0.0, 0.1))
+        q = curve.T.copy()
+        q[50] = np.nan
+        with pytest.raises(NotUnitTimelikeError) as err:
+            RuledSurfaceGrid(directrix=curve, q=q)
+        assert (str(err.value), err.value.s) == ("|<q,q> + 1| = nan exceeds 1e-9 at s = 0.05", curve.s[50])
+
     @pytest.mark.parametrize("name", ["cylinder.json", "striction_line.json", "geodesic.json", "line_of_curvature.json"])
     def test_a_run_holds_its_grid_once(self, name):
         result = run_config(RunConfig.from_file(CONFIG_DIR / name), write_outputs=False)

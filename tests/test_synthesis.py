@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from minkruled import (
     AngleTrack,
     Constant,
     Polynomial,
+    RunConfig,
     Sinusoid,
     SynthesisParams,
     SystemKind,
@@ -31,8 +33,12 @@ from minkruled.errors import (
     ThetaSingularityError,
 )
 from minkruled.surface import finite_difference
-from minkruled.synthesis import KINDS, _coefficients, _replay_step
+from minkruled.pipeline import build_directrix
+from minkruled.synthesis import DEFAULT_PHI0_GRID, DEFAULT_THETA0_GRID, KINDS, _coefficients, _replay_step, angle_operands
 from reference import CylindricalRulingError, invariants_analytic, system_rhs
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = sorted(p.name for p in CONFIG_DIR.glob("*.json"))
 
 
 class TestSystemRhs:
@@ -453,6 +459,9 @@ class TestGeneralMode:
         with pytest.raises(error) as err:
             integrate_system(kind, params, curve)
         assert (str(err.value), err.value.s) == (message, s)
+        with pytest.raises(error) as shared:  # the replay reads the same operands when a sweep shares them
+            integrate_system(kind, params, curve, angle_operands(kind, params, curve))
+        assert (str(shared.value), shared.value.s) == (message, s)
         with pytest.raises(error) as ref:
             _stage_by_stage_rk4(kind, params, curve)
         assert (str(ref.value), ref.value.s) == (message, s)
@@ -647,3 +656,31 @@ class TestLineOfCurvature:
         with pytest.raises(ThetaSingularityError) as err:
             integrate_system(SystemKind.LINE_OF_CURVATURE, params, curve)
         assert err.value.s == 0.5
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shared_operands_give_the_tracks_and_errors_of_each_seed(name):
+    """A sweep's operands, built once from its first seed, give every seed its own track or error."""
+    cfg = RunConfig.from_file(CONFIG_DIR / name)
+    curve = build_directrix(cfg)
+    seeds = [(theta0, phi0) for theta0 in (0.0, 0.05, *DEFAULT_THETA0_GRID) for phi0 in DEFAULT_PHI0_GRID]
+    operands = angle_operands(cfg.system, cfg.with_seed(*seeds[0]).params, curve)
+    assert (operands is None) == (not KINDS[cfg.system].seeded)
+
+    def outcome(params, *shared):
+        try:
+            track = integrate_system(cfg.system, params, curve, *shared)
+        except GeometryError as err:
+            return type(err), str(err), err.s
+        return track
+
+    errors = 0
+    for seed in seeds:
+        params = cfg.with_seed(*seed).params
+        own, shared = outcome(params), outcome(params, operands)
+        if isinstance(own, AngleTrack):
+            assert all(np.array_equal(getattr(own, x), getattr(shared, x)) for x in ("s", "theta", "phi"))
+        else:
+            assert own == shared
+            errors += 1
+    assert errors >= (4 if KINDS[cfg.system].seeded else 0)  # theta0 = 0 at least

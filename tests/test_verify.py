@@ -74,6 +74,14 @@ class TestRecomputeReport:
         assert report.defects["qprime_norm"] < 1e-6
         assert report.recomputed is None
 
+    def test_nan_defect_fails(self, monkeypatch, flat_directrix):
+        params = SynthesisParams(theta0=1.0, phi0=0.5)
+        surf = build_surface(integrate_system(SystemKind.CYLINDER, params, flat_directrix), flat_directrix)
+        monkeypatch.setitem(SURFACE_DEFECTS, "qprime_norm", (lambda surf: np.full(surf.n_samples, np.nan), 1))
+        report = recompute_report(surf, params, SystemKind.CYLINDER)
+        assert math.isnan(report.defects["qprime_norm"])
+        assert (report.verdict, report.failures) == ("fail", ("qprime_norm",))
+
     def test_cylinder_surface_under_other_kind_propagates(self, flat_directrix):
         params = SynthesisParams(theta0=1.0, phi0=0.5)
         track = integrate_system(SystemKind.CYLINDER, params, flat_directrix)
