@@ -23,7 +23,8 @@ files, and for the sweep verdict and detail the number of rows that differ.
 For the OBJs it also prints the largest number of lines, vertex or face,
 that differ byte for byte.  For the report JSONs it prints the number of
 reports whose verdict or failures differ and the largest drift of any error
-statistic or defect.
+statistic or defect.  With --compare the script exits 1 when any of these
+numbers is not 0, so byte-identical outputs can be checked by exit status.
 """
 
 import argparse
@@ -35,6 +36,7 @@ import platform
 import resource
 import statistics
 import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -198,8 +200,8 @@ def _report_values(path: Path) -> tuple[tuple, dict[str, float]]:
     return (report["verdict"], report["failures"]), {k: np.nan if v is None else v for k, v in values.items()}
 
 
-def compare(out_dir: Path, old_dir: Path) -> None:
-    """Print the largest drift per CSV column, OBJ coordinate and report against ``old_dir``.
+def compare(out_dir: Path, old_dir: Path) -> bool:
+    """Print the largest drift per CSV column, OBJ coordinate and report against ``old_dir``; whether all are 0.
 
     Sample CSVs and sweep summaries (``sweep_*.csv``) are labelled ``csv`` and
     ``sweep``; for the sweep's text columns the value is the number of rows
@@ -241,9 +243,10 @@ def compare(out_dir: Path, old_dir: Path) -> None:
     print(f"\nlargest absolute drift against {old_dir}")
     for label, (value, where) in worst.items():
         print(f"  {label:<20} {value:10.3g}" + (f"  ({where})" if value else ""))
+    return not any(value for value, _ in worst.values())
 
 
-def main():
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--steps", default="1e-3,1e-4", help="comma-separated directrix steps")
     parser.add_argument("--repeats", type=int, default=5)
@@ -282,9 +285,10 @@ def main():
                     median = doc[key][name][f"{step:g}"]
                     print(f"  {label} {name} (ms): median {median:.1f}, quartiles {1e3 * q1:.1f}-{1e3 * q3:.1f}")
         print(f"wrote {args.out}")
-        if args.compare:
-            compare(out_dir, Path(args.compare))
+        if args.compare and not compare(out_dir, Path(args.compare)):
+            return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -282,8 +282,8 @@ def validate_params(kind: SystemKind, params: SynthesisParams) -> None:
         raise ParamDomainError("sin(mu) = 0 is outside the curvature-angle domain")
 
 
-def _coefficients(kind: SystemKind, params: SynthesisParams, s, k2) -> np.ndarray:
-    """Columns (a, b) of the general system at the arc lengths ``s``.
+def _coefficients(kind: SystemKind, params: SynthesisParams, s, k2) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients (a, b) of the general system at the arc lengths ``s``.
 
     A kind that prescribes no (d, v0), the cylinder, has a = b = 0.  Both
     are NaN where d^2 + v0^2 = 0; the right-hand side reports that at the
@@ -296,17 +296,17 @@ def _coefficients(kind: SystemKind, params: SynthesisParams, s, k2) -> np.ndarra
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         fixed = KINDS[kind].prescribe(params, s, k2)
         if "d" not in fixed:
-            return np.zeros((np.size(s), 2))
+            return (np.zeros(np.size(s)),) * 2
         d, v0 = fixed["d"], fixed["v0"]
         e = np.frexp(np.maximum(np.abs(d), np.abs(v0)))[1]
         d, v0 = np.ldexp(d, -e), np.ldexp(v0, -e)
         denom = d * d + v0 * v0
         denom = np.where(denom > 0.0, denom, np.nan)
-        return np.column_stack([np.ldexp(v0 / denom, -e), np.ldexp(-d / denom, -e)])
+        return np.ldexp(v0 / denom, -e), np.ldexp(-d / denom, -e)
 
 
 def _rhs(theta: float, phi: float, s: float, c, pinned: bool) -> tuple[float, float]:
-    """The general system (theta', phi') for c = (k1, k2, a, b), with every state guard.
+    """The general system (theta', phi') for c = (k1, a, b - k2), with every state guard.
 
     A ``pinned`` kind keeps phi fixed (phi' = 0).  Raises
     ThetaSingularityError when |theta| < THETA_MIN (coth(theta) blows up;
@@ -319,7 +319,7 @@ def _rhs(theta: float, phi: float, s: float, c, pinned: bool) -> tuple[float, fl
     replays a step that trips through here (``_replay_step``), so every
     error comes from here, at the first stage whose guard fails.
     """
-    k1, k2, a, b = c
+    k1, a, bk = c
     if not (math.isfinite(theta) and math.isfinite(phi)) or abs(theta) > THETA_MAX:
         raise IntegrationDivergedError(
             f"theta = {theta:.6g}, phi = {phi:.6g} at s = {s:.6g}: the prescribed system blows up "
@@ -335,14 +335,14 @@ def _rhs(theta: float, phi: float, s: float, c, pinned: bool) -> tuple[float, fl
     sh = math.sinh(theta)
     if pinned:
         return a * sh + k1, 0.0
-    return a * sh + k1 * math.sin(phi), b - k2 + k1 * (math.cosh(theta) / sh) * math.cos(phi)
+    return a * sh + k1 * math.sin(phi), bk + k1 * (math.cosh(theta) / sh) * math.cos(phi)
 
 
 def _replay_step(start, h: float, mid: tuple, end: tuple, pinned: bool) -> NoReturn:
     """Rerun one RK4 step through ``_rhs`` and raise the error of its first failing stage.
 
     ``start`` is (theta, phi, theta', phi') at the step's start, ``mid`` and
-    ``end`` are (s, (k1, k2, a, b)) at its midpoint and end sample.  A step
+    ``end`` are (s, (k1, a, b - k2)) at its midpoint and end sample.  A step
     that passes every guard is still an IntegrationDivergedError.
     """
     t, p, a1, b1 = start
@@ -364,16 +364,15 @@ def _replay_step(start, h: float, mid: tuple, end: tuple, pinned: bool) -> NoRet
 class AngleOperands:
     """What the integration of a seeded kind reads besides the seed: one kind, prescription and directrix.
 
-    ``node`` and ``middle`` are (k1, k2, a, b) at the samples and at the
-    step midpoints, what a replayed step reads (``_replay_step``).
-    ``streams`` are the six arrays the RK4 loop reads per step: k1, a and
-    b - k2 at the step's midpoint, then at its end sample (phi' adds its
-    coth term to b - k2, as ``_rhs`` does).
+    ``node`` and ``middle`` are (k1, a, b - k2) at the samples and at the
+    step midpoints, the three numbers of the general system at each point
+    (phi' adds its coth term to b - k2, as ``_rhs`` does).  k1 is the
+    directrix's own array.  The RK4 loop, its first stage and a replayed
+    step (``_replay_step``) all read these two tuples.
     """
 
-    node: tuple[np.ndarray, ...]
-    middle: tuple[np.ndarray, ...]
-    streams: tuple[np.ndarray, ...]
+    node: tuple[np.ndarray, np.ndarray, np.ndarray]
+    middle: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def angle_operands(kind: SystemKind, params: SynthesisParams, directrix: FrenetCurve) -> AngleOperands | None:
@@ -388,11 +387,10 @@ def angle_operands(kind: SystemKind, params: SynthesisParams, directrix: FrenetC
     if not KINDS[kind].seeded:
         return None
     s, mid = directrix.s, directrix.s[:-1] + 0.5 * directrix.step
-    node = (directrix.k1, directrix.k2, *_coefficients(kind, params, s, directrix.k2).T)
-    middle = (directrix.k1_mid, directrix.k2_mid, *_coefficients(kind, params, mid, directrix.k2_mid).T)
+    a, b = _coefficients(kind, params, s, directrix.k2)
+    am, bm = _coefficients(kind, params, mid, directrix.k2_mid)
     with np.errstate(over="ignore"):  # b - k2 overflows only for a k2 near the float limit
-        streams = (middle[0], middle[2], middle[3] - middle[1], node[0][1:], node[2][1:], (node[3] - node[1])[1:])
-    return AngleOperands(node, middle, streams)
+        return AngleOperands((directrix.k1, a, b - directrix.k2), (directrix.k1_mid, am, bm - directrix.k2_mid))
 
 
 def integrate_system(
@@ -400,12 +398,11 @@ def integrate_system(
 ) -> AngleTrack:
     """Solve the determining system along the directrix grid.
 
-    Seeded kinds run fixed-step 4th-order integration of the general system,
-    with (a, b) evaluated once at the samples and step midpoints from the
-    prescribed (d, v0), and (k1, k2) read there from the directrix; a kind
-    with a ``pin`` integrates theta alone with phi held there; the
-    line-of-curvature mode is assembled in closed form.  A track aborts
-    where |theta| leaves [THETA_MIN, THETA_MAX] (see ``_rhs``).
+    Seeded kinds run fixed-step 4th-order integration of the general system
+    on its operands (k1, a, b - k2) at the samples and step midpoints
+    (``AngleOperands``); a kind with a ``pin`` integrates theta alone with
+    phi held there; the line-of-curvature mode is assembled in closed form.
+    A track aborts where |theta| leaves [THETA_MIN, THETA_MAX] (see ``_rhs``).
 
     ``operands`` are ``angle_operands`` of this kind and directrix for
     params that differ from ``params`` in the seed angles at most, as a
@@ -421,19 +418,18 @@ def integrate_system(
     through ``_rhs`` (``_replay_step``), which raises the first failing
     stage's error.
     """
-    validate_params(kind, params)
+    if operands is None:
+        operands = angle_operands(kind, params, directrix)  # checks params
+    else:
+        validate_params(kind, params)
     spec = KINDS[kind]
     if not spec.seeded:
         return _line_of_curvature_track(params, directrix)
-    if operands is None:
-        operands = angle_operands(kind, params, directrix)
 
-    s = directrix.s
-    h = directrix.step
+    s, h = directrix.s, directrix.step
     pinned = spec.pin is not None
-    # RK4 on the two angles as Python floats, fed memoryviews of the operand
-    # streams (the same floats as tolist, without building the lists); the
-    # right-hand side at the end of a step is the first stage of the next.
+    # RK4 on the two angles as Python floats over memoryviews of the operands (the
+    # floats of tolist, without the lists); the rhs at a step's end is the next one's first stage.
     node, middle = operands.node, operands.middle
     n = len(s)
     theta, phi = [0.0] * n, [0.0] * n
@@ -441,6 +437,7 @@ def integrate_system(
     a1, b1 = _rhs(t, p, float(s[0]), [float(x[0]) for x in node], pinned)
     theta[0], phi[0] = t, p
     half, sixth = 0.5 * h, h / 6.0
+    ends = [memoryview(x[1:]) for x in node]
     lo, hi, nlo, nhi = THETA_MIN, THETA_MAX, -THETA_MIN, -THETA_MAX
     sinh, cosh, sin, cos = math.sinh, math.cosh, math.sin, math.cos
     # A stage's theta x trips where it is NaN or |x| is outside
@@ -450,7 +447,7 @@ def integrate_system(
     # pinned kind has phi = pi/2, where sin is exactly 1.0, so it gets _rhs's
     # a sinh(theta) + k1 and phi' = 0.
     try:
-        for i, k1m, am, bkm, k1, a, bk in zip(range(1, n), *map(memoryview, operands.streams)):
+        for i, k1m, am, bkm, k1, a, bk in zip(range(1, n), *map(memoryview, middle), *ends):
             x, y = t + half * a1, p + half * b1
             if not (lo <= x <= hi or nhi <= x <= nlo):
                 break

@@ -80,10 +80,12 @@ class ErrorStats:
     margin: float
 
     def to_dict(self) -> dict:
-        # non-finite values (e.g. relative error of a zero prescription) are
-        # not representable in strict JSON; serialize them as null
-        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        return {name: x if math.isfinite(x) else None for name, x in values.items()}
+        return _json_floats({f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
+
+
+def _json_floats(values: dict[str, float]) -> dict:
+    """``values`` with each non-finite one (an infinite relative error, a NaN defect) as None, JSON's null."""
+    return {name: x if math.isfinite(x) else None for name, x in values.items()}
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ class InvariantReport:
             "n_samples": self.n_samples,
             "n_cylindrical": self.n_cylindrical,
             "errors": {name: st.to_dict() for name, st in sorted(self.errors.items())},
-            "defects": dict(sorted(self.defects.items())),
+            "defects": _json_floats(dict(sorted(self.defects.items()))),
             "tolerances": self.tolerances.to_dict(),
             "failures": list(self.failures),
         }

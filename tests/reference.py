@@ -2,9 +2,12 @@
 
 No run needs them: the package synthesizes tracks with its inline RK4 and
 verifies surfaces from the raw samples.  Here are the right-hand side of a
-determining system as one call, q' and <q',q'> in terms of the angles and
-their derivatives, and the invariants d and v0 from the angle track.
+determining system as one call, its linear form and the exact tracks that
+follow from it, q' and <q',q'> in terms of the angles and their
+derivatives, and the invariants d and v0 from the angle track.
 """
+
+import math
 
 import numpy as np
 
@@ -37,8 +40,53 @@ def system_rhs(
     spec = KINDS[kind]
     if not spec.seeded:
         raise ValueError(f"{kind.value} has no ODE right-hand side; it is built in closed form")
-    a, b = _coefficients(kind, params, np.array([float(s)]), np.array([float(k2)]))[0]
-    return _rhs(theta, phi, s, (k1, k2, float(a), float(b)), spec.pin is not None)
+    a, b = _coefficients(kind, params, np.array([float(s)]), np.array([float(k2)]))
+    return _rhs(theta, phi, s, (k1, float(a[0]), float(b[0]) - k2), spec.pin is not None)
+
+
+def linear_generator(kind: SystemKind, params: SynthesisParams, k1: float, k2: float) -> np.ndarray:
+    """The generator M of the linear form of the seeded kind ``kind`` on a directrix of constant (k1, k2).
+
+    In frame components the ruling is (x, y, z) = (cosh theta,
+    -sinh theta sin phi, sinh theta cos phi), and the general system reads
+
+        x' = a (x^2 - 1) - k1 y,   y' = a x y - k1 x - c z,   z' = a x z + c y,   c = b - k2,
+
+    a projective Riccati system: with (x, y, z) = U / lambda it is the linear
+    system (U, lambda)' = M (U, lambda), which keeps -U0^2 + U1^2 + U2^2 +
+    lambda^2 constant.  theta -> inf is lambda -> 0.  A kind with a ``pin``
+    (phi = pi/2, so z = 0) zeroes c.  (a, b) are v0 / (d^2 + v0^2) and
+    -d / (d^2 + v0^2) of the kind's prescription, which must be constant,
+    read at s = 0; a kind that prescribes no (d, v0) has a = b = 0.
+    """
+    fixed = KINDS[kind].prescribe(params, np.zeros(1), np.full(1, float(k2)))
+    a = b = 0.0
+    if "d" in fixed:
+        d, v0 = float(fixed["d"][0]), float(fixed["v0"][0])
+        a, b = v0 / (d * d + v0 * v0), -d / (d * d + v0 * v0)
+    c = 0.0 if KINDS[kind].pin is not None else b - k2
+    return np.array([[0.0, -k1, 0.0, -a], [-k1, 0.0, -c, 0.0], [0.0, c, 0.0, 0.0], [-a, 0.0, 0.0, 0.0]])
+
+
+def linear_seed(theta0: float, phi0: float) -> np.ndarray:
+    """The linear state (U, lambda) of the seed, with lambda = 1."""
+    sh = math.sinh(theta0)
+    return np.array([math.cosh(theta0), -sh * math.sin(phi0), sh * math.cos(phi0), 1.0])
+
+
+def exact_track(flow: np.ndarray, theta0: float, phi0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The exact (theta, phi) of the seed where ``flow`` holds expm((s - s0) M) (``linear_generator``).
+
+    theta keeps the seed's sign and is read as asinh(|(y, z)|), which stays
+    accurate near theta = 0; phi is unwrapped from phi0, so the flow must
+    be sampled finely enough that phi moves by less than pi between
+    samples.
+    """
+    u = flow @ linear_seed(theta0, phi0)
+    sign = math.copysign(1.0, theta0)
+    y, z = sign * u[:, 1] / u[:, 3], sign * u[:, 2] / u[:, 3]
+    phi = np.unwrap(np.arctan2(-y, z))
+    return sign * np.arcsinh(np.hypot(y, z)), phi + 2.0 * math.pi * round((phi0 - phi[0]) / (2.0 * math.pi))
 
 
 def qprime_norm_sq(theta, phi, theta_prime, phi_prime, k1, k2):

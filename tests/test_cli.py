@@ -51,6 +51,7 @@ from minkruled.pipeline import (
     write_samples_csv,
 )
 from minkruled.synthesis import DEFAULT_PHI0_GRID, DEFAULT_THETA0_GRID
+from minkruled.verify import SURFACE_DEFECTS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -719,6 +720,14 @@ class TestPipeline:
         assert doc["kind"] == "cylinder"
         assert doc["defects"]["qprime_norm"] < 1e-6
 
+    def test_nan_defect_is_written_as_null(self, monkeypatch, tmp_path):
+        monkeypatch.setitem(SURFACE_DEFECTS, "qprime_norm", (lambda surf: np.full(surf.n_samples, np.nan), 1))
+        result = run_config(RunConfig.from_file(CONFIG_DIR / "cylinder.json"), tmp_path)
+        doc = json.loads(Path(result.written["report"]).read_text())
+        assert (doc["verdict"], doc["failures"]) == ("fail", ["qprime_norm"])
+        assert doc["defects"] == {"qprime_norm": None, "qprime_norm_endpoints": None}
+        assert result.exit_code == 1
+
     def test_csv_has_full_precision(self, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
         result = run_config(cfg, tmp_path)
@@ -1084,6 +1093,13 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert str(tmp_path / "file") in err and "Traceback" not in err
         assert calls == []
+
+    def test_nan_defect_exits_one_without_a_traceback(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setitem(SURFACE_DEFECTS, "qprime_norm", (lambda surf: np.full(surf.n_samples, np.nan), 1))
+        assert main(["synthesize", "--config", str(CONFIG_DIR / "cylinder.json"), "--out-dir", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert "verdict: fail" in out and "failed checks: qprime_norm" in out and err == ""
+        assert '"qprime_norm": null' in (tmp_path / "cylinder.report.json").read_text()
 
     def test_singular_seed_exits_one(self, tmp_path, capsys):
         doc = load_doc("general_roundtrip.json")

@@ -101,3 +101,36 @@ def test_bench_stages_compare_counts_obj_lines_that_differ(tmp_path, capsys):
         rows = {" ".join(ln.split()[:2]): float(ln.split()[2]) for ln in capsys.readouterr().out.splitlines()[2:]}
         assert rows["obj lines"] == lines, name
         assert rows["obj x1"] == rows["obj x2"] == rows["obj x3"] == 0.0
+
+
+def test_bench_stages_compare_is_true_only_when_every_row_is_zero(tmp_path, capsys):
+    bench = load_script("bench_stages.py")
+    report = {"verdict": "pass", "failures": [], "defects": {"qprime_norm": 1e-9}, "errors": {}}
+    changed = {
+        "same": (report, True),
+        "value": ({**report, "defects": {"qprime_norm": 2e-9}}, False),
+        "verdict": ({**report, "verdict": "fail", "failures": ["qprime_norm"]}, False),
+    }
+    for name, (new_report, same) in changed.items():
+        old, new = tmp_path / name / "old", tmp_path / name / "new"
+        old.mkdir(parents=True)
+        new.mkdir()
+        (old / "r.json").write_text(json.dumps(report))
+        (new / "r.json").write_text(json.dumps(new_report))
+        assert bench.compare(new, old) is same, name
+        capsys.readouterr()
+
+
+def test_bench_stages_compare_exits_1_when_a_saved_verdict_differs(tmp_path):
+    args = ["--steps", "1e-2", "--repeats", "1", "--out", str(tmp_path / "bench.json")]
+    assert run_script("bench_stages.py", *args, "--save", str(tmp_path / "a"), cwd=tmp_path).returncode == 0
+    report = tmp_path / "a" / "cylinder_0.01.json"
+    text = report.read_text()
+    assert '"verdict": "pass"' in text
+    report.write_text(text.replace('"verdict": "pass"', '"verdict": "fail"'))
+    proc = run_script("bench_stages.py", *args, "--compare", str(tmp_path / "a"), cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.split("largest absolute drift", 1)[1].splitlines()[1:]
+    drift = {" ".join(line.split()[:2]): line.split()[2:] for line in lines}
+    assert drift["report verdict"] == ["1", "(cylinder_0.01.json)"]
+    assert all(float(value[0]) == 0.0 for label, value in drift.items() if label != "report verdict")

@@ -467,7 +467,7 @@ class TestGeneralMode:
         assert (str(ref.value), ref.value.s) == (message, s)
 
     def test_replay_of_a_step_that_trips_no_guard_raises_a_located_error(self):
-        c = (1.0, 0.1, 0.3 / 0.34, -0.5 / 0.34)  # k1, k2 and (a, b) of d = 0.5, v0 = 0.3
+        c = (1.0, 0.3 / 0.34, -0.5 / 0.34 - 0.1)  # k1, a and b - k2 of d = 0.5, v0 = 0.3 and k2 = 0.1
         with pytest.raises(IntegrationDivergedError, match="no stage of its replay trips") as err:
             _replay_step((0.8, 0.4, 0.0, 0.0), 1e-3, (0.0005, c), (0.001, c), False)
         assert err.value.s == 0.001
@@ -527,8 +527,7 @@ class TestCoefficients:
     @staticmethod
     def coefficients(kind, **params):
         s = np.linspace(0.0, 1.0, 3)
-        a, b = _coefficients(kind, SynthesisParams(theta0=0.5, **params), s, np.zeros(3)).T
-        return a, b
+        return _coefficients(kind, SynthesisParams(theta0=0.5, **params), s, np.zeros(3))
 
     # d^2 underflows into the subnormals (the first two) or to zero, or overflows
     @pytest.mark.parametrize("d", [1e-158, 2.3e-162, -1e-300, 1e200, 1e308])
@@ -684,3 +683,21 @@ def test_shared_operands_give_the_tracks_and_errors_of_each_seed(name):
             assert own == shared
             errors += 1
     assert errors >= (4 if KINDS[cfg.system].seeded else 0)  # theta0 = 0 at least
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_angle_operands_are_k1_a_and_b_minus_k2_at_samples_and_midpoints(name):
+    """One layout, (k1, a, b - k2), at the samples and step midpoints, with the directrix's own k1."""
+    cfg = RunConfig.from_file(CONFIG_DIR / name)
+    curve = build_directrix(cfg)
+    operands = angle_operands(cfg.system, cfg.params, curve)
+    if not KINDS[cfg.system].seeded:
+        assert operands is None
+        return
+    assert [f.name for f in dataclasses.fields(operands)] == ["node", "middle"]
+    assert operands.node[0] is curve.k1 and operands.middle[0] is curve.k1_mid
+    mid = curve.s[:-1] + 0.5 * curve.step
+    for at, s, k2 in ((operands.node, curve.s, curve.k2), (operands.middle, mid, curve.k2_mid)):
+        assert len(at) == 3 and all(isinstance(x, np.ndarray) and x.shape == s.shape for x in at)
+        a, b = _coefficients(cfg.system, cfg.params, s, k2)
+        assert np.array_equal(at[1], a) and np.array_equal(at[2], b - k2)
