@@ -200,6 +200,12 @@ def _report_values(path: Path) -> tuple[tuple, dict[str, float]]:
     return (report["verdict"], report["failures"]), {k: np.nan if v is None else v for k, v in values.items()}
 
 
+def _pairs(out_dir: Path, old_dir: Path, pattern: str) -> list[tuple[str, Path | None, Path | None]]:
+    """Each file name matching ``pattern`` in either directory, with its path in each (None where it is missing)."""
+    names = sorted({p.name for d in (out_dir, old_dir) for p in d.glob(pattern)})
+    return [(name, *((d / name) if (d / name).exists() else None for d in (out_dir, old_dir))) for name in names]
+
+
 def compare(out_dir: Path, old_dir: Path) -> bool:
     """Print the largest drift per CSV column, OBJ coordinate and report against ``old_dir``; whether all are 0.
 
@@ -209,7 +215,10 @@ def compare(out_dir: Path, old_dir: Path) -> bool:
     vertex coordinate, ``lines`` counts the lines that differ byte for
     byte.  Reports are labelled ``report``: ``verdict`` counts the
     reports whose verdict or failures differ, ``values`` is the largest
-    drift of any error statistic or defect.
+    drift of any error statistic or defect.  Both directories' files are
+    compared: a file or CSV column on one side only drifts by inf in every
+    row of its kind, and a report on one side only also counts as a
+    differing verdict.
     """
     worst: dict[str, tuple[float, str]] = {}
 
@@ -217,28 +226,35 @@ def compare(out_dir: Path, old_dir: Path) -> bool:
         if label not in worst or value > worst[label][0]:
             worst[label] = (value, where)
 
-    for new in sorted(out_dir.glob("*.csv")):
-        kind = "sweep" if new.name.startswith("sweep_") else "csv"
-        old_cols = _csv_columns(old_dir / new.name)
-        for c, col in _csv_columns(new).items():
-            old = old_cols[c]
-            if c in TEXT_COLUMNS:  # the number of rows that differ
-                value = float(sum(a != b for a, b in zip(col, old))) if len(col) == len(old) else float("inf")
+    for name, new, old in _pairs(out_dir, old_dir, "*.csv"):
+        kind = "sweep" if name.startswith("sweep_") else "csv"
+        new_cols, old_cols = (_csv_columns(p) if p else {} for p in (new, old))
+        for c in dict.fromkeys([*new_cols, *old_cols]):
+            col, old_col = new_cols.get(c), old_cols.get(c)
+            if col is None or old_col is None:
+                value = float("inf")
+            elif c in TEXT_COLUMNS:  # the number of rows that differ
+                value = float(sum(a != b for a, b in zip(col, old_col))) if len(col) == len(old_col) else float("inf")
             else:
-                value = _drift(_floats(col), _floats(old))
-            note(f"{kind} {c}", value, new.name)
-    for new in sorted(out_dir.glob("*.obj")):
-        a, b = _obj_vertices(new), _obj_vertices(old_dir / new.name)
+                value = _drift(_floats(col), _floats(old_col))
+            note(f"{kind} {c}", value, name)
+    for name, new, old in _pairs(out_dir, old_dir, "*.obj"):
+        a, b = (_obj_vertices(p) if p else None for p in (new, old))
         for j in range(3):
-            note(f"obj x{j + 1}", _drift(a[:, j], b[:, j]) if a.shape == b.shape else float("inf"), new.name)
-        note("obj lines", _lines_differ(new, old_dir / new.name), new.name)
+            same_shape = a is not None and b is not None and a.shape == b.shape
+            note(f"obj x{j + 1}", _drift(a[:, j], b[:, j]) if same_shape else float("inf"), name)
+        note("obj lines", _lines_differ(new, old) if new and old else float("inf"), name)
     differ = []
-    for new in sorted(out_dir.glob("*.json")):
-        (outcome, a), (old_outcome, b) = _report_values(new), _report_values(old_dir / new.name)
+    for name, new, old in _pairs(out_dir, old_dir, "*.json"):
+        if not (new and old):
+            differ.append(name)
+            note("report values", float("inf"), name)
+            continue
+        (outcome, a), (old_outcome, b) = _report_values(new), _report_values(old)
         if outcome != old_outcome:
-            differ.append(new.name)
+            differ.append(name)
         names = sorted(a.keys() | b.keys())  # a name on one side only drifts by inf
-        note("report values", _drift(*(np.array([r.get(k, np.inf) for k in names]) for r in (a, b))), new.name)
+        note("report values", _drift(*(np.array([r.get(k, np.inf) for k in names]) for r in (a, b))), name)
     note("report verdict", float(len(differ)), ", ".join(differ))
     print(f"\nlargest absolute drift against {old_dir}")
     for label, (value, where) in worst.items():

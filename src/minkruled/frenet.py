@@ -209,11 +209,9 @@ def _frame_gram_defect(T, N, B) -> np.ndarray:
     return worst
 
 
-#: Steps whose RK4 step matrices are built in one batch; bounds the scratch
-#: memory of a long grid to a few blocks of 3 x 3 matrices.
-_BLOCK = 1024
-#: Steps per chunk of the prefix product inside a block.
-_CHUNK = 32
+#: Steps whose RK4 step matrices are built and scanned in one batch; bounds
+#: the scratch memory of a long grid to a few blocks of 3 x 3 matrices.
+_BLOCK = 2048
 
 
 def _times_a(k1, k2, G: np.ndarray) -> np.ndarray:
@@ -238,20 +236,21 @@ def _plus_identity(c: float, K: np.ndarray) -> np.ndarray:
 
 
 def _step_matrices(h: float, k1, k2, k1_mid, k2_mid, k1_end, k2_end) -> tuple[np.ndarray, np.ndarray]:
-    """The RK4 step matrices of one block of steps, as (F, p).
+    """The RK4 step increments of one block of steps, as (D, p).
 
     The coefficient matrix of the rows (position, T, N, B) is
     C = [[0, e1], [0, A]], with a zero first column, so every RK4 stage
     matrix C (I + c K) is [[0, row T of (I + c K)], [0, A (I + c K)]] and
-    the step matrix is M_n = [[1, p_n], [0, F_n]]:
+    the step matrix is M_n = [[1, p_n], [0, I + D_n]]:
 
         K2 = A_mid (I + h/2 A1),  K3 = A_mid (I + h/2 K2),  K4 = A_end (I + h K3),
-        F = I + h/6 (A1 + 2 K2 + 2 K3 + K4),
+        D = h/6 (A1 + 2 K2 + 2 K3 + K4),
         p = h/6 (e1 + 2 (e1 + h/2 A1_T) + 2 (e1 + h/2 K2_T) + e1 + h K3_T)
           = h e1 + h^2/6 (A1_T + K2_T + K3_T),
 
-    where A1_T = (0, k1, 0) is the T row of A1.  ``F`` is entry-major
-    (3, 3, m) and ``p`` is (3, m).
+    where A1_T = (0, k1, 0) is the T row of A1.  The frame's step matrix
+    I + D is never formed: rounding I + D would drop the low bits of every
+    increment.  ``D`` is entry-major (3, 3, m) and ``p`` is (3, m).
     """
     a, b = (0.5 * h) * k1, (0.5 * h) * k2
     G = np.zeros((3, 3) + k1.shape)  # I + h/2 A1
@@ -266,15 +265,50 @@ def _step_matrices(h: float, k1, k2, k1_mid, k2_mid, k1_end, k2_end) -> tuple[np
     p[1] += k1
     p *= h * h / 6.0
     p[0] += h
-    S = K2  # A1 + 2 K2 + 2 K3 + K4
-    S += K3
-    S *= 2.0
-    S += K4
-    S[0, 1] += k1
-    S[1, 0] += k1
-    S[1, 2] += k2
-    S[2, 1] -= k2
-    return _plus_identity(h / 6.0, S), p
+    D = K2  # h/6 (A1 + 2 K2 + 2 K3 + K4)
+    D += K3
+    D *= 2.0
+    D += K4
+    D[0, 1] += k1
+    D[1, 0] += k1
+    D[1, 2] += k2
+    D[2, 1] -= k2
+    D *= h / 6.0
+    return D, p
+
+
+def _compose(later: np.ndarray, earlier: np.ndarray) -> None:
+    """later <- the increment of the product (I + later)(I + earlier), in place, per matrix of two (k, 3, 3) views.
+
+    That is later + earlier + later earlier, which never rounds I + E.
+    The views may share memory, so the sum is formed apart and then stored.
+    """
+    E = later @ earlier
+    E += later
+    E += earlier
+    later[...] = E
+
+
+def _prefix_increments(E: np.ndarray) -> None:
+    """Turn the step increments D_j of a (m, 3, 3) block into the increments of their running products, in place.
+
+    Afterwards E[j] = P_j - I for P_j = (I + D_j) ... (I + D_0).  A
+    Brent-Kung scan: an up-sweep composes pairs, pairs of pairs and so on,
+    so that E[j] holds the product of the 2^k steps ending at j for the
+    largest 2^k dividing j + 1, and a down-sweep composes each of the other
+    entries with the full prefix before it.  Each level is one batched
+    matmul over strided views, so a block takes about 2 log2(m) levels and
+    2m 3 x 3 products.  ``m`` must be a power of two.
+    """
+    m = E.shape[0]
+    d = 1
+    while d < m:
+        _compose(E[2 * d - 1 :: 2 * d], E[d - 1 :: 2 * d])
+        d *= 2
+    d //= 4
+    while d >= 1:
+        _compose(E[3 * d - 1 :: 2 * d], E[2 * d - 1 : -d : 2 * d])
+        d //= 2
 
 
 def _rk4_frames(frame: np.ndarray, h: float, k1, k2, k1_mid, k2_mid) -> np.ndarray:
@@ -282,21 +316,20 @@ def _rk4_frames(frame: np.ndarray, h: float, k1, k2, k1_mid, k2_mid) -> np.ndarr
 
     ``k1``, ``k2`` hold the curvatures at the samples and ``k1_mid``,
     ``k2_mid`` at the step midpoints.  RK4 on the rows (position, T, N, B)
-    is exactly one step matrix M_n = [[1, p_n], [0, F_n]] per step (see
+    is exactly one step matrix M_n = [[1, p_n], [0, I + D_n]] per step (see
     ``_step_matrices``), built in batches of ``_BLOCK`` steps.  The position
-    never feeds the frame: (T, N, B)_{n+1} = F_n (T, N, B)_n, and the
+    never feeds the frame: (T, N, B)_{n+1} = (I + D_n) (T, N, B)_n, and the
     positions are the seed position plus one cumulative sum of the
     increments p_n . (T, N, B)_n.  Returns the positions and T, N, B as one
     (4, n_samples, 3) array.
 
-    Within a block the frames come from a two-level prefix product over
-    chunks of ``_CHUNK`` steps: batched 3 x 3 matmuls form the running
-    products P[c, j] = F[c, j] ... F[c, 0] of every chunk at once, the frame
-    is carried from one chunk start to the next by each chunk's full
-    product, and one batched matmul then applies every P[c, j] to its
-    chunk's start frame.  The products group the roundoff differently from
-    applying the M_n one at a time, so the curve moves only at roundoff
-    level.
+    The frames are carried as increments, never as step matrices or their
+    products: a block's running products P_j - I = E_j come from one scan
+    of its increments (``_prefix_increments``), every frame of the block is
+    S + E_j S for the block's start frame S, and the last of them starts
+    the next block.  A step moves the frame by about h, so a rounded I + D
+    would drop the low bits of every increment, and the frame would leave
+    orthonormality by about one unit roundoff per step.
     """
     n_steps = k1_mid.shape[0]
     y = np.empty((4, n_steps + 1, 3))
@@ -305,26 +338,18 @@ def _rk4_frames(frame: np.ndarray, h: float, k1, k2, k1_mid, k2_mid) -> np.ndarr
     positions, frames = y[0], y[1:].transpose(1, 0, 2)
     for lo in range(0, n_steps, _BLOCK):
         hi = min(lo + _BLOCK, n_steps)
-        F, p = _step_matrices(
+        D, p = _step_matrices(
             h, k1[lo:hi], k2[lo:hi], k1_mid[lo:hi], k2_mid[lo:hi], k1[lo + 1 : hi + 1], k2[lo + 1 : hi + 1]
         )
         m = hi - lo
-        n_chunks = -(-m // _CHUNK)
-        # the steps past the end of a short last chunk are identities
-        M = np.empty((n_chunks * _CHUNK, 3, 3))
-        M[:m] = F.transpose(2, 0, 1)
-        M[m:] = np.eye(3)
-        M = M.reshape(n_chunks, _CHUNK, 3, 3)
-        P = np.empty_like(M)
-        P[:, 0] = M[:, 0]
-        for j in range(1, _CHUNK):
-            np.matmul(M[:, j], P[:, j - 1], out=P[:, j])
-        start = np.empty((n_chunks, 3, 3))
-        start[0] = frames[lo]
-        for c in range(1, n_chunks):
-            np.dot(P[c - 1, -1], start[c - 1], out=start[c])
-        # each chunk's products stacked into one (3 _CHUNK, 3) matrix times its start frame
-        frames[lo + 1 : hi + 1] = (P.reshape(n_chunks, 3 * _CHUNK, 3) @ start).reshape(-1, 3, 3)[:m]
+        # a power-of-two block; the steps past a short last block have D = 0
+        E = np.zeros((1 << (m - 1).bit_length(), 3, 3))
+        E[:m] = D.transpose(2, 0, 1)
+        _prefix_increments(E)
+        S = frames[lo]
+        out = (E[:m].reshape(-1, 3) @ S).reshape(m, 3, 3)
+        out += S
+        frames[lo + 1 : hi + 1] = out
         np.einsum("im,mij->mj", p, frames[lo:hi], out=positions[lo + 1 : hi + 1])
     np.cumsum(positions, axis=0, out=positions)
     return y
@@ -429,9 +454,9 @@ def integrate_frenet(
             s=float(s[i + 1]),
         )
     limit = h / np.finfo(float).eps
-    far = np.flatnonzero(~(np.abs(y[0]).max(axis=1) <= limit))
-    if far.size:
-        i = int(far[0])
+    # one whole-array max; the first far sample is located only when it fails
+    if not np.abs(y[0]).max() <= limit:
+        i = int(np.flatnonzero(~(np.abs(y[0]).max(axis=1) <= limit))[0])
         raise FarPositionError(
             f"position |x| passes h / eps = {limit:.6g} at s = {s[i]:.6g}, where the float spacing can exceed the step",
             s=float(s[i]),

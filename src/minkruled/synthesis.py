@@ -18,7 +18,9 @@ and every other prescription is that system with (d, v0) specialised
                      so mu counts modulo pi
 * ASYMPTOTIC_LINE    the same with n forced to -1/k2 (constant k2 != 0) and
                      phi pinned at pi/2, so only theta is integrated
-* CYLINDER           q' = 0: no (d, v0), a = b = 0
+* CYLINDER           q' = 0: no (d, v0), a = b = 0, built in closed form:
+                     the ruling is the seed's q0 at every arc length, and
+                     the angles are q0 read in the frame at each sample
 * LINE_OF_CURVATURE  no ODE: phi(s) = -integral(k2) + C by quadrature and
                      theta(s) = artanh(n k1 cos(phi)) pointwise.
 
@@ -28,10 +30,12 @@ between q and T, and phi the spacelike angle between N and the surface
 normal cos(phi) N + sin(phi) B along the directrix.
 
 The seed (theta0, phi0) is the two-parameter freedom of the solution family.
-Integration is fixed-step classical 4th order on the directrix grid.  These
-systems can blow up in finite arc length (the sinh terms); integration then
-aborts with the failure location instead of clamping, because a clamped
-track would describe a surface the systems do not define.
+The cylinder and the line of curvature are built in closed form
+(``KindSpec.track``); every other kind is integrated at fixed-step classical
+4th order on the directrix grid.  These systems can blow up in finite arc
+length (the sinh terms); a track then aborts with the failure location
+instead of clamping, because a clamped track would describe a surface the
+systems do not define.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .errors import (
     ThetaSingularityError,
 )
 from .frenet import Constant, CurvatureFn, FrenetCurve, as_curvature_fn
+from .lorentz import lorentz_inner
 from .surface import RuledSurfaceGrid, dv0_from_n_mu
 
 #: Guard against the coth(theta) singularity; tracks with |theta| below this
@@ -218,14 +223,76 @@ def _line_of_curvature(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
     return {"n": n, "K": 1.0 / (n * n)}
 
 
+def _cylinder_track(params: SynthesisParams, directrix: FrenetCurve) -> AngleTrack:
+    """The cylinder's track in closed form: q' = 0, so the ruling is the seed's q0 at every sample.
+
+    Read in the frame, q0 has y = -<q0, N> = sinh(theta) sin(phi) and
+    z = <q0, B> = sinh(theta) cos(phi), so theta = sign asinh(|(y, z)|) and
+    phi = atan2(sign y, sign z), unwrapped from phi0.  The sign is the
+    seed's, flipped wherever (y, z) reverses between two samples: there q0
+    passes T and theta crosses 0, so AngleTrack rejects the crossing at the
+    first sample past it.  The seed is checked as ``_rhs`` checks it, and
+    the first sample with |theta| > THETA_MAX raises
+    IntegrationDivergedError.  Sample 0 holds the seed itself.
+    """
+    s = directrix.s
+    theta0, phi0 = float(params.theta0), float(params.phi0)
+    _check_state(theta0, phi0, float(s[0]))
+    q0 = ruling_from_angles(directrix.T[0], directrix.N[0], directrix.B[0], theta0, phi0)
+    y, z = -lorentz_inner(directrix.N, q0), lorentz_inner(directrix.B, q0)
+    flips = np.concatenate([[0], np.cumsum(y[1:] * y[:-1] + z[1:] * z[:-1] < 0.0)])
+    sign = math.copysign(1.0, theta0) * np.where(flips % 2, -1.0, 1.0)
+    theta = sign * np.arcsinh(np.hypot(y, z))
+    phi = np.unwrap(np.arctan2(sign * y, sign * z))
+    phi += 2.0 * math.pi * round((phi0 - phi[0]) / (2.0 * math.pi))
+    theta[0], phi[0] = theta0, phi0
+    over = np.flatnonzero(~(np.abs(theta) <= THETA_MAX))
+    if over.size:
+        i = int(over[0])
+        AngleTrack(s[:i], theta[:i], phi[:i])  # a guard that trips before sample i raises first
+        _check_state(float(theta[i]), float(phi[i]), float(s[i]))
+    return AngleTrack(s, theta, phi)
+
+
+def line_of_curvature_phi(directrix: FrenetCurve, C: float) -> np.ndarray:
+    """phi(s) = -cumulative integral of k2 + C on the directrix grid.
+
+    phi' = -k2(s) does not depend on phi, so the 4th-order step reduces to
+    a cumulative Simpson sum of the directrix's torsion at the samples and
+    step midpoints.
+    """
+    node, mid = -directrix.k2, -directrix.k2_mid
+    return np.cumsum(np.concatenate([[float(C)], (directrix.step / 6.0) * (node[:-1] + 4.0 * mid + node[1:])]))
+
+
+def _line_of_curvature_track(params: SynthesisParams, directrix: FrenetCurve) -> AngleTrack:
+    n_fn = as_curvature_fn(params.n)
+    if not isinstance(n_fn, Constant):
+        raise ParamDomainError("line_of_curvature takes a constant n")
+    s = directrix.s
+    phi = line_of_curvature_phi(directrix, float(params.C))
+    n = float(n_fn.value)
+    cos_phi = np.cos(phi)
+    if float(np.min(np.abs(cos_phi))) < 1e-12:
+        i = int(np.argmin(np.abs(cos_phi)))
+        raise PhiSingularError(f"cos(phi) = 0 at s = {s[i]:.6g}", s=float(s[i]))
+    arg = n * directrix.k1 * cos_phi
+    if float(np.max(np.abs(arg))) >= 1.0:
+        i = int(np.argmax(np.abs(arg)))
+        raise NoSolutionError(f"|n k1 cos(phi)| = {abs(arg[i]):.6g} >= 1 at s = {s[i]:.6g}", s=float(s[i]))
+    return AngleTrack(s=s, theta=np.arctanh(arg), phi=phi)
+
+
 @dataclass(frozen=True)
 class KindSpec:
     """What one SystemKind prescribes.
 
     ``params`` are the parameters it needs beyond the seed (``missing_param``).
     ``seeded`` says whether it starts from a theta0 seed; the only seedless
-    kind, line of curvature, is also the only one built in closed form
-    rather than integrated.  ``prescribe(params, s, k2)`` gives the
+    kind is the line of curvature.  ``track(params, directrix)`` builds the
+    angle track of a kind that is built in closed form, the cylinder and
+    the line of curvature; None integrates the general system on its
+    ``angle_operands``.  ``prescribe(params, s, k2)`` gives the
     invariants the kind fixes, evaluated at the arc lengths ``s`` with
     torsion ``k2`` there: synthesis reads (d, v0) from it, and verification
     compares every entry with the recomputed invariants, except the
@@ -244,6 +311,7 @@ class KindSpec:
     vanishing: tuple[str, ...] = ()
     defects: tuple[str, ...] = ()
     pin: float | None = None
+    track: Callable[[SynthesisParams, FrenetCurve], AngleTrack] | None = None
 
 
 KINDS: dict[SystemKind, KindSpec] = {
@@ -251,9 +319,9 @@ KINDS: dict[SystemKind, KindSpec] = {
     SystemKind.STRICTION_LINE: KindSpec(("d",), True, _striction, vanishing=("v0",)),
     SystemKind.CURVATURE_ANGLE: KindSpec(("n", "mu"), True, _curvature_angle),
     SystemKind.DEVELOPABLE: KindSpec(("v0",), True, _developable, vanishing=("d",)),
-    SystemKind.CYLINDER: KindSpec((), True, _cylinder, defects=("qprime_norm",)),
+    SystemKind.CYLINDER: KindSpec((), True, _cylinder, defects=("qprime_norm",), track=_cylinder_track),
     SystemKind.ASYMPTOTIC_LINE: KindSpec(("mu",), True, _asymptotic, pin=HALF_PI),
-    SystemKind.LINE_OF_CURVATURE: KindSpec(("n", "C"), False, _line_of_curvature),
+    SystemKind.LINE_OF_CURVATURE: KindSpec(("n", "C"), False, _line_of_curvature, track=_line_of_curvature_track),
 }
 
 
@@ -285,8 +353,8 @@ def validate_params(kind: SystemKind, params: SynthesisParams) -> None:
 def _coefficients(kind: SystemKind, params: SynthesisParams, s, k2) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients (a, b) of the general system at the arc lengths ``s``.
 
-    A kind that prescribes no (d, v0), the cylinder, has a = b = 0.  Both
-    are NaN where d^2 + v0^2 = 0; the right-hand side reports that at the
+    ``kind`` is one whose track is integrated, so it prescribes (d, v0).
+    Both are NaN where d^2 + v0^2 = 0; the right-hand side reports that at the
     stage that reaches it.  d and v0 are scaled by the power of two 2^-e
     that brings the larger of them into [0.5, 1) before they are squared,
     and a and b are scaled back by 2^-e, so d^2 + v0^2 neither overflows
@@ -295,14 +363,26 @@ def _coefficients(kind: SystemKind, params: SynthesisParams, s, k2) -> tuple[np.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         fixed = KINDS[kind].prescribe(params, s, k2)
-        if "d" not in fixed:
-            return (np.zeros(np.size(s)),) * 2
         d, v0 = fixed["d"], fixed["v0"]
         e = np.frexp(np.maximum(np.abs(d), np.abs(v0)))[1]
         d, v0 = np.ldexp(d, -e), np.ldexp(v0, -e)
         denom = d * d + v0 * v0
         denom = np.where(denom > 0.0, denom, np.nan)
         return np.ldexp(v0 / denom, -e), np.ldexp(-d / denom, -e)
+
+
+def _check_state(theta: float, phi: float, s: float) -> None:
+    """The theta range and finite angles that every state of a track needs (see ``_rhs``)."""
+    if not (math.isfinite(theta) and math.isfinite(phi)) or abs(theta) > THETA_MAX:
+        raise IntegrationDivergedError(
+            f"theta = {theta:.6g}, phi = {phi:.6g} at s = {s:.6g}: the prescribed system blows up "
+            "in finite arc length on this interval",
+            s=s,
+        )
+    if abs(theta) < THETA_MIN:
+        raise ThetaSingularityError(
+            f"|theta| = {abs(theta):.3e} below guard {THETA_MIN:.1e} at s = {s:.6g}", s=s
+        )
 
 
 def _rhs(theta: float, phi: float, s: float, c, pinned: bool) -> tuple[float, float]:
@@ -315,21 +395,13 @@ def _rhs(theta: float, phi: float, s: float, c, pinned: bool) -> tuple[float, fl
     when |theta| > THETA_MAX or either angle is not finite, and
     ParamDomainError where a is NaN, which ``_coefficients`` makes it where
     d^2 + v0^2 = 0.  These are the only state guards of the integration:
-    ``integrate_system`` tests the theta range of every stage inline and
-    replays a step that trips through here (``_replay_step``), so every
-    error comes from here, at the first stage whose guard fails.
+    ``_rk4_track`` tests the theta range of every stage inline and replays
+    a step that trips through here (``_replay_step``), so every error comes
+    from here, at the first stage whose guard fails.  The state guards are
+    ``_check_state``, which the closed-form cylinder applies to its seed.
     """
     k1, a, bk = c
-    if not (math.isfinite(theta) and math.isfinite(phi)) or abs(theta) > THETA_MAX:
-        raise IntegrationDivergedError(
-            f"theta = {theta:.6g}, phi = {phi:.6g} at s = {s:.6g}: the prescribed system blows up "
-            "in finite arc length on this interval",
-            s=s,
-        )
-    if abs(theta) < THETA_MIN:
-        raise ThetaSingularityError(
-            f"|theta| = {abs(theta):.3e} below guard {THETA_MIN:.1e} at s = {s:.6g}", s=s
-        )
+    _check_state(theta, phi, s)
     if math.isnan(a):
         raise ParamDomainError(f"d^2 + v0^2 = 0 at s = {s:.6g}", s=s)
     sh = math.sinh(theta)
@@ -362,7 +434,7 @@ def _replay_step(start, h: float, mid: tuple, end: tuple, pinned: bool) -> NoRet
 
 @dataclass(frozen=True)
 class AngleOperands:
-    """What the integration of a seeded kind reads besides the seed: one kind, prescription and directrix.
+    """What the RK4 of a kind without a closed form reads besides the seed: one kind, prescription and directrix.
 
     ``node`` and ``middle`` are (k1, a, b - k2) at the samples and at the
     step midpoints, the three numbers of the general system at each point
@@ -376,15 +448,16 @@ class AngleOperands:
 
 
 def angle_operands(kind: SystemKind, params: SynthesisParams, directrix: FrenetCurve) -> AngleOperands | None:
-    """The operands ``integrate_system`` reads on ``directrix``, or None for a kind that is not seeded.
+    """The operands ``integrate_system`` reads on ``directrix``, or None for a kind built in closed form.
 
     Checks ``params`` with ``validate_params`` and evaluates both
     ``_coefficients``, so it raises ParamDomainError where those do.  The
     seed angles are read only by that check, so the operands serve every
-    seed of a sweep.
+    seed of a sweep.  The closed-form kinds (``KindSpec.track``), the
+    cylinder and the line of curvature, read no operands.
     """
     validate_params(kind, params)
-    if not KINDS[kind].seeded:
+    if KINDS[kind].track is not None:
         return None
     s, mid = directrix.s, directrix.s[:-1] + 0.5 * directrix.step
     a, b = _coefficients(kind, params, s, directrix.k2)
@@ -398,42 +471,51 @@ def integrate_system(
 ) -> AngleTrack:
     """Solve the determining system along the directrix grid.
 
-    Seeded kinds run fixed-step 4th-order integration of the general system
-    on its operands (k1, a, b - k2) at the samples and step midpoints
-    (``AngleOperands``); a kind with a ``pin`` integrates theta alone with
-    phi held there; the line-of-curvature mode is assembled in closed form.
-    A track aborts where |theta| leaves [THETA_MIN, THETA_MAX] (see ``_rhs``).
+    A kind with a closed-form ``KindSpec.track``, the cylinder or the line
+    of curvature, is built by it.  Every other kind runs fixed-step
+    4th-order integration of the general system on its operands
+    (k1, a, b - k2) at the samples and step midpoints (``AngleOperands``,
+    ``_rk4_track``); a kind with a ``pin`` integrates theta alone with phi
+    held there.  A track aborts where |theta| leaves [THETA_MIN, THETA_MAX]
+    (see ``_rhs``).
 
     ``operands`` are ``angle_operands`` of this kind and directrix for
     params that differ from ``params`` in the seed angles at most, as a
     sweep shares them among its seeds; None builds them here.
-
-    The four stages of each step evaluate ``_rhs`` inline, with its operands
-    in the same order, so the track is bit-identical to calling it.  Each
-    stage value tests only the theta range, and the step end also that phi
-    is finite.  The other guards need no test of their own: a phi of +-inf
-    makes ``math.sin`` raise ValueError, and a NaN phi or a NaN a makes
-    that stage's theta' NaN, so the next theta test of the step trips.  On
-    a trip or that ValueError the step is replayed from its start state
-    through ``_rhs`` (``_replay_step``), which raises the first failing
-    stage's error.
     """
     if operands is None:
         operands = angle_operands(kind, params, directrix)  # checks params
     else:
         validate_params(kind, params)
     spec = KINDS[kind]
-    if not spec.seeded:
-        return _line_of_curvature_track(params, directrix)
-
-    s, h = directrix.s, directrix.step
+    if spec.track is not None:
+        return spec.track(params, directrix)
     pinned = spec.pin is not None
+    return _rk4_track(directrix.s, operands, float(params.theta0), spec.pin if pinned else float(params.phi0), pinned)
+
+
+def _rk4_track(s: np.ndarray, operands: AngleOperands, theta0: float, phi0: float, pinned: bool) -> AngleTrack:
+    """The RK4 track of the general system on the grid ``s`` from the seed (theta0, phi0).
+
+    ``operands`` hold (k1, a, b - k2) at the samples of ``s`` and at its
+    step midpoints; a ``pinned`` track keeps phi at phi0, which must then
+    be pi/2.  The four stages of each step evaluate ``_rhs`` inline, with
+    its operands in the same order, so the track is bit-identical to
+    calling it.  Each stage value tests only the theta range, and the step
+    end also that phi is finite.  The other guards need no test of their
+    own: a phi of +-inf makes ``math.sin`` raise ValueError, and a NaN phi
+    or a NaN a makes that stage's theta' NaN, so the next theta test of the
+    step trips.  On a trip or that ValueError the step is replayed from its
+    start state through ``_rhs`` (``_replay_step``), which raises the first
+    failing stage's error.
+    """
+    h = float(s[1] - s[0])
     # RK4 on the two angles as Python floats over memoryviews of the operands (the
     # floats of tolist, without the lists); the rhs at a step's end is the next one's first stage.
     node, middle = operands.node, operands.middle
     n = len(s)
     theta, phi = [0.0] * n, [0.0] * n
-    t, p = float(params.theta0), spec.pin if pinned else float(params.phi0)
+    t, p = theta0, phi0
     a1, b1 = _rhs(t, p, float(s[0]), [float(x[0]) for x in node], pinned)
     theta[0], phi[0] = t, p
     half, sixth = 0.5 * h, h / 6.0
@@ -482,35 +564,6 @@ def integrate_system(
     at_mid = (float(s[i - 1]) + half, tuple(float(x[i - 1]) for x in middle))
     at_end = (float(s[i]), tuple(float(x[i]) for x in node))
     _replay_step((t, p, a1, b1), h, at_mid, at_end, pinned)
-
-
-def line_of_curvature_phi(directrix: FrenetCurve, C: float) -> np.ndarray:
-    """phi(s) = -cumulative integral of k2 + C on the directrix grid.
-
-    phi' = -k2(s) does not depend on phi, so the 4th-order step reduces to
-    a cumulative Simpson sum of the directrix's torsion at the samples and
-    step midpoints.
-    """
-    node, mid = -directrix.k2, -directrix.k2_mid
-    return np.cumsum(np.concatenate([[float(C)], (directrix.step / 6.0) * (node[:-1] + 4.0 * mid + node[1:])]))
-
-
-def _line_of_curvature_track(params: SynthesisParams, directrix: FrenetCurve) -> AngleTrack:
-    n_fn = as_curvature_fn(params.n)
-    if not isinstance(n_fn, Constant):
-        raise ParamDomainError("line_of_curvature takes a constant n")
-    s = directrix.s
-    phi = line_of_curvature_phi(directrix, float(params.C))
-    n = float(n_fn.value)
-    cos_phi = np.cos(phi)
-    if float(np.min(np.abs(cos_phi))) < 1e-12:
-        i = int(np.argmin(np.abs(cos_phi)))
-        raise PhiSingularError(f"cos(phi) = 0 at s = {s[i]:.6g}", s=float(s[i]))
-    arg = n * directrix.k1 * cos_phi
-    if float(np.max(np.abs(arg))) >= 1.0:
-        i = int(np.argmax(np.abs(arg)))
-        raise NoSolutionError(f"|n k1 cos(phi)| = {abs(arg[i]):.6g} >= 1 at s = {s[i]:.6g}", s=float(s[i]))
-    return AngleTrack(s=s, theta=np.arctanh(arg), phi=phi)
 
 
 def ruling_from_angles(T, N, B, theta, phi) -> np.ndarray:

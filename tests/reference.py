@@ -1,7 +1,7 @@
 """Closed forms of the paper that the tests check the package against.
 
-No run needs them: the package synthesizes tracks with its inline RK4 and
-verifies surfaces from the raw samples.  Here are the right-hand side of a
+No run needs them: the package synthesizes tracks with its inline RK4 or
+in closed form and verifies surfaces from the raw samples.  Here are the right-hand side of a
 determining system as one call, its linear form and the exact tracks that
 follow from it, q' and <q',q'> in terms of the angles and their
 derivatives, and the invariants d and v0 from the angle track.
@@ -33,14 +33,19 @@ def system_rhs(
     """Right-hand side (theta', phi') of the determining system ``kind``.
 
     Every seeded kind evaluates the general system with its prescribed
-    (d, v0); a kind with a ``pin`` keeps phi pinned (phi' = 0).  Raises the
-    state guards of ``synthesis._rhs``, and ParamDomainError where the
-    kind's prescription rejects ``params`` at (s, k2).
+    (d, v0); a kind that prescribes none, the cylinder, has a = b = 0, the
+    system whose solutions keep q' = 0 (the package builds that track in
+    closed form).  A kind with a ``pin`` keeps phi pinned (phi' = 0).
+    Raises the state guards of ``synthesis._rhs``, and ParamDomainError
+    where the kind's prescription rejects ``params`` at (s, k2).
     """
     spec = KINDS[kind]
     if not spec.seeded:
         raise ValueError(f"{kind.value} has no ODE right-hand side; it is built in closed form")
-    a, b = _coefficients(kind, params, np.array([float(s)]), np.array([float(k2)]))
+    if spec.track is not None:  # seeded and built in closed form: the cylinder
+        a, b = (0.0,), (0.0,)
+    else:
+        a, b = _coefficients(kind, params, np.array([float(s)]), np.array([float(k2)]))
     return _rhs(theta, phi, s, (k1, float(a[0]), float(b[0]) - k2), spec.pin is not None)
 
 

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_NAMES = sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
 
@@ -119,6 +121,33 @@ def test_bench_stages_compare_is_true_only_when_every_row_is_zero(tmp_path, caps
         (new / "r.json").write_text(json.dumps(new_report))
         assert bench.compare(new, old) is same, name
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("side", ["old", "new"])
+def test_bench_stages_compare_counts_a_file_on_one_side_as_a_difference(tmp_path, capsys, side):
+    bench = load_script("bench_stages.py")
+    report = {"verdict": "pass", "failures": [], "defects": {"qprime_norm": 1e-9}, "errors": {}}
+    files = {"r.json": json.dumps(report), "r.csv": "s,theta\n0,1\n", "m.obj": "v 1 2 3\nf 1 1 1\n"}
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d in (old, new):
+        d.mkdir()
+        for name, text in files.items():
+            (d / name).write_text(text)
+    only = old if side == "old" else new  # each kind gets one file that the other side lacks
+    for name, text in files.items():
+        (only / f"only_{name}").write_text(text)
+    assert bench.compare(new, old) is False
+    rows = {" ".join(ln.split()[:2]): ln.split()[2:] for ln in capsys.readouterr().out.splitlines()[2:]}
+    assert rows == {
+        "csv s": ["inf", "(only_r.csv)"],
+        "csv theta": ["inf", "(only_r.csv)"],
+        "obj x1": ["inf", "(only_m.obj)"],
+        "obj x2": ["inf", "(only_m.obj)"],
+        "obj x3": ["inf", "(only_m.obj)"],
+        "obj lines": ["inf", "(only_m.obj)"],
+        "report values": ["inf", "(only_r.json)"],
+        "report verdict": ["1", "(only_r.json)"],
+    }
 
 
 def test_bench_stages_compare_exits_1_when_a_saved_verdict_differs(tmp_path):
