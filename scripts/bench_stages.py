@@ -8,7 +8,11 @@ build_surface, recompute_report, write_samples_csv and export_mesh (a fixed
 sweep base the benchmark uses, SWEEP_RUNS times per repeat, and prints each
 sweep's median beside its quartiles: ``sweep_ms`` cycles the bases, so each
 sweep builds its directrix, and ``sweep_warm_ms`` sweeps one base twice and
-times the second sweep, which reuses the directrix of the first.  Each time
+times the second sweep, which reuses the directrix of the first.  Every
+writer and sweep writes a path with no file on it (the old file is removed
+outside the timer), so the times hold no cost of replacing a file; that cost
+shows in ``sweep_replace_ms``, the cylinder's warm sweep written onto the
+summary the first sweep left.  Each time
 is a median over its runs in ms, scaled to the machine's uncontended speed
 by the benchmark's reference loop (perfbench/refloop.py) run beside it, as
 perfbench scales its timings.  Beside each stage's ms it records the median
@@ -63,6 +67,8 @@ MESH_V_SAMPLES = 33
 #: forks a second process, which runs only as fast as the other load on the
 #: CPUs it gets, so a sweep's time spreads far more than a stage's.
 SWEEP_RUNS = 3
+#: The sweep rows and their printed labels; ``sweep_replace_ms`` is timed on the cylinder only.
+SWEEP_ROWS = {"sweep_ms": "sweep", "sweep_warm_ms": "warm sweep", "sweep_replace_ms": "replacing sweep"}
 #: Sweep summary columns compared as text, by the number of rows that differ.
 TEXT_COLUMNS = ("verdict", "detail")
 
@@ -138,6 +144,12 @@ class Timer:
         return out
 
 
+def _fresh(path) -> str:
+    """``path`` with no file on it, so that a write onto it replaces nothing."""
+    Path(path).unlink(missing_ok=True)
+    return str(path)
+
+
 def run_stages(timer, name: str, step: float, out_dir: Path) -> None:
     cfg = RunConfig.from_file(ROOT / "configs" / f"{name}.json").with_overrides(step=step)
     key = ("stages_ms", name, f"{step:g}")
@@ -146,19 +158,25 @@ def run_stages(timer, name: str, step: float, out_dir: Path) -> None:
     track = timer(key + ("integrate_system",), integrate_system, cfg.system, cfg.params, curve)
     surface = timer(key + ("build_surface",), build_surface, track, curve)
     report = timer(key + ("recompute_report",), recompute_report, surface, cfg.params, cfg.system, cfg.tolerances)
-    timer(key + ("write_samples_csv",), write_samples_csv, f"{stem}.csv", track, report)
-    timer(key + ("export_mesh",), export_mesh, surface, MESH_V_RANGE, MESH_V_SAMPLES, f"{stem}.obj")
-    write_report_json(f"{stem}.json", report)
+    timer(key + ("write_samples_csv",), write_samples_csv, _fresh(f"{stem}.csv"), track, report)
+    timer(key + ("export_mesh",), export_mesh, surface, MESH_V_RANGE, MESH_V_SAMPLES, _fresh(f"{stem}.obj"))
+    write_report_json(_fresh(f"{stem}.json"), report)
 
 
-def run_sweep(timer, name: str, step: float, out_dir: Path, warm: bool = False) -> None:
-    """Time one sweep of ``name``; a ``warm`` one runs the same sweep untimed first."""
+def run_sweep(timer, name: str, step: float, out_dir: Path, row: str = "sweep_ms") -> None:
+    """Time one sweep of ``name`` under ``row`` of ``SWEEP_ROWS``.
+
+    ``sweep_warm_ms`` and ``sweep_replace_ms`` run the same sweep untimed
+    first; all but ``sweep_replace_ms`` then remove its summary.
+    """
     cfg = RunConfig.from_file(ROOT / "configs" / f"{name}.json").with_overrides(step=step)
     args = (cfg, None, None, out_dir)
     summary_name = f"sweep_{name}_{step:g}.csv"
-    if warm:
+    if row != "sweep_ms":
         sweep_grid(*args, summary_name=summary_name)
-    timer(("sweep_warm_ms" if warm else "sweep_ms", name, f"{step:g}"), sweep_grid, *args, summary_name=summary_name)
+    if row != "sweep_replace_ms":
+        _fresh(out_dir / summary_name)
+    timer((row, name, f"{step:g}"), sweep_grid, *args, summary_name=summary_name)
 
 
 def _csv_columns(path: Path) -> dict[str, list[str]]:
@@ -285,7 +303,8 @@ def main() -> int:
                     for name in SWEEP_BASES:
                         run_sweep(timer, name, step, out_dir)
                     for name in SWEEP_BASES:
-                        run_sweep(timer, name, step, out_dir, warm=True)
+                        run_sweep(timer, name, step, out_dir, "sweep_warm_ms")
+                    run_sweep(timer, "cylinder", step, out_dir, "sweep_replace_ms")
         doc = {"commit": _commit(), "machine": _machine(), "repeats": args.repeats, **timer.medians()}
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
@@ -295,8 +314,8 @@ def main() -> int:
             print(f"step {step:g}, sum over {len(configs)} configs (ms): " + ", ".join(f"{k} {v:.1f}" for k, v in totals.items()))
             faults = {st: sum(doc["stages_minflt"][n][f"{step:g}"][st] for n in configs) for st in STAGES}
             print("  minor faults: " + ", ".join(f"{k} {v:g}" for k, v in faults.items()))
-            for name in SWEEP_BASES:
-                for label, key in (("sweep", "sweep_ms"), ("warm sweep", "sweep_warm_ms")):
+            for key, label in SWEEP_ROWS.items():
+                for name in doc[key]:
                     q1, _, q3 = statistics.quantiles(timer.times[(key, name, f"{step:g}")], n=4)
                     median = doc[key][name][f"{step:g}"]
                     print(f"  {label} {name} (ms): median {median:.1f}, quartiles {1e3 * q1:.1f}-{1e3 * q3:.1f}")

@@ -406,7 +406,9 @@ def integrate_frenet(
     Integration fails with IntegrationDivergedError at the first arc length,
     sample or step midpoint, where k1 or k2 is not finite (an overflowing
     polynomial, say), with StepTooLargeError at the first sample whose
-    frame orthonormality defect exceeds DEFAULT_FRAME_TOL or is NaN, and with
+    frame orthonormality defect, divided by max(1, the largest squared
+    Euclidean norm of T, N and B there), exceeds DEFAULT_FRAME_TOL or is
+    NaN, and with
     FarPositionError at the first sample whose position passes |x| = h / eps.
     There floats can be spaced more than a step apart, so the positions cannot
     follow the tangent, and finite differences of them read rounding (and
@@ -445,12 +447,21 @@ def integrate_frenet(
             i = int(np.argmin(k1_grid))
             raise NonPositiveCurvatureError(f"k1(s={s[i]:.6g}) = {k1_grid[i]:.6g} is not positive", s=float(s[i]))
         y = _rk4_frames(frame, h, k1_grid, k2_grid, k1_mid, k2_mid)
-        defect = _frame_gram_defect(y[1, 1:], y[2, 1:], y[3, 1:])
-    over = np.flatnonzero(~(defect <= DEFAULT_FRAME_TOL))  # a NaN frame fails too
-    if over.size:
-        i = int(over[0])
+        T, N, B = y[1, 1:], y[2, 1:], y[3, 1:]
+        defect = _frame_gram_defect(T, N, B)
+        # the bound is relative to the frame's size: a boosted frame's entries grow
+        # as cosh of its hyperbolic angle, and their roundoff with them.  The size
+        # is at least 1, so only a sample over the bound as it stands can fail.
+        over = np.flatnonzero(~(defect <= DEFAULT_FRAME_TOL))  # a NaN frame fails too
+        size = np.maximum(1.0, np.maximum.reduce([np.einsum("ij,ij->i", v[over], v[over]) for v in (T, N, B)]))
+        relative = defect[over] / size
+    failing = np.flatnonzero(~(relative <= DEFAULT_FRAME_TOL))
+    if failing.size:
+        j = failing[0]
+        i = int(over[j])
         raise StepTooLargeError(
-            f"frame defect {defect[i]:.3e} exceeds {DEFAULT_FRAME_TOL:.3e} at s = {s[i + 1]:.6g}; reduce the step",
+            f"frame defect {relative[j]:.3e} exceeds {DEFAULT_FRAME_TOL:.3e} relative to the frame's size"
+            f" at s = {s[i + 1]:.6g}; reduce the step",
             s=float(s[i + 1]),
         )
     limit = h / np.finfo(float).eps

@@ -101,9 +101,14 @@ def run_config(cfg: RunConfig, out_dir=".", *, write_outputs: bool = True) -> Ru
 def write_all(out_dir: str, writers: dict) -> dict[str, str]:
     """Write every output or none; ``writers`` maps a key to (path in ``out_dir``, function writing a path).
 
-    Each output is written under a temporary name beside its path, and all
-    are renamed onto their paths after the last one is written.  On any
-    error the temporaries are removed; an OSError names the output's path.
+    The package's one placement policy: ``run_config`` and ``sweep_grid``
+    hand it every file they emit, and no other function decides how an
+    output replaces an older one.  Each output is written under a
+    temporary name beside its path, and all are renamed onto their paths
+    (``os.replace``, over any file there) after the last one is written.
+    On any error the temporaries are removed and the files at the paths
+    are left as they were; an OSError names the output's path.  Returns
+    each key's path.
     """
     paths = {key: os.path.join(out_dir, rel) for key, (rel, _) in writers.items()}
     temps = []
@@ -279,8 +284,10 @@ def sweep_grid(
     angle operands (``synthesis.angle_operands``), which every seed's
     ``integrate_system`` reads and which die when the sweep returns.
     Errors are recorded per row and never abort the sweep.  Per-seed file
-    outputs are suppressed (only the summary is written); ``out_dir`` is
-    created before the first seed runs.
+    outputs are suppressed; ``out_dir`` is created before the first seed
+    runs.  The summary is the one output, written by ``write_all`` as
+    ``run_config``'s are: all or none, so a write that fails leaves an
+    earlier summary at its path byte for byte and no temporary beside it.
 
     The seeds run through ``fork.map_items``: a sweep whose first seed shows
     that half of the others would take longer than a child's fixed cost
@@ -320,10 +327,13 @@ def sweep_grid(
         return SweepRow.of(theta0, phi0, outcome)
 
     rows = map_items(row, seeds)
+    written = write_all(out_dir, {"summary": (summary_name, lambda path: write_sweep_summary(path, rows))})
+    return rows, written["summary"]
 
-    summary_path = os.path.join(out_dir, summary_name)
-    with open(summary_path, "w", newline="") as fh:
+
+def write_sweep_summary(path: str, rows: list[SweepRow]) -> None:
+    """The sweep summary CSV: a header of ``SweepRow``'s fields, then one row per seed."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f.name for f in dataclasses.fields(SweepRow)])
         writer.writerows([x if isinstance(x, str) else _fmt(x) for x in dataclasses.astuple(row)] for row in rows)
-    return rows, summary_path

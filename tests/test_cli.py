@@ -874,6 +874,23 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 12 and {row["failure_s"] for row in rows} == {"0.5"}
 
+    def test_failed_summary_write_keeps_the_earlier_summary(self, monkeypatch, tmp_path):
+        cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
+        _, summary = sweep_grid(cfg, out_dir=tmp_path)
+        earlier = Path(summary).read_bytes()
+        fmt, cells = minkruled.pipeline._fmt, itertools.count(1)
+
+        def failing(x):  # each row formats five float cells; the third row's first one raises
+            if next(cells) > 10:
+                raise RuntimeError("planted")
+            return fmt(x)
+
+        monkeypatch.setattr(minkruled.pipeline, "_fmt", failing)
+        with pytest.raises(RuntimeError, match="planted"):
+            sweep_grid(cfg, theta0_list=[0.5, 1.0, 1.5], phi0_list=[0.2], out_dir=tmp_path)
+        assert Path(summary).read_bytes() == earlier
+        assert os.listdir(tmp_path) == ["sweep_summary.csv"]
+
     def test_empty_seed_list_rejected(self, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
         with pytest.raises(ValueError):

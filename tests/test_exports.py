@@ -66,6 +66,51 @@ def test_only_the_fork_module_forks():
     assert found == ["fork.py:os.fork"]
 
 
+def _calls(node, owner=None):
+    """Each call under ``node``, with the name of the innermost function that holds it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    if isinstance(node, ast.Call):
+        yield owner, node
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, owner)
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether a call may write a path: ``open`` in a mode not only for reading, ``os.open``, ``write_text``/``_bytes``."""
+    func = call.func
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes") or ast.unparse(func) == "os.open":
+        return True
+    if name != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set(mode.value) & set("wax+"))
+
+
+def test_only_write_all_places_an_output():
+    """``pipeline.write_all`` alone renames a file onto a path, and only the writers it runs open one for writing.
+
+    So every output the package emits is placed all or none, one way.
+    """
+    places, opens = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for owner, call in _calls(ast.parse(path.read_text(), filename=str(path))):
+            if ast.unparse(call.func) in ("os.replace", "os.rename", "shutil.move"):
+                places.append(f"{path.name}:{owner}:{ast.unparse(call.func)}")
+            elif _writes(call):
+                opens.add(f"{path.name}:{owner}")
+    assert places == ["pipeline.py:write_all:os.replace"]
+    assert opens == {
+        "mesh.py:export_mesh",
+        "pipeline.py:write_report_json",
+        "pipeline.py:write_samples_csv",
+        "pipeline.py:write_sweep_summary",
+    }
+
+
 def _read_names(paths):
     """Every name a module body reads, as a bare name or an attribute."""
     names = set()

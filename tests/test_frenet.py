@@ -297,6 +297,14 @@ class TestIntegrateFrenet:
             integrate_frenet(5.0, 0.0, s_range=(0.0, 1.0), step=0.25)
         assert err.value.s == 0.25
 
+    @pytest.mark.parametrize("step", [1e-3, 2.5e-4])
+    def test_long_boost_is_bounded_relative_to_the_frame_size(self, step):
+        # T = (cosh s, sinh s, 0) reaches 1.6e6: the absolute Gram defect passes 1e-6
+        # near s = 11.2 (2e-3 at s = 15), the defect relative to |T|^2 stays near 5e-16
+        c = integrate_frenet(1.0, 0.0, s_range=(0.0, 15.0), step=step)
+        exact = np.stack([np.cosh(c.s), np.sinh(c.s), np.zeros_like(c.s)], axis=1)
+        assert np.max(np.abs(c.T - exact) / np.cosh(c.s)[:, None]) < 1e-12
+
     @pytest.mark.parametrize("k1, k2", [(1e308, 0.0), (1.0, 1e308)], ids=["k1", "k2"])
     def test_overflowing_frame_fails_at_its_sample(self, k1, k2):
         # the RK4 step matrices overflow and the frame turns NaN at the first step

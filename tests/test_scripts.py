@@ -61,14 +61,18 @@ def test_bench_stages_writes_every_key_and_compares(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     stages = {"build_directrix", "integrate_system", "build_surface", "recompute_report", "write_samples_csv", "export_mesh"}
-    assert set(doc) == {"commit", "machine", "repeats", "stages_ms", "stages_minflt", "sweep_ms", "sweep_warm_ms"}
+    assert set(doc) == {
+        "commit", "machine", "repeats", "stages_ms", "stages_minflt", "sweep_ms", "sweep_warm_ms", "sweep_replace_ms"
+    }
     for key in ("stages_ms", "stages_minflt"):
         assert sorted(doc[key]) == CONFIG_NAMES
         assert all(set(per_step) == {"0.01"} and set(per_step["0.01"]) == stages for per_step in doc[key].values())
     assert all(n >= 0 for per_step in doc["stages_minflt"].values() for n in per_step["0.01"].values())
     assert "  minor faults: build_directrix " in proc.stdout
-    for key, label in (("sweep_ms", "sweep"), ("sweep_warm_ms", "warm sweep")):
-        assert doc[key].keys() == {"cylinder", "developable", "general_roundtrip"}
+    bases = {"cylinder", "developable", "general_roundtrip"}
+    rows = [("sweep_ms", "sweep", bases), ("sweep_warm_ms", "warm sweep", bases)]
+    for key, label, names in rows + [("sweep_replace_ms", "replacing sweep", {"cylinder"})]:
+        assert doc[key].keys() == names
         assert all(f"  {label} {name} (ms): median " in proc.stdout for name in doc[key])
         assert all(set(per_step) == {"0.01"} and per_step["0.01"] > 0 for per_step in doc[key].values())
     assert list(doc) == sorted(doc)
