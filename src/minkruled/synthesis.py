@@ -79,13 +79,13 @@ DEFAULT_PHI0_GRID = (0.0, HALF_PI, math.pi, 1.5 * math.pi)
 class AngleTrack:
     """Sampled solution (theta(s), phi(s)) of a determining system.
 
-    theta must stay clear of 0, where the ruling is the tangent T and the
-    surface is singular along the directrix: every sample needs
-    |theta| >= THETA_MIN, and all samples need one sign of theta, so a
-    track that steps over zero between two samples is rejected at the
-    first sample past the crossing.  A track that only touches zero
-    between two samples and turns back keeps its sign at every sample, so
-    it can still escape both checks.
+    Every sample needs |theta| in [THETA_MIN, THETA_MAX] (below it the
+    ruling is the tangent T, above it the system has blown up) and one sign
+    of theta, so a track that steps over zero between two samples is
+    rejected at the first sample past the crossing.  The first sample that
+    breaks either rule raises, with ``_check_state``'s error if it leaves
+    the band.  A track that only touches zero between two samples and turns
+    back keeps its sign at every sample, so it can still escape both checks.
     """
 
     s: np.ndarray
@@ -97,19 +97,15 @@ class AngleTrack:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if not all(np.all(np.isfinite(getattr(self, name))) for name in ("s", "theta", "phi")):
             raise ValueError("angle track contains non-finite samples")
-        worst = float(np.min(np.abs(self.theta)))
-        if worst < THETA_MIN:
-            i = int(np.argmin(np.abs(self.theta)))
+        theta, s, mag = self.theta, self.s, np.abs(self.theta)
+        off = ~((mag >= THETA_MIN) & (mag <= THETA_MAX))
+        off[1:] |= (theta[1:] < 0.0) != (theta[:1] < 0.0)
+        first = np.flatnonzero(off)
+        if first.size:
+            i = int(first[0])
+            _check_state(float(theta[i]), float(self.phi[i]), float(s[i]))
             raise ThetaSingularityError(
-                f"|theta| = {worst:.3e} below guard {THETA_MIN:.1e} at s = {self.s[i]:.6g}",
-                s=float(self.s[i]),
-            )
-        flips = np.flatnonzero((self.theta[1:] < 0.0) != (self.theta[0] < 0.0))
-        if flips.size:
-            i = int(flips[0]) + 1
-            raise ThetaSingularityError(
-                f"theta changes sign between s = {self.s[i - 1]:.6g} and s = {self.s[i]:.6g}",
-                s=float(self.s[i]),
+                f"theta changes sign between s = {s[i - 1]:.6g} and s = {s[i]:.6g}", s=float(s[i])
             )
 
     @property
@@ -231,9 +227,9 @@ def _cylinder_track(params: SynthesisParams, directrix: FrenetCurve) -> AngleTra
     phi = atan2(sign y, sign z), unwrapped from phi0.  The sign is the
     seed's, flipped wherever (y, z) reverses between two samples: there q0
     passes T and theta crosses 0, so AngleTrack rejects the crossing at the
-    first sample past it.  The seed is checked as ``_rhs`` checks it, and
-    the first sample with |theta| > THETA_MAX raises
-    IntegrationDivergedError.  Sample 0 holds the seed itself.
+    first sample past it, as it rejects the first sample outside the theta
+    band.  The seed is checked as ``_rhs`` checks it, before cosh(theta0)
+    meets the frame.  Sample 0 holds the seed itself.
     """
     s = directrix.s
     theta0, phi0 = float(params.theta0), float(params.phi0)
@@ -246,11 +242,6 @@ def _cylinder_track(params: SynthesisParams, directrix: FrenetCurve) -> AngleTra
     phi = np.unwrap(np.arctan2(sign * y, sign * z))
     phi += 2.0 * math.pi * round((phi0 - phi[0]) / (2.0 * math.pi))
     theta[0], phi[0] = theta0, phi0
-    over = np.flatnonzero(~(np.abs(theta) <= THETA_MAX))
-    if over.size:
-        i = int(over[0])
-        AngleTrack(s[:i], theta[:i], phi[:i])  # a guard that trips before sample i raises first
-        _check_state(float(theta[i]), float(phi[i]), float(s[i]))
     return AngleTrack(s, theta, phi)
 
 
@@ -372,7 +363,10 @@ def _coefficients(kind: SystemKind, params: SynthesisParams, s, k2) -> tuple[np.
 
 
 def _check_state(theta: float, phi: float, s: float) -> None:
-    """The theta range and finite angles that every state of a track needs (see ``_rhs``)."""
+    """The theta band and finite angles that every state of a track needs (see ``_rhs``).
+
+    The only code that builds the band's errors: ``_rhs`` and ``AngleTrack`` raise through it.
+    """
     if not (math.isfinite(theta) and math.isfinite(phi)) or abs(theta) > THETA_MAX:
         raise IntegrationDivergedError(
             f"theta = {theta:.6g}, phi = {phi:.6g} at s = {s:.6g}: the prescribed system blows up "
@@ -398,7 +392,8 @@ def _rhs(theta: float, phi: float, s: float, c, pinned: bool) -> tuple[float, fl
     ``_rk4_track`` tests the theta range of every stage inline and replays
     a step that trips through here (``_replay_step``), so every error comes
     from here, at the first stage whose guard fails.  The state guards are
-    ``_check_state``, which the closed-form cylinder applies to its seed.
+    ``_check_state``, which the closed-form cylinder applies to its seed
+    and ``AngleTrack`` to the first sample of any track outside the band.
     """
     k1, a, bk = c
     _check_state(theta, phi, s)

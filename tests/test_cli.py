@@ -147,7 +147,8 @@ def objects(node):
 SINUSOID = {"type": "sinusoid", "amplitude": 0.05, "frequency": 2.0}
 FRAME = {"position": [0, 0, 0], "T": [1, 0, 0], "N": [0, 1, 0], "B": [0, 0, 1]}
 
-#: (entry path, value put there, field the error must name) on general_roundtrip.json
+#: (entry path, value put there, field the error must name) on general_roundtrip.json; the empty path
+#: replaces the whole document
 BAD_ENTRIES = [
     pytest.param(("params", "theta0"), "one", "params.theta0", id="params.theta0"),
     pytest.param(("tolerances", "rel"), "x", "tolerances.rel", id="tolerances.rel"),
@@ -188,6 +189,17 @@ BAD_ENTRIES = [
     pytest.param(("outputs", "report_path"), ["r.json"], "outputs.report_path", id="report_path"),
     pytest.param(("version",), True, "version", id="version-true"),
     pytest.param(("version",), 1.0, "version", id="version-float"),
+    pytest.param((), [1, 2], "<document>", id="document-not-an-object"),
+    pytest.param(("directrix",), [], "directrix", id="directrix-not-an-object"),
+    pytest.param(
+        ("directrix", "k1"), {"type": "sinusoid", "amplitude": 0.05}, "directrix.k1.frequency",
+        id="sinusoid-missing-frequency",
+    ),
+    pytest.param(("directrix", "s_range"), [0.0], "directrix.s_range", id="s_range-one-number"),
+    pytest.param(
+        ("directrix", "initial_frame"), {**FRAME, "position": [0, 0]}, "directrix.initial_frame.position",
+        id="position-two-numbers",
+    ),
 ]
 
 #: (object of general_roundtrip.json, stray key put in it, field the error must name)
@@ -280,11 +292,13 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("path, value, field", BAD_ENTRIES)
     def test_non_numeric_param_rejected(self, tmp_path, capsys, path, value, field):
-        doc = load_doc("general_roundtrip.json")
-        node = doc
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-        node[path[-1]] = value
+        if path:
+            doc = node = load_doc("general_roundtrip.json")
+            for key in path[:-1]:
+                node = node.setdefault(key, {})
+            node[path[-1]] = value
+        else:
+            doc = value
         config = write_doc(tmp_path, doc)
         with pytest.raises(ConfigError) as err:
             RunConfig.from_file(config)

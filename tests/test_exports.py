@@ -111,16 +111,35 @@ def test_only_write_all_places_an_output():
     }
 
 
+def test_only_check_state_words_the_theta_band_errors():
+    """``synthesis._check_state`` alone builds the theta band's errors, and the cylinder checks only its seed there.
+
+    So every angle track, integrated, built in closed form or a caller's, fails the band one way.
+    """
+    owners = {"below guard": set(), "blows up": set()}
+    for path in sorted(SRC.glob("*.py")):
+        for owner, call in _calls(ast.parse(path.read_text(), filename=str(path))):
+            for phrase, found in owners.items():
+                if phrase in ast.unparse(call):
+                    found.add(f"{path.name}:{owner}")
+    assert owners == {"below guard": {"synthesis.py:_check_state"}, "blows up": {"synthesis.py:_check_state"}}
+    tree = ast.parse((SRC / "synthesis.py").read_text())
+    cylinder = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_cylinder_track")
+    assert "THETA_MAX" not in _names_in(cylinder)
+
+
+def _names_in(tree):
+    """Every name ``tree`` reads, as a bare name or an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
 def _read_names(paths):
     """Every name a module body reads, as a bare name or an attribute."""
-    names = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+    return set().union(*(_names_in(ast.parse(path.read_text(), filename=str(path))) for path in paths))
 
 
 def test_every_public_function_has_a_caller():

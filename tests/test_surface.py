@@ -19,6 +19,7 @@ from minkruled import (
 from minkruled.errors import (
     AllCylindricalError,
     GridMismatchError,
+    IntegrationDivergedError,
     NotUnitTimelikeError,
     ThetaSingularityError,
 )
@@ -258,6 +259,35 @@ class TestTrackAndGridValidation:
         with pytest.raises(ThetaSingularityError, match="changes sign") as err:
             AngleTrack(s=s, theta=s - 0.55, phi=s)
         assert err.value.s == s[6]
+
+    # Every track passes the band rule of an integration's stages, and fails
+    # at its first sample that leaves the band or the seed's sign; where a
+    # sample does both (-60), the band's error wins.
+    @pytest.mark.parametrize("far", [60.0, -60.0])
+    def test_theta_past_the_max_guard_rejected(self, far):
+        s = np.linspace(0.0, 1.0, 11)
+        theta = np.full(11, 0.3)
+        theta[4] = far
+        with pytest.raises(IntegrationDivergedError, match="blows up") as err:
+            AngleTrack(s=s, theta=theta, phi=s)
+        assert err.value.s == s[4]
+
+    def test_theta_min_guard_fails_at_the_first_sample_below_it(self):
+        s = np.linspace(0.0, 0.4, 5)
+        with pytest.raises(ThetaSingularityError, match="below guard") as err:
+            AngleTrack(s=s, theta=[0.3, 5e-7, 0.3, 2e-7, 0.3], phi=s)
+        assert err.value.s == s[1]
+
+    def test_a_sign_change_before_a_sample_below_the_guard_fails_first(self):
+        s = np.linspace(0.0, 0.5, 6)
+        with pytest.raises(ThetaSingularityError, match="changes sign") as err:
+            AngleTrack(s=s, theta=[0.3, 0.2, -0.1, -0.2, -0.3, -5e-7], phi=s)
+        assert err.value.s == s[2]
+
+    def test_non_finite_phi_rejected(self):
+        s = np.linspace(0.0, 0.4, 5)
+        with pytest.raises(ValueError, match="non-finite"):
+            AngleTrack(s=s, theta=np.full(5, 0.3), phi=[0.0, 0.1, np.nan, 0.3, 0.4])
 
     def test_non_unit_ruling_rejected(self):
         curve = integrate_frenet(1.0, 0.0, s_range=(0.0, 0.1), step=1e-2)

@@ -240,6 +240,15 @@ class TestCylinderMode:
             integrate_system(SystemKind.CYLINDER, params, flat_directrix)
         assert err.value.s == pytest.approx(0.501, abs=1e-12)
 
+    def test_theta_past_the_max_guard_fails_at_the_first_sample_past_it(self, flat_directrix):
+        # with k2 = 0 and phi0 = pi/2, theta = theta0 + s rises through
+        # THETA_MAX = 50 at s = 0.0995; the track fails with the band's error
+        # at the next sample
+        params = SynthesisParams(theta0=49.9005, phi0=0.5 * math.pi)
+        with pytest.raises(IntegrationDivergedError, match="blows up") as err:
+            integrate_system(SystemKind.CYLINDER, params, flat_directrix)
+        assert err.value.s == pytest.approx(0.1, abs=1e-12)
+
     @pytest.mark.parametrize(
         "k1, theta0, past",
         [(1.0, 0.5005, 0.501), (1.0, 0.25037, 0.251), (Polynomial((1.0, 10.0)), 0.151002, 0.101)],
