@@ -5,9 +5,10 @@ with the Minkowski coordinates emitted as Euclidean triples.  Output is
 deterministic: identical inputs give byte-identical files.  The text of
 each block of vertices and faces comes from one ``fill`` of a
 ``text.LineWriter`` made once per file, which formats whole numpy arrays
-with the bytes of ``%.17g`` and ``%d``.  A block holds whole rulings
-(lattice rows of one ``s_i``); a face block formats the indices of its
-rulings' vertices once and puts each on up to four faces.
+with the bytes of ``%.17g`` and ``%d``.  A block holds at most
+``text.BLOCK`` vertices or faces, in whole rulings (lattice rows of one
+``s_i``) where they fit; a face block formats the indices of its rulings'
+vertices once and puts each on up to four faces.
 """
 
 from __future__ import annotations
@@ -19,21 +20,17 @@ import numpy as np
 from . import text
 from .surface import RuledSurfaceGrid
 
-#: Vertices (and faces) per block at most; bounds the arrays alive at once
-#: to a few blocks whatever the lattice size.
-_BLOCK = 4096
-
-
 def _blocks(rows: int, cols: int) -> list[tuple[int, int, int, int]]:
     """Row-major ``(lo, hi, c0, c1)`` blocks of a ``rows x cols`` lattice: rows ``lo:hi``, columns ``c0:c1``.
 
-    A block holds as many whole rows as fit in ``_BLOCK`` cells; a row wider
-    than ``_BLOCK`` is split into blocks of ``_BLOCK`` columns.
+    A block holds as many whole rows as fit in ``text.BLOCK`` cells; a row
+    wider than that is split into blocks of ``text.BLOCK`` columns.
     """
-    per = _BLOCK // cols
+    block = text.BLOCK
+    per = block // cols
     if per:
         return [(lo, min(lo + per, rows), 0, cols) for lo in range(0, rows, per)]
-    return [(i, i + 1, c0, min(c0 + _BLOCK, cols)) for i in range(rows) for c0 in range(0, cols, _BLOCK)]
+    return [(i, i + 1, c0, min(c0 + block, cols)) for i in range(rows) for c0 in range(0, cols, block)]
 
 
 def _largest(blocks) -> int:
@@ -58,11 +55,16 @@ def export_mesh(
     ``fill`` per block of a vertex and a face writer made here, and each
     vertex block is computed into one array made here; a face block formats
     the 1-based indices of rulings ``lo`` to ``hi`` once (``text.cells``)
-    and takes each face's four corners from them.  A ``v_range`` that
-    overflows a vertex raises ValueError, writing nothing.
+    and takes each face's four corners from them.  A lattice of
+    ``text.INT_LIMIT`` or more vertices, whose indices ``text`` cannot
+    write, or a ``v_range`` that overflows a vertex raises ValueError
+    before anything is made or written.
     """
     if v_samples < 2:
         raise ValueError("v_samples must be at least 2")
+    n = surface.n_samples
+    if n * v_samples >= text.INT_LIMIT:
+        raise ValueError(f"a mesh of {n} x {v_samples} vertices has indices of {text.INT_LIMIT} or more")
     v_min, v_max = float(v_range[0]), float(v_range[1])
     k, q = surface.directrix.k, surface.q
     with np.errstate(over="ignore", invalid="ignore"):
@@ -73,11 +75,11 @@ def export_mesh(
         raise ValueError("v_range puts mesh vertices beyond the float range")
 
     path = os.fspath(path)
-    vertex_blocks = _blocks(surface.n_samples, v_samples)
-    face_blocks = _blocks(surface.n_samples - 1, v_samples - 1)
+    vertex_blocks = _blocks(n, v_samples)
+    face_blocks = _blocks(n - 1, v_samples - 1)
     points = np.empty((_largest(vertex_blocks), 3))
     vertices = text.LineWriter([b"v ", b" ", b" ", b"\n"], [text.FLOAT_WIDTH] * 3, len(points))
-    index = len(str(surface.n_samples * v_samples))  # the digits of the largest vertex index
+    index = len(str(n * v_samples))  # the digits of the largest vertex index
     faces = text.LineWriter([b"f ", b" ", b" ", b" ", b"\n"], [index] * 4, _largest(face_blocks))
     with open(path, "wb") as fh:
         fh.write(f"# {comment}\n# coordinates: (x1, x2, x3), x1 timelike; viewer distances are Euclidean\n".encode())

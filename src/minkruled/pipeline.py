@@ -176,17 +176,13 @@ def write_report_json(path, report: InvariantReport) -> str:
 
 _CSV_COLUMNS = ("s", "theta", "phi", "d", "v0", "K", "mu", "n", "qprime_norm", "cylindrical")
 
-#: Rows formatted per write of the sample CSV.
-_CSV_BLOCK = 4096
-
-
 def write_samples_csv(path, track: AngleTrack, report: InvariantReport) -> str:
     """Per-sample table: s, angles, recomputed invariants, cylindrical flag.
 
     Without recomputed invariants the six invariant cells are empty and the
     flag is 1.  When the kind prescribes ``d = 0`` the ``mu`` and ``n`` cells
     are empty: both are functions of ``d``, so the recomputed values would be
-    its roundoff.  Rows are formatted ``_CSV_BLOCK`` at a time by one
+    its roundoff.  Rows are formatted ``text.BLOCK`` at a time by one
     ``text.LineWriter`` made per file.
     """
     path = os.fspath(path)
@@ -209,11 +205,12 @@ def write_samples_csv(path, track: AngleTrack, report: InvariantReport) -> str:
         seps[-1] += b"\n" if c == _CSV_COLUMNS[-1] else b","
     n = track.n_samples
     widths = [1 if col.dtype.kind == "b" else text.FLOAT_WIDTH for col in cols]  # the flag, or a float
-    lines = text.LineWriter(seps, widths, min(n, _CSV_BLOCK))
+    block = text.BLOCK
+    lines = text.LineWriter(seps, widths, min(n, block))
     with open(path, "wb") as fh:
         fh.write(",".join(_CSV_COLUMNS).encode() + b"\n")
-        for lo in range(0, n, _CSV_BLOCK):
-            fh.write(lines.fill([col[lo : lo + _CSV_BLOCK] for col in cols]))
+        for lo in range(0, n, block):
+            fh.write(lines.fill([col[lo : lo + block] for col in cols]))
     return path
 
 

@@ -6,9 +6,10 @@ block of rows, with every separator written once, and the slots floats
 are formatted in; each ``fill(columns)`` writes one block's cells into the
 buffer and returns its lines.  A float cell reads exactly as
 ``'%.17g' % x`` and an integer or bool cell exactly as ``'%d' % i``; the
-writers of the OBJ mesh and the sample CSV build every line through it.
-``cells(values)`` formats integers or bools once, for a caller that puts
-the same cell on several lines.
+writers of the OBJ mesh and the sample CSV build every line through it,
+at most ``BLOCK`` lines per fill.  ``cells(values)`` formats integers or
+bools once, for a caller that puts the same cell on several lines.
+Integers are written in ``[0, INT_LIMIT)``; any other raises ValueError.
 
 Each value is formatted into a fixed slot of bytes padded with NULs, and
 the NULs are dropped once per block, by one ``bytearray.translate`` of the
@@ -21,9 +22,8 @@ digits come from a table of four-digit groups, the decimal point is a zero
 digit put in by arithmetic, and one row of a pattern table, chosen by the
 decimal exponent, the last nonzero digit and the sign, writes the point
 and the sign and clears the bytes outside the text.  Every other float
-(exponent notation, ``nan``, ``inf``) and every integer outside
-``[0, 10**8)`` is formatted by ``%`` itself, one ``%`` per chunk of such
-values.
+(exponent notation, ``nan``, ``inf``) is formatted by ``%`` itself, one
+``%`` per block of such values.
 """
 
 from __future__ import annotations
@@ -40,8 +40,10 @@ FLOAT_WIDTH = _SLOT
 #: takes an exact power of ten.  No value in it rounds up to the next exponent.
 _LOW, _HIGH = 1e-4, 1e15
 
-#: Floats formatted per pass of the arithmetic; bounds its temporaries.
-_CHUNK = 4096
+#: Lines per fill of the package's writers at most; bounds the arrays alive at once.
+BLOCK = 4096
+#: Integers are written in ``[0, INT_LIMIT)``: two four-digit groups.
+INT_LIMIT = 10**8
 
 _POW10 = 10.0 ** np.arange(23)  # exact doubles
 _POW10_INT = 10 ** np.arange(19, dtype=np.int64)
@@ -92,13 +94,13 @@ _SUB, _KEEP = (
 del _g, _digits, _width, _unpadded, _X, _LAST, _NEG, _pos, _start, _end, _sub, _keep
 
 
-def _fallback(slots: np.ndarray, rows: np.ndarray, values, conversion: str) -> None:
-    """Write ``'%' + conversion`` of each of ``values`` into the slots of ``rows``.
+def _fallback(slots: np.ndarray, rows: np.ndarray, values) -> None:
+    """Write ``'%.17g'`` of each of ``values`` into the slots of ``rows``.
 
-    One ``%`` pads every text with spaces to the slot width; neither
-    ``%.17g`` nor ``%d`` writes a space, so the padding becomes the NULs.
+    One ``%`` pads every text with spaces to the slot width; ``%.17g``
+    writes no space, so the padding becomes the NULs.
     """
-    text = (f"%-{slots.shape[1]}{conversion}" * len(rows)) % tuple(values.tolist())
+    text = (f"%-{slots.shape[1]}.17g" * len(rows)) % tuple(values.tolist())
     slots[rows] = np.frombuffer(text.encode("ascii").replace(b" ", b"\0"), dtype=np.uint8).reshape(len(rows), -1)
 
 
@@ -121,7 +123,7 @@ def _significand(a: np.ndarray, exp: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _float_chunk(x: np.ndarray, slots: np.ndarray) -> None:
-    """Fill ``slots`` with the text of ``x``, at most ``_CHUNK`` values."""
+    """Fill ``slots`` with the text of ``x``, one row per value."""
     a = np.abs(x)
     fast = ((a >= _LOW) & (a < _HIGH)) | (a == 0)
     a[~fast | (a == 0)] = 1.0
@@ -164,39 +166,33 @@ def _float_chunk(x: np.ndarray, slots: np.ndarray) -> None:
     lanes &= _KEEP.take(cls, axis=0)
     rows = np.flatnonzero(~fast)
     if len(rows):
-        _fallback(slots, rows, x[rows], ".17g")
+        _fallback(slots, rows, x[rows])
 
 
 def _ints(i: np.ndarray) -> np.ndarray:
     """``(len(i), width)`` uint8 slots holding ``'%d' % v`` of each value, right-aligned after NULs.
 
-    ``width`` is the digit count of the largest value, or ``_SLOT`` when a
-    value is outside ``[0, 10**8)``, whose text is then left-aligned.
+    ``width`` is the digit count of the largest value.  A value outside
+    ``[0, INT_LIMIT)`` raises ValueError.
     """
-    i = np.asarray(i).astype(np.int64)
-    fast = (i >= 0) & (i < 10**8)
-    v = np.where(fast, i, 0)
+    v = np.asarray(i).astype(np.int64)
+    if v.min(initial=0) < 0 or v.max(initial=0) >= INT_LIMIT:
+        raise ValueError(f"integers are written in [0, {INT_LIMIT}), not {v.min()} to {v.max()}")
     high = v // 10**4
     low = v - high * 10**4
-    words = np.empty((len(i), 2), dtype=np.uint32)
+    words = np.empty((len(v), 2), dtype=np.uint32)
     # below 10**4 the high word is NULs and the low word unpadded
     words[:, 0] = _INT_TEXT.take(np.where(high > 0, high + 10**4, 2 * 10**4))
     words[:, 1] = _INT_TEXT.take(low + 10**4 * (high == 0))
-    slots = words.view(np.uint8)
-    rows = np.flatnonzero(~fast)
-    if len(rows):
-        slots = np.concatenate([slots, np.zeros((len(i), _SLOT - 8), dtype=np.uint8)], axis=1)
-        _fallback(slots, rows, i[rows], "d")
-        return slots
-    return slots[:, 8 - len(str(int(v.max(initial=0)))) :]
+    return words.view(np.uint8)[:, 8 - len(str(int(v.max(initial=0)))) :]
 
 
 def cells(values) -> np.ndarray:
     """Each integer's or bool's text as one cell: an array of ``values``' shape whose items are NUL-padded bytes.
 
     Once its NULs are dropped, a cell reads ``'%d' % i``.  The items have a
-    ``V`` dtype as wide as the digit count of the largest value, or
-    ``_SLOT`` when a value is outside ``[0, 10**8)``.  Any other dtype is a
+    ``V`` dtype as wide as the digit count of the largest value.  A value
+    outside ``[0, INT_LIMIT)`` is a ValueError, and any other dtype a
     TypeError; floats are formatted by a ``LineWriter``.
     """
     values = np.asarray(values)
@@ -212,10 +208,9 @@ class LineWriter:
     Each line is ``seps[0]``, then each cell's text followed by the next
     separator (bytes without NULs).  ``widths[c]`` is the slot of cell
     ``c`` in bytes: ``FLOAT_WIDTH`` for a float, and for an integer or
-    bool at least the digit count of its largest value, or ``FLOAT_WIDTH``
-    when a value may be outside ``[0, 10**8)``.  The line buffer holds
-    ``rows`` lines with every separator written once; ``fill`` writes only
-    the cells.
+    bool at least the digit count of its largest value.  The line buffer
+    holds ``rows`` lines with every separator written once, and the float
+    slots ``rows`` values; ``fill`` writes only the cells.
     """
 
     def __init__(self, seps, widths, rows: int):
@@ -232,7 +227,7 @@ class LineWriter:
             self._cells.append((at + len(sep), width))
             at += len(sep) + width
         self._cells.pop()
-        self._slots = np.empty((min(rows, _CHUNK), _SLOT), dtype=np.uint8)
+        self._slots = np.empty((rows, _SLOT), dtype=np.uint8)
 
     def fill(self, columns) -> bytearray:
         """The text of one block of lines, each row of ``columns`` giving one line's cells.
@@ -260,10 +255,9 @@ class LineWriter:
         if values.dtype.kind == "f":
             if out.shape[1] != _SLOT:
                 raise ValueError(f"a float cell takes {_SLOT} bytes, not {out.shape[1]}")
-            for lo in range(0, len(values), _CHUNK):
-                slots = self._slots[: len(values) - lo]
-                _float_chunk(values[lo : lo + _CHUNK], slots)
-                out[lo : lo + len(slots)] = slots
+            slots = self._slots[: len(values)]
+            _float_chunk(values, slots)
+            out[:] = slots
             return
         if values.dtype.kind != "V":
             values = _ints(values)

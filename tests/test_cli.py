@@ -416,10 +416,10 @@ class TestExportMesh:
     def test_blocks_match_reference_on_a_ragged_lattice(self, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "general_roundtrip.json")
         _, surf = synthesize_surface(cfg, build_directrix(cfg))
-        block = minkruled.mesh._BLOCK
+        block = minkruled.text.BLOCK
 
         def ragged(rows, cols):
-            # more than two blocks of whole rows, each short of _BLOCK cells, the last holding fewer rows
+            # more than two blocks of whole rows, each short of text.BLOCK cells, the last holding fewer rows
             per = block // cols
             return rows > 2 * per and rows % per and block % cols
 
@@ -435,11 +435,11 @@ class TestExportMesh:
     ):
         # vertex index 10**digits gets one more digit than the index before it
         if block is not None:
-            monkeypatch.setattr(minkruled.mesh, "_BLOCK", block)
+            monkeypatch.setattr(minkruled.text, "BLOCK", block)
         new = 10**digits
         n_rulings = new // v_samples + 3
         # the first and last 1-based index each face block formats: rulings lo..hi of whole-ruling blocks
-        per = minkruled.mesh._BLOCK // (v_samples - 1)
+        per = minkruled.text.BLOCK // (v_samples - 1)
         spans = [(lo * v_samples + 1, min(lo + per + 1, n_rulings) * v_samples) for lo in range(0, n_rulings - 1, per)]
         assert spans[-1][1] == n_rulings * v_samples and spans[-1][1] > new
         first = {a for a, _ in spans}
@@ -452,7 +452,7 @@ class TestExportMesh:
 
     def test_blocks_match_reference_on_a_wide_two_row_lattice(self, tmp_path):
         surf = self.turning_surface(2)
-        block = minkruled.mesh._BLOCK
+        block = minkruled.text.BLOCK
         # vertices filling one block exactly, one more, and two and a half blocks
         for v_samples in (block // 2, block // 2 + 1, block + 5):
             out = tmp_path / str(v_samples)
@@ -462,7 +462,7 @@ class TestExportMesh:
     def test_memory_stays_a_few_blocks_whatever_the_lattice_size(self, tmp_path):
         peaks = []
         for blocks in (8, 32):
-            surf = self.turning_surface(blocks * minkruled.mesh._BLOCK // 33)
+            surf = self.turning_surface(blocks * minkruled.text.BLOCK // 33)
             tracemalloc.start()
             try:
                 export_mesh(surf, (-1.0, 2.0), 33, tmp_path / f"{blocks}.obj")
@@ -481,6 +481,24 @@ class TestExportMesh:
             with pytest.raises(ValueError, match="v_range"):
                 export_mesh(surf, v_range, 33, tmp_path / "m.obj")
             assert not (tmp_path / "m.obj").exists()
+
+    def test_a_lattice_past_the_integer_range_is_refused_before_anything_is_made(self, tmp_path):
+        # the largest 1-based index, 2 * 5 * 10**7, is text.INT_LIMIT
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="2 x 50000000 vertices has indices of 100000000 or more"):
+                export_mesh(self.smallest_surface(), (0.0, 1.0), 5 * 10**7, tmp_path / "m.obj")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 and os.listdir(tmp_path) == []
+
+    def test_the_integer_range_bounds_the_largest_vertex_index(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(minkruled.text, "INT_LIMIT", 1000)
+        obj_matches_reference(tmp_path, self.smallest_surface(), (0.0, 1.0), 499)  # indices up to 998
+        with pytest.raises(ValueError, match="indices of 1000 or more"):
+            export_mesh(self.smallest_surface(), (0.0, 1.0), 500, tmp_path / "n.obj")
+        assert os.listdir(tmp_path) == ["m.obj"]
 
     def test_two_v_samples_and_negative_range_match_reference(self, tmp_path):
         cfg = RunConfig.from_file(CONFIG_DIR / "asymptotic_line.json")
@@ -505,6 +523,27 @@ def test_shipped_outputs_match_the_line_by_line_writers(tmp_path, name):
     v_range, v_samples = (mesh.v_range, mesh.v_samples) if mesh is not None else ((-0.5, 0.5), 33)
     (tmp_path / "obj").mkdir()
     obj_matches_reference(tmp_path / "obj", result.surface, v_range, v_samples)
+
+
+def test_every_writer_the_package_builds_holds_at_most_a_block(monkeypatch, tmp_path):
+    """Writers of ``text.BLOCK`` rows at most: the shipped configs' CSVs at ``h = 1e-4``, and a mesh of wider rulings."""
+    rows = []
+    init = minkruled.text.LineWriter.__init__
+
+    def recording(self, seps, widths, n):
+        rows.append(n)
+        init(self, seps, widths, n)
+
+    monkeypatch.setattr(minkruled.text.LineWriter, "__init__", recording)
+    block = minkruled.text.BLOCK
+    samples = []
+    for name in SHIPPED:
+        result = run_config(RunConfig.from_file(CONFIG_DIR / name).with_overrides(step=1e-4), write_outputs=False)
+        write_samples_csv(tmp_path / f"{name}.csv", result.track, result.report)
+        samples.append(result.track.n_samples)
+    export_mesh(TestExportMesh().turning_surface(3), (-1.0, 2.0), block + 5, tmp_path / "m.obj")
+    assert min(samples) > block and len(rows) == len(SHIPPED) + 2
+    assert max(rows) == block, rows
 
 
 @pytest.fixture
@@ -768,7 +807,7 @@ class TestPipeline:
         path = write_samples_csv(tmp_path / "c.csv", result.track, report)
         text = reference_csv(result.track, report)
         assert {line[-1] for line in text.splitlines()[1:]} == {"0", "1"}
-        assert result.track.n_samples > minkruled.pipeline._CSV_BLOCK
+        assert result.track.n_samples > minkruled.text.BLOCK
         assert Path(path).read_bytes() == text.encode()
 
     def test_csv_leaves_n_and_mu_empty_where_d_vanishes(self, tmp_path):

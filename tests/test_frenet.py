@@ -23,6 +23,7 @@ from minkruled.errors import (
 )
 from minkruled.config import _FUNCTIONS, curvature_fn_from_spec
 from minkruled.frenet import MAX_STEPS, default_initial_frame, grid_size, uniform_grid
+from minkruled.surface import finite_difference
 
 from conftest import random_boosted_frame
 
@@ -395,3 +396,30 @@ class TestFrameDefect:
             k2_mid=np.array([]),
         )
         assert frame_defect(c) == pytest.approx(0.0201, abs=1e-12)
+
+
+def first_samples(n):
+    """The first ``n`` samples of a three-sample curve, midpoints included."""
+    c = integrate_frenet(1.0, 0.0, s_range=(0.0, 0.02), step=1e-2)
+    cut = {f.name: getattr(c, f.name)[:n] for f in dataclasses.fields(c)}
+    return FrenetCurve(**{**cut, "k1_mid": c.k1_mid[: max(n - 1, 0)], "k2_mid": c.k2_mid[: max(n - 1, 0)]})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: dataclasses.replace(first_samples(3), k=np.zeros((3, 4))), r"must have shape \(n, 3\)"),
+        (lambda: first_samples(1).step, "single-sample curve has no step"),
+        (lambda: integrate_frenet(1.0, 0.0, s_range=(1.0, 0.0)), "s_range must be increasing"),
+        (lambda: integrate_frenet(1.0, 0.0, s_range=(0.0, 0.1), initial_frame=np.eye(3)), "must be a 4 x 3 array"),
+        (lambda: frame_defect(first_samples(0)), "empty curve"),
+        (lambda: finite_difference(np.zeros((2, 3)), 1e-3), "at least 3 samples"),
+    ],
+    ids=[
+        "position-shape", "one-sample-step", "decreasing-s-range", "3x3-frame", "empty-frame-defect",
+        "two-sample-difference",
+    ],
+)
+def test_malformed_curves_and_grids_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -6,6 +6,10 @@ passes and whose mutated run must fail, and the failures it must name.  A
 config that misses its mutant today is a strict xfail naming the ROADMAP
 item whose check should catch it; the change that lands the item drops the
 marker.
+
+The power ladder (ROADMAP item 3) scales one prescribed parameter by
+``1 + eps``, verifies against the unscaled prescription, and pins the
+smallest rejected ``eps`` of a 1-3 ladder from 1e-7, at h = 1e-3 and 1e-4.
 """
 
 import dataclasses
@@ -14,8 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minkruled import RunConfig, frenet, surface, synthesis
-from minkruled.pipeline import run_config
+from minkruled import RunConfig, frenet, recompute_report, surface, synthesis
+from minkruled.pipeline import build_directrix, run_config, synthesize_surface
 from minkruled.synthesis import KINDS, SystemKind
 from minkruled.verify import surface_defects
 
@@ -96,3 +100,33 @@ def test_the_unpinned_mutant_is_no_asymptotic_surface(monkeypatch):
     cfg = unpinned(monkeypatch, RunConfig.from_file(CONFIG_DIR / "asymptotic_line.json"))
     surf = run_config(cfg, write_outputs=False).surface
     assert surface_defects(surf, "asymptotic_line")["asymptotic_line"] > 0.5
+
+
+#: eps of the power ladder
+LADDER = [1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3]
+
+#: (shipped config, parameter scaled, smallest rejected eps, failures its verdict names)
+POWER = [
+    ("general_roundtrip", "d", 3e-4, ("d",)),
+    ("general_roundtrip", "v0", 3e-4, ("v0",)),
+    ("striction_line", "d", 3e-4, ("d",)),
+    ("developable", "v0", 3e-4, ("v0",)),
+    ("geodesic", "n", 1e-4, ("K",)),
+    ("geodesic", "mu", 1e-6, ("v0", "mu")),
+    ("line_of_curvature", "n", 1e-4, ("K",)),
+    ("asymptotic_line", "mu", 1e-4, ("d", "v0")),
+]
+
+
+@pytest.mark.parametrize("step", [1e-3, 1e-4])
+@pytest.mark.parametrize("name, param, eps, failures", POWER, ids=[f"{row[0]}-{row[1]}" for row in POWER])
+def test_the_verdict_rejects_a_scaled_parameter_from_its_pinned_rung(name, param, eps, failures, step):
+    cfg = RunConfig.from_file(CONFIG_DIR / f"{name}.json").with_overrides(step=step)
+    curve = build_directrix(cfg)
+    rung = LADDER.index(eps)
+    reports = []
+    for e in LADDER[rung - 1 : rung + 1]:
+        params = dataclasses.replace(cfg.params, **{param: getattr(cfg.params, param) * (1.0 + e)})
+        _, surf = synthesize_surface(dataclasses.replace(cfg, params=params), curve)
+        reports.append(recompute_report(surf, cfg.params, cfg.system, cfg.tolerances))
+    assert reports[0].passed and reports[1].failures == failures

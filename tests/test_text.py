@@ -125,8 +125,13 @@ class TestInts:
         assert mismatches(np.arange(0, 20_001), "%d") == []
 
     def test_outside_the_table_range(self):
-        values = np.array([10**8 - 1, 10**8, 10**8 + 1, 2**62, -1, -(10**12), 7])
-        assert mismatches(values, "%d") == []
+        assert text.INT_LIMIT == 10**8
+        assert mismatches(np.array([10**8 - 1, 7]), "%d") == []
+        for bad in (10**8, 10**8 + 1, 2**62, -1, -(10**12)):
+            with pytest.raises(ValueError, match=r"integers are written in \[0, 100000000\)"):
+                formatted(np.array([7, bad]))
+            with pytest.raises(ValueError, match=r"integers are written in \[0, 100000000\)"):
+                text.cells(np.array([bad, 7]))
 
     def test_bools(self):
         assert formatted(np.array([True, False, True])) == [b"1", b"0", b"1"]
@@ -182,7 +187,11 @@ def test_a_writer_refuses_what_its_slots_cannot_hold():
 
 def test_cells_keep_the_shape_and_are_as_wide_as_the_widest_text():
     ints = np.array([[9, 10], [99, 100]])
-    for values, width in ((ints, 3), (ints + 10**7, 8), (ints - 10, text._SLOT), (ints * 10**7, text._SLOT)):
+    for values, width in ((ints, 3), (ints + 10**7, 8), (ints - 10, None), (ints * 10**7, None)):
+        if width is None:  # a negative value, or 10**8 and above
+            with pytest.raises(ValueError, match="integers are written in"):
+                text.cells(values)
+            continue
         got = text.cells(values)
         assert got.shape == values.shape and got.dtype.itemsize == width
         texts = [bytes(cell).replace(b"\0", b"") for cell in got.ravel()]
@@ -202,12 +211,15 @@ def test_a_writer_takes_columns_of_cells():
     assert writer.fill([text.cells(np.array([10, 20]))] * 2 + [np.arange(2)]) == b"f 10 10 0\nf 20 20 1\n"
 
 
-@pytest.mark.parametrize("n", [1, text._CHUNK - 1, text._CHUNK, 2 * text._CHUNK + 1])
+@pytest.mark.parametrize("n", [1, text.BLOCK - 1, text.BLOCK, 2 * text.BLOCK + 1])
 def test_chunk_boundaries(n):
+    # a writer of at most one block, refilled a block at a time as the package's writers are
     rng = np.random.default_rng(n)
     values = fast_range(rng, n)
-    values[:: max(1, n // 7)] = 1e-7  # a few exponent-notation values in every chunk
-    assert mismatches(values) == []
+    values[:: max(1, n // 7)] = 1e-7  # a few exponent-notation values in every block
+    writer = text.LineWriter([b"", b"\n"], [text.FLOAT_WIDTH], min(n, text.BLOCK))
+    got = b"".join(writer.fill([values[lo : lo + text.BLOCK]]) for lo in range(0, n, text.BLOCK))
+    assert got == b"".join(b"%.17g\n" % v for v in values.tolist())
 
 
 @pytest.mark.parametrize("shift", [2.0, -1.0], ids=["two-over", "one-under"])

@@ -82,6 +82,19 @@ class TestRecomputeReport:
         assert math.isnan(report.defects["qprime_norm"])
         assert (report.verdict, report.failures) == ("fail", ("qprime_norm",))
 
+    def test_a_surface_with_no_usable_interior_sample_fails_closed(self):
+        # the rulings zigzag, so every interior central difference of q vanishes and only the ends are usable
+        directrix = integrate_frenet(1.0, 0.1, s_range=(0.0, 0.006), step=1e-3)
+        zig = np.array([[1.0, 0.0, 0.0], [np.cosh(0.3), np.sinh(0.3), 0.0]])
+        surf = RuledSurfaceGrid(directrix=directrix, q=zig[np.arange(directrix.n_samples) % 2])
+        report = recompute_report(surf, SynthesisParams(theta0=1.0, d=0.5, v0=0.3), SystemKind.GENERAL_DV0)
+        assert (report.verdict, report.failures) == ("fail", ("d", "v0"))
+        assert (report.n_cylindrical, report.n_samples) == (5, 7)
+        errors = json.loads(json.dumps(report.to_dict(), allow_nan=False))["errors"]
+        for name in ("d", "v0"):
+            assert {k: v for k, v in errors[name].items() if v is None}.keys() == {"max_abs", "max_rel", "mean_abs", "margin"}
+            assert math.isfinite(errors[name]["endpoint_max_abs"])
+
     def test_cylinder_surface_under_other_kind_propagates(self, flat_directrix):
         params = SynthesisParams(theta0=1.0, phi0=0.5)
         track = integrate_system(SystemKind.CYLINDER, params, flat_directrix)
