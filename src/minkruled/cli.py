@@ -23,7 +23,7 @@ import sys
 
 from .config import RunConfig
 from .errors import ConfigError, GeometryError
-from .pipeline import build_directrix, run_config, sweep_grid, synthesize_surface, write_all, write_mesh
+from .pipeline import DEFAULT_SUMMARY_NAME, build_directrix, run_config, sweep_grid, synthesize_surface, write_all, write_mesh
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--phi0", type=_parse_list, default=None, help="comma-separated phi0 seeds (default grid: 0,pi/2,pi,3pi/2)"
     )
-    p.add_argument("--summary-name", default="sweep_summary.csv")
+    p.add_argument("--summary-name", default=DEFAULT_SUMMARY_NAME)
     return parser
 
 

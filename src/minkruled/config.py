@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .frenet import Constant, CurvatureFn, Polynomial, Samples, Sinusoid, grid_size
+from .frenet import DEFAULT_S_RANGE, DEFAULT_STEP, Constant, CurvatureFn, Polynomial, Samples, Sinusoid, grid_size
 from .synthesis import SynthesisParams, SystemKind, is_unset, missing_param
 from .verify import DEFAULT_DEFECT_TOLS, Tolerances
 
@@ -172,8 +172,8 @@ def _number_or_fn(spec, where: str) -> float | CurvatureFn:
 class DirectrixSpec:
     k1: CurvatureFn
     k2: CurvatureFn
-    s_range: tuple[float, float] = (0.0, 1.0)
-    step: float = 1e-3
+    s_range: tuple[float, float] = DEFAULT_S_RANGE
+    step: float = DEFAULT_STEP
     initial_frame: np.ndarray | None = None
 
 

@@ -37,6 +37,10 @@ from .synthesis import (
 from .verify import InvariantReport, recompute_report
 
 
+#: The sweep summary's file name in its output directory, unless a caller names another.
+DEFAULT_SUMMARY_NAME = "sweep_summary.csv"
+
+
 def _fmt(x) -> str:
     return "" if x is None else f"{float(x):.17g}"
 
@@ -271,7 +275,7 @@ def sweep_grid(
     phi0_list=None,
     out_dir=".",
     *,
-    summary_name: str = "sweep_summary.csv",
+    summary_name: str = DEFAULT_SUMMARY_NAME,
 ) -> tuple[list[SweepRow], str]:
     """Synthesize and verify once per seed on the grid; one CSV row per seed.
 
@@ -309,7 +313,7 @@ def sweep_grid(
     operands = None
     if curve is not None:
         with contextlib.suppress(GeometryError):
-            operands = angle_operands(base.system, base.with_seed(*seeds[0]).params, curve)
+            operands = angle_operands(base.system, base.params, curve)
 
     def row(seed) -> SweepRow:
         theta0, phi0 = seed

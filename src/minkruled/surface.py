@@ -129,8 +129,7 @@ def dv0_from_n_mu(n, mu: float) -> tuple[np.ndarray, np.ndarray]:
 
     Broadcasts over ``n``; ``mu`` is one angle, counted modulo pi, with
     tan(mu) = d/v0, the complement of the Chasles angle of
-    ``curvature_relations``.  The domain
-    (n > 0, sin(mu) != 0) is checked where a run's parameters enter.
+    ``curvature_relations``.  Its caller ``synthesis._from_n_mu`` checks sin(mu) != 0.
     """
     n = np.asarray(n, dtype=float)
     return n * math.sin(mu) ** 2, n * math.sin(mu) * math.cos(mu)

@@ -30,12 +30,11 @@ between q and T, and phi the spacelike angle between N and the surface
 normal cos(phi) N + sin(phi) B along the directrix.
 
 The seed (theta0, phi0) is the two-parameter freedom of the solution family.
-The cylinder and the line of curvature are built in closed form
-(``KindSpec.track``); every other kind is integrated at fixed-step classical
-4th order on the directrix grid.  These systems can blow up in finite arc
-length (the sinh terms); a track then aborts with the failure location
-instead of clamping, because a clamped track would describe a surface the
-systems do not define.
+Every kind not built in closed form (``KindSpec.track``) is integrated at
+fixed-step classical 4th order on the directrix grid.  These systems can
+blow up in finite arc length (the sinh terms); a track then aborts with the
+failure location instead of clamping, because a clamped track would
+describe a surface the systems do not define.
 """
 
 from __future__ import annotations
@@ -175,8 +174,10 @@ def _from_n_mu(n: np.ndarray, mu: float) -> dict[str, np.ndarray]:
     # K comes from n itself, not from the mapped (d, v0), so a wrong
     # (n, mu) -> (d, v0) map still fails the K check; the map stays valid
     # for either sign of n.
+    if abs(math.sin(mu)) < 1e-12:
+        raise ParamDomainError("sin(mu) = 0 is outside the curvature-angle domain")
     d, v0 = dv0_from_n_mu(n, mu)
-    with np.errstate(over="ignore"):  # K = 0 for |n| near the float limit
+    with np.errstate(over="ignore", divide="ignore"):  # K = 0 or inf for |n| near the float limits
         return {"d": d, "v0": v0, "K": 1.0 / (n * n)}
 
 
@@ -188,12 +189,13 @@ def _curvature_angle(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
         raise ParamDomainError(
             f"curvature_angle requires n > 0; n = {float(n[i]):.6g} at s = {float(s[i]):.6g}", s=float(s[i])
         )
+    fixed = _from_n_mu(n, p.mu)
     # (d, v0) depends on mu modulo pi only.  Its Chasles angle atan(v0/d) =
     # atan(cot(mu)) is pi/2 - mu on 0 < mu < pi; elsewhere math.sin and
     # math.cos reduce mu exactly, where mu % pi would not (its float pi is off
     # by about 1.2e-16 per turn)
     chasles = HALF_PI - p.mu if 0.0 < p.mu < math.pi else math.atan(math.cos(p.mu) / math.sin(p.mu))
-    return {**_from_n_mu(n, p.mu), "mu": np.full(np.shape(s), chasles)}
+    return {**fixed, "mu": np.full(np.shape(s), chasles)}
 
 
 def _asymptotic(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
@@ -215,8 +217,12 @@ def _asymptotic(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
 
 
 def _line_of_curvature(p: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
-    n = as_curvature_fn(p.n)(s)
-    return {"n": n, "K": 1.0 / (n * n)}
+    n_fn = as_curvature_fn(p.n)
+    if not isinstance(n_fn, Constant):
+        raise ParamDomainError("line_of_curvature takes a constant n")
+    n = n_fn(s)
+    with np.errstate(over="ignore", divide="ignore"):  # K = inf for n = 0, which the track rejects
+        return {"n": n, "K": 1.0 / (n * n)}
 
 
 def _cylinder_track(params: SynthesisParams, directrix: FrenetCurve) -> AngleTrack:
@@ -257,12 +263,9 @@ def line_of_curvature_phi(directrix: FrenetCurve, C: float) -> np.ndarray:
 
 
 def _line_of_curvature_track(params: SynthesisParams, directrix: FrenetCurve) -> AngleTrack:
-    n_fn = as_curvature_fn(params.n)
-    if not isinstance(n_fn, Constant):
-        raise ParamDomainError("line_of_curvature takes a constant n")
     s = directrix.s
+    n = prescription(SystemKind.LINE_OF_CURVATURE, params, s, directrix.k2)["n"]
     phi = line_of_curvature_phi(directrix, float(params.C))
-    n = float(n_fn.value)
     cos_phi = np.cos(phi)
     if float(np.min(np.abs(cos_phi))) < 1e-12:
         i = int(np.argmin(np.abs(cos_phi)))
@@ -281,15 +284,15 @@ class KindSpec:
     ``params`` are the parameters it needs beyond the seed (``missing_param``).
     ``seeded`` says whether it starts from a theta0 seed; the only seedless
     kind is the line of curvature.  ``track(params, directrix)`` builds the
-    angle track of a kind that is built in closed form, the cylinder and
-    the line of curvature; None integrates the general system on its
-    ``angle_operands``.  ``prescribe(params, s, k2)`` gives the
-    invariants the kind fixes, evaluated at the arc lengths ``s`` with
-    torsion ``k2`` there: synthesis reads (d, v0) from it, and verification
-    compares every entry with the recomputed invariants, except the
-    ``vanishing`` ones, which are prescribed zero and reported as named
-    defects instead.  It also checks the kind's domain rules and raises
-    ParamDomainError for a prescription outside them.  ``defects`` names
+    angle track of a kind built in closed form, the cylinder and the line
+    of curvature; None integrates the general system on its
+    ``angle_operands``.  ``prescribe(params, s, k2)``, called only through
+    the gate ``prescription``, gives the invariants the kind fixes at the
+    arc lengths ``s`` with torsion ``k2`` there: synthesis reads (d, v0)
+    from it, and verification compares every entry with the recomputed
+    invariants, except the ``vanishing`` ones, prescribed zero and reported
+    as named defects instead.  It raises ParamDomainError for a
+    prescription outside the kind's domain rules.  ``defects`` names
     the entries of ``verify.SURFACE_DEFECTS`` the verdict also checks.
     ``pin`` is the constant phi of a kind that holds phi fixed (phi' = 0,
     the seed phi0 ignored), so only theta is integrated; None integrates
@@ -328,17 +331,16 @@ def missing_param(kind: SystemKind, params: SynthesisParams) -> str | None:
     return next((name for name in needed if is_unset(getattr(params, name))), None)
 
 
-def validate_params(kind: SystemKind, params: SynthesisParams) -> None:
-    """Check that the params ``kind`` needs are set and sin(mu) != 0.
+def prescription(kind: SystemKind, params: SynthesisParams, s, k2) -> dict[str, np.ndarray]:
+    """``KINDS[kind].prescribe(params, s, k2)`` behind the one gate on a kind's params, for synthesis and the oracle.
 
-    Raises ParamDomainError.  The other domain rules of a kind are checked
-    where its prescription is evaluated.
+    ParamDomainError names the first of ``KindSpec.params`` left unset
+    (``is_unset``) before the kind's own rules run; no seed is read.
     """
-    name = missing_param(kind, params)
-    if name is not None:
-        raise ParamDomainError(f"{kind.value} requires params.{name}")
-    if "mu" in KINDS[kind].params and abs(math.sin(params.mu)) < 1e-12:
-        raise ParamDomainError("sin(mu) = 0 is outside the curvature-angle domain")
+    for name in KINDS[kind].params:
+        if is_unset(getattr(params, name)):
+            raise ParamDomainError(f"{kind.value} requires params.{name}")
+    return KINDS[kind].prescribe(params, s, k2)
 
 
 def _coefficients(kind: SystemKind, params: SynthesisParams, s, k2) -> tuple[np.ndarray, np.ndarray]:
@@ -353,7 +355,7 @@ def _coefficients(kind: SystemKind, params: SynthesisParams, s, k2) -> tuple[np.
     normal floats, a and b are bit-identical to them.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        fixed = KINDS[kind].prescribe(params, s, k2)
+        fixed = prescription(kind, params, s, k2)
         d, v0 = fixed["d"], fixed["v0"]
         e = np.frexp(np.maximum(np.abs(d), np.abs(v0)))[1]
         d, v0 = np.ldexp(d, -e), np.ldexp(v0, -e)
@@ -391,9 +393,7 @@ def _rhs(theta: float, phi: float, s: float, c, pinned: bool) -> tuple[float, fl
     d^2 + v0^2 = 0.  These are the only state guards of the integration:
     ``_rk4_track`` tests the theta range of every stage inline and replays
     a step that trips through here (``_replay_step``), so every error comes
-    from here, at the first stage whose guard fails.  The state guards are
-    ``_check_state``, which the closed-form cylinder applies to its seed
-    and ``AngleTrack`` to the first sample of any track outside the band.
+    from here, at the first stage whose guard fails, through ``_check_state``.
     """
     k1, a, bk = c
     _check_state(theta, phi, s)
@@ -445,13 +445,11 @@ class AngleOperands:
 def angle_operands(kind: SystemKind, params: SynthesisParams, directrix: FrenetCurve) -> AngleOperands | None:
     """The operands ``integrate_system`` reads on ``directrix``, or None for a kind built in closed form.
 
-    Checks ``params`` with ``validate_params`` and evaluates both
-    ``_coefficients``, so it raises ParamDomainError where those do.  The
-    seed angles are read only by that check, so the operands serve every
-    seed of a sweep.  The closed-form kinds (``KindSpec.track``), the
-    cylinder and the line of curvature, read no operands.
+    Its ``_coefficients`` read ``params`` through the gate ``prescription``
+    and raise its ParamDomainError; no seed angle is read, so the operands
+    serve every seed of a sweep.  The closed-form kinds (``KindSpec.track``)
+    read none, and their builders apply the gate.
     """
-    validate_params(kind, params)
     if KINDS[kind].track is not None:
         return None
     s, mid = directrix.s, directrix.s[:-1] + 0.5 * directrix.step
@@ -466,23 +464,23 @@ def integrate_system(
 ) -> AngleTrack:
     """Solve the determining system along the directrix grid.
 
-    A kind with a closed-form ``KindSpec.track``, the cylinder or the line
-    of curvature, is built by it.  Every other kind runs fixed-step
-    4th-order integration of the general system on its operands
-    (k1, a, b - k2) at the samples and step midpoints (``AngleOperands``,
-    ``_rk4_track``); a kind with a ``pin`` integrates theta alone with phi
-    held there.  A track aborts where |theta| leaves [THETA_MIN, THETA_MAX]
-    (see ``_rhs``).
+    A kind with a closed-form ``KindSpec.track`` (the cylinder, the line of
+    curvature) is built by it; every other kind runs fixed-step 4th-order
+    integration of the general system on its ``AngleOperands``
+    (``_rk4_track``), theta alone with phi held at a kind's ``pin``.  A
+    track aborts where |theta| leaves [THETA_MIN, THETA_MAX] (``_rhs``).
 
     ``operands`` are ``angle_operands`` of this kind and directrix for
-    params that differ from ``params`` in the seed angles at most, as a
-    sweep shares them among its seeds; None builds them here.
+    params that differ from ``params`` in the seed at most, as a sweep
+    shares them; None builds them here.  Every param but the seed passes
+    the gate ``prescription`` there or in the closed-form builder; an unset
+    theta0 of a seeded kind raises ParamDomainError here, after them.
     """
     if operands is None:
-        operands = angle_operands(kind, params, directrix)  # checks params
-    else:
-        validate_params(kind, params)
+        operands = angle_operands(kind, params, directrix)
     spec = KINDS[kind]
+    if spec.seeded and is_unset(params.theta0):
+        raise ParamDomainError(f"{kind.value} requires params.theta0")
     if spec.track is not None:
         return spec.track(params, directrix)
     pinned = spec.pin is not None
@@ -517,12 +515,10 @@ def _rk4_track(s: np.ndarray, operands: AngleOperands, theta0: float, phi0: floa
     ends = [memoryview(x[1:]) for x in node]
     lo, hi, nlo, nhi = THETA_MIN, THETA_MAX, -THETA_MIN, -THETA_MAX
     sinh, cosh, sin, cos = math.sinh, math.cosh, math.sin, math.cos
-    # A stage's theta x trips where it is NaN or |x| is outside
-    # [THETA_MIN, THETA_MAX]; y - y is NaN for a phi of +-inf or NaN.  (t, p)
-    # take a step's values only after its last test, when nothing left can
-    # raise, so a trip leaves the step's start state for the replay.  A
-    # pinned kind has phi = pi/2, where sin is exactly 1.0, so it gets _rhs's
-    # a sinh(theta) + k1 and phi' = 0.
+    # y - y is NaN for a phi of +-inf or NaN.  (t, p) take a step's values
+    # only after its last test, when nothing left can raise, so a trip leaves
+    # the step's start state for the replay.  A pinned kind has phi = pi/2,
+    # where sin is exactly 1.0, so it gets _rhs's a sinh(theta) + k1.
     try:
         for i, k1m, am, bkm, k1, a, bk in zip(range(1, n), *map(memoryview, middle), *ends):
             x, y = t + half * a1, p + half * b1

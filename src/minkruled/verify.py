@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, SingularPointError
 from .lorentz import lorentz_cross, lorentz_inner, lorentz_norm, mixed_product
 from .surface import RuledSurfaceGrid, SurfaceInvariants, finite_difference, invariants_numeric
-from .synthesis import KINDS, SynthesisParams, SystemKind
+from .synthesis import KINDS, SynthesisParams, SystemKind, prescription
 
 #: Default pass tolerances at grid step 1e-3.  Finite-difference recovery is
 #: O(h^2), so rescale these when running at other steps.
@@ -125,9 +125,10 @@ class InvariantReport:
 def _stats(actual: np.ndarray, expected: np.ndarray, mask: np.ndarray, tol: Tolerances) -> tuple[ErrorStats, bool]:
     """Errors over interior samples selected by mask; endpoints separately.
 
-    The pass decision uses the combined rule |err| <= abs + rel * |expected|
-    per sample, so quantities prescribed to be (numerically) zero are judged
-    on the absolute branch instead of a meaningless relative error.
+    A sample passes where |err| <= abs + rel * |expected| and that bound is
+    finite, so a NaN error or an infinite prescription fails, and quantities
+    prescribed to be (numerically) zero are judged on the absolute branch
+    instead of a meaningless relative error.
     """
     interior = mask.copy()
     interior[0] = interior[-1] = False
@@ -147,7 +148,7 @@ def _stats(actual: np.ndarray, expected: np.ndarray, mask: np.ndarray, tol: Tole
             endpoint_max_abs=endpoint_max_abs,
             margin=float(np.max(np.where(err == 0.0, 0.0, err / bound))),
         )
-    return stats, bool(np.all(err <= bound))
+    return stats, bool(np.all((err <= bound) & np.isfinite(bound)))
 
 
 def recompute_report(
@@ -161,10 +162,10 @@ def recompute_report(
     Only a kind that prescribes invariants (all but the cylinder) has them
     recomputed.  A failed comparison yields a fail verdict, never an
     exception; only a fully cylindrical surface submitted to such a kind
-    propagates AllCylindricalError, and a prescription the kind rejects (see
-    ``KindSpec.prescribe``) raises ParamDomainError.  The Chasles angle
-    recomputed from (d, v0) is compared against the complement of a
-    prescribed mu, taken modulo pi into (-pi/2, pi/2) (the two angle
+    propagates AllCylindricalError, and a prescription that synthesis's gate
+    ``synthesis.prescription`` rejects raises its ParamDomainError.  The
+    Chasles angle recomputed from (d, v0) is compared against the complement
+    of a prescribed mu, taken modulo pi into (-pi/2, pi/2) (the two angle
     conventions are complementary; the report uses absolute radians there).
     """
     tol = tolerances if tolerances is not None else Tolerances()
@@ -173,7 +174,7 @@ def recompute_report(
     failures: list[str] = []
 
     spec = KINDS[kind]
-    prescribed = spec.prescribe(params, surface.s, surface.directrix.k2)
+    prescribed = prescription(kind, params, surface.s, surface.directrix.k2)
     inv, n_cylindrical = None, surface.n_samples
     if prescribed:
         inv = invariants_numeric(surface)

@@ -111,6 +111,19 @@ def test_only_write_all_places_an_output():
     }
 
 
+def test_only_the_gate_calls_a_prescription():
+    """``synthesis.prescription`` alone calls ``KindSpec.prescribe``.
+
+    So synthesis and the oracle read a kind's params through one gate and reject the same prescriptions.
+    """
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        for owner, call in _calls(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "prescribe":
+                callers.append(f"{path.name}:{owner}")
+    assert callers == ["synthesis.py:prescription"]
+
+
 def test_only_check_state_words_the_theta_band_errors():
     """``synthesis._check_state`` alone builds the theta band's errors, and the cylinder checks only its seed there.
 

@@ -35,6 +35,7 @@ from minkruled.errors import (
 )
 from minkruled.surface import finite_difference
 from minkruled.pipeline import build_directrix
+from minkruled.verify import recompute_report
 from minkruled.synthesis import (
     DEFAULT_PHI0_GRID,
     DEFAULT_THETA0_GRID,
@@ -171,6 +172,19 @@ class TestDomainRules:
         curve = integrate_frenet(1.0, k2, s_range=(0.0, 0.1), step=1e-3)
         with pytest.raises(ParamDomainError, match=message):
             integrate_system(kind, params, curve)
+
+    @pytest.mark.parametrize(
+        "kind, k2, params, message", [row for row in DOMAIN_REJECTIONS if "theta0" not in row.values[3]]
+    )
+    def test_the_oracle_rejects_what_synthesis_rejects(self, kind, k2, params, message):
+        """The oracle reads a prescription through synthesis's gate: the same error, on any surface."""
+        curve = integrate_frenet(1.0, k2, s_range=(0.0, 0.1), step=1e-3)
+        surface = build_surface(integrate_system(SystemKind.CYLINDER, SynthesisParams(theta0=0.6), curve), curve)
+        with pytest.raises(ParamDomainError) as synthesized:
+            integrate_system(kind, params, curve)
+        with pytest.raises(ParamDomainError, match=message) as verified:
+            recompute_report(surface, params, kind)
+        assert (str(verified.value), verified.value.s) == (str(synthesized.value), synthesized.value.s)
 
     @pytest.mark.parametrize(
         "kind, n, message",
@@ -721,12 +735,13 @@ class TestLineOfCurvature:
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_shared_operands_give_the_tracks_and_errors_of_each_seed(name):
-    """A sweep's operands, built once from its first seed, give every seed its own track or error."""
+    """A sweep's operands, built once from the config's params, give every seed its own track or error."""
     cfg = RunConfig.from_file(CONFIG_DIR / name)
     curve = build_directrix(cfg)
-    seeds = [(theta0, phi0) for theta0 in (0.0, 0.05, *DEFAULT_THETA0_GRID) for phi0 in DEFAULT_PHI0_GRID]
-    operands = angle_operands(cfg.system, cfg.with_seed(*seeds[0]).params, curve)
+    seeds = [(theta0, phi0) for theta0 in (math.nan, 0.0, 0.05, *DEFAULT_THETA0_GRID) for phi0 in DEFAULT_PHI0_GRID]
+    operands = angle_operands(cfg.system, cfg.params, curve)
     assert (operands is None) == (KINDS[cfg.system].track is not None)
+    seeded = KINDS[cfg.system].seeded
 
     def outcome(params, *shared):
         try:
@@ -744,7 +759,9 @@ def test_shared_operands_give_the_tracks_and_errors_of_each_seed(name):
         else:
             assert own == shared
             errors += 1
-    assert errors >= (4 if KINDS[cfg.system].seeded else 0)  # theta0 = 0 at least
+        if seeded and math.isnan(seed[0]):
+            assert own[:2] == (ParamDomainError, f"{cfg.system.value} requires params.theta0")
+    assert errors >= (8 if seeded else 0)  # theta0 = nan and 0 at least
 
 
 @pytest.mark.parametrize("name", SHIPPED)

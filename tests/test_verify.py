@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from minkruled import (
+    Constant,
     RuledSurfaceGrid,
     RunConfig,
     SynthesisParams,
@@ -81,6 +82,21 @@ class TestRecomputeReport:
         report = recompute_report(surf, params, SystemKind.CYLINDER)
         assert math.isnan(report.defects["qprime_norm"])
         assert (report.verdict, report.failures) == ("fail", ("qprime_norm",))
+
+    def test_an_infinite_prescription_fails_closed(self, unit_directrix):
+        # the error and its bound are both inf at every sample, and inf <= inf; the gate passes it,
+        # since only a float d = inf counts as unset
+        surf, _ = general_surface(unit_directrix)
+        report = recompute_report(surf, SynthesisParams(d=Constant(math.inf), v0=0.3), SystemKind.GENERAL_DV0)
+        assert (report.verdict, report.failures) == ("fail", ("d",))
+        assert report.errors["d"].max_abs == math.inf
+
+    def test_a_vanishing_n_prescribes_an_infinite_k_that_fails(self, unit_directrix):
+        # n * n underflows to 0, so K = 1 / n^2 is inf: no warning, and the K check fails closed
+        surf, _ = general_surface(unit_directrix)
+        report = recompute_report(surf, SynthesisParams(n=1e-200, mu=math.pi / 3), SystemKind.CURVATURE_ANGLE)
+        assert "K" in report.failures
+        assert report.errors["K"].max_abs == math.inf
 
     def test_a_surface_with_no_usable_interior_sample_fails_closed(self):
         # the rulings zigzag, so every interior central difference of q vanishes and only the ends are usable
